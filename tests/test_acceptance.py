@@ -57,6 +57,31 @@ def heat_error(n: int, T: float = 0.5) -> float:
 
 GAP_TIMES = tuple(np.linspace(0.0625, 0.5, 8))
 
+# Gap tables and fits of criteria 02 and 08 as the scheme produced them before
+# the ghost-cell stencil rewrite. A refactor must reproduce them to 1e-12
+# relative; a deliberate change of the scheme updates them in the same change.
+GOLDEN = {
+    2: {
+        "gaps": (0.022290300711618305, 0.01131927118801368, 0.005703848475570761,
+                 0.002863063963206791, 0.0014343278001248128, 0.000717864220243003),
+        "slope": 0.9919481518069057,
+        "floor": 5.29340476612683e-06,
+    },
+    8: {
+        "gaps": (0.14136212620504318, 0.10422216976820664, 0.07281334728408473,
+                 0.04905675751010319, 0.03225942316902597),
+        "slope": 0.5350344605455676,
+        "floor": 0.0,  # the 1D curvature-mode base member does not move
+    },
+}
+
+
+def assert_golden(num: int, fit) -> None:
+    want = GOLDEN[num]
+    assert fit.gap_list == pytest.approx(want["gaps"], rel=1e-12)
+    assert fit.slope == pytest.approx(want["slope"], rel=1e-12)
+    assert fit.error_floor == pytest.approx(want["floor"], rel=1e-12)
+
 
 @pytest.fixture(scope="module")
 def normalized_sweep():
@@ -91,6 +116,7 @@ def test_criterion_02_normalized_rate_recovery(normalized_sweep):
     report(2, "normalized rate recovery", ok,
            f"fitted slope {fit.slope:.4f} in [0.9, 1.1] vs attained nu = 1, "
            f"r^2 = {fit.r_squared:.6f}, {elapsed:.1f}s (< 2min)")
+    assert_golden(2, fit)
 
 
 def test_criterion_03_oracle_agreement(normalized_sweep):
@@ -254,6 +280,7 @@ def test_criterion_08_regularization_rate():
     report(8, "curvature-mode regularization rate", ok,
            f"fitted slope {fit.slope:.3f} >= 0.4, one-sided vs open sup 0.5, "
            f"{elapsed:.0f}s (< 5min)")
+    assert_golden(8, fit)
 
 
 def test_criterion_09_maximum_principle():

@@ -306,6 +306,22 @@ class TestTwoDimensional:
         drift = sup_diff(res.snapshots[-1], prob.initial_field())
         assert drift < 5e-4
 
+        # u + t under a unit source: the boundary refresh now moves every
+        # step. Steps and node values are pinned to what the scheme gave
+        # before the ghost-cell stencil rewrite (1e-12 relative).
+        prob = Problem(spec=OperatorSpec.biased_infinity(0.0), grid=grid,
+                       initial=aronsson, T=0.02,
+                       ham=HamiltonianSpec(source=lambda x, y, t: np.full_like(x, 1.0)),
+                       dirichlet=lambda x, y, t: aronsson(x, y) + t)
+        res = solve(prob)
+        final = res.snapshots[-1].values
+        X, Y = grid.meshes()
+        assert np.max(np.abs(final - aronsson(X, Y) - 0.02)) < 1e-7
+        assert res.stats.steps == 256
+        assert res.stats.min_dt == pytest.approx(7.812499999999996e-05, rel=1e-12)
+        golden = [-0.23178926982857423, 0.17873183666871378, -0.09046841067975837]
+        assert final[[5, 16, 27], [3, 11, 6]] == pytest.approx(golden, rel=1e-12)
+
     def test_curvature_mode_shrinking_circles(self):
         # level-set curvature mode (p = 1, p' = 2): u = r^2/2 + t evolves
         # circular level sets by curvature; the center node exercises the 2D

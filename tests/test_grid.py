@@ -15,7 +15,7 @@ from plaplab import (
     sup_diff,
     sup_norm,
 )
-from plaplab.grid import restrict_to
+from plaplab.grid import gradient_arrays, hessian_arrays, interior_mask, restrict_to
 
 
 def line_field(a, b, n, boundary, fn, time=0.0):
@@ -136,6 +136,66 @@ class TestHessian:
         f = ScalarField(grid, rng.normal(size=(12, 16)))
         H = hessian(f, (3, 7))
         assert H[0, 1] == H[1, 0]
+
+
+def neighbour_reference(field):
+    """Gradient and Hessian by explicit neighbour indices, node by node.
+
+    Periodic grids take neighbours modulo the resolution; on Dirichlet grids
+    only interior nodes, whose neighbours all exist, are filled (NaN elsewhere).
+    """
+    g, u = field.grid, field.values
+    periodic = g.boundary is Boundary.PERIODIC
+    grads = [np.full(g.shape, np.nan) for _ in range(g.dim)]
+    keys = [(k, k) for k in range(g.dim)] + ([(0, 1)] if g.dim == 2 else [])
+    hess = {key: np.full(g.shape, np.nan) for key in keys}
+    for idx in np.ndindex(*g.shape):
+        if not periodic and any(i in (0, n - 1) for i, n in zip(idx, g.shape)):
+            continue
+
+        def at(*offset):
+            return u[tuple((i + o) % n for i, o, n in zip(idx, offset, g.shape))]
+
+        for ax in range(g.dim):
+            h = g.spacing[ax]
+            fwd = tuple(1 if k == ax else 0 for k in range(g.dim))
+            bwd = tuple(-o for o in fwd)
+            grads[ax][idx] = (at(*fwd) - at(*bwd)) / (2.0 * h)
+            hess[(ax, ax)][idx] = (at(*fwd) - 2.0 * u[idx] + at(*bwd)) / (h * h)
+        if g.dim == 2:
+            hx, hy = g.spacing
+            hess[(0, 1)][idx] = (at(1, 1) + at(-1, -1) - at(1, -1) - at(-1, 1)) / (4.0 * hx * hy)
+    return grads, hess
+
+
+class TestStencilReference:
+    GRIDS = {
+        1: lambda b: GridSpec.line(-1.0, 2.0, 13, b),
+        2: lambda b: GridSpec.box(((0.0, 1.0), (-1.0, 2.0)), (9, 12), b),
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_random_field_matches_neighbour_indices(self, dim, boundary):
+        grid = self.GRIDS[dim](boundary)
+        rng = np.random.default_rng(10 * dim + len(boundary.value))
+        f = ScalarField(grid, rng.normal(size=grid.shape))
+        want_grad, want_hess = neighbour_reference(f)
+        mask = interior_mask(grid)
+        assert mask.all() == (boundary is Boundary.PERIODIC)
+        got_grad = gradient_arrays(f)
+        got_hess = hessian_arrays(f)
+        assert len(got_grad) == dim and set(got_hess) == set(want_hess)
+        for got, want in zip(got_grad, want_grad):
+            np.testing.assert_allclose(got[mask], want[mask], rtol=1e-13, atol=1e-12)
+        for key, want in want_hess.items():
+            np.testing.assert_allclose(got_hess[key][mask], want[mask], rtol=1e-13, atol=1e-12)
+        if dim == 2 and boundary is Boundary.PERIODIC:
+            # the cross term at opposite corners wraps in both axes at once
+            n, m = grid.shape
+            for corner in ((0, 0), (n - 1, m - 1), (0, m - 1), (n - 1, 0)):
+                assert got_hess[(0, 1)][corner] == pytest.approx(
+                    want_hess[(0, 1)][corner], rel=1e-13, abs=1e-12)
 
 
 class TestNorms:
