@@ -56,7 +56,6 @@ from .harness import (
 from .operators import (
     C1CertifyReport,
     C1Params,
-    C2Params,
     Family,
     HamiltonianSpec,
     OperatorSpec,

@@ -45,7 +45,6 @@ from .rates import FamilyCase, family_rate
 logger = logging.getLogger("plaplab")
 
 SCHEMA_VERSION = 1
-_FMT = "%.17g"
 
 
 class ConfigError(ValueError):
@@ -307,7 +306,7 @@ def cmd_rate_sweep(args) -> int:
     plan, margin = _build_sweep(cfg, problem, rebuild)
     out = _out_dir(args)
     run_id = Path(args.config).stem
-    fit = run_sweep(plan, jobs=args.jobs)
+    fit = run_sweep(plan)
     consistent = None
     if fit.theory_nu is not None:
         consistent = compare_theory(fit, margin).consistent
@@ -410,7 +409,6 @@ def _parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("rate-sweep", help="run a perturbation sweep and fit the exponent")
     pr.add_argument("--config", required=True)
     pr.add_argument("--out", default="out")
-    pr.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     pr.set_defaults(fn=cmd_rate_sweep)
 
     pv = sub.add_parser("verify-exact", help="residual check of a closed-form solution")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +39,8 @@ from .operators import (
     Family,
     HamiltonianSpec,
     OperatorSpec,
+    _biased_regularized,
+    _regularized,
     rank_one_coeff_arrays,
     rank_one_coeffs,
 )
@@ -120,99 +121,93 @@ class SolveResult:
     stats: SolveStats
 
 
-def _eps_num(problem: Problem) -> float:
-    if problem.controls.eps_num is not None:
-        return problem.controls.eps_num
-    return min(problem.grid.spacing)
+@dataclass(frozen=True)
+class _SolveConstants:
+    """Everything the step needs that does not change over one solve."""
+
+    mask: np.ndarray            # interior nodes (stencil updates apply)
+    cfl_scale: float            # sigma h_min^2 / (2 n); dt_max = cfl_scale / Lambda
+    clamp2: Optional[float]     # squared gradient clamp (growth exponent > 2 only)
+    floor2: float               # squared singular floor: r2 <= floor2 takes the policy
+    eps_num: float
 
 
-@lru_cache(maxsize=256)
-def _derived_clamp(problem: Problem) -> float:
-    if problem.controls.grad_clamp is not None:
-        return problem.controls.grad_clamp
-    f = problem.initial_field()
-    mask = interior_mask(problem.grid)
-    r2 = sum(g * g for g in gradient_arrays(f))
-    lip = math.sqrt(float(np.max(r2[mask]))) if np.any(mask) else 0.0
-    return max(2.0 * lip, 1.0)
+def _constants(problem: Problem, initial: Optional[ScalarField] = None) -> _SolveConstants:
+    """Solve constants; ``initial`` saves rebuilding the initial field."""
+    grid, spec, controls = problem.grid, problem.spec, problem.controls
+    mask = interior_mask(grid)
+    h_min = min(grid.spacing)
+    clamp2 = None
+    if spec.growth_exponent > 2.0:
+        clamp = controls.grad_clamp
+        if clamp is None:  # 2x the initial Lipschitz bound, floored at 1
+            f = problem.initial_field() if initial is None else initial
+            r2 = sum(g * g for g in gradient_arrays(f))
+            lip = math.sqrt(float(np.max(r2[mask]))) if np.any(mask) else 0.0
+            clamp = max(2.0 * lip, 1.0)
+        clamp2 = clamp * clamp
+    eps_num = h_min if controls.eps_num is None else controls.eps_num
+    floor = spec.grad_floor
+    if floor == 0.0 and spec.growth_exponent < 2.0:
+        floor = eps_num
+    return _SolveConstants(
+        mask=mask,
+        cfl_scale=controls.cfl_sigma * h_min * h_min / (2.0 * grid.dim),
+        clamp2=clamp2,
+        floor2=floor * floor,
+        eps_num=eps_num,
+    )
 
 
-def _regularized_arrays(p, p_prime, eps, r2):
-    w = r2 + eps * eps
-    s = w ** ((p_prime - 2.0) / 2.0)
-    return s, s * (p - 2.0) * r2 / w
-
-
-def _proxy_arrays(spec: OperatorSpec, eps_num: float, r2: np.ndarray):
-    """The family's eps_num-regularized coefficients (defined at r2 = 0)."""
-    if eps_num <= 0.0:
-        raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-    if spec.family in (Family.BIASED_INFINITY, Family.BIASED_INFINITY_REGULARIZED):
-        w = r2 + eps_num * eps_num
-        return np.full_like(r2, eps_num), r2 / w
-    return _regularized_arrays(spec.p, spec.growth_exponent, eps_num, r2)
-
-
-def _effective_coeffs(problem: Problem, r2_raw: np.ndarray):
-    """Per-node (s, c) actually used by the scheme, plus the clamped r2.
+def _effective_coeffs(problem: Problem, consts: _SolveConstants, r2_raw: np.ndarray):
+    """Per-node (s, c) actually used by the scheme.
 
     Applies the gradient clamp (growth exponent > 2 only) and the
     singular-gradient policy described in the module docstring.
     """
     spec = problem.spec
-    r2 = r2_raw
-    if spec.growth_exponent > 2.0:
-        cl = _derived_clamp(problem)
-        r2 = np.minimum(r2_raw, cl * cl)
-
+    r2 = r2_raw if consts.clamp2 is None else np.minimum(r2_raw, consts.clamp2)
     if spec.everywhere_defined:
-        s, c = rank_one_coeff_arrays(spec, r2)
-        return s, c, r2
+        return rank_one_coeff_arrays(spec, r2)
 
-    eps_num = _eps_num(problem)
-    floor = spec.grad_floor
-    if floor == 0.0 and spec.growth_exponent < 2.0:
-        floor = eps_num
-    sing = r2 <= floor * floor if floor > 0.0 else r2 == 0.0
-    safe = np.where(sing, 1.0, r2)
-    s, c = rank_one_coeff_arrays(spec, safe)
+    sing = r2 <= consts.floor2
+    s, c = rank_one_coeff_arrays(spec, np.where(sing, 1.0, r2))
     if np.any(sing):
         if problem.grid.dim == 1 and spec.growth_exponent == 2.0:
             s0, c0 = rank_one_coeffs(spec, 1.0)  # constant 1D coefficient
-            s = np.where(sing, s0 + c0, s)
-            c = np.where(sing, 0.0, c)
+            sp, cp = s0 + c0, 0.0
+        elif consts.eps_num <= 0.0:
+            raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
+        elif spec.family in (Family.BIASED_INFINITY, Family.BIASED_INFINITY_REGULARIZED):
+            sp, cp = _biased_regularized(consts.eps_num, r2)
         else:
-            sp, cp = _proxy_arrays(spec, eps_num, r2)
-            s = np.where(sing, sp, s)
-            c = np.where(sing, cp, c)
-    return s, c, r2
+            sp, cp = _regularized(spec.p, spec.growth_exponent, consts.eps_num, r2)
+        s = np.where(sing, sp, s)
+        c = np.where(sing, cp, c)
+    return s, c
 
 
-def _stage(problem: Problem, fld: ScalarField):
+def _stage(problem: Problem, consts: _SolveConstants, fld: ScalarField):
     grads = gradient_arrays(fld)
     r2_raw = grads[0] * grads[0]
     for g in grads[1:]:
         r2_raw = r2_raw + g * g
-    s, c, _ = _effective_coeffs(problem, r2_raw)
-    mask = interior_mask(problem.grid)
-    lam_nodes = s + np.maximum(c, 0.0)
-    lam = float(np.max(lam_nodes[mask]))
-    h_min = min(problem.grid.spacing)
-    dt_max = problem.controls.cfl_sigma * h_min * h_min / (
-        2.0 * problem.grid.dim * max(lam, 1.0)
-    )
-    return grads, r2_raw, s, c, mask, dt_max
+    s, c = _effective_coeffs(problem, consts, r2_raw)
+    lam = float(np.max((s + np.maximum(c, 0.0))[consts.mask]))
+    return grads, r2_raw, s, c, consts.cfl_scale / max(lam, 1.0)
 
 
 def cfl_dt(problem: Problem, fld: ScalarField) -> float:
     """Stable time step for the current field (same coefficients as ``step``)."""
     if fld.grid != problem.grid:
         raise ValueError("field is not on the problem's grid")
-    return _stage(problem, fld)[-1]
+    return _stage(problem, _constants(problem), fld)[-1]
 
 
-def _advance(problem: Problem, fld: ScalarField, stage, dt: float) -> ScalarField:
-    grads, r2_raw, s, c, mask, _ = stage
+def _advance(problem: Problem, consts: _SolveConstants, fld: ScalarField, stage,
+             dt: float) -> ScalarField:
+    grads, r2_raw, s, c, _ = stage
+    mask = consts.mask
     hess = hessian_arrays(fld)
     if problem.grid.dim == 1:
         diff = (s + c) * hess[(0, 0)]
@@ -259,10 +254,11 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
         raise ValueError("dt must be > 0")
     if fld.time + dt > problem.T + 1e-9 * max(dt, problem.T, 1.0):
         raise ValueError(f"step past the horizon: t = {fld.time:.6g}, T = {problem.T:.6g}")
-    stage = _stage(problem, fld)
+    consts = _constants(problem)
+    stage = _stage(problem, consts, fld)
     if dt > stage[-1] * (1.0 + 1e-9):
         raise CflViolationError(f"dt = {dt:.3e} exceeds CFL bound {stage[-1]:.3e}")
-    return _advance(problem, fld, stage, dt)
+    return _advance(problem, consts, fld, stage, dt)
 
 
 def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
@@ -276,12 +272,13 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     requested = tuple(sorted(set(requested)))
     targets = tuple(sorted(set(requested + (problem.T,))))
     fld = problem.initial_field()
+    consts = _constants(problem, fld)
     snapshots = []
     data_lo = float(np.min(fld.values))
     data_hi = float(np.max(fld.values))
     edge = None
     if problem.grid.boundary is Boundary.DIRICHLET:
-        edge = ~interior_mask(problem.grid)
+        edge = ~consts.mask
     overshoot = 0.0
     steps = 0
     min_dt = math.inf
@@ -292,7 +289,7 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     t_eps = 1e-12 * max(1.0, problem.T)
     for t_target in targets:
         while fld.time < t_target - t_eps:
-            stage = _stage(problem, fld)
+            stage = _stage(problem, consts, fld)
             dt_max = stage[-1]
             dt = dt_max if dt_override is None else dt_override
             if dt > dt_max * (1.0 + 1e-9):
@@ -302,7 +299,7 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
             hit = dt >= t_target - fld.time - t_eps
             if hit:
                 dt = t_target - fld.time
-            fld = _advance(problem, fld, stage, dt)
+            fld = _advance(problem, consts, fld, stage, dt)
             if hit:
                 fld = ScalarField(problem.grid, fld.values, t_target)
             steps += 1

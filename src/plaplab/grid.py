@@ -3,6 +3,12 @@
 Periodic grids store N nodes per axis (spacing (b-a)/N, the right endpoint
 wraps to the left); Dirichlet grids store both endpoints (spacing
 (b-a)/(N-1)). Fields are immutable once constructed.
+
+Difference stencils read a copy of the values padded with one ghost layer
+per side. On periodic grids a ghost holds the value it wraps to (corner
+ghosts wrap in both axes); on Dirichlet grids it copies the nearest edge
+node. Dirichlet edge copies only reach the stencils of boundary nodes,
+which carry no update and are masked off via ``interior_mask``.
 """
 
 from __future__ import annotations
@@ -114,25 +120,30 @@ class ScalarField:
         return ScalarField(grid, vals, time)
 
 
-def _shifted(values: np.ndarray, axis: int, offset: int, boundary: Boundary) -> np.ndarray:
-    """values[i + offset] along ``axis``; edge rows are clamped in Dirichlet
-    mode (they are only read at boundary nodes, which stencils never own)."""
-    if boundary is Boundary.PERIODIC:
-        return np.roll(values, -offset, axis=axis)
-    pad = min(abs(offset), values.shape[axis] - 1)
-    if offset > 0:
-        sl = [slice(None)] * values.ndim
-        sl[axis] = slice(pad, None)
-        edge = [slice(None)] * values.ndim
-        edge[axis] = slice(-1, None)
-        tail = np.repeat(values[tuple(edge)], pad, axis=axis)
-        return np.concatenate([values[tuple(sl)], tail], axis=axis)
-    sl = [slice(None)] * values.ndim
-    sl[axis] = slice(None, values.shape[axis] - pad)
-    edge = [slice(None)] * values.ndim
-    edge[axis] = slice(0, 1)
-    head = np.repeat(values[tuple(edge)], pad, axis=axis)
-    return np.concatenate([head, values[tuple(sl)]], axis=axis)
+def _padded(field: ScalarField) -> np.ndarray:
+    """Copy of the values with one ghost layer on every side (see module doc)."""
+    v = field.values
+    out = np.empty(tuple(n + 2 for n in v.shape))
+    out[(slice(1, -1),) * v.ndim] = v
+    # ghost <- the node it wraps to (periodic) or the edge node (Dirichlet)
+    lo, hi = (-2, 1) if field.grid.boundary is Boundary.PERIODIC else (1, -2)
+    # axis by axis over full extents, so later axes also fill the corners
+    for ax in range(v.ndim):
+        lead = (slice(None),) * ax
+        out[lead + (0,)] = out[lead + (lo,)]
+        out[lead + (-1,)] = out[lead + (hi,)]
+    return out
+
+
+def _at(padded: np.ndarray, *offset: int) -> np.ndarray:
+    """values[i + offset] for every node i, as a view of the padded copy."""
+    return padded[tuple(slice(1 + o, n - 1 + o) for o, n in zip(offset, padded.shape))]
+
+
+def _neighbours(padded: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values[i + e], values[i - e]) for every node i, e the unit step along ``axis``."""
+    e = tuple(int(k == axis) for k in range(padded.ndim))
+    return _at(padded, *e), _at(padded, *(-k for k in e))
 
 
 def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
@@ -142,31 +153,27 @@ def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
     callers via ``interior_mask``.
     """
     g = field.grid
+    padded = _padded(field)
     out = []
     for ax in range(g.dim):
-        h = g.spacing[ax]
-        fa = _shifted(field.values, ax, +1, g.boundary)
-        fb = _shifted(field.values, ax, -1, g.boundary)
-        out.append((fa - fb) / (2.0 * h))
+        fa, fb = _neighbours(padded, ax)
+        out.append((fa - fb) / (2.0 * g.spacing[ax]))
     return out
 
 
 def hessian_arrays(field: ScalarField) -> dict[tuple[int, int], np.ndarray]:
     """Second-difference Hessian entries keyed by (i, j) with i <= j."""
     g = field.grid
+    padded = _padded(field)
     out: dict[tuple[int, int], np.ndarray] = {}
     for ax in range(g.dim):
         h = g.spacing[ax]
-        fa = _shifted(field.values, ax, +1, g.boundary)
-        fb = _shifted(field.values, ax, -1, g.boundary)
+        fa, fb = _neighbours(padded, ax)
         out[(ax, ax)] = (fa - 2.0 * field.values + fb) / (h * h)
     if g.dim == 2:
         hx, hy = g.spacing
-        fpp = _shifted(_shifted(field.values, 0, +1, g.boundary), 1, +1, g.boundary)
-        fmm = _shifted(_shifted(field.values, 0, -1, g.boundary), 1, -1, g.boundary)
-        fpm = _shifted(_shifted(field.values, 0, +1, g.boundary), 1, -1, g.boundary)
-        fmp = _shifted(_shifted(field.values, 0, -1, g.boundary), 1, +1, g.boundary)
-        out[(0, 1)] = (fpp + fmm - fpm - fmp) / (4.0 * hx * hy)
+        cross = _at(padded, 1, 1) + _at(padded, -1, -1) - _at(padded, 1, -1) - _at(padded, -1, 1)
+        out[(0, 1)] = cross / (4.0 * hx * hy)
     return out
 
 

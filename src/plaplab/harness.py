@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import PlapError
 from .evolve import Problem, SolveResult, cfl_dt, solve
-from .grid import ScalarField, restrict_to, sup_diff
+from .grid import _FMT, ScalarField, restrict_to, sup_diff
 from .operators import PerturbationAxis, perturb_spec
 from .rates import RatePrediction
 
@@ -147,7 +146,7 @@ def _measure_floor(base: Problem, times: tuple[float, ...],
     return floor
 
 
-def run_sweep(plan: SweepPlan, jobs: int = 1) -> RateFit:
+def run_sweep(plan: SweepPlan) -> RateFit:
     """Solve base and perturbed problems, measure gaps, and fit the exponent."""
     base = _with_snapshots(plan.base, plan.gap_times)
     perturbed = [_with_snapshots(_problem_for_value(plan, v), plan.gap_times)
@@ -157,15 +156,8 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> RateFit:
     if plan.shared_dt:
         dt = min(cfl_dt(p, p.initial_field()) for p in [base] + perturbed)
 
-    def _run(problem: Problem) -> SolveResult:
-        return solve(problem, dt_override=dt)
-
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_run, [base] + perturbed))
-        else:
-            results = [_run(p) for p in [base] + perturbed]
+        results = [solve(p, dt_override=dt) for p in [base] + perturbed]
     except PlapError as err:
         raise HarnessError(f"sweep aborted: {err}") from err
     base_result, rest = results[0], results[1:]
@@ -301,8 +293,6 @@ def compare_theory(fit: RateFit, margin: float) -> TheoryVerdict:
 
 
 # -- emission ------------------------------------------------------------------
-
-_FMT = "%.17g"
 
 
 def write_rate_table(fit: RateFit, path) -> None:

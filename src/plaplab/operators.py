@@ -145,55 +145,48 @@ class OperatorSpec:
         return 2.0
 
 
+def _regularized(p: float, p_prime: float, eps: float, r2):
+    """(s, c) of the (p, p') member regularized at eps; defined at r2 = 0 when eps > 0."""
+    w = r2 + eps * eps
+    s = w ** ((p_prime - 2.0) / 2.0)
+    return s, s * (p - 2.0) * r2 / w
+
+
+def _biased_regularized(eps1: float, r2):
+    """(s, c) of the biased infinity member regularized at eps1."""
+    return np.full_like(r2, eps1), r2 / (r2 + eps1 * eps1)
+
+
+def rank_one_coeff_arrays(spec: OperatorSpec, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (s, c) with A = s I + c P(xi) at squared magnitudes r2 = |xi|^2.
+
+    The caller guarantees r2 > 0 where the member is singular. A Python float
+    r2 gives 0-d results computed with Python's own arithmetic.
+    """
+    f = spec.family
+    if f is Family.NORMALIZED:
+        return np.ones_like(r2), np.full_like(r2, spec.p - 2.0)
+    if f in (Family.VARIATIONAL, Family.GENERAL_PQ):
+        s = r2 ** ((spec.growth_exponent - 2.0) / 2.0)
+        return s, (spec.p - 2.0) * s
+    if f is Family.REGULARIZED_PQ:
+        return _regularized(spec.p, spec.p_prime, spec.eps, r2)
+    if f is Family.BIASED_INFINITY:
+        return np.zeros_like(r2), np.ones_like(r2)
+    return _biased_regularized(spec.eps1, r2)
+
+
 def rank_one_coeffs(spec: OperatorSpec, r2: float) -> tuple[float, float]:
-    """Coefficients (s, c) with A = s I + c P(xi) at squared magnitude r2 = |xi|^2.
+    """``rank_one_coeff_arrays`` at one squared magnitude r2 = |xi|^2.
 
     r2 = 0 is admitted only for everywhere-defined members (there c = 0).
     """
     if r2 < 0:
         raise ValueError("r2 must be >= 0")
-    f = spec.family
     if r2 == 0.0 and not spec.everywhere_defined:
-        raise SingularGradientError(f"{f.value} operator is singular at xi = 0")
-    if f is Family.NORMALIZED:
-        return 1.0, spec.p - 2.0
-    if f is Family.VARIATIONAL:
-        s = r2 ** ((spec.p - 2.0) / 2.0)
-        return s, (spec.p - 2.0) * s
-    if f is Family.GENERAL_PQ:
-        s = r2 ** ((spec.p_prime - 2.0) / 2.0)
-        return s, (spec.p - 2.0) * s
-    if f is Family.REGULARIZED_PQ:
-        w = r2 + spec.eps * spec.eps
-        if w == 0.0:
-            raise SingularGradientError("regularized_pq with eps = 0 is singular at xi = 0")
-        s = w ** ((spec.p_prime - 2.0) / 2.0)
-        return s, s * (spec.p - 2.0) * r2 / w
-    if f is Family.BIASED_INFINITY:
-        return 0.0, 1.0
-    # biased infinity, regularized
-    return spec.eps1, r2 / (r2 + spec.eps1 * spec.eps1)
-
-
-def rank_one_coeff_arrays(spec: OperatorSpec, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``rank_one_coeffs``; caller guarantees r2 > 0 where singular."""
-    f = spec.family
-    if f is Family.NORMALIZED:
-        return np.ones_like(r2), np.full_like(r2, spec.p - 2.0)
-    if f is Family.VARIATIONAL:
-        s = r2 ** ((spec.p - 2.0) / 2.0)
-        return s, (spec.p - 2.0) * s
-    if f is Family.GENERAL_PQ:
-        s = r2 ** ((spec.p_prime - 2.0) / 2.0)
-        return s, (spec.p - 2.0) * s
-    if f is Family.REGULARIZED_PQ:
-        w = r2 + spec.eps * spec.eps
-        s = w ** ((spec.p_prime - 2.0) / 2.0)
-        return s, s * (spec.p - 2.0) * r2 / w
-    if f is Family.BIASED_INFINITY:
-        return np.zeros_like(r2), np.ones_like(r2)
-    w = r2 + spec.eps1 * spec.eps1
-    return np.full_like(r2, spec.eps1), r2 / w
+        raise SingularGradientError(f"{spec.family.value} operator is singular at xi = 0")
+    s, c = rank_one_coeff_arrays(spec, float(r2))
+    return float(s), float(c)
 
 
 def _as_xi(xi) -> np.ndarray:
@@ -316,18 +309,6 @@ class C1Params:
             )
 
 
-@dataclass(frozen=True)
-class C2Params:
-    gamma: float
-    c_H: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.c_H < 0:
-            raise ValueError("c_H must be >= 0")
-
-
 def default_test_exponent(spec: OperatorSpec) -> float:
     """Test exponent k = max(4, 2 p'/(p'-1)), large enough for singular members."""
     pp = spec.growth_exponent
@@ -415,13 +396,10 @@ class HamiltonianSpec:
     a: float = 0.0
     eps2: float = 0.0
     source: Optional[Callable] = None
-    lipschitz: Optional[float] = None
 
     def __post_init__(self):
         if self.eps2 < 0:
             raise ValueError("eps2 must be >= 0")
-        if self.lipschitz is not None and self.lipschitz < 0:
-            raise ValueError("lipschitz must be >= 0")
 
     @property
     def is_zero(self) -> bool:

@@ -93,8 +93,7 @@ class TestRateSweepCommand:
         }
         cfg = write_config(tmp_path / "sweep.json", cfg_data)
         out = tmp_path / "out"
-        assert main(["rate-sweep", "--config", cfg, "--out", str(out),
-                     "--jobs", "1"]) == 0
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "sweep_rates.csv").read_text().splitlines()
         assert len(rows) == 5
         fit = json.loads((out / "sweep_fit.json").read_text())

@@ -99,11 +99,6 @@ class TestRunSweep:
         b = run_sweep(heat_sweep_plan())
         assert a == b
 
-    def test_jobs_do_not_change_result(self):
-        a = run_sweep(heat_sweep_plan())
-        b = run_sweep(heat_sweep_plan(), jobs=4)
-        assert a == b
-
     def test_holder_estimate_wiring(self):
         from dataclasses import replace
         from plaplab import solve
