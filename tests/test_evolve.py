@@ -329,18 +329,35 @@ class TestTwoDimensional:
         def exact(x, y, t):
             return (x * x + y * y) / 2.0 + t
 
-        errs = []
-        for n in (33, 65):
+        def run(spec, n):
             grid = GridSpec.box(((-1, 1), (-1, 1)), (n, n), Boundary.DIRICHLET)
-            prob = Problem(spec=OperatorSpec.regularized_pq(1.0, 2.0, 0.0),
-                           grid=grid, initial=lambda x, y: exact(x, y, 0.0),
+            prob = Problem(spec=spec, grid=grid, initial=lambda x, y: exact(x, y, 0.0),
                            T=0.1, dirichlet=exact)
             res = solve(prob)
             X, Y = grid.meshes()
-            errs.append(float(np.max(np.abs(res.snapshots[-1].values
-                                            - exact(X, Y, 0.1)))))
+            err = float(np.max(np.abs(res.snapshots[-1].values - exact(X, Y, 0.1))))
+            return res, err
+
+        curvature = OperatorSpec.regularized_pq(1.0, 2.0, 0.0)
+        errs = [run(curvature, n)[1] for n in (33, 65)]
         assert errs[0] < 1e-3
         assert errs[0] / errs[1] > 2.5
+
+        # Both singular-policy branches on 33^2 (the centre node has a zero
+        # gradient): step count, min dt and three node values, the centre
+        # (16, 16) included, pinned at 1e-12 relative to the scheme before
+        # the one-path update rewrite.
+        pins = [
+            (curvature, [0.10073998369766232, 0.12539085136820366, 0.2445312154799696]),
+            (OperatorSpec.biased_infinity(0.0),
+             [0.07166788320485205, 0.11572643687832321, 0.24241738494381132]),
+        ]
+        for spec, golden in pins:
+            res, _ = run(spec, 33)
+            assert res.stats.steps == 205
+            assert res.stats.min_dt == pytest.approx(0.00039062500000000555, rel=1e-12)
+            final = res.snapshots[-1].values
+            assert final[[16, 13, 21], [16, 18, 9]] == pytest.approx(golden, rel=1e-12)
 
     def test_quadratic_with_source_is_exact(self):
         # u = x^2 + y^2 + t has u_t = 1, tr(A D2u) = 4 for A = I, and the
