@@ -196,27 +196,18 @@ def _build_controls(node: dict) -> SolverControls:
 
 
 def _build_problem(node: dict):
-    _check_keys(node, {"operator", "hamiltonian", "grid", "data", "horizon", "controls"},
-                "problem")
+    _check_keys(node, {"operator", "grid", "data", "horizon", "controls"}, "problem")
     for req in ("operator", "grid", "data", "horizon"):
         if req not in node:
             raise ConfigError(f"problem needs '{req}'")
     spec = _build_operator(node["operator"])
     grid = _build_grid(node["grid"])
     initial, dirichlet, rebuild = _build_data(node["data"], spec, grid)
-    source = None
-    if "hamiltonian" in node:
-        _check_keys(node["hamiltonian"], {"a", "eps2"}, "problem.hamiltonian")
-        # a and eps2 live on the operator spec; reject contradictions
-        for key in ("a", "eps2"):
-            if key in node["hamiltonian"] and float(node["hamiltonian"][key]) != getattr(spec, key):
-                raise ConfigError(f"hamiltonian.{key} must match operator.{key}")
-    ham = hamiltonian_for(spec, source)
     controls = _build_controls(node.get("controls", {}))
     problem = Problem(
         spec=spec, grid=grid, initial=initial, T=float(node["horizon"]),
-        ham=ham, dirichlet=dirichlet if grid.boundary is Boundary.DIRICHLET else None,
-        controls=controls,
+        ham=hamiltonian_for(spec), controls=controls,
+        dirichlet=dirichlet if grid.boundary is Boundary.DIRICHLET else None,
     )
     return problem, rebuild
 
@@ -371,17 +362,18 @@ def cmd_rate_table(args) -> int:
     return 0
 
 
+# check-c1 base member per --family, built from --q, --q-prime and --a
+_C1_FAMILIES = {
+    "normalized": lambda args: OperatorSpec.normalized(args.q),
+    "variational": lambda args: OperatorSpec.variational(args.q),
+    "general_pq": lambda args: OperatorSpec.general_pq(args.q, args.q_prime),
+    "regularized_pq": lambda args: OperatorSpec.regularized_pq(args.q, args.q_prime, 0.0),
+    "biased": lambda args: OperatorSpec.biased_infinity_regularized(args.a, 0.0, 0.0),
+}
+
+
 def cmd_check_c1(args) -> int:
-    if args.family == "normalized":
-        base = OperatorSpec.normalized(args.q)
-    elif args.family == "variational":
-        base = OperatorSpec.variational(args.q)
-    elif args.family == "general_pq":
-        base = OperatorSpec.general_pq(args.q, args.q_prime)
-    elif args.family == "regularized_pq":
-        base = OperatorSpec.regularized_pq(args.q, args.q_prime, 0.0)
-    else:
-        base = OperatorSpec.biased_infinity_regularized(args.a, 0.0, 0.0)
+    base = _C1_FAMILIES[args.family](args)
     axis = _AXES[args.axis]
     mags = np.geomspace(args.xi_min, args.xi_max, args.xi_count)
     candidate = C1Params(alpha=args.alpha, beta=args.beta, c_A=args.c_A, k=args.k)
@@ -438,9 +430,7 @@ def _parser() -> argparse.ArgumentParser:
     pt.set_defaults(fn=cmd_rate_table)
 
     pc = sub.add_parser("check-c1", help="certify a closeness envelope over a xi grid")
-    pc.add_argument("--family", required=True,
-                    choices=["normalized", "variational", "general_pq",
-                             "regularized_pq", "biased"])
+    pc.add_argument("--family", required=True, choices=list(_C1_FAMILIES))
     pc.add_argument("--q", type=float, default=2.0)
     pc.add_argument("--q-prime", dest="q_prime", type=float, default=2.0)
     pc.add_argument("--a", type=float, default=0.0)

@@ -71,9 +71,12 @@ class SolverControls:
 class Problem:
     """Cauchy-Dirichlet (or periodic) problem for one family member.
 
-    ``initial`` maps spatial coordinates to u(x, 0); ``dirichlet`` maps
-    coordinates plus time to the boundary trace and is required (and only
-    used) on Dirichlet grids. Both must agree at t = 0 on the boundary.
+    ``initial`` maps spatial coordinates to u(x, 0). ``dirichlet`` maps
+    coordinates plus time to the boundary trace; it is required (and only
+    used) on Dirichlet grids, where it is evaluated elementwise at the
+    boundary nodes only: its coordinate arguments are 1D arrays of those
+    nodes, and it returns one value per node or a scalar. Both must agree
+    at t = 0 on the boundary.
     """
 
     spec: OperatorSpec
@@ -95,12 +98,12 @@ class Problem:
             self._check_compatibility()
 
     def _check_compatibility(self):
-        meshes = self.grid.meshes()
-        u0 = np.broadcast_to(np.asarray(self.initial(*meshes), float), self.grid.shape)
-        g0 = np.broadcast_to(np.asarray(self.dirichlet(*meshes, 0.0), float), self.grid.shape)
-        edge = ~interior_mask(self.grid)
+        u0 = np.broadcast_to(np.asarray(self.initial(*self.grid.meshes()), float),
+                             self.grid.shape)
+        edge, coords = _boundary_nodes(self.grid, interior_mask(self.grid))
+        g0 = np.asarray(self.dirichlet(*coords, 0.0), float)
         scale = 1.0 + np.max(np.abs(u0))
-        if np.max(np.abs(u0[edge] - g0[edge])) > 1e-9 * scale:
+        if np.max(np.abs(u0[edge] - g0)) > 1e-9 * scale:
             raise ValueError("initial and Dirichlet data disagree at t = 0 on the boundary")
 
     def initial_field(self) -> ScalarField:
@@ -121,11 +124,19 @@ class SolveResult:
     stats: SolveStats
 
 
+def _boundary_nodes(grid: GridSpec, mask: np.ndarray):
+    """Index and coordinates (row-major) of the nodes outside ``mask``."""
+    edge = np.nonzero(~mask)
+    return edge, tuple(m[edge] for m in grid.meshes())
+
+
 @dataclass(frozen=True)
 class _SolveConstants:
     """Everything the step needs that does not change over one solve."""
 
     mask: np.ndarray            # interior nodes (stencil updates apply)
+    edge: Optional[tuple]       # index of the Dirichlet boundary nodes; None if periodic
+    edge_coords: tuple          # their coordinates, where ``problem.dirichlet`` is evaluated
     cfl_scale: float            # sigma h_min^2 / (2 n); dt_max = cfl_scale / Lambda
     clamp2: Optional[float]     # squared gradient clamp (growth exponent > 2 only)
     floor2: float               # squared singular floor: r2 <= floor2 takes the policy
@@ -150,8 +161,13 @@ def _constants(problem: Problem, initial: Optional[ScalarField] = None) -> _Solv
     floor = spec.grad_floor
     if floor == 0.0 and spec.growth_exponent < 2.0:
         floor = eps_num
+    edge, edge_coords = None, ()
+    if grid.boundary is Boundary.DIRICHLET:
+        edge, edge_coords = _boundary_nodes(grid, mask)
     return _SolveConstants(
         mask=mask,
+        edge=edge,
+        edge_coords=edge_coords,
         cfl_scale=controls.cfl_sigma * h_min * h_min / (2.0 * grid.dim),
         clamp2=clamp2,
         floor2=floor * floor,
@@ -171,19 +187,18 @@ def _effective_coeffs(problem: Problem, consts: _SolveConstants, r2_raw: np.ndar
         return rank_one_coeff_arrays(spec, r2)
 
     sing = r2 <= consts.floor2
+    if not np.any(sing):
+        return rank_one_coeff_arrays(spec, r2)
     s, c = rank_one_coeff_arrays(spec, np.where(sing, 1.0, r2))
-    if np.any(sing):
-        if problem.grid.dim == 1 and spec.growth_exponent == 2.0:
-            s0, c0 = rank_one_coeffs(spec, 1.0)  # constant 1D coefficient
-            sp, cp = s0 + c0, 0.0
-        elif consts.eps_num <= 0.0:
-            raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-        elif spec.family in (Family.BIASED_INFINITY, Family.BIASED_INFINITY_REGULARIZED):
-            sp, cp = _biased_regularized(consts.eps_num, r2)
-        else:
-            sp, cp = _regularized(spec.p, spec.growth_exponent, consts.eps_num, r2)
-        s = np.where(sing, sp, s)
-        c = np.where(sing, cp, c)
+    if problem.grid.dim == 1 and spec.growth_exponent == 2.0:
+        s0, c0 = rank_one_coeffs(spec, 1.0)  # constant 1D coefficient
+        s[sing], c[sing] = s0 + c0, 0.0
+    elif consts.eps_num <= 0.0:
+        raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
+    elif spec.family in (Family.BIASED_INFINITY, Family.BIASED_INFINITY_REGULARIZED):
+        s[sing], c[sing] = _biased_regularized(consts.eps_num, r2[sing])
+    else:
+        s[sing], c[sing] = _regularized(spec.p, spec.growth_exponent, consts.eps_num, r2[sing])
     return s, c
 
 
@@ -205,9 +220,10 @@ def cfl_dt(problem: Problem, fld: ScalarField) -> float:
 
 
 def _advance(problem: Problem, consts: _SolveConstants, fld: ScalarField, stage,
-             dt: float) -> ScalarField:
+             dt: float, t_new: float) -> ScalarField:
+    """The field at ``t_new`` after a step of ``dt`` (``t_new`` names the capture
+    time exactly when the step lands on one)."""
     grads, r2_raw, s, c, _ = stage
-    mask = consts.mask
     hess = hessian_arrays(fld)
     if problem.grid.dim == 1:
         diff = (s + c) * hess[(0, 0)]
@@ -230,16 +246,9 @@ def _advance(problem: Problem, consts: _SolveConstants, fld: ScalarField, stage,
             h_arr = h_arr - np.asarray(ham.source(*problem.grid.meshes(), fld.time), float)
         rhs = rhs - h_arr
 
-    t_new = fld.time + dt
-    if problem.grid.boundary is Boundary.PERIODIC:
-        new_vals = fld.values + dt * rhs
-    else:
-        new_vals = fld.values + dt * np.where(mask, rhs, 0.0)
-        g_vals = np.broadcast_to(
-            np.asarray(problem.dirichlet(*problem.grid.meshes(), t_new), float),
-            problem.grid.shape,
-        )
-        new_vals = np.where(mask, new_vals, g_vals)
+    new_vals = fld.values + dt * rhs
+    if consts.edge is not None:
+        new_vals[consts.edge] = problem.dirichlet(*consts.edge_coords, t_new)
     if not np.all(np.isfinite(new_vals)):
         bad = np.argwhere(~np.isfinite(new_vals))[0]
         raise BlowUpError(tuple(int(i) for i in bad), t_new)
@@ -258,7 +267,7 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
     stage = _stage(problem, consts, fld)
     if dt > stage[-1] * (1.0 + 1e-9):
         raise CflViolationError(f"dt = {dt:.3e} exceeds CFL bound {stage[-1]:.3e}")
-    return _advance(problem, consts, fld, stage, dt)
+    return _advance(problem, consts, fld, stage, dt, fld.time + dt)
 
 
 def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
@@ -276,9 +285,6 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     snapshots = []
     data_lo = float(np.min(fld.values))
     data_hi = float(np.max(fld.values))
-    edge = None
-    if problem.grid.boundary is Boundary.DIRICHLET:
-        edge = ~consts.mask
     overshoot = 0.0
     steps = 0
     min_dt = math.inf
@@ -296,21 +302,19 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
                 raise CflViolationError(
                     f"fixed dt = {dt:.3e} exceeds CFL bound {dt_max:.3e} at t = {fld.time:.6g}"
                 )
-            hit = dt >= t_target - fld.time - t_eps
-            if hit:
-                dt = t_target - fld.time
-            fld = _advance(problem, consts, fld, stage, dt)
-            if hit:
-                fld = ScalarField(problem.grid, fld.values, t_target)
+            t_new = fld.time + dt
+            if dt >= t_target - fld.time - t_eps:
+                dt, t_new = t_target - fld.time, t_target
+            fld = _advance(problem, consts, fld, stage, dt, t_new)
             steps += 1
             min_dt = min(min_dt, dt)
             if steps > problem.controls.max_steps:
                 raise BudgetExceededError(
                     f"horizon T = {problem.T} unreachable within {problem.controls.max_steps} steps"
                 )
-            if edge is not None:
-                data_lo = min(data_lo, float(np.min(fld.values[edge])))
-                data_hi = max(data_hi, float(np.max(fld.values[edge])))
+            if consts.edge is not None:
+                data_lo = min(data_lo, float(np.min(fld.values[consts.edge])))
+                data_hi = max(data_hi, float(np.max(fld.values[consts.edge])))
             overshoot = max(
                 overshoot,
                 float(np.max(fld.values)) - data_hi,

@@ -5,17 +5,19 @@ wraps to the left); Dirichlet grids store both endpoints (spacing
 (b-a)/(N-1)). Fields are immutable once constructed.
 
 Difference stencils read a copy of the values padded with one ghost layer
-per side. On periodic grids a ghost holds the value it wraps to (corner
-ghosts wrap in both axes); on Dirichlet grids it copies the nearest edge
-node. Dirichlet edge copies only reach the stencils of boundary nodes,
-which carry no update and are masked off via ``interior_mask``.
+per side. Each field builds that copy once, on first use, and keeps it, so
+its gradient and Hessian share it. On periodic grids a ghost holds the
+value it wraps to (corner ghosts wrap in both axes); on Dirichlet grids it
+copies the nearest edge node. Dirichlet edge copies only reach the stencils
+of boundary nodes, which carry no update and are masked off via
+``interior_mask``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -119,20 +121,21 @@ class ScalarField:
         vals = np.broadcast_to(vals, grid.shape)
         return ScalarField(grid, vals, time)
 
-
-def _padded(field: ScalarField) -> np.ndarray:
-    """Copy of the values with one ghost layer on every side (see module doc)."""
-    v = field.values
-    out = np.empty(tuple(n + 2 for n in v.shape))
-    out[(slice(1, -1),) * v.ndim] = v
-    # ghost <- the node it wraps to (periodic) or the edge node (Dirichlet)
-    lo, hi = (-2, 1) if field.grid.boundary is Boundary.PERIODIC else (1, -2)
-    # axis by axis over full extents, so later axes also fill the corners
-    for ax in range(v.ndim):
-        lead = (slice(None),) * ax
-        out[lead + (0,)] = out[lead + (lo,)]
-        out[lead + (-1,)] = out[lead + (hi,)]
-    return out
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """Copy of the values with one ghost layer on every side (see module doc)."""
+        v = self.values
+        out = np.empty(tuple(n + 2 for n in v.shape))
+        out[(slice(1, -1),) * v.ndim] = v
+        # ghost <- the node it wraps to (periodic) or the edge node (Dirichlet)
+        lo, hi = (-2, 1) if self.grid.boundary is Boundary.PERIODIC else (1, -2)
+        # axis by axis over full extents, so later axes also fill the corners
+        for ax in range(v.ndim):
+            lead = (slice(None),) * ax
+            out[lead + (0,)] = out[lead + (lo,)]
+            out[lead + (-1,)] = out[lead + (hi,)]
+        out.flags.writeable = False
+        return out
 
 
 def _at(padded: np.ndarray, *offset: int) -> np.ndarray:
@@ -153,7 +156,7 @@ def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
     callers via ``interior_mask``.
     """
     g = field.grid
-    padded = _padded(field)
+    padded = field._padded
     out = []
     for ax in range(g.dim):
         fa, fb = _neighbours(padded, ax)
@@ -164,7 +167,7 @@ def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
 def hessian_arrays(field: ScalarField) -> dict[tuple[int, int], np.ndarray]:
     """Second-difference Hessian entries keyed by (i, j) with i <= j."""
     g = field.grid
-    padded = _padded(field)
+    padded = field._padded
     out: dict[tuple[int, int], np.ndarray] = {}
     for ax in range(g.dim):
         h = g.spacing[ax]

@@ -99,7 +99,6 @@ class SweepPlan:
     shared_dt: bool = True
     theory: Optional[RatePrediction] = None
     data_for_value: Optional[Callable[[float], tuple]] = None
-    measure_floor: bool = True
     holder_pairs: Optional[int] = None  # estimate theta on the base final snapshot
 
     def __post_init__(self):
@@ -170,7 +169,7 @@ def run_sweep(plan: SweepPlan) -> RateFit:
         )
         gaps.append(gap)
 
-    floor = _measure_floor(base, plan.gap_times, base_result) if plan.measure_floor else 0.0
+    floor = _measure_floor(base, plan.gap_times, base_result)
     excluded = tuple(g < 10.0 * floor for g in gaps)
     survivors = [(e, g) for e, g, ex in zip(plan.values, gaps, excluded) if not ex]
     if len(survivors) < 3:

@@ -61,6 +61,13 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "typo.json", cfg_data)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_hamiltonian_section_rejected(self, tmp_path):
+        # the first-order term comes from the operator's a and eps2
+        cfg_data = heat_config()
+        cfg_data["problem"]["hamiltonian"] = {"a": 0.0}
+        cfg = write_config(tmp_path / "ham.json", cfg_data)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_zero_horizon_single_snapshot(self, tmp_path):
         cfg = write_config(tmp_path / "t0.json", heat_config(T=0.0))
         out = tmp_path / "out"

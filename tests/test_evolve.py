@@ -359,6 +359,23 @@ class TestTwoDimensional:
             final = res.snapshots[-1].values
             assert final[[16, 13, 21], [16, 18, 9]] == pytest.approx(golden, rel=1e-12)
 
+    def test_dirichlet_data_evaluated_on_boundary_nodes_only(self):
+        nx, ny = 17, 9
+        grid = GridSpec.box(((0, 1), (0, 1)), (nx, ny), Boundary.DIRICHLET)
+        calls = []
+
+        def g(x, y, t):
+            calls.append((t, np.shape(x), np.shape(y)))
+            return x + y + t
+
+        prob = Problem(spec=OperatorSpec.normalized(2.0), grid=grid,
+                       initial=lambda x, y: x + y, T=0.01, dirichlet=g)
+        res = solve(prob)
+        later = [(sx, sy) for t, sx, sy in calls if t > 0.0]
+        ring = 2 * (nx + ny) - 4
+        assert len(later) == res.stats.steps
+        assert all(sx == sy == (ring,) for sx, sy in later)
+
     def test_quadratic_with_source_is_exact(self):
         # u = x^2 + y^2 + t has u_t = 1, tr(A D2u) = 4 for A = I, and the
         # first-order term is H = -f, so u_t = tr + f needs f = -3; stencils

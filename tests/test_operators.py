@@ -215,6 +215,12 @@ class TestCertify:
         assert not bad.passed
         assert np.linalg.norm(bad.worst_xi) > 1e2
 
+    def test_dimension_validated(self):
+        for dim in (0, 4):
+            with pytest.raises(ValueError):
+                c1_certify(OperatorSpec.normalized(3.0), PerturbationAxis.P, [1e-2], [1.0],
+                           C1Params(alpha=1.0, beta=0.0, c_A=1.0), dim=dim)
+
     def test_candidate_window_validation(self):
         with pytest.raises(ValueError):
             C1Params(alpha=1.0, beta=-0.5, c_A=1.0, k=4.0)  # needs beta > -1/3
