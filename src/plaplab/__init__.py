@@ -57,16 +57,11 @@ from .operators import (
     C1CertifyReport,
     C1Params,
     Family,
-    HamiltonianSpec,
     OperatorSpec,
     PerturbationAxis,
     c1_certify,
     c1_gap,
-    c2_gap,
-    default_test_exponent,
     diffusion_matrix,
-    hamiltonian,
-    hamiltonian_for,
     perturb_spec,
     sqrt_matrix,
 )

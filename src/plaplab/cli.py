@@ -37,7 +37,6 @@ from .operators import (
     OperatorSpec,
     PerturbationAxis,
     c1_certify,
-    hamiltonian_for,
     perturb_spec,
 )
 from .rates import FamilyCase, family_rate
@@ -206,7 +205,7 @@ def _build_problem(node: dict):
     controls = _build_controls(node.get("controls", {}))
     problem = Problem(
         spec=spec, grid=grid, initial=initial, T=float(node["horizon"]),
-        ham=hamiltonian_for(spec), controls=controls,
+        controls=controls,
         dirichlet=dirichlet if grid.boundary is Boundary.DIRICHLET else None,
     )
     return problem, rebuild

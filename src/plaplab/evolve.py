@@ -1,4 +1,9 @@
-"""Explicit forward-Euler evolution of u_t = tr(A(grad u) D2 u) - H(x, t, grad u).
+"""Explicit forward-Euler evolution of
+
+    u_t = tr(A(grad u) D2 u) + a sqrt(|grad u|^2 + eps2^2) + f(x, t),
+
+where a and eps2 are the operator's own (``OperatorSpec.a``/``eps2``, nonzero
+for the biased families only) and the source f is ``Problem.source``.
 
 Monotone under the CFL bound dt <= sigma * h_min^2 / (2 n Lambda), where
 Lambda bounds the largest diffusion eigenvalue actually used in the step.
@@ -36,8 +41,7 @@ from .grid import (
     interior_mask,
 )
 from .operators import (
-    Family,
-    HamiltonianSpec,
+    _BIASED,
     OperatorSpec,
     _biased_regularized,
     _regularized,
@@ -76,14 +80,16 @@ class Problem:
     used) on Dirichlet grids, where it is evaluated elementwise at the
     boundary nodes only: its coordinate arguments are 1D arrays of those
     nodes, and it returns one value per node or a scalar. Both must agree
-    at t = 0 on the boundary.
+    at t = 0 on the boundary. ``source`` is f in the first-order term
+    (f(x, t) in 1D, f(x, y, t) in 2D, evaluated on the whole mesh); None
+    means f = 0. The rest of the first-order term comes from ``spec``.
     """
 
     spec: OperatorSpec
     grid: GridSpec
     initial: Callable
     T: float
-    ham: HamiltonianSpec = HamiltonianSpec()
+    source: Optional[Callable] = None
     dirichlet: Optional[Callable] = None
     controls: SolverControls = dc_field(default_factory=SolverControls)
 
@@ -195,7 +201,7 @@ def _effective_coeffs(problem: Problem, consts: _SolveConstants, r2_raw: np.ndar
         s[sing], c[sing] = s0 + c0, 0.0
     elif consts.eps_num <= 0.0:
         raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-    elif spec.family in (Family.BIASED_INFINITY, Family.BIASED_INFINITY_REGULARIZED):
+    elif spec.family in _BIASED:
         s[sing], c[sing] = _biased_regularized(consts.eps_num, r2[sing])
     else:
         s[sing], c[sing] = _regularized(spec.p, spec.growth_exponent, consts.eps_num, r2[sing])
@@ -236,15 +242,14 @@ def _advance(problem: Problem, consts: _SolveConstants, fld: ScalarField, stage,
             + gy * gy * hess[(1, 1)]
         ) / r2_safe
         diff = s * (hess[(0, 0)] + hess[(1, 1)]) + c * quad
-    rhs = diff
-    ham = problem.ham
-    if not ham.is_zero:
-        h_arr = np.zeros_like(rhs)
-        if ham.a != 0.0:
-            h_arr -= ham.a * np.sqrt(r2_raw + ham.eps2 * ham.eps2)
-        if ham.source is not None:
-            h_arr = h_arr - np.asarray(ham.source(*problem.grid.meshes(), fld.time), float)
-        rhs = rhs - h_arr
+    spec = problem.spec
+    first = None  # a sqrt(|Du|^2 + eps2^2) + f
+    if spec.a != 0.0:
+        first = spec.a * np.sqrt(r2_raw + spec.eps2 * spec.eps2)
+    if problem.source is not None:
+        f = np.asarray(problem.source(*problem.grid.meshes(), fld.time), float)
+        first = f if first is None else first + f
+    rhs = diff if first is None else diff + first
 
     new_vals = fld.values + dt * rhs
     if consts.edge is not None:

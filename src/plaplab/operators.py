@@ -20,7 +20,11 @@ The coefficient pair (s, c) per family:
 
 Spectral norms of square-root differences (the closeness gap between two
 members evaluated at the same gradient) follow from the same structure and
-never need an eigensolver; a dense fallback is kept for cross-checks.
+never need an eigensolver.
+
+The biased members also carry the first-order coefficients a and eps2 of
+a sqrt(|xi|^2 + eps2^2); the source f of the first-order term belongs to the
+problem (``evolve.Problem.source``).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +46,9 @@ class Family(Enum):
     REGULARIZED_PQ = "regularized_pq"
     BIASED_INFINITY = "biased_infinity"
     BIASED_INFINITY_REGULARIZED = "biased_infinity_regularized"
+
+
+_BIASED = (Family.BIASED_INFINITY, Family.BIASED_INFINITY_REGULARIZED)
 
 
 class PerturbationAxis(Enum):
@@ -61,6 +68,10 @@ class PerturbationAxis(Enum):
 @dataclass(frozen=True)
 class OperatorSpec:
     """One member of the diffusion family, plus the singular-gradient threshold.
+
+    ``a`` and ``eps2`` are the coefficients of the first-order term
+    a sqrt(|xi|^2 + eps2^2); only the biased families may set ``a`` and only
+    the regularized biased family may set ``eps2``.
 
     ``grad_floor`` is the gradient magnitude below which the time stepper
     switches to its regularized evaluation; it does not affect the algebraic
@@ -95,6 +106,10 @@ class OperatorSpec:
                 raise ValueError("eps must be >= 0")
         if f is Family.BIASED_INFINITY_REGULARIZED and (self.eps1 < 0 or self.eps2 < 0):
             raise ValueError("eps1, eps2 must be >= 0")
+        if self.a != 0.0 and f not in _BIASED:
+            raise ValueError(f"{f.value} has no first-order term; a must be 0, got {self.a}")
+        if self.eps2 != 0.0 and f is not Family.BIASED_INFINITY_REGULARIZED:
+            raise ValueError(f"eps2 needs biased_infinity_regularized, got {f.value}")
 
     # -- constructors ------------------------------------------------------
 
@@ -224,11 +239,6 @@ def sqrt_matrix(spec: OperatorSpec, xi) -> np.ndarray:
     return _assemble(v, rs, rsc - rs, r2)
 
 
-def largest_eigenvalue(spec: OperatorSpec, r2: float) -> float:
-    s, c = rank_one_coeffs(spec, r2)
-    return max(s, s + c)
-
-
 def c1_gap(spec_a: OperatorSpec, spec_b: OperatorSpec, xi) -> float:
     """Spectral norm of sqrt(A_a(xi)) - sqrt(A_b(xi)).
 
@@ -247,17 +257,14 @@ def c1_gap(spec_a: OperatorSpec, spec_b: OperatorSpec, xi) -> float:
     return max(along, trans)
 
 
-def c1_gap_dense(spec_a: OperatorSpec, spec_b: OperatorSpec, xi) -> float:
-    """Eigensolver fallback for ``c1_gap`` (n <= 3); used for cross-checks."""
-    d = sqrt_matrix(spec_a, xi) - sqrt_matrix(spec_b, xi)
-    return float(np.max(np.abs(np.linalg.eigvalsh(d))))
-
-
 def perturb_spec(spec: OperatorSpec, axis: PerturbationAxis, value: float) -> OperatorSpec:
     """The family member at perturbation ``value`` along ``axis`` (see enum doc)."""
     if value <= 0:
         raise ValueError("perturbation value must be > 0")
     if axis is PerturbationAxis.P:
+        if spec.family in _BIASED:
+            raise ValueError(f"p perturbation needs a family with an exponent p, "
+                             f"got {spec.family.value}")
         new = replace(spec, p=spec.p + value)
         if spec.family is Family.VARIATIONAL:
             new = replace(new, p_prime=spec.p_prime + value)
@@ -309,14 +316,6 @@ class C1Params:
             )
 
 
-def default_test_exponent(spec: OperatorSpec) -> float:
-    """Test exponent k = max(4, 2 p'/(p'-1)), large enough for singular members."""
-    pp = spec.growth_exponent
-    if pp <= 1:
-        raise ValueError("growth exponent must exceed 1")
-    return max(4.0, 2.0 * pp / (pp - 1.0))
-
-
 @dataclass(frozen=True)
 class C1CertifyReport:
     max_ratio: float
@@ -363,66 +362,3 @@ def c1_certify(
         worst_eps=float(worst_eps),
         passed=bool(max_ratio <= candidate.c_A),
     )
-
-
-# -- first-order terms --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """First-order term H(x, t, xi) = -a sqrt(|xi|^2 + eps2^2) - f(x, t).
-
-    ``source`` is f, a callable of the spatial coordinates followed by time
-    (f(x, t) in 1D, f(x, y, t) in 2D); None means f = 0. The default spec is
-    the zero Hamiltonian used by families without first-order terms.
-    """
-
-    a: float = 0.0
-    eps2: float = 0.0
-    source: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.eps2 < 0:
-            raise ValueError("eps2 must be >= 0")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0.0 and self.source is None
-
-
-def hamiltonian(h: HamiltonianSpec, x, t: float, xi) -> float:
-    """Evaluate H at one space-time point and gradient."""
-    v = _as_xi(xi)
-    out = 0.0
-    if h.a != 0.0:
-        out -= h.a * math.sqrt(float(v @ v) + h.eps2 * h.eps2)
-    if h.source is not None:
-        coords = np.atleast_1d(np.asarray(x, dtype=float))
-        out -= float(h.source(*coords, t))
-    return out
-
-
-def hamiltonian_for(spec: OperatorSpec, source: Optional[Callable] = None) -> HamiltonianSpec:
-    """First-order term matching the family: the biased members carry
-    -a sqrt(|xi|^2 + eps2^2) - f, all others have H = -f (zero by default)."""
-    if spec.family is Family.BIASED_INFINITY:
-        return HamiltonianSpec(a=spec.a, eps2=0.0, source=source)
-    if spec.family is Family.BIASED_INFINITY_REGULARIZED:
-        return HamiltonianSpec(a=spec.a, eps2=spec.eps2, source=source)
-    return HamiltonianSpec(source=source)
-
-
-def c2_gap(
-    h_a: HamiltonianSpec,
-    h_b: HamiltonianSpec,
-    xi_grid: Sequence,
-    xt_grid: Sequence[tuple],
-) -> float:
-    """max |H_a - H_b| over the gradient grid times the space-time grid."""
-    if not len(xi_grid) or not len(xt_grid):
-        raise ValueError("grids must be nonempty")
-    gap = 0.0
-    for x, t in xt_grid:
-        for xi in xi_grid:
-            gap = max(gap, abs(hamiltonian(h_a, x, t, xi) - hamiltonian(h_b, x, t, xi)))
-    return gap

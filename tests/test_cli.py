@@ -67,6 +67,13 @@ class TestSolveCommand:
         cfg_data["problem"]["hamiltonian"] = {"a": 0.0}
         cfg = write_config(tmp_path / "ham.json", cfg_data)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        # and only the biased families have one
+        cfg_data = heat_config()
+        cfg_data["problem"]["operator"]["a"] = 1.0
+        cfg = write_config(tmp_path / "drift.json", cfg_data)
+        out = tmp_path / "drift_out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_zero_horizon_single_snapshot(self, tmp_path):
         cfg = write_config(tmp_path / "t0.json", heat_config(T=0.0))

@@ -9,7 +9,6 @@ from plaplab import (
     BudgetExceededError,
     CflViolationError,
     GridSpec,
-    HamiltonianSpec,
     OperatorSpec,
     Problem,
     SolverControls,
@@ -104,18 +103,22 @@ class TestStep:
             step(f0, prob, 0.01)
 
     def test_biased_drift_steady_state(self):
-        # u = x solves u_t = u_xx + a|u_x| + f with f = -a
+        # u = x solves u_t = u_xx + a sqrt(u_x^2 + eps2^2) + f with
+        # f = -a sqrt(1 + eps2^2); a dropped eps2 would move u by 8e-3
         grid = GridSpec.line(0.0, 1.0, 33, Boundary.DIRICHLET)
         a = 1.5
-        prob = Problem(
-            spec=OperatorSpec.biased_infinity(a), grid=grid,
-            initial=lambda x: x, T=0.05,
-            ham=HamiltonianSpec(a=a, source=lambda x, t: np.full_like(x, -a)),
-            dirichlet=lambda x, t: x,
-        )
-        res = solve(prob)
-        np.testing.assert_allclose(res.snapshots[-1].values,
-                                   grid.axis_coords(0), atol=1e-12)
+        for spec in (OperatorSpec.biased_infinity(a),
+                     OperatorSpec.biased_infinity_regularized(a, 0.1, 0.5)):
+            f = -a * math.sqrt(1.0 + spec.eps2 ** 2)
+            prob = Problem(
+                spec=spec, grid=grid,
+                initial=lambda x: x, T=0.05,
+                source=lambda x, t: np.full_like(x, f),
+                dirichlet=lambda x, t: x,
+            )
+            res = solve(prob)
+            np.testing.assert_allclose(res.snapshots[-1].values,
+                                       grid.axis_coords(0), atol=1e-12)
 
     def test_blow_up_signal_carries_node(self):
         grid = GridSpec.line(0.0, 1.0, 11, Boundary.DIRICHLET)
@@ -311,7 +314,7 @@ class TestTwoDimensional:
         # before the ghost-cell stencil rewrite (1e-12 relative).
         prob = Problem(spec=OperatorSpec.biased_infinity(0.0), grid=grid,
                        initial=aronsson, T=0.02,
-                       ham=HamiltonianSpec(source=lambda x, y, t: np.full_like(x, 1.0)),
+                       source=lambda x, y, t: np.full_like(x, 1.0),
                        dirichlet=lambda x, y, t: aronsson(x, y) + t)
         res = solve(prob)
         final = res.snapshots[-1].values
@@ -388,7 +391,7 @@ class TestTwoDimensional:
         prob = Problem(
             spec=OperatorSpec.normalized(2.0), grid=grid,
             initial=lambda x, y: exact(x, y, 0.0), T=0.05,
-            ham=HamiltonianSpec(source=lambda x, y, t: np.full_like(x, -3.0)),
+            source=lambda x, y, t: np.full_like(x, -3.0),
             dirichlet=exact,
         )
         res = solve(prob)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,15 @@ from plaplab import (
     RateFit,
     ScalarField,
     SweepPlan,
+    cfl_dt,
     compare_theory,
     estimate_holder,
     family_rate,
     fit_loglog,
+    perturb_spec,
     run_sweep,
+    solve,
+    sup_diff,
     write_fit_summary,
     write_rate_table,
 )
@@ -100,8 +105,6 @@ class TestRunSweep:
         assert a == b
 
     def test_holder_estimate_wiring(self):
-        from dataclasses import replace
-        from plaplab import solve
         from plaplab.harness import _with_snapshots
         plan = replace(heat_sweep_plan(n=128), holder_pairs=20_000)
         fit = run_sweep(plan)
@@ -109,9 +112,28 @@ class TestRunSweep:
         direct = estimate_holder(solve(base).snapshots[-1], pair_count=20_000)
         assert fit.holder_theta == pytest.approx(direct.theta_hat, rel=1e-12)
 
+    def test_members_keep_their_first_order_term(self):
+        # a member's first-order term a sqrt(|Du|^2 + eps2^2) takes its own
+        # eps2, so each sweep gap equals a one-at-a-time solve at the shared dt.
+        # Dropping a gives gaps 0.0241/0.0302/0.0356/0.0411; the base's
+        # eps2 = 0 on every member gives 0.0257/0.0334/0.0410/0.0478.
+        grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)
+        base = Problem(spec=OperatorSpec.biased_infinity_regularized(1.0, 0.0, 0.0),
+                       grid=grid, initial=np.sin, T=0.05)
+        plan = SweepPlan(base=base, axis=PerturbationAxis.EPS1_EPS2,
+                         values=(0.4, 0.2, 0.1, 0.05))
+        fit = run_sweep(plan)
+        assert fit.gap_list == pytest.approx([0.0385, 0.0351, 0.0369, 0.0456], abs=1e-4)
+        members = [replace(base, spec=perturb_spec(base.spec, plan.axis, v))
+                   for v in plan.values]
+        dt = min(cfl_dt(p, p.initial_field()) for p in [base] + members)
+        ref = solve(base, dt_override=dt).snapshots[-1]
+        for member, gap in zip(members, fit.gap_list):
+            want = sup_diff(solve(member, dt_override=dt).snapshots[-1], ref)
+            assert gap == pytest.approx(want, rel=1e-12)
+
     def test_failure_aborts_with_context(self):
         plan = heat_sweep_plan()
-        from dataclasses import replace
         from plaplab import SolverControls
         crippled = replace(plan.base, controls=SolverControls(max_steps=2))
         plan = replace(plan, base=crippled)

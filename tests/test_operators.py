@@ -7,21 +7,28 @@ from hypothesis import strategies as st
 
 from plaplab import (
     C1Params,
-    HamiltonianSpec,
     OperatorSpec,
     PerturbationAxis,
     SingularGradientError,
     c1_certify,
     c1_gap,
-    c2_gap,
-    default_test_exponent,
     diffusion_matrix,
-    hamiltonian,
-    hamiltonian_for,
     perturb_spec,
     sqrt_matrix,
 )
-from plaplab.operators import c1_gap_dense, largest_eigenvalue
+from plaplab.operators import rank_one_coeffs
+
+
+def largest_eigenvalue(spec, r2):
+    """Closed-form largest eigenvalue max(s, s + c) at |xi|^2 = r2."""
+    s, c = rank_one_coeffs(spec, r2)
+    return max(s, s + c)
+
+
+def c1_gap_dense(spec_a, spec_b, xi):
+    """Eigensolver reference for ``c1_gap``."""
+    d = sqrt_matrix(spec_a, xi) - sqrt_matrix(spec_b, xi)
+    return float(np.max(np.abs(np.linalg.eigvalsh(d))))
 
 
 def random_spec(rng):
@@ -58,6 +65,10 @@ class TestConstruction:
             OperatorSpec.normalized(2.0, grad_floor=-1.0)
         with pytest.raises(ValueError):
             OperatorSpec.biased_infinity_regularized(1.0, -0.1, 0.0)
+        with pytest.raises(ValueError):
+            OperatorSpec.normalized(3.0, a=1.0)
+        with pytest.raises(ValueError):
+            OperatorSpec.biased_infinity(1.0, eps2=0.1)
 
     def test_regularized_at_zero_eps_matches_general(self):
         rng = np.random.default_rng(7)
@@ -226,43 +237,6 @@ class TestCertify:
             C1Params(alpha=1.0, beta=-0.5, c_A=1.0, k=4.0)  # needs beta > -1/3
         C1Params(alpha=1.0, beta=-0.3, c_A=1.0, k=4.0)
 
-    def test_default_test_exponent(self):
-        assert default_test_exponent(OperatorSpec.normalized(3.0)) == 4.0
-        k = default_test_exponent(OperatorSpec.variational(1.25))
-        assert k == pytest.approx(2.0 * 1.25 / 0.25)
-
-
-class TestHamiltonian:
-    def test_plain_bias(self):
-        h = HamiltonianSpec(a=1.0)
-        assert hamiltonian(h, 0.0, 0.0, [1.0, 0.0]) == -1.0
-
-    def test_regularized_345(self):
-        h = HamiltonianSpec(a=1.0, eps2=3.0)
-        assert hamiltonian(h, 0.0, 0.0, [4.0, 0.0]) == -5.0
-
-    def test_source_only(self):
-        h = HamiltonianSpec(source=lambda x, t: x * t)
-        assert hamiltonian(h, 2.0, 0.5, [9.9]) == -1.0
-
-    def test_hamiltonian_for_families(self):
-        spec = OperatorSpec.biased_infinity_regularized(1.5, 0.1, 0.2)
-        h = hamiltonian_for(spec)
-        assert h.a == 1.5 and h.eps2 == 0.2
-        assert hamiltonian_for(OperatorSpec.variational(3.0)).is_zero
-
-    def test_c2_gap_biased(self):
-        xi = [np.array([0.0]), np.array([0.5]), np.array([2.0])]
-        xt = [(0.0, 0.0), (1.0, 0.5)]
-        a = HamiltonianSpec(a=1.0, eps2=0.01)
-        b = HamiltonianSpec(a=1.0, eps2=0.0)
-        g = c2_gap(a, b, xi, xt)
-        assert abs(g - 0.01) < 1e-15  # attained at xi = 0
-        assert c2_gap(a, a, xi, xt) == 0.0
-        z1 = HamiltonianSpec(a=0.0, eps2=0.3)
-        z2 = HamiltonianSpec(a=0.0, eps2=0.0)
-        assert c2_gap(z1, z2, xi, xt) == 0.0
-
 
 class TestPerturb:
     def test_axes(self):
@@ -279,6 +253,10 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb_spec(OperatorSpec.regularized_pq(1.0, 2.0, 0.5),
                          PerturbationAxis.EPS, 0.1)
+        for biased in (OperatorSpec.biased_infinity(0.0),
+                       OperatorSpec.biased_infinity_regularized(1.0, 0.0, 0.0)):
+            with pytest.raises(ValueError):
+                perturb_spec(biased, PerturbationAxis.P, 0.1)
 
 
 @settings(max_examples=200, deadline=None)
