@@ -24,7 +24,6 @@ from .evolve import Problem, SolverControls, solve
 from .exact import ExactSolution, SolutionId, residual
 from .grid import Boundary, GridSpec, save_field
 from .harness import (
-    HarnessError,
     SweepPlan,
     compare_theory,
     run_sweep,
@@ -53,10 +52,22 @@ class ConfigError(ValueError):
 # -- config validation ---------------------------------------------------------
 
 
-def _check_keys(node: dict, allowed: set, where: str):
+def _check_keys(node: dict, allowed: set, where: str, required: tuple = ()):
     unknown = set(node) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = [k for k in required if k not in node]
+    if missing:
+        raise ConfigError(f"{where} needs {missing}")
+
+
+def _from_config(build, *args):
+    """``build(*args)``, with a config value of the wrong JSON type (a number
+    where a list belongs, say) reported as a ``ConfigError``."""
+    try:
+        return build(*args)
+    except TypeError as err:
+        raise ConfigError(f"config value of the wrong type: {err}") from err
 
 
 def _load_config(path: Path) -> dict:
@@ -67,11 +78,10 @@ def _load_config(path: Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(cfg, {"schema_version", "problem", "sweep"}, "config root")
+    _check_keys(cfg, {"schema_version", "problem", "sweep"}, "config root",
+                required=("problem",))
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
-    if "problem" not in cfg:
-        raise ConfigError("config needs a 'problem' section")
     return cfg
 
 
@@ -86,8 +96,8 @@ _FAMILIES = {
 
 
 def _build_operator(node: dict) -> OperatorSpec:
-    _check_keys(node, {"family", "p", "p_prime", "eps", "eps1", "eps2", "a", "grad_floor"},
-                "problem.operator")
+    _check_keys(node, {"family", "p", "p_prime", "eps", "eps1", "eps2", "a"},
+                "problem.operator", required=("family",))
     fam = node.get("family")
     if fam not in _FAMILIES:
         raise ConfigError(f"unknown operator family {fam!r}")
@@ -98,10 +108,11 @@ def _build_operator(node: dict) -> OperatorSpec:
 
 
 def _build_grid(node: dict) -> GridSpec:
-    _check_keys(node, {"dim", "extent", "resolution", "boundary"}, "problem.grid")
+    keys = ("dim", "extent", "resolution", "boundary")
+    _check_keys(node, set(keys), "problem.grid", required=keys)
     try:
         boundary = Boundary(node["boundary"])
-    except (KeyError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(f"bad boundary: {err}") from err
     return GridSpec(int(node["dim"]), tuple(tuple(e) for e in node["extent"]),
                     tuple(node["resolution"]), boundary)
@@ -110,9 +121,11 @@ def _build_grid(node: dict) -> GridSpec:
 def _build_data(node: dict, spec: OperatorSpec, grid: GridSpec):
     """Return (initial, dirichlet, rebuild) where rebuild(spec) re-derives the
     pair for a perturbed operator (used by parameter-tracking data)."""
+    if not isinstance(node, dict):
+        raise ConfigError("problem.data must be an object")
     kind = node.get("kind")
     if kind == "constant":
-        _check_keys(node, {"kind", "value"}, "problem.data")
+        _check_keys(node, {"kind", "value"}, "problem.data", required=("value",))
         v = float(node["value"])
 
         def initial(*coords):
@@ -144,15 +157,12 @@ def _build_data(node: dict, spec: OperatorSpec, grid: GridSpec):
         return profile, dirichlet, None
 
     if kind == "barenblatt":
-        _check_keys(node, {"kind", "A", "time_offset", "track_parameter", "p"},
-                    "problem.data")
+        _check_keys(node, {"kind", "A", "time_offset"}, "problem.data")
         A = float(node.get("A", 1.0))
         t0 = float(node.get("time_offset", 1.0))
-        track = bool(node.get("track_parameter", True))
 
         def make(for_spec: OperatorSpec):
-            p = for_spec.p if track else float(node.get("p", for_spec.p))
-            sol = ExactSolution(SolutionId.BARENBLATT, p=p, n=grid.dim, A=A)
+            sol = ExactSolution(SolutionId.BARENBLATT, p=for_spec.p, n=grid.dim, A=A)
 
             def initial(*coords):
                 r = _radius(coords)
@@ -178,13 +188,8 @@ def _radius(coords) -> np.ndarray:
 
 
 def _build_controls(node: dict) -> SolverControls:
-    _check_keys(node, {"cfl_sigma", "grad_clamp", "snapshot_times", "eps_num", "max_steps"},
-                "problem.controls")
+    _check_keys(node, {"snapshot_times", "eps_num", "max_steps"}, "problem.controls")
     kwargs = {}
-    if "cfl_sigma" in node:
-        kwargs["cfl_sigma"] = float(node["cfl_sigma"])
-    if node.get("grad_clamp") is not None:
-        kwargs["grad_clamp"] = float(node["grad_clamp"])
     if "snapshot_times" in node:
         kwargs["snapshot_times"] = tuple(float(t) for t in node["snapshot_times"])
     if node.get("eps_num") is not None:
@@ -195,10 +200,8 @@ def _build_controls(node: dict) -> SolverControls:
 
 
 def _build_problem(node: dict):
-    _check_keys(node, {"operator", "grid", "data", "horizon", "controls"}, "problem")
-    for req in ("operator", "grid", "data", "horizon"):
-        if req not in node:
-            raise ConfigError(f"problem needs '{req}'")
+    _check_keys(node, {"operator", "grid", "data", "horizon", "controls"}, "problem",
+                required=("operator", "grid", "data", "horizon"))
     spec = _build_operator(node["operator"])
     grid = _build_grid(node["grid"])
     initial, dirichlet, rebuild = _build_data(node["data"], spec, grid)
@@ -225,13 +228,11 @@ def _build_sweep(cfg: dict, problem: Problem, rebuild):
     if axis is None:
         raise ConfigError(f"unknown sweep axis {node.get('axis')!r}")
     values = tuple(float(v) for v in node.get("values", ()))
-    if len(values) < 4:
-        raise ConfigError("need >= 4 perturbations")
     theory = None
     if "theory" in node:
         tnode = node["theory"]
         _check_keys(tnode, {"case", "theta", "p", "q", "p_prime", "q_prime", "m"},
-                    "sweep.theory")
+                    "sweep.theory", required=("case", "theta"))
         case = _CASES.get(tnode.get("case"))
         if case is None:
             raise ConfigError(f"unknown theory case {tnode.get('case')!r}")
@@ -247,16 +248,22 @@ def _build_sweep(cfg: dict, problem: Problem, rebuild):
         def data_for_value(value):
             return rebuild(perturb_spec(problem.spec, axis, value))
 
+    shared_dt = node.get("shared_dt", True)
+    if not isinstance(shared_dt, bool):
+        raise ConfigError(f"sweep.shared_dt must be true or false, got {shared_dt!r}")
+    margin = float(node.get("margin", 0.1))
+    if margin <= 0:
+        raise ConfigError(f"sweep.margin must be > 0, got {margin}")
     plan = SweepPlan(
         base=problem,
         axis=axis,
         values=values,
         gap_times=tuple(float(t) for t in node.get("gap_times", ())),
-        shared_dt=bool(node.get("shared_dt", True)),
+        shared_dt=shared_dt,
         theory=theory,
         data_for_value=data_for_value,
     )
-    return plan, float(node.get("margin", 0.1))
+    return plan, margin
 
 
 # -- commands -------------------------------------------------------------------
@@ -270,7 +277,7 @@ def _out_dir(args) -> Path:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(Path(args.config))
-    problem, _ = _build_problem(cfg["problem"])
+    problem, _ = _from_config(_build_problem, cfg["problem"])
     out = _out_dir(args)
     run_id = Path(args.config).stem
     result = solve(problem)
@@ -292,8 +299,8 @@ def cmd_solve(args) -> int:
 
 def cmd_rate_sweep(args) -> int:
     cfg = _load_config(Path(args.config))
-    problem, rebuild = _build_problem(cfg["problem"])
-    plan, margin = _build_sweep(cfg, problem, rebuild)
+    problem, rebuild = _from_config(_build_problem, cfg["problem"])
+    plan, margin = _from_config(_build_sweep, cfg, problem, rebuild)
     out = _out_dir(args)
     run_id = Path(args.config).stem
     fit = run_sweep(plan)
@@ -453,10 +460,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # ConfigError included
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (PlapError, HarnessError) as err:
+    except PlapError as err:  # HarnessError included
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
 

@@ -5,19 +5,22 @@
 where a and eps2 are the operator's own (``OperatorSpec.a``/``eps2``, nonzero
 for the biased families only) and the source f is ``Problem.source``.
 
-Monotone under the CFL bound dt <= sigma * h_min^2 / (2 n Lambda), where
-Lambda bounds the largest diffusion eigenvalue actually used in the step.
-Snapshots are captured exactly at requested times; runs are deterministic.
+Monotone under the CFL bound dt <= h_min^2 / (4 n Lambda), where Lambda is the
+largest diffusion eigenvalue at the step's actual gradient (floored at 1);
+the coefficients are never clamped. Snapshots are captured exactly at
+requested times; runs are deterministic.
 
 Singular-gradient policy
 ------------------------
-Nodes whose discrete gradient magnitude falls at or below the floor (the
-spec's ``grad_floor``; for families with an unbounded-at-zero prefactor the
-floor defaults to the grid-tied ``eps_num``) are evaluated through the
-family's eps_num-regularized form instead of the raw one. One exception, in
-one dimension only: families whose diffusion coefficient is constant in the
-gradient (growth exponent p' = 2, i.e. normalized-type and the infinity
-Laplacian) use that constant at singular nodes, which is the exact
+A member that is not defined at a zero gradient takes the policy at nodes
+whose discrete gradient magnitude is at or below a floor: the grid-tied
+``eps_num`` when the growth exponent is below 2 (the prefactor is unbounded
+near zero), and 0 otherwise (only exact zeros). Those nodes are evaluated
+through the family's eps_num-regularized form
+(``operators.regularized_coeff_arrays``) instead of the raw one. One
+exception, in one dimension only: families whose diffusion coefficient is
+constant in the gradient (growth exponent p' = 2, i.e. normalized-type and the
+infinity Laplacian) use that constant at singular nodes, which is the exact
 one-dimensional reduction of the operator. The regularized form would put an
 O(h) defect at isolated critical points and destroy the scheme's second-order
 convergence there.
@@ -41,28 +44,22 @@ from .grid import (
     interior_mask,
 )
 from .operators import (
-    _BIASED,
     OperatorSpec,
-    _biased_regularized,
-    _regularized,
     rank_one_coeff_arrays,
     rank_one_coeffs,
+    regularized_coeff_arrays,
 )
+
+_CFL_SIGMA = 0.5  # dt_max = _CFL_SIGMA h_min^2 / (2 n Lambda)
 
 
 @dataclass(frozen=True)
 class SolverControls:
-    cfl_sigma: float = 0.5
-    grad_clamp: Optional[float] = None      # None: 2x max initial gradient, floored at 1
     snapshot_times: tuple[float, ...] = ()  # empty: capture at T only
     eps_num: Optional[float] = None         # None: min grid spacing
     max_steps: int = 20_000_000
 
     def __post_init__(self):
-        if not (0.0 < self.cfl_sigma <= 1.0):
-            raise ValueError("cfl_sigma must lie in (0, 1]")
-        if self.grad_clamp is not None and self.grad_clamp <= 0:
-            raise ValueError("grad_clamp must be > 0")
         if self.eps_num is not None and self.eps_num < 0:
             raise ValueError("eps_num must be >= 0")
         ts = tuple(float(t) for t in self.snapshot_times)
@@ -143,30 +140,17 @@ class _SolveConstants:
     mask: np.ndarray            # interior nodes (stencil updates apply)
     edge: Optional[tuple]       # index of the Dirichlet boundary nodes; None if periodic
     edge_coords: tuple          # their coordinates, where ``problem.dirichlet`` is evaluated
-    cfl_scale: float            # sigma h_min^2 / (2 n); dt_max = cfl_scale / Lambda
-    clamp2: Optional[float]     # squared gradient clamp (growth exponent > 2 only)
+    cfl_scale: float            # dt_max = cfl_scale / Lambda
     floor2: float               # squared singular floor: r2 <= floor2 takes the policy
     eps_num: float
 
 
-def _constants(problem: Problem, initial: Optional[ScalarField] = None) -> _SolveConstants:
-    """Solve constants; ``initial`` saves rebuilding the initial field."""
-    grid, spec, controls = problem.grid, problem.spec, problem.controls
+def _constants(problem: Problem) -> _SolveConstants:
+    grid = problem.grid
     mask = interior_mask(grid)
     h_min = min(grid.spacing)
-    clamp2 = None
-    if spec.growth_exponent > 2.0:
-        clamp = controls.grad_clamp
-        if clamp is None:  # 2x the initial Lipschitz bound, floored at 1
-            f = problem.initial_field() if initial is None else initial
-            r2 = sum(g * g for g in gradient_arrays(f))
-            lip = math.sqrt(float(np.max(r2[mask]))) if np.any(mask) else 0.0
-            clamp = max(2.0 * lip, 1.0)
-        clamp2 = clamp * clamp
-    eps_num = h_min if controls.eps_num is None else controls.eps_num
-    floor = spec.grad_floor
-    if floor == 0.0 and spec.growth_exponent < 2.0:
-        floor = eps_num
+    eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
+    floor = eps_num if problem.spec.growth_exponent < 2.0 else 0.0
     edge, edge_coords = None, ()
     if grid.boundary is Boundary.DIRICHLET:
         edge, edge_coords = _boundary_nodes(grid, mask)
@@ -174,21 +158,16 @@ def _constants(problem: Problem, initial: Optional[ScalarField] = None) -> _Solv
         mask=mask,
         edge=edge,
         edge_coords=edge_coords,
-        cfl_scale=controls.cfl_sigma * h_min * h_min / (2.0 * grid.dim),
-        clamp2=clamp2,
+        cfl_scale=_CFL_SIGMA * h_min * h_min / (2.0 * grid.dim),
         floor2=floor * floor,
         eps_num=eps_num,
     )
 
 
-def _effective_coeffs(problem: Problem, consts: _SolveConstants, r2_raw: np.ndarray):
-    """Per-node (s, c) actually used by the scheme.
-
-    Applies the gradient clamp (growth exponent > 2 only) and the
-    singular-gradient policy described in the module docstring.
-    """
+def _effective_coeffs(problem: Problem, consts: _SolveConstants, r2: np.ndarray):
+    """Per-node (s, c) actually used by the scheme: the family's own
+    coefficients, with the singular-gradient policy of the module docstring."""
     spec = problem.spec
-    r2 = r2_raw if consts.clamp2 is None else np.minimum(r2_raw, consts.clamp2)
     if spec.everywhere_defined:
         return rank_one_coeff_arrays(spec, r2)
 
@@ -201,21 +180,19 @@ def _effective_coeffs(problem: Problem, consts: _SolveConstants, r2_raw: np.ndar
         s[sing], c[sing] = s0 + c0, 0.0
     elif consts.eps_num <= 0.0:
         raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-    elif spec.family in _BIASED:
-        s[sing], c[sing] = _biased_regularized(consts.eps_num, r2[sing])
     else:
-        s[sing], c[sing] = _regularized(spec.p, spec.growth_exponent, consts.eps_num, r2[sing])
+        s[sing], c[sing] = regularized_coeff_arrays(spec, consts.eps_num, r2[sing])
     return s, c
 
 
 def _stage(problem: Problem, consts: _SolveConstants, fld: ScalarField):
     grads = gradient_arrays(fld)
-    r2_raw = grads[0] * grads[0]
+    r2 = grads[0] * grads[0]
     for g in grads[1:]:
-        r2_raw = r2_raw + g * g
-    s, c = _effective_coeffs(problem, consts, r2_raw)
+        r2 = r2 + g * g
+    s, c = _effective_coeffs(problem, consts, r2)
     lam = float(np.max((s + np.maximum(c, 0.0))[consts.mask]))
-    return grads, r2_raw, s, c, consts.cfl_scale / max(lam, 1.0)
+    return grads, r2, s, c, consts.cfl_scale / max(lam, 1.0)
 
 
 def cfl_dt(problem: Problem, fld: ScalarField) -> float:
@@ -229,12 +206,12 @@ def _advance(problem: Problem, consts: _SolveConstants, fld: ScalarField, stage,
              dt: float, t_new: float) -> ScalarField:
     """The field at ``t_new`` after a step of ``dt`` (``t_new`` names the capture
     time exactly when the step lands on one)."""
-    grads, r2_raw, s, c, _ = stage
+    grads, r2, s, c, _ = stage
     hess = hessian_arrays(fld)
     if problem.grid.dim == 1:
         diff = (s + c) * hess[(0, 0)]
     else:
-        r2_safe = np.where(r2_raw > 0.0, r2_raw, 1.0)
+        r2_safe = np.where(r2 > 0.0, r2, 1.0)
         gx, gy = grads
         quad = (
             gx * gx * hess[(0, 0)]
@@ -245,7 +222,7 @@ def _advance(problem: Problem, consts: _SolveConstants, fld: ScalarField, stage,
     spec = problem.spec
     first = None  # a sqrt(|Du|^2 + eps2^2) + f
     if spec.a != 0.0:
-        first = spec.a * np.sqrt(r2_raw + spec.eps2 * spec.eps2)
+        first = spec.a * np.sqrt(r2 + spec.eps2 * spec.eps2)
     if problem.source is not None:
         f = np.asarray(problem.source(*problem.grid.meshes(), fld.time), float)
         first = f if first is None else first + f
@@ -286,7 +263,7 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     requested = tuple(sorted(set(requested)))
     targets = tuple(sorted(set(requested + (problem.T,))))
     fld = problem.initial_field()
-    consts = _constants(problem, fld)
+    consts = _constants(problem)
     snapshots = []
     data_lo = float(np.min(fld.values))
     data_hi = float(np.max(fld.values))

@@ -86,7 +86,8 @@ class RateFit:
 class SweepPlan:
     """Base problem plus the perturbation schedule.
 
-    ``values`` must be strictly decreasing and positive (at least four).
+    ``values`` must be strictly decreasing and positive (at least four), and
+    each must give a member along ``axis``.
     ``data_for_value`` optionally rebuilds (initial, dirichlet) per value for
     sweeps whose boundary data tracks the perturbed parameter; the boundary
     gap it induces is part of the measured quantity.
@@ -110,6 +111,8 @@ class SweepPlan:
             raise ValueError("perturbation values must be > 0")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ValueError("perturbation values must be strictly decreasing")
+        for v in vals:  # every member must exist before any solve
+            perturb_spec(self.base.spec, self.axis, v)
         times = tuple(float(t) for t in self.gap_times) or (self.base.T,)
         if any(t < 0 or t > self.base.T for t in times):
             raise ValueError("gap times must lie in [0, T]")

@@ -67,15 +67,11 @@ class PerturbationAxis(Enum):
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One member of the diffusion family, plus the singular-gradient threshold.
+    """One member of the diffusion family.
 
     ``a`` and ``eps2`` are the coefficients of the first-order term
     a sqrt(|xi|^2 + eps2^2); only the biased families may set ``a`` and only
     the regularized biased family may set ``eps2``.
-
-    ``grad_floor`` is the gradient magnitude below which the time stepper
-    switches to its regularized evaluation; it does not affect the algebraic
-    operations in this module.
     """
 
     family: Family
@@ -85,12 +81,9 @@ class OperatorSpec:
     eps1: float = 0.0
     eps2: float = 0.0
     a: float = 0.0
-    grad_floor: float = 0.0
 
     def __post_init__(self):
         f = self.family
-        if self.grad_floor < 0:
-            raise ValueError("grad_floor must be >= 0")
         if f in (Family.NORMALIZED, Family.REGULARIZED_PQ):
             if self.p < 1:
                 raise ValueError(f"{f.value} requires p >= 1, got {self.p}")
@@ -160,16 +153,18 @@ class OperatorSpec:
         return 2.0
 
 
-def _regularized(p: float, p_prime: float, eps: float, r2):
-    """(s, c) of the (p, p') member regularized at eps; defined at r2 = 0 when eps > 0."""
+def regularized_coeff_arrays(spec: OperatorSpec, eps: float, r2):
+    """(s, c) of ``spec``'s family regularized at ``eps``, at squared magnitudes r2.
+
+    The biased families give s = eps, c = r2 / (r2 + eps^2); the others the
+    (p, p'_eff) form with w = r2 + eps^2 from the module table, p'_eff being
+    the growth exponent. Defined at r2 = 0 when eps > 0.
+    """
+    if spec.family in _BIASED:
+        return np.full_like(r2, eps), r2 / (r2 + eps * eps)
     w = r2 + eps * eps
-    s = w ** ((p_prime - 2.0) / 2.0)
-    return s, s * (p - 2.0) * r2 / w
-
-
-def _biased_regularized(eps1: float, r2):
-    """(s, c) of the biased infinity member regularized at eps1."""
-    return np.full_like(r2, eps1), r2 / (r2 + eps1 * eps1)
+    s = w ** ((spec.growth_exponent - 2.0) / 2.0)
+    return s, s * (spec.p - 2.0) * r2 / w
 
 
 def rank_one_coeff_arrays(spec: OperatorSpec, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,10 +180,10 @@ def rank_one_coeff_arrays(spec: OperatorSpec, r2: np.ndarray) -> tuple[np.ndarra
         s = r2 ** ((spec.growth_exponent - 2.0) / 2.0)
         return s, (spec.p - 2.0) * s
     if f is Family.REGULARIZED_PQ:
-        return _regularized(spec.p, spec.p_prime, spec.eps, r2)
+        return regularized_coeff_arrays(spec, spec.eps, r2)
     if f is Family.BIASED_INFINITY:
         return np.zeros_like(r2), np.ones_like(r2)
-    return _biased_regularized(spec.eps1, r2)
+    return regularized_coeff_arrays(spec, spec.eps1, r2)
 
 
 def rank_one_coeffs(spec: OperatorSpec, r2: float) -> tuple[float, float]:

@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
 from plaplab import load_field
-from plaplab.cli import main
+from plaplab.cli import _build_problem, _build_sweep, main
 
 
 def write_config(path, payload):
@@ -54,12 +56,56 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+        # a missing required key or a value of the wrong type is a config error
+        no_dim = heat_config()
+        del no_dim["problem"]["grid"]["dim"]
+        scalar_resolution = heat_config()
+        scalar_resolution["problem"]["grid"]["resolution"] = 64
+        data_list = heat_config()
+        data_list["problem"]["data"] = [{"kind": "sinusoid"}]
+        no_theta = heat_config()
+        no_theta["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05],
+                             "theory": {"case": "normalized", "q": 3.0}}
+        string_shared_dt = heat_config()
+        string_shared_dt["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05],
+                                     "shared_dt": "false"}
+        negative_margin = heat_config()
+        negative_margin["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05],
+                                    "theory": {"case": "normalized", "theta": 1.0,
+                                               "q": 3.0},
+                                    "margin": -0.1}
+        for name, cfg_data, command in (("no_dim", no_dim, "solve"),
+                                        ("resolution", scalar_resolution, "solve"),
+                                        ("data_list", data_list, "solve"),
+                                        ("no_theta", no_theta, "rate-sweep"),
+                                        ("shared_dt", string_shared_dt, "rate-sweep"),
+                                        ("margin", negative_margin, "rate-sweep")):
+            cfg = write_config(tmp_path / f"{name}.json", cfg_data)
+            out = tmp_path / f"{name}_out"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2, name
+            assert not out.exists(), name
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_data = heat_config()
         cfg_data["problem"]["grid"]["typo_key"] = 1
         cfg = write_config(tmp_path / "typo.json", cfg_data)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        # removed knobs: the CFL factor, the gradient clamp, the singular floor,
+        # and barenblatt data that would not track the operator's p
+        removed = (("controls", "cfl_sigma", 0.4), ("controls", "grad_clamp", 3.0),
+                   ("operator", "grad_floor", 0.1),
+                   ("data", "track_parameter", False), ("data", "p", 3.0))
+        for section, key, value in removed:
+            cfg_data = heat_config()
+            if section == "data":
+                cfg_data["problem"]["data"] = {"kind": "barenblatt"}
+            cfg_data["problem"].setdefault(section, {})[key] = value
+            cfg = write_config(tmp_path / f"{key}.json", cfg_data)
+            out = tmp_path / f"{key}_out"
+            capsys.readouterr()
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 2, key
+            assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+            assert not out.exists(), key
 
     def test_hamiltonian_section_rejected(self, tmp_path):
         # the first-order term comes from the operator's a and eps2
@@ -74,6 +120,18 @@ class TestSolveCommand:
         out = tmp_path / "drift_out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_readme_config_is_valid(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg_data = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        cfg = write_config(tmp_path / "readme.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "readme_stats.json", "readme_t0.25.csv", "readme_t0.5.csv"]
+        problem, rebuild = _build_problem(cfg_data["problem"])
+        plan, margin = _build_sweep(cfg_data, problem, rebuild)
+        assert len(plan.values) == 4 and plan.theory is not None and margin > 0.0
 
     def test_zero_horizon_single_snapshot(self, tmp_path):
         cfg = write_config(tmp_path / "t0.json", heat_config(T=0.0))
@@ -118,7 +176,19 @@ class TestRateSweepCommand:
         cfg_data = heat_config(T=0.1)
         cfg_data["sweep"] = {"axis": "p", "values": [0.1, 0.05]}
         cfg = write_config(tmp_path / "few.json", cfg_data)
-        assert main(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_axis_without_members_exit_2(self, tmp_path):
+        # the biased families have no p: the sweep is refused before any output
+        cfg_data = heat_config(T=0.1)
+        cfg_data["problem"]["operator"] = {"family": "biased_infinity"}
+        cfg_data["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05]}
+        cfg = write_config(tmp_path / "biased.json", cfg_data)
+        out = tmp_path / "o"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_regularization_sweep_reports_attained_theory(self, tmp_path):
         cfg_data = {

@@ -11,12 +11,14 @@ from plaplab import (
     GridSpec,
     OperatorSpec,
     Problem,
+    ScalarField,
     SolverControls,
     cfl_dt,
     solve,
     step,
     sup_diff,
 )
+from plaplab.grid import gradient_arrays
 
 
 def heat_mode_problem(n=256, p=3.0, T=0.5, **controls):
@@ -89,6 +91,25 @@ class TestStep:
         f1 = step(f0, prob, dt)
         assert f1.values[0] == 0.0 + dt
         assert f1.values[-1] == 1.0 + dt
+
+    def test_coefficients_follow_the_actual_gradient(self):
+        # variational p = 3 steps u_t = (p-1)|u_x|^{p-2} u_xx at the field's own
+        # gradient, however far it is from the initial data's (here zero)
+        grid = GridSpec.line(0.0, 1.0, 11, Boundary.DIRICHLET)
+        prob = Problem(spec=OperatorSpec.variational(3.0), grid=grid,
+                       initial=np.zeros_like, T=1.0,
+                       dirichlet=lambda x, t: np.zeros_like(x))
+        x, h = grid.axis_coords(0), grid.spacing[0]
+        u = 3.0 * x * x * (1.0 - x) + 2.0 * x * x
+        ux = (u[2:] - u[:-2]) / (2.0 * h)
+        uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+        fld = ScalarField(grid, u)
+        dt = cfl_dt(prob, fld)
+        assert dt == pytest.approx(h * h / (4.0 * 2.0 * np.max(np.abs(ux))), rel=1e-12)
+        new = step(fld, prob, dt).values
+        np.testing.assert_allclose(new[1:-1], u[1:-1] + dt * 2.0 * np.abs(ux) * uxx,
+                                   rtol=0.0, atol=1e-12)
+        assert new[0] == new[-1] == 0.0
 
     def test_cfl_violation_rejected(self):
         prob = heat_mode_problem(n=64)
@@ -261,15 +282,18 @@ class TestMaxPrinciple:
 
 class TestSingularPolicy:
     def test_grad_floor_engages_regularized_form(self):
-        # with a large floor every node takes the regularized coefficients;
+        # clipped data has flat plateaus: 38 of 64 nodes have an exactly zero
+        # discrete gradient and take the regularized coefficients at t = 0;
         # the run stays monotone and converges to something finite
         grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)
-        prob = Problem(spec=OperatorSpec.variational(3.0, grad_floor=10.0),
-                       grid=grid, initial=np.sin, T=0.02)
+        prob = Problem(spec=OperatorSpec.variational(3.0), grid=grid,
+                       initial=lambda x: np.clip(np.sin(x), -0.5, 0.5), T=0.02)
+        f0 = prob.initial_field()
+        assert np.count_nonzero(gradient_arrays(f0)[0] == 0.0) == 38
         res = solve(prob)
         assert res.stats.overshoot <= 1e-12
-        f0 = prob.initial_field()
         assert np.min(res.snapshots[-1].values) >= np.min(f0.values) - 1e-12
+        assert np.max(res.snapshots[-1].values) <= np.max(f0.values) + 1e-12
 
     def test_zero_eps_num_rejected_when_policy_engages(self):
         grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)

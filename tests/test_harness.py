@@ -90,6 +90,9 @@ class TestRunSweep:
             SweepPlan(base=plan.base, axis=plan.axis, values=(0.1, 0.05))
         with pytest.raises(ValueError):
             SweepPlan(base=plan.base, axis=plan.axis, values=(0.1, 0.05, 0.025, -0.01))
+        with pytest.raises(ValueError):  # no member along the axis: biased has no p
+            SweepPlan(base=replace(plan.base, spec=OperatorSpec.biased_infinity(0.0)),
+                      axis=plan.axis, values=plan.values)
 
     def test_normalized_heat_sweep_slope(self):
         fit = run_sweep(heat_sweep_plan())
@@ -131,6 +134,17 @@ class TestRunSweep:
         for member, gap in zip(members, fit.gap_list):
             want = sup_diff(solve(member, dt_override=dt).snapshots[-1], ref)
             assert gap == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=HarnessError,
+                       reason="the shared dt is fixed from the t = 0 fields, and the "
+                              "gradient (with it Lambda) grows: aborts at t = 0.0100151")
+    def test_growing_gradient_sweep_completes(self):
+        grid = GridSpec.line(0.0, 1.0, 64, Boundary.DIRICHLET)
+        base = Problem(spec=OperatorSpec.variational(3.0), grid=grid, initial=np.zeros_like,
+                       T=0.5, dirichlet=lambda x, t: 4.0 * t * x)
+        plan = SweepPlan(base=base, axis=PerturbationAxis.P, values=(0.2, 0.1, 0.05, 0.025))
+        fit = run_sweep(plan)
+        assert len(fit.gap_list) == 4 and all(g > 0.0 for g in fit.gap_list)
 
     def test_failure_aborts_with_context(self):
         plan = heat_sweep_plan()

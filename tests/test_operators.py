@@ -16,7 +16,7 @@ from plaplab import (
     perturb_spec,
     sqrt_matrix,
 )
-from plaplab.operators import rank_one_coeffs
+from plaplab.operators import rank_one_coeff_arrays, rank_one_coeffs, regularized_coeff_arrays
 
 
 def largest_eigenvalue(spec, r2):
@@ -62,8 +62,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OperatorSpec.regularized_pq(2.0, 2.0, -0.1)
         with pytest.raises(ValueError):
-            OperatorSpec.normalized(2.0, grad_floor=-1.0)
-        with pytest.raises(ValueError):
             OperatorSpec.biased_infinity_regularized(1.0, -0.1, 0.0)
         with pytest.raises(ValueError):
             OperatorSpec.normalized(3.0, a=1.0)
@@ -79,6 +77,26 @@ class TestConstruction:
             a = diffusion_matrix(OperatorSpec.regularized_pq(p, pp, 0.0), xi)
             b = diffusion_matrix(OperatorSpec.general_pq(p, pp), xi)
             np.testing.assert_allclose(a, b, rtol=1e-14)
+
+    def test_regularized_form_of_each_family(self):
+        # the eps-regularized form a singular member takes is the regularized
+        # member of its own family, at p'_eff = growth exponent
+        r2 = np.array([0.0, 1e-6, 0.3, 4.0])
+        eps = 0.2
+        pairs = (
+            (OperatorSpec.normalized(3.0), OperatorSpec.regularized_pq(3.0, 2.0, eps)),
+            (OperatorSpec.general_pq(2.5, 3.5), OperatorSpec.regularized_pq(2.5, 3.5, eps)),
+            (OperatorSpec.biased_infinity(1.0),
+             OperatorSpec.biased_infinity_regularized(0.0, eps, 0.0)),
+        )
+        for spec, reg in pairs:
+            got = regularized_coeff_arrays(spec, eps, r2)
+            np.testing.assert_array_equal(got, rank_one_coeff_arrays(reg, r2))
+        # p' < 2 has no regularized_pq member; check the table's formula
+        s, c = regularized_coeff_arrays(OperatorSpec.variational(1.5), eps, r2)
+        w = r2 + eps * eps
+        np.testing.assert_allclose(s, w ** -0.25, rtol=1e-15)
+        np.testing.assert_allclose(c, -0.5 * s * r2 / w, rtol=1e-15)
 
 
 class TestDiffusionMatrix:
