@@ -10,6 +10,10 @@ largest diffusion eigenvalue at the step's actual gradient (floored at 1);
 the coefficients are never clamped. Snapshots are captured exactly at
 requested times; runs are deterministic.
 
+A solve holds its field in one ghost-padded buffer (``grid.Stencil``), steps
+it in place and allocates its temporaries once; snapshots are copies.
+``step`` and ``cfl_dt`` run the same kernel on a fresh copy of their field.
+
 Singular-gradient policy
 ------------------------
 A member that is not defined at a zero gradient takes the policy at nodes
@@ -35,12 +39,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, BudgetExceededError, CflViolationError
-from .grid import (
+from .grid import (  # gradient_arrays, hessian_arrays: bound here for perfbench/hooks.py
     Boundary,
     GridSpec,
     ScalarField,
-    gradient_arrays,
-    hessian_arrays,
+    Stencil,
+    gradient_arrays,  # noqa: F401
+    hessian_arrays,  # noqa: F401
     interior_mask,
 )
 from .operators import (
@@ -133,108 +138,107 @@ def _boundary_nodes(grid: GridSpec, mask: np.ndarray):
     return edge, tuple(m[edge] for m in grid.meshes())
 
 
-@dataclass(frozen=True)
-class _SolveConstants:
-    """Everything the step needs that does not change over one solve."""
+class _Kernel:
+    """The raw state of one solve: the field ``u`` is the interior view of one
+    ghost-padded buffer, and every full-mesh temporary is allocated once.
+    ``cfl_bound`` then ``advance`` make one step."""
 
-    mask: np.ndarray            # interior nodes (stencil updates apply)
-    edge: Optional[tuple]       # index of the Dirichlet boundary nodes; None if periodic
-    edge_coords: tuple          # their coordinates, where ``problem.dirichlet`` is evaluated
-    cfl_scale: float            # dt_max = cfl_scale / Lambda
-    floor2: float               # squared singular floor: r2 <= floor2 takes the policy
-    eps_num: float
+    def __init__(self, problem: Problem, values: np.ndarray):
+        grid = problem.grid
+        self.problem = problem
+        self.stencil = Stencil(grid, values)
+        self.u = self.stencil.values
+        h_min = min(grid.spacing)
+        self.eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
+        floor = self.eps_num if problem.spec.growth_exponent < 2.0 else 0.0
+        self.floor2 = floor * floor  # r2 <= floor2 takes the singular-gradient policy
+        self.cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
+        self.mask = interior_mask(grid)
+        self.edge, self.edge_coords = None, ()  # Dirichlet boundary nodes
+        if grid.boundary is Boundary.DIRICHLET:
+            self.edge, self.edge_coords = _boundary_nodes(grid, self.mask)
+        self.grads = self.hess = None  # the stencil allocates them on first use
+        self.sq = [np.empty(grid.shape) for _ in range(grid.dim)]  # squared components
+        self.r2 = self.sq[0] if grid.dim == 1 else np.empty(grid.shape)
+        self.diff, self.work = np.empty(grid.shape), np.empty(grid.shape)
+        self.zero = np.empty(grid.shape, dtype=bool)
 
+    def _coeffs(self):
+        """Per-node (s, c) actually used by the scheme: the family's own
+        coefficients, with the singular-gradient policy of the module docstring."""
+        spec, r2 = self.problem.spec, self.r2
+        if spec.everywhere_defined or not r2.min() <= self.floor2:
+            return rank_one_coeff_arrays(spec, r2)
+        sing = r2 <= self.floor2
+        s, c = rank_one_coeff_arrays(spec, np.where(sing, 1.0, r2))
+        if self.problem.grid.dim == 1 and spec.growth_exponent == 2.0:
+            s0, c0 = rank_one_coeffs(spec, 1.0)  # constant 1D coefficient
+            s[sing], c[sing] = s0 + c0, 0.0
+        elif self.eps_num <= 0.0:
+            raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
+        else:
+            s[sing], c[sing] = regularized_coeff_arrays(spec, self.eps_num, r2[sing])
+        return s, c
 
-def _constants(problem: Problem) -> _SolveConstants:
-    grid = problem.grid
-    mask = interior_mask(grid)
-    h_min = min(grid.spacing)
-    eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
-    floor = eps_num if problem.spec.growth_exponent < 2.0 else 0.0
-    edge, edge_coords = None, ()
-    if grid.boundary is Boundary.DIRICHLET:
-        edge, edge_coords = _boundary_nodes(grid, mask)
-    return _SolveConstants(
-        mask=mask,
-        edge=edge,
-        edge_coords=edge_coords,
-        cfl_scale=_CFL_SIGMA * h_min * h_min / (2.0 * grid.dim),
-        floor2=floor * floor,
-        eps_num=eps_num,
-    )
+    def cfl_bound(self) -> float:
+        """Take the gradient and coefficients of ``u``; return its stable dt."""
+        self.grads = self.stencil.gradient(self.grads)
+        for g, sq in zip(self.grads, self.sq):
+            np.multiply(g, g, out=sq)
+        if len(self.sq) == 2:
+            np.add(self.sq[0], self.sq[1], out=self.r2)
+        self.s, self.c = self._coeffs()
+        lam = np.maximum(self.c, 0.0, out=self.work)
+        np.add(self.s, lam, out=lam)
+        return self.cfl_scale / max(float(lam.max(where=self.mask, initial=-math.inf)), 1.0)
 
-
-def _effective_coeffs(problem: Problem, consts: _SolveConstants, r2: np.ndarray):
-    """Per-node (s, c) actually used by the scheme: the family's own
-    coefficients, with the singular-gradient policy of the module docstring."""
-    spec = problem.spec
-    if spec.everywhere_defined:
-        return rank_one_coeff_arrays(spec, r2)
-
-    sing = r2 <= consts.floor2
-    if not np.any(sing):
-        return rank_one_coeff_arrays(spec, r2)
-    s, c = rank_one_coeff_arrays(spec, np.where(sing, 1.0, r2))
-    if problem.grid.dim == 1 and spec.growth_exponent == 2.0:
-        s0, c0 = rank_one_coeffs(spec, 1.0)  # constant 1D coefficient
-        s[sing], c[sing] = s0 + c0, 0.0
-    elif consts.eps_num <= 0.0:
-        raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-    else:
-        s[sing], c[sing] = regularized_coeff_arrays(spec, consts.eps_num, r2[sing])
-    return s, c
-
-
-def _stage(problem: Problem, consts: _SolveConstants, fld: ScalarField):
-    grads = gradient_arrays(fld)
-    r2 = grads[0] * grads[0]
-    for g in grads[1:]:
-        r2 = r2 + g * g
-    s, c = _effective_coeffs(problem, consts, r2)
-    lam = float(np.max((s + np.maximum(c, 0.0))[consts.mask]))
-    return grads, r2, s, c, consts.cfl_scale / max(lam, 1.0)
+    def advance(self, t: float, dt: float, t_new: float) -> tuple[float, float]:
+        """Step ``u`` by ``dt`` with the coefficients ``cfl_bound`` took at ``t``,
+        write the boundary data at ``t_new`` and refill the ghosts; returns the
+        new (min, max), which also serve as the finiteness check."""
+        problem, spec = self.problem, self.problem.spec
+        hess = self.hess = self.stencil.hessian(self.hess)
+        diff, work = self.diff, self.work
+        if problem.grid.dim == 1:
+            np.multiply(np.add(self.s, self.c, out=diff), hess[(0, 0)], out=diff)
+        else:
+            # quad = (gx^2 uxx + 2 gx gy uxy + gy^2 uyy) / r2, with r2 = 0 read as 1
+            (gx, gy), (gx2, gy2) = self.grads, self.sq
+            np.multiply(gx2, hess[(0, 0)], out=diff)
+            np.multiply(np.multiply(gx, 2.0, out=work), gy, out=work)
+            np.add(diff, np.multiply(work, hess[(0, 1)], out=work), out=diff)
+            np.add(diff, np.multiply(gy2, hess[(1, 1)], out=work), out=diff)
+            np.equal(self.r2, 0.0, out=self.zero)
+            np.divide(diff, np.add(self.r2, self.zero, out=work), out=diff)  # r2 >= 0
+            np.multiply(diff, self.c, out=diff)
+            np.add(hess[(0, 0)], hess[(1, 1)], out=work)
+            np.add(np.multiply(work, self.s, out=work), diff, out=diff)
+        first = None  # a sqrt(|Du|^2 + eps2^2) + f
+        if spec.a != 0.0:
+            first = np.sqrt(np.add(self.r2, spec.eps2 * spec.eps2, out=work), out=work)
+            np.multiply(first, spec.a, out=first)
+        if problem.source is not None:
+            f = np.asarray(problem.source(*problem.grid.meshes(), t), float)
+            first = f if first is None else np.add(first, f, out=first)
+        if first is not None:
+            np.add(diff, first, out=diff)
+        u = self.u
+        np.add(u, np.multiply(diff, dt, out=diff), out=u)
+        if self.edge is not None:
+            u[self.edge] = problem.dirichlet(*self.edge_coords, t_new)
+        self.stencil.fill_ghosts()
+        lo, hi = float(u.min()), float(u.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            bad = np.argwhere(~np.isfinite(u))[0]
+            raise BlowUpError(tuple(int(i) for i in bad), t_new)
+        return lo, hi
 
 
 def cfl_dt(problem: Problem, fld: ScalarField) -> float:
     """Stable time step for the current field (same coefficients as ``step``)."""
     if fld.grid != problem.grid:
         raise ValueError("field is not on the problem's grid")
-    return _stage(problem, _constants(problem), fld)[-1]
-
-
-def _advance(problem: Problem, consts: _SolveConstants, fld: ScalarField, stage,
-             dt: float, t_new: float) -> ScalarField:
-    """The field at ``t_new`` after a step of ``dt`` (``t_new`` names the capture
-    time exactly when the step lands on one)."""
-    grads, r2, s, c, _ = stage
-    hess = hessian_arrays(fld)
-    if problem.grid.dim == 1:
-        diff = (s + c) * hess[(0, 0)]
-    else:
-        r2_safe = np.where(r2 > 0.0, r2, 1.0)
-        gx, gy = grads
-        quad = (
-            gx * gx * hess[(0, 0)]
-            + 2.0 * gx * gy * hess[(0, 1)]
-            + gy * gy * hess[(1, 1)]
-        ) / r2_safe
-        diff = s * (hess[(0, 0)] + hess[(1, 1)]) + c * quad
-    spec = problem.spec
-    first = None  # a sqrt(|Du|^2 + eps2^2) + f
-    if spec.a != 0.0:
-        first = spec.a * np.sqrt(r2 + spec.eps2 * spec.eps2)
-    if problem.source is not None:
-        f = np.asarray(problem.source(*problem.grid.meshes(), fld.time), float)
-        first = f if first is None else first + f
-    rhs = diff if first is None else diff + first
-
-    new_vals = fld.values + dt * rhs
-    if consts.edge is not None:
-        new_vals[consts.edge] = problem.dirichlet(*consts.edge_coords, t_new)
-    if not np.all(np.isfinite(new_vals)):
-        bad = np.argwhere(~np.isfinite(new_vals))[0]
-        raise BlowUpError(tuple(int(i) for i in bad), t_new)
-    return ScalarField(problem.grid, new_vals, t_new)
+    return _Kernel(problem, fld.values).cfl_bound()
 
 
 def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
@@ -245,70 +249,69 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
         raise ValueError("dt must be > 0")
     if fld.time + dt > problem.T + 1e-9 * max(dt, problem.T, 1.0):
         raise ValueError(f"step past the horizon: t = {fld.time:.6g}, T = {problem.T:.6g}")
-    consts = _constants(problem)
-    stage = _stage(problem, consts, fld)
-    if dt > stage[-1] * (1.0 + 1e-9):
-        raise CflViolationError(f"dt = {dt:.3e} exceeds CFL bound {stage[-1]:.3e}")
-    return _advance(problem, consts, fld, stage, dt, fld.time + dt)
+    kernel = _Kernel(problem, fld.values)
+    dt_max = kernel.cfl_bound()
+    if dt > dt_max * (1.0 + 1e-9):
+        raise CflViolationError(f"dt = {dt:.3e} exceeds CFL bound {dt_max:.3e}")
+    kernel.advance(fld.time, dt, fld.time + dt)
+    return ScalarField(problem.grid, kernel.u, fld.time + dt)
 
 
 def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     """March from t = 0 to T, capturing snapshots exactly at requested times.
 
-    With ``dt_override`` the step is fixed (still clipped at capture times and
-    checked against CFL each step), which keeps parameter sweeps aligned in
-    time.
+    With ``dt_override`` (finite and > 0) the step is fixed (still clipped at
+    capture times and checked against CFL each step), which keeps parameter
+    sweeps aligned in time. Snapshots are copies of the solve's own buffer.
     """
+    if dt_override is not None and not (math.isfinite(dt_override) and dt_override > 0):
+        raise ValueError(f"dt_override must be finite and > 0, got {dt_override}")
     requested = problem.controls.snapshot_times or (problem.T,)
     requested = tuple(sorted(set(requested)))
     targets = tuple(sorted(set(requested + (problem.T,))))
-    fld = problem.initial_field()
-    consts = _constants(problem)
+    initial = problem.initial_field()
+    kernel = _Kernel(problem, initial.values)
     snapshots = []
-    data_lo = float(np.min(fld.values))
-    data_hi = float(np.max(fld.values))
+    data_lo = float(np.min(initial.values))
+    data_hi = float(np.max(initial.values))
     overshoot = 0.0
     steps = 0
     min_dt = math.inf
+    t = initial.time
     if targets and targets[0] == 0.0:
         if 0.0 in requested:
-            snapshots.append(fld)
+            snapshots.append(initial)
         targets = targets[1:]
     t_eps = 1e-12 * max(1.0, problem.T)
     for t_target in targets:
-        while fld.time < t_target - t_eps:
-            stage = _stage(problem, consts, fld)
-            dt_max = stage[-1]
+        while t < t_target - t_eps:
+            dt_max = kernel.cfl_bound()
             dt = dt_max if dt_override is None else dt_override
             if dt > dt_max * (1.0 + 1e-9):
                 raise CflViolationError(
-                    f"fixed dt = {dt:.3e} exceeds CFL bound {dt_max:.3e} at t = {fld.time:.6g}"
+                    f"fixed dt = {dt:.3e} exceeds CFL bound {dt_max:.3e} at t = {t:.6g}"
                 )
-            t_new = fld.time + dt
-            if dt >= t_target - fld.time - t_eps:
-                dt, t_new = t_target - fld.time, t_target
-            fld = _advance(problem, consts, fld, stage, dt, t_new)
+            t_new = t + dt
+            if dt >= t_target - t - t_eps:
+                dt, t_new = t_target - t, t_target
+            lo, hi = kernel.advance(t, dt, t_new)
+            t = t_new
             steps += 1
             min_dt = min(min_dt, dt)
             if steps > problem.controls.max_steps:
                 raise BudgetExceededError(
                     f"horizon T = {problem.T} unreachable within {problem.controls.max_steps} steps"
                 )
-            if consts.edge is not None:
-                data_lo = min(data_lo, float(np.min(fld.values[consts.edge])))
-                data_hi = max(data_hi, float(np.max(fld.values[consts.edge])))
-            overshoot = max(
-                overshoot,
-                float(np.max(fld.values)) - data_hi,
-                data_lo - float(np.min(fld.values)),
-                0.0,
-            )
+            if kernel.edge is not None:
+                data_lo = min(data_lo, float(np.min(kernel.u[kernel.edge])))
+                data_hi = max(data_hi, float(np.max(kernel.u[kernel.edge])))
+            overshoot = max(overshoot, hi - data_hi, data_lo - lo, 0.0)
         if t_target in requested:
-            snapshots.append(fld)
+            snapshots.append(ScalarField(problem.grid, kernel.u, t))
     stats = SolveStats(
         steps=steps,
         min_dt=min_dt if steps else 0.0,
         overshoot=overshoot,
-        final_time=fld.time,
+        final_time=t,
     )
     return SolveResult(snapshots=snapshots, stats=stats)

@@ -4,10 +4,11 @@ Periodic grids store N nodes per axis (spacing (b-a)/N, the right endpoint
 wraps to the left); Dirichlet grids store both endpoints (spacing
 (b-a)/(N-1)). Fields are immutable once constructed.
 
-Difference stencils read a copy of the values padded with one ghost layer
-per side. Each field builds that copy once, on first use, and keeps it, so
-its gradient and Hessian share it. On periodic grids a ghost holds the
-value it wraps to (corner ghosts wrap in both axes); on Dirichlet grids it
+Difference stencils (``Stencil``) read the values from a buffer padded with
+one ghost layer per side. Each field builds a padded copy once, on first
+use, and keeps it, so its gradient and Hessian share it; a solve keeps its
+field in one such buffer for the whole run. On periodic grids a ghost holds
+the value it wraps to (corner ghosts wrap in both axes); on Dirichlet grids it
 copies the nearest edge node. Dirichlet edge copies only reach the stencils
 of boundary nodes, which carry no update and are masked off via
 ``interior_mask``.
@@ -122,20 +123,11 @@ class ScalarField:
         return ScalarField(grid, vals, time)
 
     @cached_property
-    def _padded(self) -> np.ndarray:
-        """Copy of the values with one ghost layer on every side (see module doc)."""
-        v = self.values
-        out = np.empty(tuple(n + 2 for n in v.shape))
-        out[(slice(1, -1),) * v.ndim] = v
-        # ghost <- the node it wraps to (periodic) or the edge node (Dirichlet)
-        lo, hi = (-2, 1) if self.grid.boundary is Boundary.PERIODIC else (1, -2)
-        # axis by axis over full extents, so later axes also fill the corners
-        for ax in range(v.ndim):
-            lead = (slice(None),) * ax
-            out[lead + (0,)] = out[lead + (lo,)]
-            out[lead + (-1,)] = out[lead + (hi,)]
-        out.flags.writeable = False
-        return out
+    def _stencil(self) -> "Stencil":
+        """Stencil over a ghost-padded copy of the values (see module doc)."""
+        stencil = Stencil(self.grid, self.values)
+        stencil.padded.flags.writeable = False
+        return stencil
 
 
 def _at(padded: np.ndarray, *offset: int) -> np.ndarray:
@@ -143,41 +135,74 @@ def _at(padded: np.ndarray, *offset: int) -> np.ndarray:
     return padded[tuple(slice(1 + o, n - 1 + o) for o, n in zip(offset, padded.shape))]
 
 
-def _neighbours(padded: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values[i + e], values[i - e]) for every node i, e the unit step along ``axis``."""
-    e = tuple(int(k == axis) for k in range(padded.ndim))
-    return _at(padded, *e), _at(padded, *(-k for k in e))
+class Stencil:
+    """The difference formulas over one ghost-padded buffer (see module doc).
+
+    ``values`` is the interior view of ``padded``; the neighbour views are
+    taken once, here. Whoever rewrites ``values`` then calls ``fill_ghosts``.
+    The formulas write into ``out`` (new arrays when None) and return it.
+    """
+
+    def __init__(self, grid: GridSpec, values: np.ndarray):
+        self.padded = padded = np.empty(tuple(n + 2 for n in grid.shape))
+        self.values = padded[(slice(1, -1),) * grid.dim]
+        self.values[...] = values
+        # ghost <- the node it wraps to (periodic) or the edge node (Dirichlet),
+        # axis by axis over full extents, so later axes also fill the corners
+        lo, hi = (-2, 1) if grid.boundary is Boundary.PERIODIC else (1, -2)
+        self._ghosts = []
+        for ax in range(grid.dim):
+            def plane(i):  # a view even in 1D, where padded[i] is a scalar
+                return padded[(slice(None),) * ax + (slice(i, i + 1 or None),)]
+            self._ghosts += [(plane(0), plane(lo)), (plane(-1), plane(hi))]
+        # per axis with unit step e: values[i + e], values[i - e], 2 h, h^2
+        self._axes = [(_at(padded, *e), _at(padded, *-e), 2.0 * h, h * h)
+                      for e, h in zip(np.eye(grid.dim, dtype=int), grid.spacing)]
+        self._cross = None
+        if grid.dim == 2:
+            hx, hy = grid.spacing
+            self._cross = (_at(padded, 1, 1), _at(padded, -1, -1), _at(padded, 1, -1),
+                           _at(padded, -1, 1), 4.0 * hx * hy)
+        self.fill_ghosts()
+
+    def fill_ghosts(self) -> None:
+        for ghost, node in self._ghosts:
+            ghost[...] = node
+
+    def gradient(self, out=None) -> list[np.ndarray]:
+        """Central-difference gradient components on the full node set (Dirichlet
+        boundary entries are not meaningful; callers mask them off via ``interior_mask``)."""
+        if out is None:
+            out = [np.empty(self.values.shape) for _ in self._axes]
+        for (fa, fb, two_h, _), o in zip(self._axes, out):
+            np.divide(np.subtract(fa, fb, out=o), two_h, out=o)
+        return out
+
+    def hessian(self, out=None) -> dict[tuple[int, int], np.ndarray]:
+        """Second-difference Hessian entries keyed by (i, j) with i <= j."""
+        if out is None:
+            keys = [(ax, ax) for ax in range(self.values.ndim)]
+            out = {k: np.empty(self.values.shape) for k in keys + [(0, 1)] * (len(keys) == 2)}
+        for ax, (fa, fb, _, h2) in enumerate(self._axes):
+            o = np.multiply(self.values, 2.0, out=out[(ax, ax)])
+            np.add(np.subtract(fa, o, out=o), fb, out=o)
+            np.divide(o, h2, out=o)
+        if self._cross is not None:
+            pp, mm, pm, mp, four_hxhy = self._cross
+            o = np.add(pp, mm, out=out[(0, 1)])
+            np.subtract(np.subtract(o, pm, out=o), mp, out=o)
+            np.divide(o, four_hxhy, out=o)
+        return out
 
 
 def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
-    """Central-difference gradient components on the full node set.
-
-    Dirichlet boundary entries are not meaningful and are masked off by
-    callers via ``interior_mask``.
-    """
-    g = field.grid
-    padded = field._padded
-    out = []
-    for ax in range(g.dim):
-        fa, fb = _neighbours(padded, ax)
-        out.append((fa - fb) / (2.0 * g.spacing[ax]))
-    return out
+    """``Stencil.gradient`` of one field, into new arrays."""
+    return field._stencil.gradient()
 
 
 def hessian_arrays(field: ScalarField) -> dict[tuple[int, int], np.ndarray]:
-    """Second-difference Hessian entries keyed by (i, j) with i <= j."""
-    g = field.grid
-    padded = field._padded
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for ax in range(g.dim):
-        h = g.spacing[ax]
-        fa, fb = _neighbours(padded, ax)
-        out[(ax, ax)] = (fa - 2.0 * field.values + fb) / (h * h)
-    if g.dim == 2:
-        hx, hy = g.spacing
-        cross = _at(padded, 1, 1) + _at(padded, -1, -1) - _at(padded, 1, -1) - _at(padded, -1, 1)
-        out[(0, 1)] = cross / (4.0 * hx * hy)
-    return out
+    """``Stencil.hessian`` of one field, into new arrays."""
+    return field._stencil.hessian()
 
 
 def interior_mask(grid: GridSpec) -> np.ndarray:

@@ -235,6 +235,81 @@ class TestSolve:
         with pytest.raises(CflViolationError):
             solve(prob, dt_override=dt * 3.0)
 
+    @pytest.mark.parametrize("dt", [0.0, math.nan, -1e-3])
+    def test_dt_override_must_be_finite_and_positive(self, dt):
+        # rejected before any step: 0 used to step in place until max_steps, nan
+        # to blow up at t = nan, and a negative dt to march backwards
+        prob = heat_mode_problem(n=16, T=0.1, max_steps=10)
+        with pytest.raises(ValueError, match="dt_override"):
+            solve(prob, dt_override=dt)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_reused_buffer_matches_step_chain(self, dim, boundary):
+        # solve keeps its field in one padded buffer; each public step pads a
+        # fresh copy, so a ghost left stale after an update (periodic) or a
+        # missed edge write (Dirichlet) would make the two differ
+        spec = OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.2)
+        if dim == 1:
+            grid = GridSpec.line(0.0, 2.0 * math.pi, 17, boundary)
+            initial = lambda x: np.sin(x) + 0.3 * np.cos(3.0 * x)  # noqa: E731
+            source = lambda x, t: t * np.cos(x)  # noqa: E731
+            dirichlet = lambda x, t: initial(x) + t * x  # noqa: E731
+        else:
+            grid = GridSpec.box(((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)), (12, 13), boundary)
+            initial = lambda x, y: np.sin(x) * np.cos(y) + 0.2 * np.sin(2.0 * y)  # noqa: E731
+            source = lambda x, y, t: t * np.cos(x + y)  # noqa: E731
+            dirichlet = lambda x, y, t: initial(x, y) + t * (x - y)  # noqa: E731
+        if boundary is Boundary.PERIODIC:
+            dirichlet = None
+
+        def problem(T, times):
+            return Problem(spec=spec, grid=grid, initial=initial, T=T, source=source,
+                           dirichlet=dirichlet, controls=SolverControls(snapshot_times=times))
+
+        # a power of two below the bound keeps every t + dt exact
+        prob = problem(1.0, ())
+        dt = 2.0 ** math.floor(math.log2(cfl_dt(prob, prob.initial_field()) / 2.0))
+        t1, T = 5 * dt, 12 * dt
+        res = solve(problem(T, (t1, T)), dt_override=dt)
+        chain = [prob.initial_field()]
+        for _ in range(12):
+            chain.append(step(chain[-1], prob, dt))
+        for snap, want in zip(res.snapshots, (chain[5], chain[12])):
+            assert snap.time == want.time
+            np.testing.assert_array_equal(snap.values, want.values)
+        assert not np.shares_memory(res.snapshots[0].values, res.snapshots[1].values)
+        alone = solve(problem(t1, ()), dt_override=dt).snapshots[-1]
+        np.testing.assert_array_equal(res.snapshots[0].values, alone.values)
+
+    def test_source_nan_blows_up_at_its_node(self):
+        grid = GridSpec.line(0.0, 2.0 * math.pi, 16, Boundary.PERIODIC)
+
+        def source(x, t):
+            return np.where((np.arange(x.size) == 5) & (t > 0), np.nan, 0.0)
+
+        prob = Problem(spec=OperatorSpec.normalized(3.0), grid=grid, initial=np.sin,
+                       T=1.0, source=source)
+        dt = cfl_dt(prob, prob.initial_field()) / 2.0
+        with pytest.raises(BlowUpError) as err:
+            solve(prob, dt_override=dt)
+        # the source is read at the step's old time, so the second step blows up
+        assert err.value.node == (5,)
+        assert err.value.time == dt + dt
+
+    def test_dirichlet_inf_blows_up_at_its_node(self):
+        grid = GridSpec.box(((0.0, 1.0), (0.0, 1.0)), (9, 9), Boundary.DIRICHLET)
+
+        def g(x, y, t):
+            return np.where((x == 1.0) & (y == 0.5) & (t > 0), np.inf, 0.0)
+
+        prob = Problem(spec=OperatorSpec.normalized(3.0), grid=grid,
+                       initial=lambda x, y: 0.0 * x, T=1.0, dirichlet=g)
+        with pytest.raises(BlowUpError) as err:
+            solve(prob)
+        assert err.value.node == (8, 4)
+        assert err.value.time == cfl_dt(prob, prob.initial_field())
+
     def test_regularization_monotonicity(self):
         # level-set curvature mode p=1, p'=2: gap to the eps=0 member shrinks with eps
         grid = GridSpec.line(0.0, 2.0 * math.pi, 128, Boundary.PERIODIC)

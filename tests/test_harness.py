@@ -197,6 +197,15 @@ class TestEstimateHolder:
         est = estimate_holder(f, pair_count=120_000)
         assert 0.45 <= est.theta_hat <= 0.55
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_periodic_fields_stop_below_saturation(self, n):
+        # over a whole period the oscillation envelope reaches the field's
+        # range and goes flat; fitting that plateau gave 0 (clipped) and 0.88
+        grid = GridSpec.line(0.0, 2.0 * math.pi, n, Boundary.PERIODIC)
+        rough = ScalarField.from_function(grid, lambda x: np.sqrt(np.abs(np.sin(x))))
+        assert 0.45 <= estimate_holder(rough).theta_hat <= 0.55
+        assert estimate_holder(ScalarField.from_function(grid, np.sin)).theta_hat >= 0.95
+
     def test_affine_profile(self):
         grid = GridSpec.line(-1.0, 1.0, 1025, Boundary.DIRICHLET)
         f = ScalarField.from_function(grid, lambda x: 0.7 * x)
