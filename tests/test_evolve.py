@@ -461,6 +461,27 @@ class TestTwoDimensional:
             final = res.snapshots[-1].values
             assert final[[16, 13, 21], [16, 18, 9]] == pytest.approx(golden, rel=1e-12)
 
+    @pytest.mark.parametrize("spec, source, steps, min_dt, golden", [
+        (OperatorSpec.normalized(3.0), None, 24, 0.0014753032877364708,
+         [-0.22867827100594085, 0.3820086604709012, 0.5795747049558199]),
+        (OperatorSpec.biased_infinity_regularized(a=0.5, eps1=0.1, eps2=0.1),
+         lambda x, y, t: (1.0 + t) * np.cos(x - 2.0 * y), 13, 0.006035462552818963,
+         [-0.14677097006281026, 0.5970956627139178, 0.6731467552543674]),
+    ])
+    def test_periodic_non_square_pins(self, spec, source, steps, min_dt, golden):
+        # 24 x 17 periodic, so the axes differ in length and the corner node
+        # (23, 16) has a cross term that wraps in both axes; the second member
+        # also runs the first-order term and the source. Pinned at 1e-12
+        # relative to the scheme before the row-layout kernel.
+        grid = GridSpec.box(((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (24, 17), Boundary.PERIODIC)
+        prob = Problem(spec=spec, grid=grid, T=0.1, source=source,
+                       initial=lambda x, y: np.sin(x) * np.cos(y) + 0.2 * np.sin(2.0 * y + 0.3))
+        res = solve(prob)
+        assert res.stats.steps == steps
+        assert res.stats.min_dt == pytest.approx(min_dt, rel=1e-12)
+        final = res.snapshots[-1].values
+        assert final[[23, 7, 15], [16, 3, 10]] == pytest.approx(golden, rel=1e-12)
+
     def test_dirichlet_data_evaluated_on_boundary_nodes_only(self):
         nx, ny = 17, 9
         grid = GridSpec.box(((0, 1), (0, 1)), (nx, ny), Boundary.DIRICHLET)
