@@ -13,6 +13,14 @@ requested times; runs are deterministic.
 A solve holds its field in one ghost-padded buffer (``grid.Stencil``), steps
 it in place and allocates its temporaries once; snapshots are copies.
 ``step`` and ``cfl_dt`` run the same kernel on a fresh copy of their field.
+Every temporary is laid out in the stencil's whole padded rows, so each numpy
+call reads contiguous memory. The step adds to the whole rows, writes the
+Dirichlet edge and refills the ghosts, which overwrites what spilled into the
+ghost columns. Ghost positions never count: the CFL maximum and the
+singular-gradient decision see grid nodes only, the min/max that checks
+finiteness is taken after the refill (when every ghost copies a node), and a
+ghost's squared gradient is read as 1, so no coefficient is evaluated at a
+spurious zero there.
 
 Singular-gradient policy
 ------------------------
@@ -139,35 +147,44 @@ def _boundary_nodes(grid: GridSpec, mask: np.ndarray):
 
 
 class _Kernel:
-    """The raw state of one solve: the field ``u`` is the interior view of one
-    ghost-padded buffer, and every full-mesh temporary is allocated once.
-    ``cfl_bound`` then ``advance`` make one step."""
+    """The raw state of one solve: the field ``u`` is the grid view of one
+    ghost-padded buffer and ``rows`` its row view (``grid.Stencil``). Every
+    full-mesh temporary lives in the row layout and is allocated once; the
+    entries at ghost columns are garbage that no node reads. ``cfl_bound``
+    then ``advance`` make one step."""
 
     def __init__(self, problem: Problem, values: np.ndarray):
         grid = problem.grid
         self.problem = problem
-        self.stencil = Stencil(grid, values)
-        self.u = self.stencil.values
+        stencil = self.stencil = Stencil(grid, values)
+        self.u, self.rows = stencil.values, stencil.rows
         h_min = min(grid.spacing)
         self.eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
         floor = self.eps_num if problem.spec.growth_exponent < 2.0 else 0.0
         self.floor2 = floor * floor  # r2 <= floor2 takes the singular-gradient policy
         self.cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
-        self.mask = interior_mask(grid)
+        mask = interior_mask(grid)
         self.edge, self.edge_coords = None, ()  # Dirichlet boundary nodes
         if grid.boundary is Boundary.DIRICHLET:
-            self.edge, self.edge_coords = _boundary_nodes(grid, self.mask)
+            self.edge, self.edge_coords = _boundary_nodes(grid, mask)
+        self.edge_data = None  # the boundary values the last step wrote
+        n = self.rows.shape
+        self.cfl_mask, on_node = np.zeros(n, bool), np.zeros(n, bool)
+        stencil.nodes(self.cfl_mask)[...] = mask
+        stencil.nodes(on_node)[...] = True
+        self.ghosts = np.flatnonzero(~on_node)  # ghost columns inside the rows (none in 1D)
         self.grads = self.hess = None  # the stencil allocates them on first use
-        self.sq = [np.empty(grid.shape) for _ in range(grid.dim)]  # squared components
-        self.r2 = self.sq[0] if grid.dim == 1 else np.empty(grid.shape)
-        self.diff, self.work = np.empty(grid.shape), np.empty(grid.shape)
-        self.zero = np.empty(grid.shape, dtype=bool)
+        self.sq = [np.empty(n) for _ in range(grid.dim)]  # squared components
+        self.r2 = self.sq[0] if grid.dim == 1 else np.empty(n)
+        self.diff, self.work, self.zero = np.empty(n), np.empty(n), np.empty(n, bool)
+        self.r2_nodes, self.diff_nodes, self.work_nodes = (
+            stencil.nodes(a) for a in (self.r2, self.diff, self.work))
 
     def _coeffs(self):
         """Per-node (s, c) actually used by the scheme: the family's own
         coefficients, with the singular-gradient policy of the module docstring."""
         spec, r2 = self.problem.spec, self.r2
-        if spec.everywhere_defined or not r2.min() <= self.floor2:
+        if spec.everywhere_defined or not self.r2_nodes.min() <= self.floor2:
             return rank_one_coeff_arrays(spec, r2)
         sing = r2 <= self.floor2
         s, c = rank_one_coeff_arrays(spec, np.where(sing, 1.0, r2))
@@ -187,10 +204,11 @@ class _Kernel:
             np.multiply(g, g, out=sq)
         if len(self.sq) == 2:
             np.add(self.sq[0], self.sq[1], out=self.r2)
+        self.r2[self.ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
         self.s, self.c = self._coeffs()
         lam = np.maximum(self.c, 0.0, out=self.work)
         np.add(self.s, lam, out=lam)
-        return self.cfl_scale / max(float(lam.max(where=self.mask, initial=-math.inf)), 1.0)
+        return self.cfl_scale / max(float(lam.max(where=self.cfl_mask, initial=-math.inf)), 1.0)
 
     def advance(self, t: float, dt: float, t_new: float) -> tuple[float, float]:
         """Step ``u`` by ``dt`` with the coefficients ``cfl_bound`` took at ``t``,
@@ -213,23 +231,27 @@ class _Kernel:
             np.multiply(diff, self.c, out=diff)
             np.add(hess[(0, 0)], hess[(1, 1)], out=work)
             np.add(np.multiply(work, self.s, out=work), diff, out=diff)
-        first = None  # a sqrt(|Du|^2 + eps2^2) + f
-        if spec.a != 0.0:
-            first = np.sqrt(np.add(self.r2, spec.eps2 * spec.eps2, out=work), out=work)
-            np.multiply(first, spec.a, out=first)
+        # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes)
+        f = None
         if problem.source is not None:
             f = np.asarray(problem.source(*problem.grid.meshes(), t), float)
-            first = f if first is None else np.add(first, f, out=first)
-        if first is not None:
-            np.add(diff, first, out=diff)
-        u = self.u
-        np.add(u, np.multiply(diff, dt, out=diff), out=u)
+        if spec.a != 0.0:
+            np.sqrt(np.add(self.r2, spec.eps2 * spec.eps2, out=work), out=work)
+            np.multiply(work, spec.a, out=work)
+            if f is not None:
+                np.add(self.work_nodes, f, out=self.work_nodes)
+            np.add(diff, work, out=diff)
+        elif f is not None:
+            np.add(self.diff_nodes, f, out=self.diff_nodes)
+        rows = self.rows
+        np.add(rows, np.multiply(diff, dt, out=diff), out=rows)  # spills into the ghost columns
         if self.edge is not None:
-            u[self.edge] = problem.dirichlet(*self.edge_coords, t_new)
-        self.stencil.fill_ghosts()
-        lo, hi = float(u.min()), float(u.max())
+            self.edge_data = np.asarray(problem.dirichlet(*self.edge_coords, t_new), float)
+            self.u[self.edge] = self.edge_data
+        self.stencil.fill_ghosts()  # every ghost now copies a node
+        lo, hi = float(rows.min()), float(rows.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            bad = np.argwhere(~np.isfinite(u))[0]
+            bad = np.argwhere(~np.isfinite(self.u))[0]
             raise BlowUpError(tuple(int(i) for i in bad), t_new)
         return lo, hi
 
@@ -245,8 +267,8 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
     """One forward-Euler step; rejects dt above the stability bound."""
     if fld.grid != problem.grid:
         raise ValueError("field is not on the problem's grid")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if fld.time + dt > problem.T + 1e-9 * max(dt, problem.T, 1.0):
         raise ValueError(f"step past the horizon: t = {fld.time:.6g}, T = {problem.T:.6g}")
     kernel = _Kernel(problem, fld.values)
@@ -302,9 +324,9 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
                 raise BudgetExceededError(
                     f"horizon T = {problem.T} unreachable within {problem.controls.max_steps} steps"
                 )
-            if kernel.edge is not None:
-                data_lo = min(data_lo, float(np.min(kernel.u[kernel.edge])))
-                data_hi = max(data_hi, float(np.max(kernel.u[kernel.edge])))
+            if kernel.edge_data is not None:
+                data_lo = min(data_lo, float(np.min(kernel.edge_data)))
+                data_hi = max(data_hi, float(np.max(kernel.edge_data)))
             overshoot = max(overshoot, hi - data_hi, data_lo - lo, 0.0)
         if t_target in requested:
             snapshots.append(ScalarField(problem.grid, kernel.u, t))

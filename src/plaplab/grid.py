@@ -12,6 +12,13 @@ the value it wraps to (corner ghosts wrap in both axes); on Dirichlet grids it
 copies the nearest edge node. Dirichlet edge copies only reach the stencils
 of boundary nodes, which carry no update and are masked off via
 ``interior_mask``.
+
+The stencils work on whole padded rows: every operand is one contiguous
+slice of the flattened buffer, from the first node to the last, so in 2D it
+also covers the ghost columns of the inner rows. Results at those positions
+are garbage that no node reads; an update written over the rows spills into
+the ghost columns, and ``Stencil.fill_ghosts`` then overwrites every ghost.
+In 1D the rows are exactly the nodes.
 """
 
 from __future__ import annotations
@@ -130,17 +137,17 @@ class ScalarField:
         return stencil
 
 
-def _at(padded: np.ndarray, *offset: int) -> np.ndarray:
-    """values[i + offset] for every node i, as a view of the padded copy."""
-    return padded[tuple(slice(1 + o, n - 1 + o) for o, n in zip(offset, padded.shape))]
-
-
 class Stencil:
     """The difference formulas over one ghost-padded buffer (see module doc).
 
-    ``values`` is the interior view of ``padded``; the neighbour views are
-    taken once, here. Whoever rewrites ``values`` then calls ``fill_ghosts``.
-    The formulas write into ``out`` (new arrays when None) and return it.
+    Every operand is one contiguous slice of the flattened buffer, the *rows*:
+    they run from the first node to the last, so in 2D they include the ghost
+    columns of the inner rows (n entries in 1D, n0 (n1 + 2) - 2 in 2D). A
+    neighbour is the same slice shifted by +-1 along the last axis and by
+    +-(n1 + 2) along the first. The formulas take and return arrays in this
+    row layout (new arrays when ``out`` is None); ``nodes`` views one as
+    ``grid.shape``. ``values`` and ``rows`` are the two views of the buffer's
+    own nodes; whoever rewrites them then calls ``fill_ghosts``.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -155,36 +162,52 @@ class Stencil:
             def plane(i):  # a view even in 1D, where padded[i] is a scalar
                 return padded[(slice(None),) * ax + (slice(i, i + 1 or None),)]
             self._ghosts += [(plane(0), plane(lo)), (plane(-1), plane(hi))]
-        # per axis with unit step e: values[i + e], values[i - e], 2 h, h^2
-        self._axes = [(_at(padded, *e), _at(padded, *-e), 2.0 * h, h * h)
-                      for e, h in zip(np.eye(grid.dim, dtype=int), grid.spacing)]
+        flat = padded.reshape(-1)
+        unit = [s // padded.itemsize for s in padded.strides]  # flat offset of one step per axis
+        first = sum(unit)  # node (0, ..., 0)
+
+        def rows(offset):  # values[i + offset] for every row-layout entry i
+            return flat[first + offset:flat.size - first + offset]
+
+        self.rows = rows(0)
+        # per axis: values[i + e], values[i - e], 2 h, h^2
+        self._axes = [(rows(o), rows(-o), 2.0 * h, h * h) for o, h in zip(unit, grid.spacing)]
         self._cross = None
         if grid.dim == 2:
-            hx, hy = grid.spacing
-            self._cross = (_at(padded, 1, 1), _at(padded, -1, -1), _at(padded, 1, -1),
-                           _at(padded, -1, 1), 4.0 * hx * hy)
+            (hx, hy), (o0, o1) = grid.spacing, unit
+            self._cross = (rows(o0 + o1), rows(-o0 - o1), rows(o0 - o1), rows(o1 - o0),
+                           4.0 * hx * hy)
         self.fill_ghosts()
 
     def fill_ghosts(self) -> None:
+        """Overwrite every ghost, including what a row-layout update spilled there."""
         for ghost, node in self._ghosts:
             ghost[...] = node
 
+    def nodes(self, rows: np.ndarray) -> np.ndarray:
+        """The ``grid.shape`` view of a contiguous row-layout array (skips the
+        ghost columns)."""
+        if rows.shape != self.rows.shape or rows.strides != (rows.itemsize,):
+            raise ValueError("not a contiguous row-layout array")
+        strides = tuple(s // self.values.itemsize * rows.itemsize for s in self.values.strides)
+        return np.lib.stride_tricks.as_strided(rows, self.values.shape, strides)
+
     def gradient(self, out=None) -> list[np.ndarray]:
-        """Central-difference gradient components on the full node set (Dirichlet
-        boundary entries are not meaningful; callers mask them off via ``interior_mask``)."""
+        """Central-difference gradient components, in the row layout (entries at
+        ghost columns and Dirichlet boundary nodes are not meaningful)."""
         if out is None:
-            out = [np.empty(self.values.shape) for _ in self._axes]
+            out = [np.empty(self.rows.shape) for _ in self._axes]
         for (fa, fb, two_h, _), o in zip(self._axes, out):
             np.divide(np.subtract(fa, fb, out=o), two_h, out=o)
         return out
 
     def hessian(self, out=None) -> dict[tuple[int, int], np.ndarray]:
-        """Second-difference Hessian entries keyed by (i, j) with i <= j."""
+        """Second-difference Hessian entries keyed by (i, j) with i <= j, in the row layout."""
         if out is None:
-            keys = [(ax, ax) for ax in range(self.values.ndim)]
-            out = {k: np.empty(self.values.shape) for k in keys + [(0, 1)] * (len(keys) == 2)}
+            keys = [(ax, ax) for ax in range(len(self._axes))]
+            out = {k: np.empty(self.rows.shape) for k in keys + [(0, 1)] * (len(keys) == 2)}
         for ax, (fa, fb, _, h2) in enumerate(self._axes):
-            o = np.multiply(self.values, 2.0, out=out[(ax, ax)])
+            o = np.multiply(self.rows, 2.0, out=out[(ax, ax)])
             np.add(np.subtract(fa, o, out=o), fb, out=o)
             np.divide(o, h2, out=o)
         if self._cross is not None:
@@ -196,13 +219,15 @@ class Stencil:
 
 
 def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
-    """``Stencil.gradient`` of one field, into new arrays."""
-    return field._stencil.gradient()
+    """``Stencil.gradient`` of one field, into new arrays of ``grid.shape``."""
+    stencil = field._stencil
+    return [stencil.nodes(g) for g in stencil.gradient()]
 
 
 def hessian_arrays(field: ScalarField) -> dict[tuple[int, int], np.ndarray]:
-    """``Stencil.hessian`` of one field, into new arrays."""
-    return field._stencil.hessian()
+    """``Stencil.hessian`` of one field, into new arrays of ``grid.shape``."""
+    stencil = field._stencil
+    return {k: stencil.nodes(v) for k, v in stencil.hessian().items()}
 
 
 def interior_mask(grid: GridSpec) -> np.ndarray:

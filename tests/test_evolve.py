@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from plaplab import (
     step,
     sup_diff,
 )
-from plaplab.grid import gradient_arrays
+from plaplab.grid import Stencil, gradient_arrays
 
 
 def heat_mode_problem(n=256, p=3.0, T=0.5, **controls):
@@ -116,6 +117,13 @@ class TestStep:
         f0 = prob.initial_field()
         with pytest.raises(CflViolationError):
             step(f0, prob, 10.0 * cfl_dt(prob, f0))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        # nan used to pass every comparison and blow up at t = nan
+        prob = heat_mode_problem(n=16, T=0.1)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            step(prob.initial_field(), prob, dt)
 
     def test_step_past_horizon_rejected(self):
         prob = heat_mode_problem(n=64, T=0.001)
@@ -378,6 +386,31 @@ class TestSingularPolicy:
         # sin has exact-zero discrete gradients at the crest nodes
         with pytest.raises(ValueError):
             solve(prob)
+
+
+    def test_zero_gradient_at_a_ghost_column_is_not_singular(self):
+        # Data constant along the first axis: in the stencil's row layout every
+        # ghost column inside the rows sees equal neighbours in both axes, so
+        # r2 = 0 there, while every node has a nonzero difference along the
+        # second axis. With eps_num = 0 and growth exponent 1.5, a ghost taken
+        # for a node would raise, and r2 ** -0.25 at a ghost would warn.
+        grid = GridSpec.box(((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (16, 12), Boundary.PERIODIC)
+        prob = Problem(spec=OperatorSpec.variational(1.5), grid=grid, T=0.05,
+                       initial=lambda x, y: np.sin(y + 0.3) + 0.0 * x,
+                       controls=SolverControls(eps_num=0.0))
+        stencil = Stencil(grid, prob.initial_field().values)
+        gx, gy = stencil.gradient()
+        r2 = gx * gx + gy * gy
+        assert np.all(stencil.nodes(r2) > 0.0)
+        assert np.any(r2 == 0.0)  # so at a ghost column
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            res = solve(prob)
+        # pinned at 1e-12 relative to the scheme before the row-layout kernel
+        assert res.stats.steps == 6
+        assert res.stats.min_dt == pytest.approx(0.006403814171871469, rel=1e-12)
+        golden = [0.2878383338031408, 0.9252203652661024, -0.2160422025150362]
+        assert res.snapshots[-1].values[[0, 5, 15], [0, 2, 11]] == pytest.approx(golden, rel=1e-12)
 
 
 class TestTwoDimensional:

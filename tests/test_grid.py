@@ -15,7 +15,7 @@ from plaplab import (
     sup_diff,
     sup_norm,
 )
-from plaplab.grid import gradient_arrays, hessian_arrays, interior_mask, restrict_to
+from plaplab.grid import Stencil, gradient_arrays, hessian_arrays, interior_mask, restrict_to
 
 
 def line_field(a, b, n, boundary, fn, time=0.0):
@@ -199,6 +199,22 @@ class TestStencilReference:
             for corner in ((0, 0), (n - 1, m - 1), (0, m - 1), (n - 1, 0)):
                 assert got_hess[(0, 1)][corner] == pytest.approx(
                     want_hess[(0, 1)][corner], rel=1e-13, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_row_layout(self, dim):
+        # the rows run from the first node to the last through the padded
+        # buffer: n entries in 1D, n0 (n1 + 2) - 2 in 2D (inner ghost columns)
+        grid = self.GRIDS[dim](Boundary.PERIODIC)
+        values = np.arange(float(np.prod(grid.shape))).reshape(grid.shape)
+        stencil = Stencil(grid, values)
+        n = grid.shape
+        assert stencil.rows.shape == ((n[0],) if dim == 1 else (n[0] * (n[1] + 2) - 2,))
+        assert stencil.rows.flags.c_contiguous
+        np.testing.assert_array_equal(stencil.nodes(stencil.rows), values)
+        assert stencil.nodes(stencil.gradient()[0]).shape == grid.shape
+        for bad in (np.empty(stencil.rows.size + 1), np.empty(2 * stencil.rows.size)[::2]):
+            with pytest.raises(ValueError, match="row-layout"):
+                stencil.nodes(bad)
 
 
 class TestNorms:
