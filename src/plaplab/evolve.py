@@ -205,6 +205,9 @@ class _Kernel:
         if len(self.sq) == 2:
             np.add(self.sq[0], self.sq[1], out=self.r2)
         self.r2[self.ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
+        # drop the last step's (s, c) first: the allocator then reuses their
+        # memory instead of trimming and refaulting the heap every step
+        self.s = self.c = None
         self.s, self.c = self._coeffs()
         lam = np.maximum(self.c, 0.0, out=self.work)
         np.add(self.s, lam, out=lam)
