@@ -166,17 +166,18 @@ class Stencil:
         unit = [s // padded.itemsize for s in padded.strides]  # flat offset of one step per axis
         first = sum(unit)  # node (0, ..., 0)
 
-        def rows(offset):  # values[i + offset] for every row-layout entry i
+        def shifted(offset):  # values[i + offset] for every row-layout entry i
             return flat[first + offset:flat.size - first + offset]
 
-        self.rows = rows(0)
+        self.rows = shifted(0)
         # per axis: values[i + e], values[i - e], 2 h, h^2
-        self._axes = [(rows(o), rows(-o), 2.0 * h, h * h) for o, h in zip(unit, grid.spacing)]
+        self._axes = [(shifted(o), shifted(-o), 2.0 * h, h * h)
+                      for o, h in zip(unit, grid.spacing)]
         self._cross = None
         if grid.dim == 2:
             (hx, hy), (o0, o1) = grid.spacing, unit
-            self._cross = (rows(o0 + o1), rows(-o0 - o1), rows(o0 - o1), rows(o1 - o0),
-                           4.0 * hx * hy)
+            self._cross = (shifted(o0 + o1), shifted(-o0 - o1), shifted(o0 - o1),
+                           shifted(o1 - o0), 4.0 * hx * hy)
         self.fill_ghosts()
 
     def fill_ghosts(self) -> None:
@@ -204,7 +205,7 @@ class Stencil:
     def hessian(self, out=None) -> dict[tuple[int, int], np.ndarray]:
         """Second-difference Hessian entries keyed by (i, j) with i <= j, in the row layout."""
         if out is None:
-            keys = [(ax, ax) for ax in range(len(self._axes))]
+            keys = [(ax, ax) for ax in range(self.values.ndim)]
             out = {k: np.empty(self.rows.shape) for k in keys + [(0, 1)] * (len(keys) == 2)}
         for ax, (fa, fb, _, h2) in enumerate(self._axes):
             o = np.multiply(self.rows, 2.0, out=out[(ax, ax)])
