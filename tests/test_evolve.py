@@ -387,7 +387,6 @@ class TestSingularPolicy:
         with pytest.raises(ValueError):
             solve(prob)
 
-
     def test_zero_gradient_at_a_ghost_column_is_not_singular(self):
         # Data constant along the first axis: in the stencil's row layout every
         # ghost column inside the rows sees equal neighbours in both axes, so
