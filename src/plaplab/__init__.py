@@ -31,8 +31,6 @@ from .grid import (
     Boundary,
     GridSpec,
     ScalarField,
-    gradient,
-    hessian,
     load_field,
     restrict_to,
     save_field,

@@ -5,9 +5,9 @@ wraps to the left); Dirichlet grids store both endpoints (spacing
 (b-a)/(N-1)). Fields are immutable once constructed.
 
 Difference stencils (``Stencil``) read the values from a buffer padded with
-one ghost layer per side. Each field builds a padded copy once, on first
-use, and keeps it, so its gradient and Hessian share it; a solve keeps its
-field in one such buffer for the whole run. On periodic grids a ghost holds
+one ghost layer per side. ``gradient_arrays`` and ``hessian_arrays`` pad a
+copy of the field they are given on each call; a solve keeps its field in one
+such buffer for the whole run. On periodic grids a ghost holds
 the value it wraps to (corner ghosts wrap in both axes); on Dirichlet grids it
 copies the nearest edge node. Dirichlet edge copies only reach the stencils
 of boundary nodes, which carry no update and are masked off via
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -129,13 +129,6 @@ class ScalarField:
         vals = np.broadcast_to(vals, grid.shape)
         return ScalarField(grid, vals, time)
 
-    @cached_property
-    def _stencil(self) -> "Stencil":
-        """Stencil over a ghost-padded copy of the values (see module doc)."""
-        stencil = Stencil(self.grid, self.values)
-        stencil.padded.flags.writeable = False
-        return stencil
-
 
 class Stencil:
     """The difference formulas over one ghost-padded buffer (see module doc).
@@ -221,13 +214,13 @@ class Stencil:
 
 def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
     """``Stencil.gradient`` of one field, into new arrays of ``grid.shape``."""
-    stencil = field._stencil
+    stencil = Stencil(field.grid, field.values)
     return [stencil.nodes(g) for g in stencil.gradient()]
 
 
 def hessian_arrays(field: ScalarField) -> dict[tuple[int, int], np.ndarray]:
     """``Stencil.hessian`` of one field, into new arrays of ``grid.shape``."""
-    stencil = field._stencil
+    stencil = Stencil(field.grid, field.values)
     return {k: stencil.nodes(v) for k, v in stencil.hessian().items()}
 
 
@@ -239,37 +232,6 @@ def interior_mask(grid: GridSpec) -> np.ndarray:
     sl = tuple(slice(1, -1) for _ in range(grid.dim))
     mask[sl] = True
     return mask
-
-
-def _check_node(field: ScalarField, node) -> tuple[int, ...]:
-    idx = (node,) if np.isscalar(node) else tuple(int(i) for i in node)
-    if len(idx) != field.grid.dim:
-        raise ValueError("node index dimensionality mismatch")
-    for i, n in zip(idx, field.grid.shape):
-        if not (0 <= i < n):
-            raise ValueError(f"node {idx} outside grid {field.grid.shape}")
-    if field.grid.boundary is Boundary.DIRICHLET:
-        if any(i == 0 or i == n - 1 for i, n in zip(idx, field.grid.shape)):
-            raise ValueError(f"no interior stencil at Dirichlet boundary node {idx}")
-    return idx
-
-
-def gradient(field: ScalarField, node) -> np.ndarray:
-    """Central-difference gradient at one node; exact for affine fields."""
-    idx = _check_node(field, node)
-    return np.array([comp[idx] for comp in gradient_arrays(field)])
-
-
-def hessian(field: ScalarField, node) -> np.ndarray:
-    """Symmetric second-difference Hessian at one node; exact for quadratics."""
-    idx = _check_node(field, node)
-    entries = hessian_arrays(field)
-    d = field.grid.dim
-    out = np.zeros((d, d))
-    for (i, j), arr in entries.items():
-        out[i, j] = arr[idx]
-        out[j, i] = arr[idx]
-    return out
 
 
 def sup_norm(field: ScalarField) -> float:
