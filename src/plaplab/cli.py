@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +86,7 @@ def _load_config(path: Path) -> dict:
     return cfg
 
 
-_FAMILIES = {
-    "normalized": Family.NORMALIZED,
-    "variational": Family.VARIATIONAL,
-    "general_pq": Family.GENERAL_PQ,
-    "regularized_pq": Family.REGULARIZED_PQ,
-    "biased_infinity": Family.BIASED_INFINITY,
-    "biased_infinity_regularized": Family.BIASED_INFINITY_REGULARIZED,
-}
+_FAMILIES = {f.value: f for f in Family}
 
 
 def _build_operator(node: dict) -> OperatorSpec:
@@ -283,13 +277,7 @@ def cmd_solve(args) -> int:
     result = solve(problem)
     for snap in result.snapshots:
         save_field(snap, out / f"{run_id}_t{snap.time:g}.csv")
-    stats = {
-        "steps": result.stats.steps,
-        "min_dt": result.stats.min_dt,
-        "overshoot": result.stats.overshoot,
-        "final_time": result.stats.final_time,
-        "snapshots": [snap.time for snap in result.snapshots],
-    }
+    stats = asdict(result.stats) | {"snapshots": [snap.time for snap in result.snapshots]}
     with open(out / f"{run_id}_stats.json", "w") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -73,9 +73,11 @@ class SolverControls:
     max_steps: int = 20_000_000
 
     def __post_init__(self):
-        if self.eps_num is not None and self.eps_num < 0:
-            raise ValueError("eps_num must be >= 0")
+        if self.eps_num is not None and not (math.isfinite(self.eps_num) and self.eps_num >= 0):
+            raise ValueError(f"eps_num must be finite and >= 0, got {self.eps_num}")
         ts = tuple(float(t) for t in self.snapshot_times)
+        if not all(math.isfinite(t) for t in ts):
+            raise ValueError(f"snapshot_times must be finite, got {ts}")
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise ValueError("snapshot_times must be sorted")
         object.__setattr__(self, "snapshot_times", ts)
@@ -104,8 +106,8 @@ class Problem:
     controls: SolverControls = dc_field(default_factory=SolverControls)
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise ValueError(f"T must be finite and >= 0, got {self.T}")
         if any(t < 0 or t > self.T for t in self.controls.snapshot_times):
             raise ValueError("snapshot times must lie within [0, T]")
         if self.grid.boundary is Boundary.DIRICHLET:

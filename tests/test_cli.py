@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from plaplab import load_field
 from plaplab.cli import _build_problem, _build_sweep, main
@@ -83,6 +84,19 @@ class TestSolveCommand:
             cfg = write_config(tmp_path / f"{name}.json", cfg_data)
             out = tmp_path / f"{name}_out"
             assert main([command, "--config", cfg, "--out", str(out)]) == 2, name
+            assert not out.exists(), name
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_exit_2_without_output(self, tmp_path, bad):
+        # JSON's NaN and Infinity: the horizon, a capture time and eps_num
+        horizon = heat_config(T=bad)
+        capture = heat_config(snapshot_times=[bad, 0.1])
+        floor = heat_config()
+        floor["problem"]["controls"] = {"eps_num": bad}
+        for name, cfg_data in (("horizon", horizon), ("capture", capture), ("floor", floor)):
+            cfg = write_config(tmp_path / f"{name}.json", cfg_data)
+            out = tmp_path / f"{name}_out"
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 2, name
             assert not out.exists(), name
 
     def test_unknown_key_rejected(self, tmp_path, capsys):

@@ -185,6 +185,19 @@ class TestProblemValidation:
             Problem(spec=OperatorSpec.normalized(3.0), grid=grid, initial=np.sin,
                     T=1.0, controls=SolverControls(snapshot_times=(2.0,)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_horizon_times_and_floor_rejected(self, bad):
+        # an infinite or NaN horizon took no step and returned the t = 0 field
+        # as the capture at T; a NaN capture time was labelled with the next
+        # one; a NaN eps_num switched the singular-gradient policy off
+        grid = GridSpec.line(0.0, 1.0, 8, Boundary.PERIODIC)
+        with pytest.raises(ValueError, match="T must be finite"):
+            Problem(spec=OperatorSpec.normalized(3.0), grid=grid, initial=np.sin, T=bad)
+        with pytest.raises(ValueError, match="snapshot_times must be finite"):
+            SolverControls(snapshot_times=(0.0, bad))
+        with pytest.raises(ValueError, match="eps_num must be finite"):
+            SolverControls(eps_num=bad)
+
 
 class TestSolve:
     def test_heat_mode_accuracy_and_snapshots(self):
