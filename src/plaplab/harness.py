@@ -114,7 +114,7 @@ class SweepPlan:
         for v in vals:  # every member must exist before any solve
             perturb_spec(self.base.spec, self.axis, v)
         times = tuple(float(t) for t in self.gap_times) or (self.base.T,)
-        if any(t < 0 or t > self.base.T for t in times):
+        if not all(0 <= t <= self.base.T for t in times):  # NaN included
             raise ValueError("gap times must lie in [0, T]")
         object.__setattr__(self, "gap_times", tuple(sorted(set(times))))
 

@@ -90,6 +90,9 @@ class TestRunSweep:
             SweepPlan(base=plan.base, axis=plan.axis, values=(0.1, 0.05))
         with pytest.raises(ValueError):
             SweepPlan(base=plan.base, axis=plan.axis, values=(0.1, 0.05, 0.025, -0.01))
+        for t in (-0.1, 1.0, math.nan, math.inf):  # gap times within [0, T]
+            with pytest.raises(ValueError, match="gap times"):
+                SweepPlan(base=plan.base, axis=plan.axis, values=plan.values, gap_times=(t,))
         with pytest.raises(ValueError):  # no member along the axis: biased has no p
             SweepPlan(base=replace(plan.base, spec=OperatorSpec.biased_infinity(0.0)),
                       axis=plan.axis, values=plan.values)
