@@ -27,14 +27,19 @@ Singular-gradient policy
 A member that is not defined at a zero gradient takes the policy at nodes
 whose discrete gradient magnitude is at or below a floor: the grid-tied
 ``eps_num`` when the growth exponent is below 2 (the prefactor is unbounded
-near zero), and 0 otherwise (only exact zeros). Those nodes are evaluated
-through the family's eps_num-regularized form
-(``operators.regularized_coeff_arrays``) instead of the raw one. One
-exception, in one dimension only: families whose diffusion coefficient is
-constant in the gradient (growth exponent p' = 2, i.e. normalized-type and the
-infinity Laplacian) use that constant at singular nodes, which is the exact
-one-dimensional reduction of the operator. The regularized form would put an
-O(h) defect at isolated critical points and destroy the scheme's second-order
+near zero), and 0 otherwise (only exact zeros). Those nodes, and only those
+(by flat index), are evaluated through the family's eps_num-regularized form
+(``operators.regularized_coeff_arrays``) instead of the raw one.
+
+One exception, in one dimension only: a member with growth exponent 2
+(normalized, general and regularized with p' = 2 and eps = 0, variational(2),
+and the biased infinity families with eps1 = 0) has the coefficient
+s + c = s0 + c0 at every nonzero gradient. The kernel steps it with that one
+constant at every node, singular ones included, which is the exact
+one-dimensional reduction of the operator, and with the dt it fixes once per
+solve from Lambda = s0 + max(c0, 0). It builds no coefficient table, so
+eps_num plays no part (0 is accepted). The regularized form would put an O(h)
+defect at isolated critical points and destroy the scheme's second-order
 convergence there.
 """
 
@@ -181,32 +186,51 @@ class _Kernel:
         self.diff, self.work, self.zero = np.empty(n), np.empty(n), np.empty(n, bool)
         self.r2_nodes, self.diff_nodes, self.work_nodes = (
             stencil.nodes(a) for a in (self.r2, self.diff, self.work))
+        # a 1D member singular at xi = 0 with growth exponent 2 has the constant
+        # coefficient kappa = s + c (the exact 1D reduction), so the step needs
+        # neither a coefficient table nor a CFL reduction
+        self.kappa = self.const_dt = None
+        spec = problem.spec
+        if grid.dim == 1 and spec.growth_exponent == 2.0 and not spec.everywhere_defined:
+            s0, c0 = rank_one_coeffs(spec, 1.0)
+            self.kappa = s0 + c0
+            self.const_dt = self.cfl_scale / max(s0 + max(c0, 0.0), 1.0)
 
     def _coeffs(self):
         """Per-node (s, c) actually used by the scheme: the family's own
-        coefficients, with the singular-gradient policy of the module docstring."""
+        coefficients, with the singular-gradient policy of the module docstring
+        applied at the flat indices of the singular nodes only."""
         spec, r2 = self.problem.spec, self.r2
         if spec.everywhere_defined or not self.r2_nodes.min() <= self.floor2:
             return rank_one_coeff_arrays(spec, r2)
-        sing = r2 <= self.floor2
-        s, c = rank_one_coeff_arrays(spec, np.where(sing, 1.0, r2))
-        if self.problem.grid.dim == 1 and spec.growth_exponent == 2.0:
-            s0, c0 = rank_one_coeffs(spec, 1.0)  # constant 1D coefficient
-            s[sing], c[sing] = s0 + c0, 0.0
-        elif self.eps_num <= 0.0:
+        if self.eps_num <= 0.0:
             raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-        else:
-            s[sing], c[sing] = regularized_coeff_arrays(spec, self.eps_num, r2[sing])
+        sing = np.flatnonzero(np.less_equal(r2, self.floor2, out=self.zero))
+        work = self.work  # r2 with 1.0 at the singular nodes
+        work[...] = r2
+        work[sing] = 1.0
+        s, c = rank_one_coeff_arrays(spec, work)
+        s[sing], c[sing] = regularized_coeff_arrays(spec, self.eps_num, r2[sing])
         return s, c
 
-    def cfl_bound(self) -> float:
-        """Take the gradient and coefficients of ``u``; return its stable dt."""
+    def _take_r2(self):
+        """Take the gradient of ``u`` and its squared magnitude ``r2``."""
         self.grads = self.stencil.gradient(self.grads)
         for g, sq in zip(self.grads, self.sq):
             np.multiply(g, g, out=sq)
         if len(self.sq) == 2:
             np.add(self.sq[0], self.sq[1], out=self.r2)
         self.r2[self.ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
+
+    def cfl_bound(self) -> float:
+        """Take the gradient and coefficients of ``u``; return its stable dt.
+        A constant coefficient has a fixed dt, and only the first-order term
+        needs the gradient."""
+        if self.kappa is not None:
+            if self.problem.spec.a != 0.0:
+                self._take_r2()
+            return self.const_dt
+        self._take_r2()
         # drop the last step's (s, c) first: the allocator then reuses their
         # memory instead of trimming and refaulting the heap every step
         self.s = self.c = None
@@ -222,7 +246,9 @@ class _Kernel:
         problem, spec = self.problem, self.problem.spec
         hess = self.hess = self.stencil.hessian(self.hess)
         diff, work = self.diff, self.work
-        if problem.grid.dim == 1:
+        if self.kappa is not None:
+            np.multiply(hess[(0, 0)], self.kappa, out=diff)
+        elif problem.grid.dim == 1:
             np.multiply(np.add(self.s, self.c, out=diff), hess[(0, 0)], out=diff)
         else:
             # quad = (gx^2 uxx + 2 gx gy uxy + gy^2 uyy) / r2, with r2 = 0 read as 1

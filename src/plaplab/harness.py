@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -107,8 +108,8 @@ class SweepPlan:
         object.__setattr__(self, "values", vals)
         if len(vals) < 4:
             raise ValueError("need >= 4 perturbation values")
-        if any(v <= 0 for v in vals):
-            raise ValueError("perturbation values must be > 0")
+        if not all(math.isfinite(v) and v > 0 for v in vals):
+            raise ValueError(f"perturbation values must be finite and > 0, got {vals}")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ValueError("perturbation values must be strictly decreasing")
         for v in vals:  # every member must exist before any solve

@@ -84,6 +84,9 @@ class OperatorSpec:
 
     def __post_init__(self):
         f = self.family
+        for name in ("p", "p_prime", "eps", "eps1", "eps2", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if f in (Family.NORMALIZED, Family.REGULARIZED_PQ):
             if self.p < 1:
                 raise ValueError(f"{f.value} requires p >= 1, got {self.p}")

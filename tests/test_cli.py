@@ -88,15 +88,31 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_exit_2_without_output(self, tmp_path, bad):
-        # JSON's NaN and Infinity: the horizon, a capture time and eps_num
+        # JSON's NaN and Infinity: the horizon, a capture time, eps_num, an
+        # operator field and a sweep value
         horizon = heat_config(T=bad)
         capture = heat_config(snapshot_times=[bad, 0.1])
         floor = heat_config()
         floor["problem"]["controls"] = {"eps_num": bad}
-        for name, cfg_data in (("horizon", horizon), ("capture", capture), ("floor", floor)):
+        exponent = heat_config()
+        exponent["problem"]["operator"]["p"] = bad
+        reg = heat_config()
+        reg["problem"]["operator"] = {"family": "regularized_pq", "p": 1.0, "p_prime": 2.0,
+                                      "eps": bad}
+        drift = heat_config()
+        drift["problem"]["operator"] = {"family": "biased_infinity", "a": bad}
+        member = heat_config()
+        member["sweep"] = {"axis": "p", "values": [bad, 0.2, 0.1, 0.05]}
+        for name, cfg_data, command in (("horizon", horizon, "solve"),
+                                        ("capture", capture, "solve"),
+                                        ("floor", floor, "solve"),
+                                        ("exponent", exponent, "solve"),
+                                        ("reg", reg, "solve"),
+                                        ("drift", drift, "solve"),
+                                        ("member", member, "rate-sweep")):
             cfg = write_config(tmp_path / f"{name}.json", cfg_data)
             out = tmp_path / f"{name}_out"
-            assert main(["solve", "--config", cfg, "--out", str(out)]) == 2, name
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2, name
             assert not out.exists(), name
 
     def test_unknown_key_rejected(self, tmp_path, capsys):

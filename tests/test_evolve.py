@@ -19,6 +19,7 @@ from plaplab import (
     step,
     sup_diff,
 )
+from plaplab.evolve import _Kernel
 from plaplab.grid import Stencil, gradient_arrays
 
 
@@ -423,6 +424,106 @@ class TestSingularPolicy:
         assert res.stats.min_dt == pytest.approx(0.006403814171871469, rel=1e-12)
         golden = [0.2878383338031408, 0.9252203652661024, -0.2160422025150362]
         assert res.snapshots[-1].values[[0, 5, 15], [0, 2, 11]] == pytest.approx(golden, rel=1e-12)
+
+
+# 1D members singular at xi = 0 with growth exponent 2: (kappa = s + c, and
+# Lambda0 = s + max(c, 0)), the same at every nonzero gradient
+CONSTANT_1D = {
+    "normalized(3)": (OperatorSpec.normalized(3.0), 2.0, 2.0),
+    "normalized(1.5)": (OperatorSpec.normalized(1.5), 0.5, 1.0),
+    "general_pq(3,2)": (OperatorSpec.general_pq(3.0, 2.0), 2.0, 2.0),
+    "variational(2)": (OperatorSpec.variational(2.0), 1.0, 1.0),
+    "regularized_pq(1,2,0)": (OperatorSpec.regularized_pq(1.0, 2.0, 0.0), 0.0, 1.0),
+    "biased_infinity(0)": (OperatorSpec.biased_infinity(0.0), 1.0, 1.0),
+    "biased_infinity(0.5)": (OperatorSpec.biased_infinity(0.5), 1.0, 1.0),
+    "biased_infinity_regularized(0.5,0,0.1)":
+        (OperatorSpec.biased_infinity_regularized(0.5, 0.0, 0.1), 1.0, 1.0),
+}
+
+
+def _flat_top(x):
+    # exact zero gradients on the flat top and at a local maximum
+    return np.minimum(np.cos(x) + 0.3 * np.cos(2.0 * x), 0.9)
+
+
+def constant_problem(spec, boundary, eps_num=None):
+    """64 periodic nodes, or 33 Dirichlet nodes with a source and moving
+    boundary data."""
+    controls = SolverControls(eps_num=eps_num)
+    if boundary is Boundary.PERIODIC:
+        grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)
+        return Problem(spec=spec, grid=grid, initial=_flat_top, T=0.1, controls=controls)
+    grid = GridSpec.line(-2.0, 2.0, 33, Boundary.DIRICHLET)
+    return Problem(spec=spec, grid=grid, initial=_flat_top, T=0.1, controls=controls,
+                   source=lambda x, t: np.sin(2.0 * x) * (1.0 + t),
+                   dirichlet=lambda x, t: _flat_top(x) + t * x)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.DIRICHLET])
+@pytest.mark.parametrize("name", list(CONSTANT_1D))
+class TestConstantCoefficient1D:
+    def test_step_is_the_scalar_update(self, name, boundary):
+        spec, kappa, _ = CONSTANT_1D[name]
+        prob = constant_problem(spec, boundary)
+        f0 = prob.initial_field()
+        dt = cfl_dt(prob, f0)
+        got = step(f0, prob, dt).values
+        # u + dt (kappa D2u + a sqrt(Du^2 + eps2^2) + f), in the kernel's order
+        u, h = f0.values, prob.grid.spacing[0]
+        mode = "wrap" if boundary is Boundary.PERIODIC else "edge"
+        padded = np.pad(u, 1, mode=mode)
+        up, um = padded[2:], padded[:-2]
+        rhs = np.add(np.subtract(up, np.multiply(u, 2.0)), um) / (h * h) * kappa
+        first = np.zeros_like(u)
+        if spec.a != 0.0:
+            du = np.subtract(up, um) / (2.0 * h)
+            first = np.sqrt(du * du + spec.eps2 * spec.eps2) * spec.a
+        x = prob.grid.axis_coords(0)
+        if prob.source is not None:
+            first = first + prob.source(x, 0.0)
+        want = u + (rhs + first) * dt
+        if boundary is Boundary.DIRICHLET:
+            want[[0, -1]] = prob.dirichlet(x[[0, -1]], dt)
+        np.testing.assert_array_equal(got, want)
+
+    def test_cfl_dt_is_fixed_by_the_constant(self, name, boundary):
+        spec, _, lam0 = CONSTANT_1D[name]
+        prob = constant_problem(spec, boundary)
+        h = prob.grid.spacing[0]
+        want = h * h / (4.0 * max(lam0, 1.0))
+        assert cfl_dt(prob, prob.initial_field()) == want
+        # whatever the field: the constant does not depend on the gradient
+        assert cfl_dt(prob, ScalarField(prob.grid, 5.0 * prob.initial_field().values)) == want
+
+    def test_zero_eps_num_accepted(self, name, boundary):
+        # the flat top has exact zero gradients, yet no node is regularized
+        spec = CONSTANT_1D[name][0]
+        res = solve(constant_problem(spec, boundary, eps_num=0.0))
+        ref = solve(constant_problem(spec, boundary))
+        assert res.stats == ref.stats
+        np.testing.assert_array_equal(res.snapshots[-1].values, ref.snapshots[-1].values)
+
+
+@pytest.mark.parametrize("spec, dim", [
+    (OperatorSpec.regularized_pq(1.0, 2.0, 0.1), 1),
+    (OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.1), 1),
+    (OperatorSpec.variational(3.0), 1),
+    (OperatorSpec.general_pq(3.0, 1.5), 1),
+    (OperatorSpec.normalized(3.0), 2),  # singular nodes take the eps_num form in 2D
+])
+def test_non_constant_members_keep_the_coefficient_table(spec, dim):
+    if dim == 1:
+        grid = GridSpec.line(0.0, 2.0 * math.pi, 16, Boundary.PERIODIC)
+        initial = np.sin
+    else:
+        grid = GridSpec.box(((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (16, 12),
+                            Boundary.PERIODIC)
+        initial = lambda x, y: np.sin(x) * np.cos(y)
+    prob = Problem(spec=spec, grid=grid, initial=initial, T=0.1)
+    kernel = _Kernel(prob, prob.initial_field().values)
+    assert kernel.kappa is None
+    kernel.cfl_bound()
+    assert kernel.s.shape == kernel.c.shape == kernel.rows.shape
 
 
 class TestTwoDimensional:

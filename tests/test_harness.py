@@ -90,6 +90,9 @@ class TestRunSweep:
             SweepPlan(base=plan.base, axis=plan.axis, values=(0.1, 0.05))
         with pytest.raises(ValueError):
             SweepPlan(base=plan.base, axis=plan.axis, values=(0.1, 0.05, 0.025, -0.01))
+        for v in (math.nan, math.inf):  # NaN passed the order and sign checks
+            with pytest.raises(ValueError, match="finite"):
+                SweepPlan(base=plan.base, axis=plan.axis, values=(v, 0.2, 0.1, 0.05))
         for t in (-0.1, 1.0, math.nan, math.inf):  # gap times within [0, T]
             with pytest.raises(ValueError, match="gap times"):
                 SweepPlan(base=plan.base, axis=plan.axis, values=plan.values, gap_times=(t,))

@@ -68,6 +68,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OperatorSpec.biased_infinity(1.0, eps2=0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        # NaN passed every window check; a NaN eps or eps1 also read as
+        # "not everywhere defined" and picked the singular-gradient policy
+        for build in (lambda: OperatorSpec.normalized(bad),
+                      lambda: OperatorSpec.general_pq(3.0, bad),
+                      lambda: OperatorSpec.regularized_pq(1.0, 2.0, bad),
+                      lambda: OperatorSpec.biased_infinity(a=bad),
+                      lambda: OperatorSpec.biased_infinity_regularized(0.5, bad, 0.1),
+                      lambda: OperatorSpec.biased_infinity_regularized(0.5, 0.1, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                build()
+
     def test_regularized_at_zero_eps_matches_general(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
