@@ -216,8 +216,7 @@ def _build_sweep(cfg: dict, problem: Problem, rebuild):
     node = cfg.get("sweep")
     if node is None:
         raise ConfigError("config needs a 'sweep' section for rate-sweep")
-    _check_keys(node, {"axis", "values", "gap_times", "shared_dt", "theory", "margin"},
-                "sweep")
+    _check_keys(node, {"axis", "values", "gap_times", "theory", "margin"}, "sweep")
     axis = _AXES.get(node.get("axis"))
     if axis is None:
         raise ConfigError(f"unknown sweep axis {node.get('axis')!r}")
@@ -242,9 +241,6 @@ def _build_sweep(cfg: dict, problem: Problem, rebuild):
         def data_for_value(value):
             return rebuild(perturb_spec(problem.spec, axis, value))
 
-    shared_dt = node.get("shared_dt", True)
-    if not isinstance(shared_dt, bool):
-        raise ConfigError(f"sweep.shared_dt must be true or false, got {shared_dt!r}")
     margin = float(node.get("margin", 0.1))
     if margin <= 0:
         raise ConfigError(f"sweep.margin must be > 0, got {margin}")
@@ -253,7 +249,6 @@ def _build_sweep(cfg: dict, problem: Problem, rebuild):
         axis=axis,
         values=values,
         gap_times=tuple(float(t) for t in node.get("gap_times", ())),
-        shared_dt=shared_dt,
         theory=theory,
         data_for_value=data_for_value,
     )

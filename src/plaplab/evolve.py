@@ -45,6 +45,7 @@ convergence there.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
@@ -69,6 +70,7 @@ from .operators import (
 )
 
 _CFL_SIGMA = 0.5  # dt_max = _CFL_SIGMA h_min^2 / (2 n Lambda)
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -313,9 +315,9 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
 def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     """March from t = 0 to T, capturing snapshots exactly at requested times.
 
-    With ``dt_override`` (finite and > 0) the step is fixed (still clipped at
-    capture times and checked against CFL each step), which keeps parameter
-    sweeps aligned in time. Snapshots are copies of the solve's own buffer.
+    Each step takes the CFL bound, or ``dt_override`` (finite and > 0) where
+    that is within it, clipped at capture times; the first step the bound wins
+    is logged once. Snapshots are copies of the solve's own buffer.
     """
     if dt_override is not None and not (math.isfinite(dt_override) and dt_override > 0):
         raise ValueError(f"dt_override must be finite and > 0, got {dt_override}")
@@ -336,14 +338,17 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
             snapshots.append(initial)
         targets = targets[1:]
     t_eps = 1e-12 * max(1.0, problem.T)
+    capped = False  # the bound has won a step (logged once)
     for t_target in targets:
         while t < t_target - t_eps:
-            dt_max = kernel.cfl_bound()
-            dt = dt_max if dt_override is None else dt_override
-            if dt > dt_max * (1.0 + 1e-9):
-                raise CflViolationError(
-                    f"fixed dt = {dt:.3e} exceeds CFL bound {dt_max:.3e} at t = {t:.6g}"
-                )
+            dt = kernel.cfl_bound()
+            if dt_override is not None:
+                if dt_override <= dt * (1.0 + 1e-9):
+                    dt = dt_override
+                elif not capped:
+                    capped = True
+                    logger.warning("dt_override = %.3e exceeds the CFL bound %.3e at t = %.6g;"
+                                   " stepping at the bound", dt_override, dt, t)
             t_new = t + dt
             if dt >= t_target - t - t_eps:
                 dt, t_new = t_target - t, t_target

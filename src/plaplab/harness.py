@@ -1,11 +1,11 @@
 """Perturbation sweeps, sup-norm gap measurement, and exponent fitting.
 
-A sweep solves the base problem once and each perturbed problem, measures the
-largest sup-norm gap over the requested capture times, and fits the decay
-exponent by ordinary least squares in log-log coordinates. Gaps below ten
-times the measured discretization floor (estimated from one refinement pair
-on the base problem) reflect scheme error rather than operator closeness and
-are excluded from the fit.
+A sweep solves the base and each perturbed problem at one shared step, capped
+at each solve's own CFL bound, measures the largest sup-norm gap over the
+requested capture times, and fits the decay exponent by ordinary least squares
+in log-log coordinates. Gaps below ten times the measured discretization floor
+(estimated from one refinement pair on the base problem) reflect scheme error
+rather than operator closeness and are excluded from the fit.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ class SweepPlan:
     axis: PerturbationAxis
     values: tuple[float, ...]
     gap_times: tuple[float, ...] = ()
-    shared_dt: bool = True
     theory: Optional[RatePrediction] = None
     data_for_value: Optional[Callable[[float], tuple]] = None
     holder_pairs: Optional[int] = None  # estimate theta on the base final snapshot
@@ -118,6 +117,9 @@ class SweepPlan:
         if not all(0 <= t <= self.base.T for t in times):  # NaN included
             raise ValueError("gap times must lie in [0, T]")
         object.__setattr__(self, "gap_times", tuple(sorted(set(times))))
+        pairs = self.holder_pairs  # checked before any solve; a bool is no count
+        if pairs is not None and (type(pairs) is not int or pairs < 100):
+            raise ValueError(f"holder_pairs must be an int >= 100, got {pairs!r}")
 
 
 def _problem_for_value(plan: SweepPlan, value: float) -> Problem:
@@ -155,10 +157,7 @@ def run_sweep(plan: SweepPlan) -> RateFit:
     perturbed = [_with_snapshots(_problem_for_value(plan, v), plan.gap_times)
                  for v in plan.values]
 
-    dt = None
-    if plan.shared_dt:
-        dt = min(cfl_dt(p, p.initial_field()) for p in [base] + perturbed)
-
+    dt = min(cfl_dt(p, p.initial_field()) for p in [base] + perturbed)
     try:
         results = [solve(p, dt_override=dt) for p in [base] + perturbed]
     except PlapError as err:

@@ -179,11 +179,11 @@ def rank_one_coeff_arrays(spec: OperatorSpec, r2: np.ndarray) -> tuple[np.ndarra
     f = spec.family
     if f is Family.NORMALIZED:
         return np.ones_like(r2), np.full_like(r2, spec.p - 2.0)
-    if f in (Family.VARIATIONAL, Family.GENERAL_PQ):
-        s = r2 ** ((spec.growth_exponent - 2.0) / 2.0)
-        return s, (spec.p - 2.0) * s
-    if f is Family.REGULARIZED_PQ:
+    if f is Family.REGULARIZED_PQ and spec.eps > 0.0:
         return regularized_coeff_arrays(spec, spec.eps, r2)
+    if f in (Family.VARIATIONAL, Family.GENERAL_PQ, Family.REGULARIZED_PQ):
+        s = r2 ** ((spec.growth_exponent - 2.0) / 2.0)  # c = (p - 2) s exactly at eps = 0
+        return s, (spec.p - 2.0) * s
     if f is Family.BIASED_INFINITY:
         return np.zeros_like(r2), np.ones_like(r2)
     return regularized_coeff_arrays(spec, spec.eps1, r2)

@@ -67,9 +67,6 @@ class TestSolveCommand:
         no_theta = heat_config()
         no_theta["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05],
                              "theory": {"case": "normalized", "q": 3.0}}
-        string_shared_dt = heat_config()
-        string_shared_dt["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05],
-                                     "shared_dt": "false"}
         negative_margin = heat_config()
         negative_margin["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05],
                                     "theory": {"case": "normalized", "theta": 1.0,
@@ -79,7 +76,6 @@ class TestSolveCommand:
                                         ("resolution", scalar_resolution, "solve"),
                                         ("data_list", data_list, "solve"),
                                         ("no_theta", no_theta, "rate-sweep"),
-                                        ("shared_dt", string_shared_dt, "rate-sweep"),
                                         ("margin", negative_margin, "rate-sweep")):
             cfg = write_config(tmp_path / f"{name}.json", cfg_data)
             out = tmp_path / f"{name}_out"
@@ -136,6 +132,17 @@ class TestSolveCommand:
             assert main(["solve", "--config", cfg, "--out", str(out)]) == 2, key
             assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
             assert not out.exists(), key
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_removed_shared_dt_exits_2_without_output(self, tmp_path, capsys, shared):
+        # sweeps always share one step, capped at each member's CFL bound
+        cfg_data = heat_config()
+        cfg_data["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05], "shared_dt": shared}
+        cfg = write_config(tmp_path / "sweep.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown key(s) ['shared_dt']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hamiltonian_section_rejected(self, tmp_path):
         # the first-order term comes from the operator's a and eps2

@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -249,13 +250,23 @@ class TestSolve:
         assert errs[0] / errs[1] >= 3.0
         assert errs[1] / errs[2] >= 3.0
 
-    def test_fixed_dt_override_runs_and_checks(self):
-        prob = heat_mode_problem(n=64, T=0.05)
+    def test_fixed_dt_override_runs_and_checks(self, caplog):
+        prob = heat_mode_problem(n=64, T=0.05, snapshot_times=(0.02, 0.05))
         dt = cfl_dt(prob, prob.initial_field())
-        res = solve(prob, dt_override=dt / 2.0)
-        assert res.stats.final_time == pytest.approx(0.05)
-        with pytest.raises(CflViolationError):
-            solve(prob, dt_override=dt * 3.0)
+        with caplog.at_level(logging.WARNING, logger="plaplab.evolve"):
+            res = solve(prob, dt_override=dt / 2.0)
+            assert res.stats.final_time == pytest.approx(0.05)
+            assert not caplog.records
+            # above the bound, every step takes the bound: the same steps as
+            # an unforced solve, bitwise, and one warning for the first step
+            forced = solve(prob, dt_override=dt * 3.0)
+        free = solve(prob)
+        assert forced.stats == free.stats
+        for a, b in zip(forced.snapshots, free.snapshots, strict=True):
+            assert a.time == b.time
+            np.testing.assert_array_equal(a.values, b.values)
+        [record] = caplog.records
+        assert "exceeds the CFL bound" in record.getMessage() and "t = 0;" in record.getMessage()
 
     @pytest.mark.parametrize("dt", [0.0, math.nan, -1e-3])
     def test_dt_override_must_be_finite_and_positive(self, dt):

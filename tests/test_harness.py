@@ -96,6 +96,9 @@ class TestRunSweep:
         for t in (-0.1, 1.0, math.nan, math.inf):  # gap times within [0, T]
             with pytest.raises(ValueError, match="gap times"):
                 SweepPlan(base=plan.base, axis=plan.axis, values=plan.values, gap_times=(t,))
+        for pairs in (50, 99, 100.0, True):  # rejected before any solve, not after all
+            with pytest.raises(ValueError, match="holder_pairs"):
+                SweepPlan(base=plan.base, axis=plan.axis, values=plan.values, holder_pairs=pairs)
         with pytest.raises(ValueError):  # no member along the axis: biased has no p
             SweepPlan(base=replace(plan.base, spec=OperatorSpec.biased_infinity(0.0)),
                       axis=plan.axis, values=plan.values)
@@ -141,16 +144,19 @@ class TestRunSweep:
             want = sup_diff(solve(member, dt_override=dt).snapshots[-1], ref)
             assert gap == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, raises=HarnessError,
-                       reason="the shared dt is fixed from the t = 0 fields, and the "
-                              "gradient (with it Lambda) grows: aborts at t = 0.0100151")
     def test_growing_gradient_sweep_completes(self):
+        # the shared dt is fixed from the t = 0 fields while the gradient, and
+        # with it Lambda, grows: it exceeds the base's bound at t = 0.0100151,
+        # and from there each solve steps at its own bound instead of aborting
         grid = GridSpec.line(0.0, 1.0, 64, Boundary.DIRICHLET)
         base = Problem(spec=OperatorSpec.variational(3.0), grid=grid, initial=np.zeros_like,
-                       T=0.5, dirichlet=lambda x, t: 4.0 * t * x)
-        plan = SweepPlan(base=base, axis=PerturbationAxis.P, values=(0.2, 0.1, 0.05, 0.025))
+                       T=0.1, dirichlet=lambda x, t: 4.0 * t * x)
+        plan = SweepPlan(base=base, axis=PerturbationAxis.P, values=(0.2, 0.1, 0.05, 0.025),
+                         theory=family_rate(FamilyCase.VARIATIONAL_DEGENERATE,
+                                            theta=1.0, p=3.2, q=3.0))
         fit = run_sweep(plan)
         assert len(fit.gap_list) == 4 and all(g > 0.0 for g in fit.gap_list)
+        assert compare_theory(fit, 0.1).consistent
 
     def test_failure_aborts_with_context(self):
         plan = heat_sweep_plan()

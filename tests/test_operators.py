@@ -111,6 +111,17 @@ class TestConstruction:
         np.testing.assert_allclose(s, w ** -0.25, rtol=1e-15)
         np.testing.assert_allclose(c, -0.5 * s * r2 / w, rtol=1e-15)
 
+    @pytest.mark.parametrize("p", [1.3, 4.9])
+    @pytest.mark.parametrize("pp", [2.0, 3.5])
+    def test_unregularized_c_is_exactly_p_minus_2_times_s(self, p, pp):
+        # at eps = 0 the coefficient must be the same multiple of s at every
+        # node; the regularized form s (p - 2) r2 / w with w = r2 is off from
+        # (p - 2) s by up to one ulp
+        r2 = np.random.default_rng(7).uniform(1e-4, 10.0, 100_000)
+        s, c = rank_one_coeff_arrays(OperatorSpec.regularized_pq(p, pp, 0.0), r2)
+        np.testing.assert_array_equal(s, r2 ** ((pp - 2.0) / 2.0))
+        np.testing.assert_array_equal(c, (p - 2.0) * s)
+
 
 class TestDiffusionMatrix:
     def test_normalized_p2_is_identity(self):
