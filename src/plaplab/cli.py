@@ -37,7 +37,6 @@ from .operators import (
     OperatorSpec,
     PerturbationAxis,
     c1_certify,
-    perturb_spec,
 )
 from .rates import FamilyCase, family_rate
 
@@ -96,8 +95,6 @@ def _build_operator(node: dict) -> OperatorSpec:
     if fam not in _FAMILIES:
         raise ConfigError(f"unknown operator family {fam!r}")
     kwargs = {k: float(v) for k, v in node.items() if k != "family"}
-    if _FAMILIES[fam] is Family.VARIATIONAL and "p" in kwargs:
-        kwargs.setdefault("p_prime", kwargs["p"])
     return OperatorSpec(_FAMILIES[fam], **kwargs)
 
 
@@ -112,9 +109,13 @@ def _build_grid(node: dict) -> GridSpec:
                     tuple(node["resolution"]), boundary)
 
 
-def _build_data(node: dict, spec: OperatorSpec, grid: GridSpec):
-    """Return (initial, dirichlet, rebuild) where rebuild(spec) re-derives the
-    pair for a perturbed operator (used by parameter-tracking data)."""
+def _build_data(node: dict, grid: GridSpec):
+    """Return data(spec) -> (initial, dirichlet) for a member's operator spec.
+
+    Each kind defines one space-time trace u(x..., t): the Dirichlet data
+    (None on periodic grids), and at t = 0 the initial data. Only
+    ``barenblatt`` reads the spec, for its exponent p.
+    """
     if not isinstance(node, dict):
         raise ConfigError("problem.data must be an object")
     kind = node.get("kind")
@@ -122,15 +123,10 @@ def _build_data(node: dict, spec: OperatorSpec, grid: GridSpec):
         _check_keys(node, {"kind", "value"}, "problem.data", required=("value",))
         v = float(node["value"])
 
-        def initial(*coords):
-            return np.full_like(np.asarray(coords[0], float), v)
+        def trace_for(spec):
+            return lambda *coords_t: np.full_like(np.asarray(coords_t[0], float), v)
 
-        def dirichlet(*coords_t):
-            return np.full_like(np.asarray(coords_t[0], float), v)
-
-        return initial, dirichlet, None
-
-    if kind == "sinusoid":
+    elif kind == "sinusoid":
         _check_keys(node, {"kind", "amplitude", "wavenumber", "phase", "offset"},
                     "problem.data")
         amp = float(node.get("amplitude", 1.0))
@@ -138,40 +134,37 @@ def _build_data(node: dict, spec: OperatorSpec, grid: GridSpec):
         off = float(node.get("offset", 0.0))
         wn = node.get("wavenumber", 1.0)
         ks = [float(w) for w in (wn if isinstance(wn, list) else [wn] * grid.dim)]
+        if len(ks) != grid.dim:
+            raise ConfigError(f"problem.data.wavenumber needs one entry per axis "
+                              f"({grid.dim}), got {wn}")
 
-        def profile(*coords):
-            out = amp * np.sin(ks[0] * np.asarray(coords[0], float) + phase)
-            for k, c in zip(ks[1:], coords[1:]):
+        def trace(*coords_t):
+            out = amp * np.sin(ks[0] * np.asarray(coords_t[0], float) + phase)
+            for k, c in zip(ks[1:], coords_t[1:-1]):
                 out = out * np.sin(k * np.asarray(c, float))
             return off + out
 
-        def dirichlet(*coords_t):
-            return profile(*coords_t[:-1])
+        def trace_for(spec):
+            return trace
 
-        return profile, dirichlet, None
-
-    if kind == "barenblatt":
+    elif kind == "barenblatt":
         _check_keys(node, {"kind", "A", "time_offset"}, "problem.data")
         A = float(node.get("A", 1.0))
         t0 = float(node.get("time_offset", 1.0))
 
-        def make(for_spec: OperatorSpec):
-            sol = ExactSolution(SolutionId.BARENBLATT, p=for_spec.p, n=grid.dim, A=A)
+        def trace_for(spec):
+            sol = ExactSolution(SolutionId.BARENBLATT, p=spec.p, n=grid.dim, A=A)
+            return lambda *coords_t: sol.eval_radial(_radius(coords_t[:-1]), t0 + coords_t[-1])
 
-            def initial(*coords):
-                r = _radius(coords)
-                return sol.eval_radial(r, t0)
+    else:
+        raise ConfigError(f"unknown data kind {kind!r}")
 
-            def dirichlet(*coords_t):
-                r = _radius(coords_t[:-1])
-                return sol.eval_radial(r, t0 + coords_t[-1])
+    def data(spec: OperatorSpec):
+        trace = trace_for(spec)
+        dirichlet = trace if grid.boundary is Boundary.DIRICHLET else None
+        return (lambda *coords: trace(*coords, 0.0)), dirichlet
 
-            return initial, dirichlet
-
-        initial, dirichlet = make(spec)
-        return initial, dirichlet, make
-
-    raise ConfigError(f"unknown data kind {kind!r}")
+    return data
 
 
 def _radius(coords) -> np.ndarray:
@@ -189,7 +182,10 @@ def _build_controls(node: dict) -> SolverControls:
     if node.get("eps_num") is not None:
         kwargs["eps_num"] = float(node["eps_num"])
     if "max_steps" in node:
-        kwargs["max_steps"] = int(node["max_steps"])
+        steps = node["max_steps"]  # a whole number; SolverControls checks >= 1
+        if not (type(steps) is int or (type(steps) is float and steps.is_integer())):
+            raise ConfigError(f"problem.controls.max_steps must be a whole number, got {steps!r}")
+        kwargs["max_steps"] = int(steps)
     return SolverControls(**kwargs)
 
 
@@ -198,21 +194,19 @@ def _build_problem(node: dict):
                 required=("operator", "grid", "data", "horizon"))
     spec = _build_operator(node["operator"])
     grid = _build_grid(node["grid"])
-    initial, dirichlet, rebuild = _build_data(node["data"], spec, grid)
+    data = _build_data(node["data"], grid)
+    initial, dirichlet = data(spec)
     controls = _build_controls(node.get("controls", {}))
-    problem = Problem(
-        spec=spec, grid=grid, initial=initial, T=float(node["horizon"]),
-        controls=controls,
-        dirichlet=dirichlet if grid.boundary is Boundary.DIRICHLET else None,
-    )
-    return problem, rebuild
+    problem = Problem(spec=spec, grid=grid, initial=initial, T=float(node["horizon"]),
+                      controls=controls, dirichlet=dirichlet)
+    return problem, data
 
 
 _AXES = {a.value: a for a in PerturbationAxis}
 _CASES = {c.value.replace("_", "-"): c for c in FamilyCase}
 
 
-def _build_sweep(cfg: dict, problem: Problem, rebuild):
+def _build_sweep(cfg: dict, problem: Problem, data):
     node = cfg.get("sweep")
     if node is None:
         raise ConfigError("config needs a 'sweep' section for rate-sweep")
@@ -236,11 +230,6 @@ def _build_sweep(cfg: dict, problem: Problem, rebuild):
             p_prime=tnode.get("p_prime"), q_prime=tnode.get("q_prime"),
             m=tnode.get("m"),
         )
-    data_for_value = None
-    if rebuild is not None:
-        def data_for_value(value):
-            return rebuild(perturb_spec(problem.spec, axis, value))
-
     margin = float(node.get("margin", 0.1))
     if margin <= 0:
         raise ConfigError(f"sweep.margin must be > 0, got {margin}")
@@ -250,7 +239,7 @@ def _build_sweep(cfg: dict, problem: Problem, rebuild):
         values=values,
         gap_times=tuple(float(t) for t in node.get("gap_times", ())),
         theory=theory,
-        data_for_value=data_for_value,
+        data_for_spec=data,
     )
     return plan, margin
 
@@ -282,8 +271,8 @@ def cmd_solve(args) -> int:
 
 def cmd_rate_sweep(args) -> int:
     cfg = _load_config(Path(args.config))
-    problem, rebuild = _from_config(_build_problem, cfg["problem"])
-    plan, margin = _from_config(_build_sweep, cfg, problem, rebuild)
+    problem, data = _from_config(_build_problem, cfg["problem"])
+    plan, margin = _from_config(_build_sweep, cfg, problem, data)
     out = _out_dir(args)
     run_id = Path(args.config).stem
     fit = run_sweep(plan)

@@ -88,6 +88,8 @@ class SolverControls:
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise ValueError("snapshot_times must be sorted")
         object.__setattr__(self, "snapshot_times", ts)
+        if type(self.max_steps) is not int or self.max_steps < 1:  # a bool is no count
+            raise ValueError(f"max_steps must be an int >= 1, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -333,10 +335,6 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     steps = 0
     min_dt = math.inf
     t = initial.time
-    if targets and targets[0] == 0.0:
-        if 0.0 in requested:
-            snapshots.append(initial)
-        targets = targets[1:]
     t_eps = 1e-12 * max(1.0, problem.T)
     capped = False  # the bound has won a step (logged once)
     for t_target in targets:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import PlapError
 from .evolve import Problem, SolveResult, cfl_dt, solve
 from .grid import _FMT, Boundary, ScalarField, restrict_to, sup_diff
-from .operators import PerturbationAxis, perturb_spec
+from .operators import OperatorSpec, PerturbationAxis, perturb_spec
 from .rates import RatePrediction
 
 logger = logging.getLogger(__name__)
@@ -89,9 +89,10 @@ class SweepPlan:
 
     ``values`` must be strictly decreasing and positive (at least four), and
     each must give a member along ``axis``.
-    ``data_for_value`` optionally rebuilds (initial, dirichlet) per value for
-    sweeps whose boundary data tracks the perturbed parameter; the boundary
-    gap it induces is part of the measured quantity.
+    ``data_for_spec`` optionally maps a member's operator spec to its
+    (initial, dirichlet), for sweeps whose data tracks the perturbed parameter;
+    the boundary gap it induces is part of the measured quantity. Without it
+    every member keeps the base's data.
     """
 
     base: Problem
@@ -99,7 +100,7 @@ class SweepPlan:
     values: tuple[float, ...]
     gap_times: tuple[float, ...] = ()
     theory: Optional[RatePrediction] = None
-    data_for_value: Optional[Callable[[float], tuple]] = None
+    data_for_spec: Optional[Callable[[OperatorSpec], tuple]] = None
     holder_pairs: Optional[int] = None  # estimate theta on the base final snapshot
 
     def __post_init__(self):
@@ -122,13 +123,13 @@ class SweepPlan:
             raise ValueError(f"holder_pairs must be an int >= 100, got {pairs!r}")
 
 
-def _problem_for_value(plan: SweepPlan, value: float) -> Problem:
-    spec = perturb_spec(plan.base.spec, plan.axis, value)
-    prob = replace(plan.base, spec=spec)
-    if plan.data_for_value is not None:
-        initial, dirichlet = plan.data_for_value(value)
-        prob = replace(prob, initial=initial, dirichlet=dirichlet)
-    return prob
+def _member(plan: SweepPlan, base: Problem, value: float) -> Problem:
+    """The member of ``base`` (which carries the captures) at ``value``."""
+    spec = perturb_spec(base.spec, plan.axis, value)
+    initial, dirichlet = base.initial, base.dirichlet
+    if plan.data_for_spec is not None:
+        initial, dirichlet = plan.data_for_spec(spec)
+    return replace(base, spec=spec, initial=initial, dirichlet=dirichlet)
 
 
 def _with_snapshots(problem: Problem, times: tuple[float, ...]) -> Problem:
@@ -154,8 +155,7 @@ def _measure_floor(base: Problem, times: tuple[float, ...],
 def run_sweep(plan: SweepPlan) -> RateFit:
     """Solve base and perturbed problems, measure gaps, and fit the exponent."""
     base = _with_snapshots(plan.base, plan.gap_times)
-    perturbed = [_with_snapshots(_problem_for_value(plan, v), plan.gap_times)
-                 for v in plan.values]
+    perturbed = [_member(plan, base, v) for v in plan.values]
 
     dt = min(cfl_dt(p, p.initial_field()) for p in [base] + perturbed)
     try:

@@ -30,7 +30,7 @@ problem (``evolve.Problem.source``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -49,6 +49,17 @@ class Family(Enum):
 
 
 _BIASED = (Family.BIASED_INFINITY, Family.BIASED_INFINITY_REGULARIZED)
+
+# the OperatorSpec fields each family reads (the module table's parameters and
+# the biased families' first-order a, eps2)
+_READS = {
+    Family.NORMALIZED: ("p",),
+    Family.VARIATIONAL: ("p",),
+    Family.GENERAL_PQ: ("p", "p_prime"),
+    Family.REGULARIZED_PQ: ("p", "p_prime", "eps"),
+    Family.BIASED_INFINITY: ("a",),
+    Family.BIASED_INFINITY_REGULARIZED: ("a", "eps1", "eps2"),
+}
 
 
 class PerturbationAxis(Enum):
@@ -70,8 +81,8 @@ class OperatorSpec:
     """One member of the diffusion family.
 
     ``a`` and ``eps2`` are the coefficients of the first-order term
-    a sqrt(|xi|^2 + eps2^2); only the biased families may set ``a`` and only
-    the regularized biased family may set ``eps2``.
+    a sqrt(|xi|^2 + eps2^2). A family reads only its fields in ``_READS``;
+    every other field must keep its default.
     """
 
     family: Family
@@ -84,9 +95,13 @@ class OperatorSpec:
 
     def __post_init__(self):
         f = self.family
-        for name in ("p", "p_prime", "eps", "eps1", "eps2", "a"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for fld in fields(self)[1:]:  # after the family
+            value = getattr(self, fld.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{fld.name} must be finite, got {value}")
+            if fld.name not in _READS[f] and value != fld.default:
+                raise ValueError(f"{f.value} does not read {fld.name}; it must keep its "
+                                 f"default {fld.default}, got {value}")
         if f in (Family.NORMALIZED, Family.REGULARIZED_PQ):
             if self.p < 1:
                 raise ValueError(f"{f.value} requires p >= 1, got {self.p}")
@@ -102,10 +117,6 @@ class OperatorSpec:
                 raise ValueError("eps must be >= 0")
         if f is Family.BIASED_INFINITY_REGULARIZED and (self.eps1 < 0 or self.eps2 < 0):
             raise ValueError("eps1, eps2 must be >= 0")
-        if self.a != 0.0 and f not in _BIASED:
-            raise ValueError(f"{f.value} has no first-order term; a must be 0, got {self.a}")
-        if self.eps2 != 0.0 and f is not Family.BIASED_INFINITY_REGULARIZED:
-            raise ValueError(f"eps2 needs biased_infinity_regularized, got {f.value}")
 
     # -- constructors ------------------------------------------------------
 
@@ -115,7 +126,7 @@ class OperatorSpec:
 
     @staticmethod
     def variational(p: float, **kw) -> "OperatorSpec":
-        return OperatorSpec(Family.VARIATIONAL, p=p, p_prime=p, **kw)
+        return OperatorSpec(Family.VARIATIONAL, p=p, **kw)
 
     @staticmethod
     def general_pq(p: float, p_prime: float, **kw) -> "OperatorSpec":
@@ -149,7 +160,7 @@ class OperatorSpec:
     @property
     def growth_exponent(self) -> float:
         """Exponent p'_eff with |A(xi)| ~ |xi|^{p'_eff - 2} at large and small |xi|."""
-        if self.family in (Family.VARIATIONAL,):
+        if self.family is Family.VARIATIONAL:
             return self.p
         if self.family in (Family.GENERAL_PQ, Family.REGULARIZED_PQ):
             return self.p_prime
@@ -263,10 +274,7 @@ def perturb_spec(spec: OperatorSpec, axis: PerturbationAxis, value: float) -> Op
         if spec.family in _BIASED:
             raise ValueError(f"p perturbation needs a family with an exponent p, "
                              f"got {spec.family.value}")
-        new = replace(spec, p=spec.p + value)
-        if spec.family is Family.VARIATIONAL:
-            new = replace(new, p_prime=spec.p_prime + value)
-        return new
+        return replace(spec, p=spec.p + value)
     if axis is PerturbationAxis.P_PRIME:
         if spec.family not in (Family.GENERAL_PQ, Family.REGULARIZED_PQ):
             raise ValueError("p' perturbation needs a (p, p') family")

@@ -72,11 +72,29 @@ class TestSolveCommand:
                                     "theory": {"case": "normalized", "theta": 1.0,
                                                "q": 3.0},
                                     "margin": -0.1}
-        for name, cfg_data, command in (("no_dim", no_dim, "solve"),
-                                        ("resolution", scalar_resolution, "solve"),
-                                        ("data_list", data_list, "solve"),
-                                        ("no_theta", no_theta, "rate-sweep"),
-                                        ("margin", negative_margin, "rate-sweep")):
+        cases = [("no_dim", no_dim, "solve"),
+                 ("resolution", scalar_resolution, "solve"),
+                 ("data_list", data_list, "solve"),
+                 ("no_theta", no_theta, "rate-sweep"),
+                 ("margin", negative_margin, "rate-sweep")]
+        # max_steps must be a whole number >= 1: -5 exited 1 as a numerical
+        # failure, and 2.7 ran with 2
+        for i, steps in enumerate((-5, 0, 2.7, "5", True)):
+            cfg_data = heat_config()
+            cfg_data["problem"]["controls"] = {"max_steps": steps}
+            cases.append((f"max_steps{i}", cfg_data, "solve"))
+        # one wavenumber per axis: [] raised an IndexError after --out was
+        # made, and extra entries on a 1D grid were ignored
+        for i, wavenumber in enumerate(([], [1.0, 2.0, 3.0])):
+            cfg_data = heat_config()
+            cfg_data["problem"]["data"]["wavenumber"] = wavenumber
+            cases.append((f"wavenumber{i}", cfg_data, "solve"))
+        plane = heat_config(n=16)
+        plane["problem"]["grid"].update(dim=2, extent=[[0.0, 1.0], [0.0, 1.0]],
+                                        resolution=[16, 16])
+        plane["problem"]["data"]["wavenumber"] = [1.0]
+        cases.append(("wavenumber_2d", plane, "solve"))
+        for name, cfg_data, command in cases:
             cfg = write_config(tmp_path / f"{name}.json", cfg_data)
             out = tmp_path / f"{name}_out"
             assert main([command, "--config", cfg, "--out", str(out)]) == 2, name
@@ -144,6 +162,26 @@ class TestSolveCommand:
         assert "unknown key(s) ['shared_dt']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_field_the_family_does_not_read_exits_2_without_output(self, tmp_path, capsys):
+        # both used to solve as if the extra field were absent
+        for name, operator, field in (
+                ("variational", {"family": "variational", "p": 3.0, "p_prime": 5.0}, "p_prime"),
+                ("normalized", {"family": "normalized", "p": 3.0, "eps": 0.5}, "eps")):
+            cfg_data = heat_config()
+            cfg_data["problem"]["operator"] = operator
+            cfg = write_config(tmp_path / f"{name}.json", cfg_data)
+            out = tmp_path / f"{name}_out"
+            capsys.readouterr()
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 2, name
+            assert f"{name} does not read {field}" in capsys.readouterr().err
+            assert not out.exists(), name
+
+    def test_whole_float_max_steps_is_accepted(self, tmp_path):
+        cfg_data = heat_config()
+        cfg_data["problem"]["controls"] = {"max_steps": 1e5}
+        cfg = write_config(tmp_path / "steps.json", cfg_data)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_hamiltonian_section_rejected(self, tmp_path):
         # the first-order term comes from the operator's a and eps2
         cfg_data = heat_config()
@@ -166,8 +204,8 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "readme_stats.json", "readme_t0.25.csv", "readme_t0.5.csv"]
-        problem, rebuild = _build_problem(cfg_data["problem"])
-        plan, margin = _build_sweep(cfg_data, problem, rebuild)
+        problem, data = _build_problem(cfg_data["problem"])
+        plan, margin = _build_sweep(cfg_data, problem, data)
         assert len(plan.values) == 4 and plan.theory is not None and margin > 0.0
 
     def test_zero_horizon_single_snapshot(self, tmp_path):
@@ -270,6 +308,47 @@ class TestRateSweepCommand:
         fld = load_field(out / "bb_t0.1.csv")
         x = np.linspace(0.5, 2.0, 33)
         assert np.max(np.abs(fld.values - sol.eval_radial(x, 1.1))) < 1e-3
+
+    def test_barenblatt_p_sweep_matches_library(self, tmp_path):
+        # each member's barenblatt data is taken at the member's own p; the CLI
+        # gap table and fit equal run_sweep with the same data built in Python
+        from plaplab import (Boundary, ExactSolution, GridSpec, OperatorSpec,
+                             PerturbationAxis, Problem, SolutionId, SweepPlan, run_sweep)
+        values = [0.125, 0.0625, 0.03125, 0.015625]
+        cfg_data = {
+            "schema_version": 1,
+            "problem": {
+                "operator": {"family": "variational", "p": 3.0},
+                "grid": {"dim": 1, "extent": [[0.5, 2.0]],
+                         "resolution": [33], "boundary": "dirichlet"},
+                "data": {"kind": "barenblatt", "A": 1.0, "time_offset": 1.0},
+                "horizon": 0.1,
+            },
+            "sweep": {"axis": "p", "values": values, "gap_times": [0.05, 0.1]},
+        }
+        cfg = write_config(tmp_path / "bb.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "bb_rates.csv").read_text().splitlines()[1:]
+        gaps = [float(row.split(",")[1]) for row in rows]
+        summary = json.loads((out / "bb_fit.json").read_text())
+
+        def data_for(p):
+            sol = ExactSolution(SolutionId.BARENBLATT, p=p, n=1, A=1.0)
+            return (lambda x: sol.eval_radial(np.abs(x), 1.0),
+                    lambda x, t: sol.eval_radial(np.abs(x), 1.0 + t))
+
+        initial, dirichlet = data_for(3.0)
+        base = Problem(spec=OperatorSpec.variational(3.0),
+                       grid=GridSpec.line(0.5, 2.0, 33, Boundary.DIRICHLET),
+                       initial=initial, T=0.1, dirichlet=dirichlet)
+        fit = run_sweep(SweepPlan(base=base, axis=PerturbationAxis.P, values=tuple(values),
+                                  gap_times=(0.05, 0.1),
+                                  data_for_spec=lambda spec: data_for(spec.p)))
+        assert not any(fit.excluded)
+        np.testing.assert_allclose(gaps, fit.gap_list, rtol=1e-12, atol=0.0)
+        assert summary["slope"] == pytest.approx(fit.slope, rel=1e-12)
+        assert summary["error_floor"] == pytest.approx(fit.error_floor, rel=1e-12)
 
 
 class TestVerifyExactCommand:

@@ -200,6 +200,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="eps_num must be finite"):
             SolverControls(eps_num=bad)
 
+    @pytest.mark.parametrize("bad", [0, -5, 2.7, 3.0, True, "5"])
+    def test_max_steps_must_be_a_positive_int(self, bad):
+        # -5 used to reach the solve and fail as a numerical error, and 2.7
+        # compared as a budget of 2.7 steps
+        with pytest.raises(ValueError, match="max_steps must be an int >= 1"):
+            SolverControls(max_steps=bad)
+        assert SolverControls(max_steps=1).max_steps == 1
+
 
 class TestSolve:
     def test_heat_mode_accuracy_and_snapshots(self):

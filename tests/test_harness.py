@@ -186,7 +186,7 @@ class TestTrackingBoundaryData:
             base=base, axis=PerturbationAxis.P,
             values=tuple(2.0 ** (-k) for k in range(3, 7)),
             gap_times=tuple(np.linspace(0.05, 0.25, 5)),
-            data_for_value=lambda v: data_for(3.0 + v),
+            data_for_spec=lambda spec: data_for(spec.p),
             theory=family_rate(FamilyCase.VARIATIONAL_DEGENERATE,
                                theta=1.0, p=3.5, q=3.0),
         )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from plaplab import (
     C1Params,
+    Family,
     OperatorSpec,
     PerturbationAxis,
     SingularGradientError,
@@ -67,6 +68,37 @@ class TestConstruction:
             OperatorSpec.normalized(3.0, a=1.0)
         with pytest.raises(ValueError):
             OperatorSpec.biased_infinity(1.0, eps2=0.1)
+
+    # the fields each family reads, with a valid non-default value for each
+    READS = {
+        Family.NORMALIZED: {"p": 3.0},
+        Family.VARIATIONAL: {"p": 3.0},
+        Family.GENERAL_PQ: {"p": 3.0, "p_prime": 2.5},
+        Family.REGULARIZED_PQ: {"p": 3.0, "p_prime": 2.5, "eps": 0.5},
+        Family.BIASED_INFINITY: {"a": 0.5},
+        Family.BIASED_INFINITY_REGULARIZED: {"a": 0.5, "eps1": 0.5, "eps2": 0.5},
+    }
+    ALL_FIELDS = {"p": 3.0, "p_prime": 2.5, "eps": 0.5, "eps1": 0.5, "eps2": 0.5, "a": 0.5}
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_unread_fields_must_keep_their_default(self, family):
+        # a field the family does not read was silently ignored before, so
+        # variational(p=3, p_prime=5) was variational(3) under another name
+        reads = self.READS[family]
+        OperatorSpec(family, **reads)
+        for name, value in self.ALL_FIELDS.items():
+            if name in reads:
+                continue
+            with pytest.raises(ValueError, match=f"{family.value} does not read {name}"):
+                OperatorSpec(family, **reads, **{name: value})
+            default = getattr(OperatorSpec(family), name)
+            assert OperatorSpec(family, **reads, **{name: default}) == OperatorSpec(family, **reads)
+
+    def test_variational_reads_only_p(self):
+        assert OperatorSpec.variational(3.0) == OperatorSpec(Family.VARIATIONAL, p=3.0)
+        member = perturb_spec(OperatorSpec.variational(3.0), PerturbationAxis.P, 0.25)
+        assert member == OperatorSpec.variational(3.25)
+        assert member.growth_exponent == 3.25
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_fields_rejected(self, bad):
