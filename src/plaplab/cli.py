@@ -105,7 +105,7 @@ def _build_grid(node: dict) -> GridSpec:
         boundary = Boundary(node["boundary"])
     except ValueError as err:
         raise ConfigError(f"bad boundary: {err}") from err
-    return GridSpec(int(node["dim"]), tuple(tuple(e) for e in node["extent"]),
+    return GridSpec(node["dim"], tuple(tuple(e) for e in node["extent"]),
                     tuple(node["resolution"]), boundary)
 
 

@@ -46,10 +46,12 @@ class GridSpec:
     boundary: Boundary
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _whole(self.dim, "dim"))
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         object.__setattr__(self, "extent", tuple((float(a), float(b)) for a, b in self.extent))
-        object.__setattr__(self, "resolution", tuple(int(n) for n in self.resolution))
+        object.__setattr__(self, "resolution",
+                           tuple(_whole(n, "resolution") for n in self.resolution))
         if len(self.extent) != self.dim or len(self.resolution) != self.dim:
             raise ValueError("extent/resolution must have one entry per axis")
         for (a, b), n in zip(self.extent, self.resolution):
@@ -91,6 +93,15 @@ class GridSpec:
         else:
             res = tuple(2 * n - 1 for n in self.resolution)
         return GridSpec(self.dim, self.extent, res, self.boundary)
+
+
+def _whole(value, what: str) -> int:
+    """An int, numpy int or integral float as an int; a fractional count is an
+    error, not a truncation."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
 @lru_cache(maxsize=128)

@@ -5,7 +5,8 @@ at each solve's own CFL bound, measures the largest sup-norm gap over the
 requested capture times, and fits the decay exponent by ordinary least squares
 in log-log coordinates. Gaps below ten times the measured discretization floor
 (estimated from one refinement pair on the base problem) reflect scheme error
-rather than operator closeness and are excluded from the fit.
+rather than operator closeness and are excluded from the fit. Every sweep also
+estimates the Hoelder exponent of the base's last capture.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class SweepPlan:
     gap_times: tuple[float, ...] = ()
     theory: Optional[RatePrediction] = None
     data_for_spec: Optional[Callable[[OperatorSpec], tuple]] = None
-    holder_pairs: Optional[int] = None  # estimate theta on the base final snapshot
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -118,9 +118,6 @@ class SweepPlan:
         if not all(0 <= t <= self.base.T for t in times):  # NaN included
             raise ValueError("gap times must lie in [0, T]")
         object.__setattr__(self, "gap_times", tuple(sorted(set(times))))
-        pairs = self.holder_pairs  # checked before any solve; a bool is no count
-        if pairs is not None and (type(pairs) is not int or pairs < 100):
-            raise ValueError(f"holder_pairs must be an int >= 100, got {pairs!r}")
 
 
 def _member(plan: SweepPlan, base: Problem, value: float) -> Problem:
@@ -137,14 +134,10 @@ def _with_snapshots(problem: Problem, times: tuple[float, ...]) -> Problem:
     return replace(problem, controls=controls)
 
 
-def _measure_floor(base: Problem, times: tuple[float, ...],
-                   base_result: SolveResult) -> float:
+def _measure_floor(base: Problem, base_result: SolveResult) -> float:
     # eps_num reverts to its grid-tied default on the refined grid
-    fine = replace(
-        base,
-        grid=base.grid.refine(),
-        controls=replace(base.controls, snapshot_times=times, eps_num=None),
-    )
+    fine = replace(base, grid=base.grid.refine(),
+                   controls=replace(base.controls, eps_num=None))
     fine_result = solve(fine)
     floor = 0.0
     for coarse_snap, fine_snap in zip(base_result.snapshots, fine_result.snapshots):
@@ -160,6 +153,7 @@ def run_sweep(plan: SweepPlan) -> RateFit:
     dt = min(cfl_dt(p, p.initial_field()) for p in [base] + perturbed)
     try:
         results = [solve(p, dt_override=dt) for p in [base] + perturbed]
+        floor = _measure_floor(base, results[0])
     except PlapError as err:
         raise HarnessError(f"sweep aborted: {err}") from err
     base_result, rest = results[0], results[1:]
@@ -172,7 +166,6 @@ def run_sweep(plan: SweepPlan) -> RateFit:
         )
         gaps.append(gap)
 
-    floor = _measure_floor(base, plan.gap_times, base_result)
     excluded = tuple(g < 10.0 * floor for g in gaps)
     survivors = [(e, g) for e, g, ex in zip(plan.values, gaps, excluded) if not ex]
     if len(survivors) < 3:
@@ -188,10 +181,7 @@ def run_sweep(plan: SweepPlan) -> RateFit:
     fit = fit_loglog(survivors)
     theory_nu = plan.theory.nu_sup if plan.theory else None
     theory_att = plan.theory.attained if plan.theory else None
-    holder_theta = None
-    if plan.holder_pairs is not None:
-        est = estimate_holder(base_result.snapshots[-1], pair_count=plan.holder_pairs)
-        holder_theta = None if est.flat else est.theta_hat
+    est = estimate_holder(base_result.snapshots[-1])
     return RateFit(
         eps_list=plan.values,
         gap_list=tuple(gaps),
@@ -202,7 +192,7 @@ def run_sweep(plan: SweepPlan) -> RateFit:
         error_floor=floor,
         theory_nu=theory_nu,
         theory_attained=theory_att,
-        holder_theta=holder_theta,
+        holder_theta=None if est.flat else est.theta_hat,
     )
 
 
@@ -223,52 +213,30 @@ class HolderEstimate:
     flat: bool = False
 
 
-def estimate_holder(
-    field: ScalarField,
-    pair_count: int = 20_000,
-    seed: int = 0,
-    lag_min: int = 8,
-    max_fraction: float = 0.5,
-) -> HolderEstimate:
+def estimate_holder(field: ScalarField) -> HolderEstimate:
     """Fit the oscillation envelope max |u(x) - u(y)| ~ L |x - y|^theta.
 
-    Node pairs are grouped by separation (log-spaced lags along each axis);
-    the per-separation maximum oscillation is fit against separation in
-    log-log coordinates; on periodic grids each axis's scan stops at the first
-    lag whose oscillation reaches 3/4 of the field's range. The slope, clipped
-    to (0, 1], estimates the Hoelder exponent; exp(intercept) estimates the
-    constant. Constant fields are reported as flat.
+    Along each axis, for 24 log-spaced lags from 8 nodes to half the axis, the
+    largest oscillation over every node pair that lag apart is fit against
+    separation in log-log coordinates; on periodic grids each axis's scan stops
+    at the first lag whose oscillation reaches 3/4 of the field's range. The
+    slope, clipped to (0, 1], estimates the Hoelder exponent; exp(intercept)
+    estimates the constant. Constant fields are reported as flat.
     """
-    if pair_count < 100:
-        raise ValueError("pair_count must be >= 100")
     vals = field.values
-    if vals.size < 2:
-        raise ValueError("field needs at least two nodes")
     span = np.ptp(vals)
     if span == 0.0:
         return HolderEstimate(theta_hat=float("nan"), L_hat=0.0, flat=True)
     stop = _SATURATION * span if field.grid.boundary is Boundary.PERIODIC else np.inf
-    rng = np.random.default_rng(seed)
     dists, oscs = [], []
     for axis in range(field.grid.dim):
         n = field.grid.shape[axis]
         h = field.grid.spacing[axis]
-        top = max(int(n * max_fraction), lag_min + 1)
-        lags = np.unique(np.round(np.geomspace(lag_min, top, 24)).astype(int))
-        lags = lags[lags < n]
-        per_lag = max(pair_count // (len(lags) * field.grid.dim), 16)
-        moved = np.moveaxis(vals, axis, 0)
-        flat = moved.reshape(n, -1)
-        for lag in lags:
-            m = n - lag
-            if m < 1:
-                continue
-            if m * flat.shape[1] <= per_lag:
-                s = float(np.max(np.abs(flat[lag:] - flat[: n - lag])))
-            else:
-                rows = rng.integers(0, m, size=per_lag)
-                cols = rng.integers(0, flat.shape[1], size=per_lag)
-                s = float(np.max(np.abs(flat[rows + lag, cols] - flat[rows, cols])))
+        # deduplicated in a set: numpy's unique() imports numpy.ma
+        lags = {int(lag) for lag in np.round(np.geomspace(8, max(n // 2, 9), 24)) if lag < n}
+        flat = np.moveaxis(vals, axis, 0).reshape(n, -1)
+        for lag in sorted(lags):
+            s = float(np.max(np.abs(flat[lag:] - flat[: n - lag])))
             if s >= stop:
                 break
             if s > 0:

@@ -348,8 +348,8 @@ def test_criterion_11_holder_estimator():
     grid = GridSpec.line(-1.0, 1.0, 1025, Boundary.DIRICHLET)
     rough = ScalarField.from_function(grid, lambda x: np.sqrt(np.abs(x)))
     smooth = ScalarField.from_function(grid, lambda x: x)
-    th_rough = estimate_holder(rough, pair_count=120_000).theta_hat
-    th_smooth = estimate_holder(smooth, pair_count=120_000).theta_hat
+    th_rough = estimate_holder(rough).theta_hat
+    th_smooth = estimate_holder(smooth).theta_hat
     ok = 0.45 <= th_rough <= 0.55 and 0.95 <= th_smooth <= 1.0
     report(11, "Hoelder estimator", ok,
            f"theta(|x|^0.5) = {th_rough:.3f} in [0.45, 0.55]; "

@@ -94,6 +94,12 @@ class TestSolveCommand:
                                         resolution=[16, 16])
         plane["problem"]["data"]["wavenumber"] = [1.0]
         cases.append(("wavenumber_2d", plane, "solve"))
+        # dim and resolution must be whole numbers: 1.7 and 64.9 ran as a
+        # 64-node 1D grid
+        for key, value in (("dim", 1.7), ("resolution", [64.9])):
+            cfg_data = heat_config()
+            cfg_data["problem"]["grid"][key] = value
+            cases.append((f"fractional_{key}", cfg_data, "solve"))
         for name, cfg_data, command in cases:
             cfg = write_config(tmp_path / f"{name}.json", cfg_data)
             out = tmp_path / f"{name}_out"
@@ -217,6 +223,45 @@ class TestSolveCommand:
         fld = load_field(snaps[0])
         x = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         np.testing.assert_allclose(fld.values, np.sin(x), atol=1e-15)
+
+    def test_budget_failure_exits_1(self, tmp_path, capsys):
+        cfg_data = heat_config()
+        cfg_data["problem"]["controls"] = {"max_steps": 1}
+        cfg = write_config(tmp_path / "short.json", cfg_data)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_constant_data_keeps_its_value(self, tmp_path):
+        cfg_data = heat_config()
+        cfg_data["problem"]["data"] = {"kind": "constant", "value": 2.5}
+        cfg = write_config(tmp_path / "flat.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        np.testing.assert_array_equal(load_field(out / "flat_t0.1.csv").values, 2.5)
+
+    @pytest.mark.parametrize("kind", ["sinusoid", "barenblatt"])
+    def test_2d_dirichlet_data_captured_at_t0(self, tmp_path, kind):
+        # the capture at t = 0 is the trace at t = 0 on both axes
+        from plaplab import ExactSolution, SolutionId
+        cfg_data = heat_config(T=0.01, snapshot_times=[0.0, 0.01])
+        cfg_data["problem"]["grid"] = {"dim": 2, "extent": [[0.5, 1.5], [0.25, 1.25]],
+                                       "resolution": [17, 17], "boundary": "dirichlet"}
+        if kind == "sinusoid":
+            cfg_data["problem"]["data"] = {"kind": "sinusoid", "wavenumber": [1.0, 2.0]}
+        else:
+            cfg_data["problem"]["data"] = {"kind": "barenblatt", "time_offset": 0.5}
+        cfg = write_config(tmp_path / "plane.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        x, y = np.meshgrid(np.linspace(0.5, 1.5, 17), np.linspace(0.25, 1.25, 17),
+                           indexing="ij")
+        if kind == "sinusoid":
+            expected = np.sin(x) * np.sin(2.0 * y)
+        else:
+            sol = ExactSolution(SolutionId.BARENBLATT, p=3.0, n=2, A=1.0)
+            expected = sol.eval_radial(np.sqrt(x ** 2 + y ** 2), 0.5)
+        fld = load_field(out / "plane_t0.csv")
+        np.testing.assert_allclose(fld.values, expected, rtol=0.0, atol=1e-12)
 
     def test_idempotent(self, tmp_path):
         cfg = write_config(tmp_path / "heat.json", heat_config())

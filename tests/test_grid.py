@@ -36,6 +36,17 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(3, ((0, 1),) * 3, (8,) * 3, Boundary.PERIODIC)
 
+    def test_whole_number_dim_and_resolution(self):
+        # 1.7 and 64.9 were truncated to a 64-node 1D grid
+        for dim, n in ((1.7, 64), (1, 64.9), (1, math.nan), (True, 64), (1, "64")):
+            with pytest.raises(ValueError, match="whole number"):
+                GridSpec(dim, ((0, 1),), (n,), Boundary.PERIODIC)
+        for dim, n in ((1, 64), (1.0, 64.0), (np.int64(1), np.int32(64)),
+                       (1, np.float64(64.0))):
+            grid = GridSpec(dim, ((0, 1),), (n,), Boundary.PERIODIC)
+            assert (grid.dim, grid.resolution) == (1, (64,))
+            assert type(grid.dim) is int and type(grid.resolution[0]) is int
+
     def test_refine_nests_nodes(self):
         g = GridSpec.line(0.0, 1.0, 9, Boundary.DIRICHLET)
         f = g.refine()

@@ -7,6 +7,9 @@ because it imports names to re-export them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,27 @@ def test_checker_sees_unused_and_marked_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_holder_estimate_and_sweep_import_no_numpy_random_or_ma():
+    # importing numpy.random added 7.8 MB to a sweep's peak RSS, numpy.ma
+    # (through np.unique) 1.9 MB; a fresh interpreter sees what they import
+    code = """
+import math, sys
+import numpy as np
+from plaplab import (Boundary, GridSpec, OperatorSpec, PerturbationAxis, Problem,
+                     ScalarField, SweepPlan, estimate_holder, run_sweep)
+plane = GridSpec.box(((0, 1), (0, 1)), (33, 33), Boundary.DIRICHLET)
+assert not estimate_holder(ScalarField.from_function(plane, lambda x, y: x * y)).flat
+grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)
+base = Problem(spec=OperatorSpec.normalized(3.0), grid=grid, initial=np.sin, T=0.05)
+fit = run_sweep(SweepPlan(base=base, axis=PerturbationAxis.P,
+                          values=(0.5, 0.25, 0.125, 0.0625)))
+assert fit.holder_theta is not None
+print(sorted(m for m in ("numpy.random", "numpy.ma") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -322,6 +322,13 @@ class TestPerturb:
         s = perturb_spec(OperatorSpec.biased_infinity_regularized(1.0, 0.0, 0.0),
                          PerturbationAxis.EPS1_EPS2, 0.1)
         assert s.eps1 == 0.1 and s.eps2 == 0.1
+        for base in (OperatorSpec.general_pq(3.0, 2.5),
+                     OperatorSpec.regularized_pq(3.0, 2.5, 0.0)):
+            s = perturb_spec(base, PerturbationAxis.P_PRIME, 0.25)
+            assert s.p_prime == 2.75 and s.p == 3.0
+        for base in (OperatorSpec.normalized(3.0), OperatorSpec.variational(3.0)):
+            with pytest.raises(ValueError):
+                perturb_spec(base, PerturbationAxis.P_PRIME, 0.25)
         with pytest.raises(ValueError):
             perturb_spec(OperatorSpec.normalized(3.0), PerturbationAxis.EPS, 0.1)
         with pytest.raises(ValueError):
