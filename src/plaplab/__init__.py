@@ -35,7 +35,6 @@ from .grid import (
     restrict_to,
     save_field,
     sup_diff,
-    sup_norm,
 )
 from .harness import (
     FitResult,

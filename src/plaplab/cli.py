@@ -70,6 +70,14 @@ def _from_config(build, *args):
         raise ConfigError(f"config value of the wrong type: {err}") from err
 
 
+def _number(value, where: str) -> float:
+    """A JSON int or float as a float; a string, a bool or anything else is a
+    ``ConfigError``, not a coercion."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
 def _load_config(path: Path) -> dict:
     try:
         with open(path) as fh:
@@ -94,7 +102,7 @@ def _build_operator(node: dict) -> OperatorSpec:
     fam = node.get("family")
     if fam not in _FAMILIES:
         raise ConfigError(f"unknown operator family {fam!r}")
-    kwargs = {k: float(v) for k, v in node.items() if k != "family"}
+    kwargs = {k: _number(v, f"problem.operator.{k}") for k, v in node.items() if k != "family"}
     return OperatorSpec(_FAMILIES[fam], **kwargs)
 
 
@@ -105,8 +113,8 @@ def _build_grid(node: dict) -> GridSpec:
         boundary = Boundary(node["boundary"])
     except ValueError as err:
         raise ConfigError(f"bad boundary: {err}") from err
-    return GridSpec(node["dim"], tuple(tuple(e) for e in node["extent"]),
-                    tuple(node["resolution"]), boundary)
+    extent = tuple(tuple(_number(x, "problem.grid.extent") for x in e) for e in node["extent"])
+    return GridSpec(node["dim"], extent, tuple(node["resolution"]), boundary)
 
 
 def _build_data(node: dict, grid: GridSpec):
@@ -121,7 +129,7 @@ def _build_data(node: dict, grid: GridSpec):
     kind = node.get("kind")
     if kind == "constant":
         _check_keys(node, {"kind", "value"}, "problem.data", required=("value",))
-        v = float(node["value"])
+        v = _number(node["value"], "problem.data.value")
 
         def trace_for(spec):
             return lambda *coords_t: np.full_like(np.asarray(coords_t[0], float), v)
@@ -129,11 +137,11 @@ def _build_data(node: dict, grid: GridSpec):
     elif kind == "sinusoid":
         _check_keys(node, {"kind", "amplitude", "wavenumber", "phase", "offset"},
                     "problem.data")
-        amp = float(node.get("amplitude", 1.0))
-        phase = float(node.get("phase", 0.0))
-        off = float(node.get("offset", 0.0))
+        amp, phase, off = (_number(node.get(k, d), f"problem.data.{k}")
+                           for k, d in (("amplitude", 1.0), ("phase", 0.0), ("offset", 0.0)))
         wn = node.get("wavenumber", 1.0)
-        ks = [float(w) for w in (wn if isinstance(wn, list) else [wn] * grid.dim)]
+        ks = [_number(w, "problem.data.wavenumber")
+              for w in (wn if isinstance(wn, list) else [wn] * grid.dim)]
         if len(ks) != grid.dim:
             raise ConfigError(f"problem.data.wavenumber needs one entry per axis "
                               f"({grid.dim}), got {wn}")
@@ -149,8 +157,8 @@ def _build_data(node: dict, grid: GridSpec):
 
     elif kind == "barenblatt":
         _check_keys(node, {"kind", "A", "time_offset"}, "problem.data")
-        A = float(node.get("A", 1.0))
-        t0 = float(node.get("time_offset", 1.0))
+        A = _number(node.get("A", 1.0), "problem.data.A")
+        t0 = _number(node.get("time_offset", 1.0), "problem.data.time_offset")
 
         def trace_for(spec):
             sol = ExactSolution(SolutionId.BARENBLATT, p=spec.p, n=grid.dim, A=A)
@@ -178,9 +186,10 @@ def _build_controls(node: dict) -> SolverControls:
     _check_keys(node, {"snapshot_times", "eps_num", "max_steps"}, "problem.controls")
     kwargs = {}
     if "snapshot_times" in node:
-        kwargs["snapshot_times"] = tuple(float(t) for t in node["snapshot_times"])
+        kwargs["snapshot_times"] = tuple(_number(t, "problem.controls.snapshot_times")
+                                         for t in node["snapshot_times"])
     if node.get("eps_num") is not None:
-        kwargs["eps_num"] = float(node["eps_num"])
+        kwargs["eps_num"] = _number(node["eps_num"], "problem.controls.eps_num")
     if "max_steps" in node:
         steps = node["max_steps"]  # a whole number; SolverControls checks >= 1
         if not (type(steps) is int or (type(steps) is float and steps.is_integer())):
@@ -197,7 +206,8 @@ def _build_problem(node: dict):
     data = _build_data(node["data"], grid)
     initial, dirichlet = data(spec)
     controls = _build_controls(node.get("controls", {}))
-    problem = Problem(spec=spec, grid=grid, initial=initial, T=float(node["horizon"]),
+    problem = Problem(spec=spec, grid=grid, initial=initial,
+                      T=_number(node["horizon"], "problem.horizon"),
                       controls=controls, dirichlet=dirichlet)
     return problem, data
 
@@ -214,7 +224,7 @@ def _build_sweep(cfg: dict, problem: Problem, data):
     axis = _AXES.get(node.get("axis"))
     if axis is None:
         raise ConfigError(f"unknown sweep axis {node.get('axis')!r}")
-    values = tuple(float(v) for v in node.get("values", ()))
+    values = tuple(_number(v, "sweep.values") for v in node.get("values", ()))
     theory = None
     if "theory" in node:
         tnode = node["theory"]
@@ -223,21 +233,17 @@ def _build_sweep(cfg: dict, problem: Problem, data):
         case = _CASES.get(tnode.get("case"))
         if case is None:
             raise ConfigError(f"unknown theory case {tnode.get('case')!r}")
-        theory = family_rate(
-            case,
-            theta=float(tnode["theta"]),
-            p=tnode.get("p"), q=tnode.get("q"),
-            p_prime=tnode.get("p_prime"), q_prime=tnode.get("q_prime"),
-            m=tnode.get("m"),
-        )
-    margin = float(node.get("margin", 0.1))
+        given = {k: _number(v, f"sweep.theory.{k}") for k, v in tnode.items()
+                 if k != "case" and v is not None}
+        theory = family_rate(case, **given)
+    margin = _number(node.get("margin", 0.1), "sweep.margin")
     if margin <= 0:
         raise ConfigError(f"sweep.margin must be > 0, got {margin}")
     plan = SweepPlan(
         base=problem,
         axis=axis,
         values=values,
-        gap_times=tuple(float(t) for t in node.get("gap_times", ())),
+        gap_times=tuple(_number(t, "sweep.gap_times") for t in node.get("gap_times", ())),
         theory=theory,
         data_for_spec=data,
     )

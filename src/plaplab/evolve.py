@@ -13,14 +13,17 @@ requested times; runs are deterministic.
 A solve holds its field in one ghost-padded buffer (``grid.Stencil``), steps
 it in place and allocates its temporaries once; snapshots are copies.
 ``step`` and ``cfl_dt`` run the same kernel on a fresh copy of their field.
-Every temporary is laid out in the stencil's whole padded rows, so each numpy
-call reads contiguous memory. The step adds to the whole rows, writes the
-Dirichlet edge and refills the ghosts, which overwrites what spilled into the
-ghost columns. Ghost positions never count: the CFL maximum and the
-singular-gradient decision see grid nodes only, the min/max that checks
-finiteness is taken after the refill (when every ghost copies a node), and a
-ghost's squared gradient is read as 1, so no coefficient is evaluated at a
-spurious zero there.
+Every temporary is laid out in the stencil's whole padded rows, so the
+stencils and the update read contiguous memory. The step adds to the whole
+rows, writes the Dirichlet edge and refills the ghosts, which overwrites what
+spilled into the ghost columns. Ghost positions never count: the CFL maximum
+(over a view of the interior nodes) and the singular-gradient decision see
+grid nodes only, the min/max that checks finiteness is taken after the refill
+(when every ghost copies a node), and a ghost's squared gradient is read as
+1, so no coefficient is evaluated at a spurious zero there. The
+everywhere-defined members with growth exponent 2 have one s at every node
+(1, or eps1 for the biased family): their table is c alone, and
+Lambda = s + max(max c, 0).
 
 Singular-gradient policy
 ------------------------
@@ -40,7 +43,8 @@ one-dimensional reduction of the operator, and with the dt it fixes once per
 solve from Lambda = s0 + max(c0, 0). It builds no coefficient table, so
 eps_num plays no part (0 is accepted). The regularized form would put an O(h)
 defect at isolated critical points and destroy the scheme's second-order
-convergence there.
+convergence there. At kappa = 0 (normalized(1), regularized_pq(1, 2, 0)) the
+step takes no Hessian and adds only the source, if any.
 """
 
 from __future__ import annotations
@@ -180,16 +184,20 @@ class _Kernel:
             self.edge, self.edge_coords = _boundary_nodes(grid, mask)
         self.edge_data = None  # the boundary values the last step wrote
         n = self.rows.shape
-        self.cfl_mask, on_node = np.zeros(n, bool), np.zeros(n, bool)
-        stencil.nodes(self.cfl_mask)[...] = mask
+        on_node = np.zeros(n, bool)
         stencil.nodes(on_node)[...] = True
         self.ghosts = np.flatnonzero(~on_node)  # ghost columns inside the rows (none in 1D)
         self.grads = self.hess = None  # the stencil allocates them on first use
         self.sq = [np.empty(n) for _ in range(grid.dim)]  # squared components
         self.r2 = self.sq[0] if grid.dim == 1 else np.empty(n)
         self.diff, self.work, self.zero = np.empty(n), np.empty(n), np.empty(n, bool)
+        self.c_out = np.empty(n)  # c, where the family's formula computes it in place
         self.r2_nodes, self.diff_nodes, self.work_nodes = (
             stencil.nodes(a) for a in (self.r2, self.diff, self.work))
+        # the nodes the CFL maximum sees: all on periodic grids, the interior on
+        # Dirichlet grids (the boundary nodes carry no update)
+        inner = (slice(1, -1) if self.edge is not None else slice(None),) * grid.dim
+        self.work_inner, self.c_inner = (stencil.nodes(a)[inner] for a in (self.work, self.c_out))
         # a 1D member singular at xi = 0 with growth exponent 2 has the constant
         # coefficient kappa = s + c (the exact 1D reduction), so the step needs
         # neither a coefficient table nor a CFL reduction
@@ -206,14 +214,14 @@ class _Kernel:
         applied at the flat indices of the singular nodes only."""
         spec, r2 = self.problem.spec, self.r2
         if spec.everywhere_defined or not self.r2_nodes.min() <= self.floor2:
-            return rank_one_coeff_arrays(spec, r2)
+            return rank_one_coeff_arrays(spec, r2, out=self.c_out)
         if self.eps_num <= 0.0:
             raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
         sing = np.flatnonzero(np.less_equal(r2, self.floor2, out=self.zero))
         work = self.work  # r2 with 1.0 at the singular nodes
         work[...] = r2
         work[sing] = 1.0
-        s, c = rank_one_coeff_arrays(spec, work)
+        s, c = rank_one_coeff_arrays(spec, work, out=self.c_out)
         s[sing], c[sing] = regularized_coeff_arrays(spec, self.eps_num, r2[sing])
         return s, c
 
@@ -239,33 +247,40 @@ class _Kernel:
         # memory instead of trimming and refaulting the heap every step
         self.s = self.c = None
         self.s, self.c = self._coeffs()
-        lam = np.maximum(self.c, 0.0, out=self.work)
-        np.add(self.s, lam, out=lam)
-        return self.cfl_scale / max(float(lam.max(where=self.cfl_mask, initial=-math.inf)), 1.0)
+        if isinstance(self.s, float):  # an everywhere-defined member: c is c_out, and
+            # max_j fl(s + max(c_j, 0)) = fl(s + max(max_j c_j, 0)), as fl(s + x) never falls
+            lam = self.s + max(float(self.c_inner.max()), 0.0)
+        else:
+            np.add(self.s, np.maximum(self.c, 0.0, out=self.work), out=self.work)
+            lam = float(self.work_inner.max())
+        return self.cfl_scale / max(lam, 1.0)
 
     def advance(self, t: float, dt: float, t_new: float) -> tuple[float, float]:
         """Step ``u`` by ``dt`` with the coefficients ``cfl_bound`` took at ``t``,
         write the boundary data at ``t_new`` and refill the ghosts; returns the
         new (min, max), which also serve as the finiteness check."""
         problem, spec = self.problem, self.problem.spec
-        hess = self.hess = self.stencil.hessian(self.hess)
         diff, work = self.diff, self.work
-        if self.kappa is not None:
-            np.multiply(hess[(0, 0)], self.kappa, out=diff)
-        elif problem.grid.dim == 1:
-            np.multiply(np.add(self.s, self.c, out=diff), hess[(0, 0)], out=diff)
-        else:
-            # quad = (gx^2 uxx + 2 gx gy uxy + gy^2 uyy) / r2, with r2 = 0 read as 1
-            (gx, gy), (gx2, gy2) = self.grads, self.sq
-            np.multiply(gx2, hess[(0, 0)], out=diff)
-            np.multiply(np.multiply(gx, 2.0, out=work), gy, out=work)
-            np.add(diff, np.multiply(work, hess[(0, 1)], out=work), out=diff)
-            np.add(diff, np.multiply(gy2, hess[(1, 1)], out=work), out=diff)
-            np.equal(self.r2, 0.0, out=self.zero)
-            np.divide(diff, np.add(self.r2, self.zero, out=work), out=diff)  # r2 >= 0
-            np.multiply(diff, self.c, out=diff)
-            np.add(hess[(0, 0)], hess[(1, 1)], out=work)
-            np.add(np.multiply(work, self.s, out=work), diff, out=diff)
+        rate = None  # the sum of the terms present, in the row layout
+        if self.kappa != 0.0:  # kappa = 0 has no diffusion term, so no Hessian
+            rate = diff
+            hess = self.hess = self.stencil.hessian(self.hess)
+            if self.kappa is not None:
+                np.multiply(hess[(0, 0)], self.kappa, out=diff)
+            elif problem.grid.dim == 1:
+                np.multiply(np.add(self.s, self.c, out=diff), hess[(0, 0)], out=diff)
+            else:
+                # quad = (gx^2 uxx + 2 gx gy uxy + gy^2 uyy) / r2, with r2 = 0 read as 1
+                (gx, gy), (gx2, gy2) = self.grads, self.sq
+                np.multiply(gx2, hess[(0, 0)], out=diff)
+                np.multiply(np.multiply(gx, 2.0, out=work), gy, out=work)
+                np.add(diff, np.multiply(work, hess[(0, 1)], out=work), out=diff)
+                np.add(diff, np.multiply(gy2, hess[(1, 1)], out=work), out=diff)
+                np.equal(self.r2, 0.0, out=self.zero)
+                np.divide(diff, np.add(self.r2, self.zero, out=work), out=diff)  # r2 >= 0
+                np.multiply(diff, self.c, out=diff)
+                np.add(hess[(0, 0)], hess[(1, 1)], out=work)
+                np.add(np.multiply(work, self.s, out=work), diff, out=diff)
         # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes)
         f = None
         if problem.source is not None:
@@ -275,11 +290,15 @@ class _Kernel:
             np.multiply(work, spec.a, out=work)
             if f is not None:
                 np.add(self.work_nodes, f, out=self.work_nodes)
-            np.add(diff, work, out=diff)
+            rate = work if rate is None else np.add(diff, work, out=diff)
+        elif f is not None and rate is None:
+            rate = diff
+            self.diff_nodes[...] = f
         elif f is not None:
             np.add(self.diff_nodes, f, out=self.diff_nodes)
         rows = self.rows
-        np.add(rows, np.multiply(diff, dt, out=diff), out=rows)  # spills into the ghost columns
+        if rate is not None:  # spills into the ghost columns
+            np.add(rows, np.multiply(rate, dt, out=rate), out=rows)
         if self.edge is not None:
             self.edge_data = np.asarray(problem.dirichlet(*self.edge_coords, t_new), float)
             self.u[self.edge] = self.edge_data

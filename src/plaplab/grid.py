@@ -245,10 +245,6 @@ def interior_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
-def sup_norm(field: ScalarField) -> float:
-    return float(np.max(np.abs(field.values)))
-
-
 def sup_diff(f: ScalarField, g: ScalarField) -> float:
     if f.grid != g.grid:
         raise GridMismatchError("sup_diff requires identical grids")

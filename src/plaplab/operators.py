@@ -167,37 +167,44 @@ class OperatorSpec:
         return 2.0
 
 
-def regularized_coeff_arrays(spec: OperatorSpec, eps: float, r2):
+def regularized_coeff_arrays(spec: OperatorSpec, eps: float, r2, out=None):
     """(s, c) of ``spec``'s family regularized at ``eps``, at squared magnitudes r2.
 
     The biased families give s = eps, c = r2 / (r2 + eps^2); the others the
     (p, p'_eff) form with w = r2 + eps^2 from the module table, p'_eff being
-    the growth exponent. Defined at r2 = 0 when eps > 0.
+    the growth exponent. Defined at r2 = 0 when eps > 0. Where s is the same
+    at every r2 (the biased families, and p'_eff = 2 with s = 1) it is a
+    Python float. c is computed into ``out`` (an array like r2) when given.
     """
     if spec.family in _BIASED:
-        return np.full_like(r2, eps), r2 / (r2 + eps * eps)
+        return eps, np.divide(r2, r2 + eps * eps, out=out)
     w = r2 + eps * eps
+    if spec.growth_exponent == 2.0:  # s = w ** 0 = 1, so c = (p - 2) r2 / w
+        return 1.0, np.divide((spec.p - 2.0) * r2, w, out=out)
     s = w ** ((spec.growth_exponent - 2.0) / 2.0)
-    return s, s * (spec.p - 2.0) * r2 / w
+    return s, np.divide(s * (spec.p - 2.0) * r2, w, out=out)
 
 
-def rank_one_coeff_arrays(spec: OperatorSpec, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rank_one_coeff_arrays(spec: OperatorSpec, r2: np.ndarray, out=None):
     """Coefficients (s, c) with A = s I + c P(xi) at squared magnitudes r2 = |xi|^2.
 
     The caller guarantees r2 > 0 where the member is singular. A Python float
-    r2 gives 0-d results computed with Python's own arithmetic.
+    r2 gives 0-d results computed with Python's own arithmetic. An
+    everywhere-defined member takes ``regularized_coeff_arrays``, which may
+    give s as one float and computes c into ``out`` when given; the others
+    give two new arrays.
     """
     f = spec.family
     if f is Family.NORMALIZED:
         return np.ones_like(r2), np.full_like(r2, spec.p - 2.0)
-    if f is Family.REGULARIZED_PQ and spec.eps > 0.0:
-        return regularized_coeff_arrays(spec, spec.eps, r2)
+    if spec.everywhere_defined:
+        eps = spec.eps if f is Family.REGULARIZED_PQ else spec.eps1
+        return regularized_coeff_arrays(spec, eps, r2, out)
     if f in (Family.VARIATIONAL, Family.GENERAL_PQ, Family.REGULARIZED_PQ):
         s = r2 ** ((spec.growth_exponent - 2.0) / 2.0)  # c = (p - 2) s exactly at eps = 0
         return s, (spec.p - 2.0) * s
-    if f is Family.BIASED_INFINITY:
-        return np.zeros_like(r2), np.ones_like(r2)
-    return regularized_coeff_arrays(spec, spec.eps1, r2)
+    # biased infinity, and its regularized form at eps1 = 0, where c = r2 / r2 = 1
+    return np.zeros_like(r2), np.ones_like(r2)
 
 
 def rank_one_coeffs(spec: OperatorSpec, r2: float) -> tuple[float, float]:

@@ -51,7 +51,7 @@ class TestSolveCommand:
         x = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         assert np.max(np.abs(fld.values - math.exp(-0.2) * np.sin(x))) < 1e-3
 
-    def test_malformed_config_exits_2_without_output(self, tmp_path):
+    def test_malformed_config_exits_2_without_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         out = tmp_path / "out"
@@ -100,11 +100,53 @@ class TestSolveCommand:
             cfg_data = heat_config()
             cfg_data["problem"]["grid"][key] = value
             cases.append((f"fractional_{key}", cfg_data, "solve"))
+        # a number must be a JSON number: float() and int() coerced a string or
+        # a bool, so "horizon": "0.5", "A": true and "time_offset": "1" ran,
+        # and capture times "05" became (0.0, 5.0)
+        barenblatt = {"schema_version": 1, "problem": {
+            "operator": {"family": "variational", "p": 3.0},
+            "grid": {"dim": 1, "extent": [[0.5, 2.0]], "resolution": [33],
+                     "boundary": "dirichlet"},
+            "data": {"kind": "barenblatt", "A": 1.0, "time_offset": 1.0},
+            "horizon": 0.1}}
+        sweep = {"sweep": {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05], "gap_times": [0.1],
+                           "theory": {"case": "normalized", "theta": 1.0, "q": 3.0},
+                           "margin": 0.1}}
+        numbers = [
+            (heat_config(), ("problem", "horizon"), "0.5"),
+            (heat_config(), ("problem", "operator", "p"), "3"),
+            (heat_config(), ("problem", "operator", "p"), True),
+            (heat_config(), ("problem", "grid", "extent"), [["0", 6.0]]),
+            (heat_config(), ("problem", "data", "amplitude"), "1"),
+            (heat_config(), ("problem", "data", "phase"), False),
+            (heat_config(), ("problem", "data", "wavenumber"), "1"),
+            (heat_config(), ("problem", "data"), {"kind": "constant", "value": "1"}),
+            (heat_config(), ("problem", "controls"), {"snapshot_times": "05"}),
+            (heat_config(), ("problem", "controls"), {"snapshot_times": [True]}),
+            (heat_config(), ("problem", "controls"), {"eps_num": "0.1"}),
+            (barenblatt, ("problem", "data", "A"), True),
+            (barenblatt, ("problem", "data", "time_offset"), "1"),
+            (heat_config(extra=sweep), ("sweep", "values"), ["0.4", 0.2, 0.1, 0.05]),
+            (heat_config(extra=sweep), ("sweep", "gap_times"), [True]),
+            (heat_config(extra=sweep), ("sweep", "margin"), "0.1"),
+            (heat_config(extra=sweep), ("sweep", "theory", "theta"), "1"),
+            (heat_config(extra=sweep), ("sweep", "theory", "q"), True),
+        ]
+        for i, (number_cfg, path, value) in enumerate(numbers):
+            number_cfg = json.loads(json.dumps(number_cfg))
+            node = number_cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            command = "rate-sweep" if "sweep" in number_cfg else "solve"
+            cases.append((f"number{i}", number_cfg, command))
         for name, cfg_data, command in cases:
             cfg = write_config(tmp_path / f"{name}.json", cfg_data)
             out = tmp_path / f"{name}_out"
             assert main([command, "--config", cfg, "--out", str(out)]) == 2, name
             assert not out.exists(), name
+            err = capsys.readouterr().err
+            assert not name.startswith("number") or "must be a number" in err, (name, err)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_exit_2_without_output(self, tmp_path, bad):

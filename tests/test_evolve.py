@@ -20,6 +20,7 @@ from plaplab import (
     step,
     sup_diff,
 )
+from plaplab import evolve
 from plaplab.evolve import _Kernel
 from plaplab.grid import Stencil, gradient_arrays
 
@@ -523,26 +524,83 @@ class TestConstantCoefficient1D:
         np.testing.assert_array_equal(res.snapshots[-1].values, ref.snapshots[-1].values)
 
 
-@pytest.mark.parametrize("spec, dim", [
+TABLE_MEMBERS = [
     (OperatorSpec.regularized_pq(1.0, 2.0, 0.1), 1),
     (OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.1), 1),
     (OperatorSpec.variational(3.0), 1),
     (OperatorSpec.general_pq(3.0, 1.5), 1),
     (OperatorSpec.normalized(3.0), 2),  # singular nodes take the eps_num form in 2D
-])
-def test_non_constant_members_keep_the_coefficient_table(spec, dim):
+]
+# kappa = s0 + c0 = 0: no diffusion, and no first-order term of the operator
+ZERO_KAPPA = [OperatorSpec.normalized(1.0), OperatorSpec.regularized_pq(1.0, 2.0, 0.0)]
+
+
+def small_problem(spec, dim, T=0.1):
+    """16 periodic nodes of sin x, or 16 x 12 of sin x cos y."""
     if dim == 1:
         grid = GridSpec.line(0.0, 2.0 * math.pi, 16, Boundary.PERIODIC)
-        initial = np.sin
-    else:
-        grid = GridSpec.box(((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (16, 12),
-                            Boundary.PERIODIC)
-        initial = lambda x, y: np.sin(x) * np.cos(y)
-    prob = Problem(spec=spec, grid=grid, initial=initial, T=0.1)
+        return Problem(spec=spec, grid=grid, initial=np.sin, T=T)
+    grid = GridSpec.box(((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (16, 12), Boundary.PERIODIC)
+    return Problem(spec=spec, grid=grid, initial=lambda x, y: np.sin(x) * np.cos(y), T=T)
+
+
+@pytest.mark.parametrize("spec, dim", TABLE_MEMBERS)
+def test_non_constant_members_keep_the_coefficient_table(spec, dim):
+    prob = small_problem(spec, dim)
     kernel = _Kernel(prob, prob.initial_field().values)
     assert kernel.kappa is None
     kernel.cfl_bound()
-    assert kernel.s.shape == kernel.c.shape == kernel.rows.shape
+    assert kernel.c.shape == kernel.rows.shape
+    # the everywhere-defined members with growth exponent 2 have one s at every node
+    if spec.everywhere_defined and spec.growth_exponent == 2.0:
+        assert type(kernel.s) is float
+    else:
+        assert kernel.s.shape == kernel.rows.shape
+
+
+@pytest.mark.parametrize("spec, dim", TABLE_MEMBERS + [(spec, 1) for spec in ZERO_KAPPA])
+def test_coefficient_table_is_taken_once_per_step(monkeypatch, spec, dim):
+    # the benchmark's coefficient layer wraps the name bound in evolve: a kernel
+    # that stopped calling it would read 0 there instead of failing
+    calls = []
+    original = evolve.rank_one_coeff_arrays
+    monkeypatch.setattr(evolve, "rank_one_coeff_arrays",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    res = solve(small_problem(spec, dim, T=0.05))
+    assert res.stats.steps > 0
+    assert len(calls) == (0 if spec in ZERO_KAPPA else res.stats.steps)
+
+
+@pytest.mark.parametrize("spec", ZERO_KAPPA, ids=["normalized(1)", "regularized_pq(1,2,0)"])
+class TestZeroKappa1D:
+    def test_periodic_data_never_moves(self, spec):
+        grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)
+        controls = SolverControls(snapshot_times=(0.0, 0.03, 0.1))
+        res = solve(Problem(spec=spec, grid=grid, initial=_flat_top, T=0.1, controls=controls))
+        heat = solve(Problem(spec=OperatorSpec.normalized(2.0), grid=grid, initial=_flat_top,
+                             T=0.1, controls=controls))
+        data = _flat_top(grid.axis_coords(0))
+        for snap in res.snapshots:
+            assert snap.values.tobytes() == data.tobytes()
+        # Lambda0 = 1 for both, so both step at h^2 / 4
+        assert (res.stats.steps, res.stats.min_dt) == (heat.stats.steps, heat.stats.min_dt)
+        assert res.stats.overshoot == 0.0
+
+    def test_dirichlet_source_is_the_only_term(self, spec):
+        prob = constant_problem(spec, Boundary.DIRICHLET)
+        res = solve(prob)
+        # u += f dt on every node, then the boundary data at t + dt, in the kernel's order
+        x, h = prob.grid.axis_coords(0), prob.grid.spacing[0]
+        u, t, steps, dt_max = _flat_top(x), 0.0, 0, h * h / 4.0
+        while t < prob.T - 1e-12:
+            dt, t_new = dt_max, t + dt_max
+            if dt >= prob.T - t - 1e-12:
+                dt, t_new = prob.T - t, prob.T
+            u = u + prob.source(x, t) * dt
+            u[[0, -1]] = prob.dirichlet(x[[0, -1]], t_new)
+            t, steps = t_new, steps + 1
+        assert res.snapshots[-1].values.tobytes() == u.tobytes()
+        assert (res.stats.steps, res.stats.min_dt) == (steps, min(dt_max, dt))
 
 
 class TestTwoDimensional:

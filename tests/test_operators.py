@@ -136,7 +136,8 @@ class TestConstruction:
         )
         for spec, reg in pairs:
             got = regularized_coeff_arrays(spec, eps, r2)
-            np.testing.assert_array_equal(got, rank_one_coeff_arrays(reg, r2))
+            for g, want in zip(got, rank_one_coeff_arrays(reg, r2)):  # s may be a float
+                np.testing.assert_array_equal(g, want)
         # p' < 2 has no regularized_pq member; check the table's formula
         s, c = regularized_coeff_arrays(OperatorSpec.variational(1.5), eps, r2)
         w = r2 + eps * eps
@@ -153,6 +154,38 @@ class TestConstruction:
         s, c = rank_one_coeff_arrays(OperatorSpec.regularized_pq(p, pp, 0.0), r2)
         np.testing.assert_array_equal(s, r2 ** ((pp - 2.0) / 2.0))
         np.testing.assert_array_equal(c, (p - 2.0) * s)
+
+    @pytest.mark.parametrize("spec", [
+        OperatorSpec.regularized_pq(1.0, 2.0, 0.05),
+        OperatorSpec.regularized_pq(3.7, 2.0, 0.3),
+        OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.2),
+        OperatorSpec.biased_infinity_regularized(0.0, 1e-3, 0.0),
+    ])
+    def test_scalar_s_members(self, spec):
+        # s is the same at every r2, so it is one float; c is bitwise the
+        # table formula, computed into out when given
+        rng = np.random.default_rng(11)
+        r2 = np.concatenate([[0.0], 10.0 ** rng.uniform(-8.0, 4.0, 10_000)])
+        out = np.empty_like(r2)
+        s, c = rank_one_coeff_arrays(spec, r2, out=out)
+        assert type(s) is float and s == rank_one_coeffs(spec, 1.0)[0]
+        assert c is out
+        if spec.family is Family.REGULARIZED_PQ:
+            w = r2 + spec.eps * spec.eps
+            s_table = w ** ((spec.p_prime - 2.0) / 2.0)
+            want = s_table * (spec.p - 2.0) * r2 / w
+        else:
+            want = r2 / (r2 + spec.eps1 * spec.eps1)
+        np.testing.assert_array_equal(c, want)
+        np.testing.assert_array_equal(rank_one_coeff_arrays(spec, r2)[1], want)
+
+    def test_biased_regularized_at_zero_eps1_is_the_biased_table(self):
+        # eps1 = 0 is singular: s = 0 and c = r2 / r2 = 1 at every r2 > 0, as
+        # tables, since the singular-gradient policy writes its nodes into s
+        r2 = 10.0 ** np.random.default_rng(12).uniform(-8.0, 4.0, 10_000)
+        s, c = rank_one_coeff_arrays(OperatorSpec.biased_infinity_regularized(0.5, 0.0, 0.1), r2)
+        np.testing.assert_array_equal(s, np.zeros_like(r2))
+        np.testing.assert_array_equal(c, r2 / r2)
 
 
 class TestDiffusionMatrix:
