@@ -1,4 +1,4 @@
-"""A fingerprint of the scheme: recorded values of 30 solves and two public calls.
+"""A fingerprint of the scheme: recorded values of 36 solves and two public calls.
 
 Every family is solved on three grids (1D periodic, 2D periodic with a source,
 2D Dirichlet with a source), with captures at 0, 0.03 and 0.1; for each solve
@@ -49,6 +49,10 @@ SPECS = {
     "biased_infinity(0.5)": OperatorSpec.biased_infinity(0.5),
     "biased_infinity_regularized(0.5,0.1,0.1)":
         OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.1),
+    # kappa = 0 in 1D; in 2D a coefficient table with c = -1
+    "normalized(1)": OperatorSpec.normalized(1.0),
+    # one s and c <= 0 at every gradient, so Lambda = s, at p != 1
+    "regularized_pq(1.5,2,0.1)": OperatorSpec.regularized_pq(1.5, 2.0, 0.1),
 }
 
 
