@@ -259,9 +259,23 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_snapshot_names(problem: Problem) -> None:
+    """Each capture is written to ``<stem>_t{time:g}.csv``, and ``:g`` keeps six
+    significant digits: two capture times with one name are a ``ConfigError``,
+    not a snapshot overwritten."""
+    seen = {}
+    for t in sorted(set(problem.controls.snapshot_times or (problem.T,))):
+        name = f"{t:g}"
+        if name in seen:
+            raise ConfigError(f"snapshot times {seen[name]!r} and {t!r} would share the "
+                              f"file name _t{name}.csv")
+        seen[name] = t
+
+
 def cmd_solve(args) -> int:
     cfg = _load_config(Path(args.config))
     problem, _ = _from_config(_build_problem, cfg["problem"])
+    _check_snapshot_names(problem)
     out = _out_dir(args)
     run_id = Path(args.config).stem
     result = solve(problem)

@@ -11,8 +11,12 @@ the coefficients are never clamped. Snapshots are captured exactly at
 requested times; runs are deterministic.
 
 A solve holds its field in one ghost-padded buffer (``grid.Stencil``), steps
-it in place and allocates its temporaries once; snapshots are copies.
-``step`` and ``cfl_dt`` run the same kernel on a fresh copy of their field.
+it in place and allocates its temporaries once; snapshots are copies. The
+kernel makes every choice that depends only on the member, the grid and the
+problem once per solve, and binds the step as two closures of ufunc calls over
+those buffers, so no step decides anew which terms it has. ``solve``,
+``step`` and ``cfl_dt`` all run them, the last two on a fresh copy of their
+field.
 Every temporary is laid out in the stencil's whole padded rows, so the
 stencils and the update read contiguous memory. The step adds to the whole
 rows, writes the Dirichlet edge and refills the ghosts, which overwrites what
@@ -23,7 +27,10 @@ grid nodes only, the min/max that checks finiteness is taken after the refill
 1, so no coefficient is evaluated at a spurious zero there. The
 everywhere-defined members with growth exponent 2 have one s at every node
 (1, or eps1 for the biased family): their table is c alone, and
-Lambda = s + max(max c, 0).
+Lambda = s + max(max c, 0). Where c <= 0 at every gradient as well
+(regularized_pq(p <= 2, 2, eps > 0), with s = 1 and c = (p - 2) r2 / w),
+Lambda = s exactly: the dt is fixed once per solve and no step takes a
+maximum.
 
 Singular-gradient policy
 ------------------------
@@ -44,7 +51,9 @@ solve from Lambda = s0 + max(c0, 0). It builds no coefficient table, so
 eps_num plays no part (0 is accepted). The regularized form would put an O(h)
 defect at isolated critical points and destroy the scheme's second-order
 convergence there. At kappa = 0 (normalized(1), regularized_pq(1, 2, 0)) the
-step takes no Hessian and adds only the source, if any.
+step takes no Hessian and adds only the source, if any. With no source and
+no Dirichlet edge such a step adds nothing, and it leaves the field, its
+ghosts and its (min, max) as the previous step left them.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ from .grid import (  # gradient_arrays, hessian_arrays: bound here for perfbench
     interior_mask,
 )
 from .operators import (
+    Family,
     OperatorSpec,
     rank_one_coeff_arrays,
     rank_one_coeffs,
@@ -162,152 +172,234 @@ def _boundary_nodes(grid: GridSpec, mask: np.ndarray):
 
 
 class _Kernel:
-    """The raw state of one solve: the field ``u`` is the grid view of one
+    """One solve's step, bound once. The field ``u`` is the grid view of one
     ghost-padded buffer and ``rows`` its row view (``grid.Stencil``). Every
     full-mesh temporary lives in the row layout and is allocated once; the
-    entries at ghost columns are garbage that no node reads. ``cfl_bound``
-    then ``advance`` make one step."""
+    entries at ghost columns are garbage that no node reads.
+
+    ``__init__`` makes every choice that depends only on the member, the grid
+    and the problem, and binds the step as two closures over those buffers and
+    constants: ``cfl_bound()`` takes what the step needs of ``u`` and returns
+    its stable dt, then ``advance(t, dt, t_new)`` steps ``u`` by dt, writes the
+    boundary data at t_new, refills the ghosts and returns the new (min, max),
+    which also serve as the finiteness check. ``kappa`` is a 1D member's
+    constant coefficient (None for a table member), and ``s``, ``c`` are the
+    coefficients a table member's last ``cfl_bound`` took."""
 
     def __init__(self, problem: Problem, values: np.ndarray):
-        grid = problem.grid
-        self.problem = problem
-        stencil = self.stencil = Stencil(grid, values)
-        self.u, self.rows = stencil.values, stencil.rows
+        grid, spec, source = problem.grid, problem.spec, problem.source
+        stencil = Stencil(grid, values)
+        u, rows = self.u, self.rows = stencil.values, stencil.rows
         h_min = min(grid.spacing)
-        self.eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
-        floor = self.eps_num if problem.spec.growth_exponent < 2.0 else 0.0
-        self.floor2 = floor * floor  # r2 <= floor2 takes the singular-gradient policy
-        self.cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
-        mask = interior_mask(grid)
-        self.edge, self.edge_coords = None, ()  # Dirichlet boundary nodes
-        if grid.boundary is Boundary.DIRICHLET:
-            self.edge, self.edge_coords = _boundary_nodes(grid, mask)
-        self.edge_data = None  # the boundary values the last step wrote
-        n = self.rows.shape
-        on_node = np.zeros(n, bool)
-        stencil.nodes(on_node)[...] = True
-        self.ghosts = np.flatnonzero(~on_node)  # ghost columns inside the rows (none in 1D)
-        self.grads = self.hess = None  # the stencil allocates them on first use
-        self.sq = [np.empty(n) for _ in range(grid.dim)]  # squared components
-        self.r2 = self.sq[0] if grid.dim == 1 else np.empty(n)
-        self.diff, self.work, self.zero = np.empty(n), np.empty(n), np.empty(n, bool)
-        self.c_out = np.empty(n)  # c, where the family's formula computes it in place
-        self.r2_nodes, self.diff_nodes, self.work_nodes = (
-            stencil.nodes(a) for a in (self.r2, self.diff, self.work))
-        # the nodes the CFL maximum sees: all on periodic grids, the interior on
-        # Dirichlet grids (the boundary nodes carry no update)
-        inner = (slice(1, -1) if self.edge is not None else slice(None),) * grid.dim
-        self.work_inner, self.c_inner = (stencil.nodes(a)[inner] for a in (self.work, self.c_out))
-        # a 1D member singular at xi = 0 with growth exponent 2 has the constant
-        # coefficient kappa = s + c (the exact 1D reduction), so the step needs
-        # neither a coefficient table nor a CFL reduction
-        self.kappa = self.const_dt = None
-        spec = problem.spec
+        eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
+        floor = eps_num if spec.growth_exponent < 2.0 else 0.0
+        floor2 = floor * floor  # r2 <= floor2 takes the singular-gradient policy
+        cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
+        s = c = None  # a table member's coefficients, as its last cfl_bound took them
+        self._coefficients = lambda: (s, c)  # the closures hold no reference to self
+        # Lambda where it is fixed per solve (see the module docstring): a 1D member
+        # with the constant coefficient kappa = s0 + c0, and regularized_pq(p <= 2,
+        # 2, eps > 0), whose s = 1 and c = (p - 2) r2 / w <= 0 give Lambda = s
+        kappa = lam = None
         if grid.dim == 1 and spec.growth_exponent == 2.0 and not spec.everywhere_defined:
             s0, c0 = rank_one_coeffs(spec, 1.0)
-            self.kappa = s0 + c0
-            self.const_dt = self.cfl_scale / max(s0 + max(c0, 0.0), 1.0)
+            kappa, lam = s0 + c0, s0 + max(c0, 0.0)
+        elif (spec.family is Family.REGULARIZED_PQ and spec.everywhere_defined
+              and spec.growth_exponent == 2.0 and spec.p <= 2.0):
+            lam = 1.0
+        self.kappa = kappa
+        dt_fixed = None if lam is None else cfl_scale / max(lam, 1.0)
+        n = rows.shape
+        r2, diff, work, c_out = (np.empty(n) for _ in range(4))
+        zero = np.empty(n, bool)
+        r2_nodes, diff_nodes, work_nodes = (stencil.nodes(a) for a in (r2, diff, work))
+        edge = None  # the Dirichlet boundary nodes, and the values the last step wrote there
+        if grid.boundary is Boundary.DIRICHLET:
+            edge, edge_coords = _boundary_nodes(grid, interior_mask(grid))
+            edge_data = self.edge_data = np.empty(edge[0].size)
+        # the nodes the CFL maximum sees: all on periodic grids, the interior on
+        # Dirichlet grids (the boundary nodes carry no update)
+        inner = (slice(None) if edge is None else slice(1, -1),) * grid.dim
+        work_inner, c_inner = (stencil.nodes(a)[inner] for a in (work, c_out))
 
-    def _coeffs(self):
-        """Per-node (s, c) actually used by the scheme: the family's own
-        coefficients, with the singular-gradient policy of the module docstring
-        applied at the flat indices of the singular nodes only."""
-        spec, r2 = self.problem.spec, self.r2
-        if spec.everywhere_defined or not self.r2_nodes.min() <= self.floor2:
-            return rank_one_coeff_arrays(spec, r2, out=self.c_out)
-        if self.eps_num <= 0.0:
-            raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-        sing = np.flatnonzero(np.less_equal(r2, self.floor2, out=self.zero))
-        work = self.work  # r2 with 1.0 at the singular nodes
-        work[...] = r2
-        work[sing] = 1.0
-        s, c = rank_one_coeff_arrays(spec, work, out=self.c_out)
-        s[sing], c[sing] = regularized_coeff_arrays(spec, self.eps_num, r2[sing])
-        return s, c
+        # -- cfl_bound: the gradient, for a table or a first-order term, then (s, c)
+        if kappa is None or spec.a != 0.0:
+            gradient, grads = stencil.gradient, stencil.gradient()
+            if grid.dim == 1:  # no ghost columns
+                (ux,) = grads
 
-    def _take_r2(self):
-        """Take the gradient of ``u`` and its squared magnitude ``r2``."""
-        self.grads = self.stencil.gradient(self.grads)
-        for g, sq in zip(self.grads, self.sq):
-            np.multiply(g, g, out=sq)
-        if len(self.sq) == 2:
-            np.add(self.sq[0], self.sq[1], out=self.r2)
-        self.r2[self.ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
-
-    def cfl_bound(self) -> float:
-        """Take the gradient and coefficients of ``u``; return its stable dt.
-        A constant coefficient has a fixed dt, and only the first-order term
-        needs the gradient."""
-        if self.kappa is not None:
-            if self.problem.spec.a != 0.0:
-                self._take_r2()
-            return self.const_dt
-        self._take_r2()
-        # drop the last step's (s, c) first: the allocator then reuses their
-        # memory instead of trimming and refaulting the heap every step
-        self.s = self.c = None
-        self.s, self.c = self._coeffs()
-        if isinstance(self.s, float):  # an everywhere-defined member: c is c_out, and
-            # max_j fl(s + max(c_j, 0)) = fl(s + max(max_j c_j, 0)), as fl(s + x) never falls
-            lam = self.s + max(float(self.c_inner.max()), 0.0)
-        else:
-            np.add(self.s, np.maximum(self.c, 0.0, out=self.work), out=self.work)
-            lam = float(self.work_inner.max())
-        return self.cfl_scale / max(lam, 1.0)
-
-    def advance(self, t: float, dt: float, t_new: float) -> tuple[float, float]:
-        """Step ``u`` by ``dt`` with the coefficients ``cfl_bound`` took at ``t``,
-        write the boundary data at ``t_new`` and refill the ghosts; returns the
-        new (min, max), which also serve as the finiteness check."""
-        problem, spec = self.problem, self.problem.spec
-        diff, work = self.diff, self.work
-        rate = None  # the sum of the terms present, in the row layout
-        if self.kappa != 0.0:  # kappa = 0 has no diffusion term, so no Hessian
-            rate = diff
-            hess = self.hess = self.stencil.hessian(self.hess)
-            if self.kappa is not None:
-                np.multiply(hess[(0, 0)], self.kappa, out=diff)
-            elif problem.grid.dim == 1:
-                np.multiply(np.add(self.s, self.c, out=diff), hess[(0, 0)], out=diff)
+                def take_r2():
+                    gradient(grads)
+                    np.multiply(ux, ux, out=r2)
             else:
-                # quad = (gx^2 uxx + 2 gx gy uxy + gy^2 uyy) / r2, with r2 = 0 read as 1
-                (gx, gy), (gx2, gy2) = self.grads, self.sq
-                np.multiply(gx2, hess[(0, 0)], out=diff)
-                np.multiply(np.multiply(gx, 2.0, out=work), gy, out=work)
-                np.add(diff, np.multiply(work, hess[(0, 1)], out=work), out=diff)
-                np.add(diff, np.multiply(gy2, hess[(1, 1)], out=work), out=diff)
-                np.equal(self.r2, 0.0, out=self.zero)
-                np.divide(diff, np.add(self.r2, self.zero, out=work), out=diff)  # r2 >= 0
-                np.multiply(diff, self.c, out=diff)
-                np.add(hess[(0, 0)], hess[(1, 1)], out=work)
-                np.add(np.multiply(work, self.s, out=work), diff, out=diff)
-        # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes)
-        f = None
-        if problem.source is not None:
-            f = np.asarray(problem.source(*problem.grid.meshes(), t), float)
-        if spec.a != 0.0:
-            np.sqrt(np.add(self.r2, spec.eps2 * spec.eps2, out=work), out=work)
-            np.multiply(work, spec.a, out=work)
-            if f is not None:
-                np.add(self.work_nodes, f, out=self.work_nodes)
-            rate = work if rate is None else np.add(diff, work, out=diff)
-        elif f is not None and rate is None:
-            rate = diff
-            self.diff_nodes[...] = f
-        elif f is not None:
-            np.add(self.diff_nodes, f, out=self.diff_nodes)
-        rows = self.rows
-        if rate is not None:  # spills into the ghost columns
-            np.add(rows, np.multiply(rate, dt, out=rate), out=rows)
-        if self.edge is not None:
-            self.edge_data = np.asarray(problem.dirichlet(*self.edge_coords, t_new), float)
-            self.u[self.edge] = self.edge_data
-        self.stencil.fill_ghosts()  # every ghost now copies a node
-        lo, hi = float(rows.min()), float(rows.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            bad = np.argwhere(~np.isfinite(self.u))[0]
-            raise BlowUpError(tuple(int(i) for i in bad), t_new)
-        return lo, hi
+                (ux, uy), ux2, uy2 = grads, np.empty(n), np.empty(n)  # squared components
+                on_node = np.zeros(n, bool)
+                stencil.nodes(on_node)[...] = True
+                ghosts = np.flatnonzero(~on_node)  # the ghost columns inside the rows
+
+                def take_r2():
+                    gradient(grads)
+                    np.multiply(ux, ux, out=ux2)
+                    np.multiply(uy, uy, out=uy2)
+                    np.add(ux2, uy2, out=r2)
+                    r2[ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
+
+        if kappa is not None:  # no table: the gradient only for the first-order term
+            if spec.a == 0.0:
+                def cfl_bound():
+                    return dt_fixed
+            else:
+                def cfl_bound():
+                    take_r2()
+                    return dt_fixed
+        else:
+            if spec.everywhere_defined:
+                def coeffs():
+                    return rank_one_coeff_arrays(spec, r2, out=c_out)
+            else:
+                def coeffs():
+                    """The singular-gradient policy of the module docstring, at the
+                    flat indices of the singular nodes only."""
+                    if not r2_nodes.min() <= floor2:
+                        return rank_one_coeff_arrays(spec, r2, out=c_out)
+                    if eps_num <= 0.0:
+                        raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
+                    sing = np.flatnonzero(np.less_equal(r2, floor2, out=zero))
+                    work[...] = r2  # r2 with 1.0 at the singular nodes
+                    work[sing] = 1.0
+                    s, c = rank_one_coeff_arrays(spec, work, out=c_out)
+                    s[sing], c[sing] = regularized_coeff_arrays(spec, eps_num, r2[sing])
+                    return s, c
+
+            def take_coeffs():
+                nonlocal s, c
+                take_r2()
+                # drop the last step's (s, c) first: the allocator then reuses their
+                # memory instead of trimming and refaulting the heap every step
+                s = c = None
+                s, c = coeffs()
+
+            if dt_fixed is not None:
+                def cfl_bound():
+                    take_coeffs()
+                    return dt_fixed
+            elif spec.everywhere_defined and spec.growth_exponent == 2.0:
+                # s is one float and c is c_out, and max_j fl(s + max(c_j, 0)) =
+                # fl(s + max(max_j c_j, 0)), as fl(s + x) never falls
+                def cfl_bound():
+                    take_coeffs()
+                    return cfl_scale / max(s + max(float(c_inner.max()), 0.0), 1.0)
+            else:
+                def cfl_bound():
+                    take_coeffs()
+                    np.add(s, np.maximum(c, 0.0, out=work), out=work)
+                    return cfl_scale / max(float(work_inner.max()), 1.0)
+
+        # -- advance: rate(t), the sum of the terms present, in the row layout, is
+        # diffusion + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes)
+        rate = None
+        if kappa != 0.0:  # kappa = 0 has no diffusion term, so no Hessian
+            hessian, hess = stencil.hessian, stencil.hessian()
+            uxx = hess[(0, 0)]
+            if kappa is not None:
+                def rate(t):
+                    hessian(hess)
+                    return np.multiply(uxx, kappa, out=diff)
+            elif grid.dim == 1:
+                def rate(t):
+                    hessian(hess)
+                    return np.multiply(np.add(s, c, out=diff), uxx, out=diff)
+            else:
+                uxy, uyy = hess[(0, 1)], hess[(1, 1)]
+
+                def rate(t):
+                    # quad = (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / r2, with r2 = 0 read as 1
+                    hessian(hess)
+                    np.multiply(ux2, uxx, out=diff)
+                    np.multiply(np.multiply(ux, 2.0, out=work), uy, out=work)
+                    np.add(diff, np.multiply(work, uxy, out=work), out=diff)
+                    np.add(diff, np.multiply(uy2, uyy, out=work), out=diff)
+                    np.equal(r2, 0.0, out=zero)
+                    np.divide(diff, np.add(r2, zero, out=work), out=diff)  # r2 >= 0
+                    np.multiply(diff, c, out=diff)
+                    np.add(uxx, uyy, out=work)
+                    return np.add(np.multiply(work, s, out=work), diff, out=diff)
+        diffusion, meshes = rate, grid.meshes()
+        if spec.a != 0.0:  # the biased families, whose diffusion term never vanishes
+            a, eps2_sq = spec.a, spec.eps2 * spec.eps2
+            if source is None:
+                def rate(t):
+                    d = diffusion(t)
+                    np.sqrt(np.add(r2, eps2_sq, out=work), out=work)
+                    return np.add(d, np.multiply(work, a, out=work), out=diff)
+            else:
+                def rate(t):
+                    d = diffusion(t)
+                    np.sqrt(np.add(r2, eps2_sq, out=work), out=work)
+                    np.multiply(work, a, out=work)
+                    np.add(work_nodes, np.asarray(source(*meshes, t), float), out=work_nodes)
+                    return np.add(d, work, out=diff)
+        elif source is not None and diffusion is not None:
+            def rate(t):
+                d = diffusion(t)
+                np.add(diff_nodes, np.asarray(source(*meshes, t), float), out=diff_nodes)
+                return d
+        elif source is not None:
+            def rate(t):
+                diff_nodes[...] = np.asarray(source(*meshes, t), float)
+                return diff
+
+        fill_ghosts = stencil.fill_ghosts
+        if edge is None:
+            def settle(t_new):
+                fill_ghosts()  # every ghost now copies a node
+                return _bounds(rows, u, t_new)
+        else:
+            dirichlet = problem.dirichlet
+
+            def settle(t_new):
+                edge_data[...] = np.asarray(dirichlet(*edge_coords, t_new), float)
+                u[edge] = edge_data
+                fill_ghosts()
+                return _bounds(rows, u, t_new)
+
+        if rate is None and edge is None:
+            # a step that adds nothing leaves the field, its ghosts and its
+            # (min, max) as they were
+            unchanged = float(rows.min()), float(rows.max())
+
+            def advance(t, dt, t_new):
+                return unchanged
+        elif rate is None:
+            def advance(t, dt, t_new):
+                return settle(t_new)
+        else:
+            def advance(t, dt, t_new):
+                r = rate(t)
+                np.add(rows, np.multiply(r, dt, out=r), out=rows)  # spills into the ghost columns
+                return settle(t_new)
+
+        self.cfl_bound, self.advance = cfl_bound, advance
+
+    @property
+    def s(self):
+        """A table member's s, as its last ``cfl_bound`` took it (None before)."""
+        return self._coefficients()[0]
+
+    @property
+    def c(self):
+        """A table member's c, as its last ``cfl_bound`` took it (None before)."""
+        return self._coefficients()[1]
+
+
+def _bounds(rows: np.ndarray, u: np.ndarray, t: float) -> tuple[float, float]:
+    """(min, max) of the rows after the ghost refill (every ghost copies a node);
+    a non-finite one raises ``BlowUpError`` at the first non-finite node of ``u``."""
+    lo, hi = float(rows.min()), float(rows.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = np.argwhere(~np.isfinite(u))[0]
+        raise BlowUpError(tuple(int(i) for i in bad), t)
+    return lo, hi
 
 
 def cfl_dt(problem: Problem, fld: ScalarField) -> float:
@@ -347,6 +439,9 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     targets = tuple(sorted(set(requested + (problem.T,))))
     initial = problem.initial_field()
     kernel = _Kernel(problem, initial.values)
+    cfl_bound, advance = kernel.cfl_bound, kernel.advance
+    max_steps = problem.controls.max_steps
+    dirichlet = problem.grid.boundary is Boundary.DIRICHLET
     snapshots = []
     data_lo = float(np.min(initial.values))
     data_hi = float(np.max(initial.values))
@@ -357,8 +452,9 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     t_eps = 1e-12 * max(1.0, problem.T)
     capped = False  # the bound has won a step (logged once)
     for t_target in targets:
-        while t < t_target - t_eps:
-            dt = kernel.cfl_bound()
+        t_stop = t_target - t_eps
+        while t < t_stop:
+            dt = cfl_bound()
             if dt_override is not None:
                 if dt_override <= dt * (1.0 + 1e-9):
                     dt = dt_override
@@ -369,15 +465,15 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
             t_new = t + dt
             if dt >= t_target - t - t_eps:
                 dt, t_new = t_target - t, t_target
-            lo, hi = kernel.advance(t, dt, t_new)
+            lo, hi = advance(t, dt, t_new)
             t = t_new
             steps += 1
             min_dt = min(min_dt, dt)
-            if steps > problem.controls.max_steps:
+            if steps > max_steps:
                 raise BudgetExceededError(
-                    f"horizon T = {problem.T} unreachable within {problem.controls.max_steps} steps"
+                    f"horizon T = {problem.T} unreachable within {max_steps} steps"
                 )
-            if kernel.edge_data is not None:
+            if dirichlet:
                 data_lo = min(data_lo, float(np.min(kernel.edge_data)))
                 data_hi = max(data_hi, float(np.max(kernel.edge_data)))
             overshoot = max(overshoot, hi - data_hi, data_lo - lo, 0.0)

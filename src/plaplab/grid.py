@@ -159,12 +159,14 @@ class Stencil:
         self.values = padded[(slice(1, -1),) * grid.dim]
         self.values[...] = values
         # ghost <- the node it wraps to (periodic) or the edge node (Dirichlet),
-        # axis by axis over full extents, so later axes also fill the corners
+        # axis by axis over full extents, so later axes also fill the corners;
+        # (ghost, node) index pairs into padded, plain ints along the first axis
+        # (in 1D each ghost is one scalar)
         lo, hi = (-2, 1) if grid.boundary is Boundary.PERIODIC else (1, -2)
         self._ghosts = []
         for ax in range(grid.dim):
-            def plane(i):  # a view even in 1D, where padded[i] is a scalar
-                return padded[(slice(None),) * ax + (slice(i, i + 1 or None),)]
+            def plane(i):
+                return (slice(None),) * ax + (i,) if ax else i
             self._ghosts += [(plane(0), plane(lo)), (plane(-1), plane(hi))]
         flat = padded.reshape(-1)
         unit = [s // padded.itemsize for s in padded.strides]  # flat offset of one step per axis
@@ -186,8 +188,9 @@ class Stencil:
 
     def fill_ghosts(self) -> None:
         """Overwrite every ghost, including what a row-layout update spilled there."""
+        padded = self.padded
         for ghost, node in self._ghosts:
-            ghost[...] = node
+            padded[ghost] = padded[node]
 
     def nodes(self, rows: np.ndarray) -> np.ndarray:
         """The ``grid.shape`` view of a contiguous row-layout array (skips the

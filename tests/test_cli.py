@@ -51,6 +51,15 @@ class TestSolveCommand:
         x = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         assert np.max(np.abs(fld.values - math.exp(-0.2) * np.sin(x))) < 1e-3
 
+    def test_snapshot_times_sharing_a_file_name_exit_2_without_output(self, tmp_path, capsys):
+        # ":g" keeps six significant digits: both of the first two would be _t0.1.csv
+        cfg = write_config(tmp_path / "heat.json",
+                           heat_config(T=0.2, snapshot_times=[0.1000001, 0.1000002, 0.2]))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "_t0.1.csv" in capsys.readouterr().err
+
     def test_malformed_config_exits_2_without_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

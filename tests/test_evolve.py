@@ -1,6 +1,7 @@
 import logging
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -530,6 +531,7 @@ TABLE_MEMBERS = [
     (OperatorSpec.variational(3.0), 1),
     (OperatorSpec.general_pq(3.0, 1.5), 1),
     (OperatorSpec.normalized(3.0), 2),  # singular nodes take the eps_num form in 2D
+    (OperatorSpec.regularized_pq(1.5, 2.0, 0.1), 2),  # a fixed Lambda
 ]
 # kappa = s0 + c0 = 0: no diffusion, and no first-order term of the operator
 ZERO_KAPPA = [OperatorSpec.normalized(1.0), OperatorSpec.regularized_pq(1.0, 2.0, 0.0)]
@@ -571,6 +573,23 @@ def test_coefficient_table_is_taken_once_per_step(monkeypatch, spec, dim):
     assert len(calls) == (0 if spec in ZERO_KAPPA else res.stats.steps)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fixed_lambda_where_c_is_never_positive(dim):
+    # regularized_pq(p <= 2, 2, eps > 0) has s = 1 and c <= 0, so Lambda = 1 at
+    # every step, as for the heat equation; over T = 2 dt0 that is two whole steps
+    heat = small_problem(OperatorSpec.normalized(2.0), dim)
+    dt0 = cfl_dt(heat, heat.initial_field())
+    want = solve(small_problem(OperatorSpec.normalized(2.0), dim, T=2.0 * dt0)).stats
+    assert (want.steps, want.min_dt) == (2, dt0)
+    for p in (1.0, 1.5, 2.0):
+        got = solve(small_problem(OperatorSpec.regularized_pq(p, 2.0, 0.1), dim, T=2.0 * dt0))
+        assert (got.stats.steps, got.stats.min_dt) == (want.steps, want.min_dt)
+    # c > 0 where the gradient is not 0: the bound follows the gradient
+    for spec in (OperatorSpec.regularized_pq(3.0, 2.0, 0.1),
+                 OperatorSpec.biased_infinity_regularized(0.0, 0.1, 0.0)):
+        assert solve(small_problem(spec, dim, T=2.0 * dt0)).stats.min_dt < dt0
+
+
 @pytest.mark.parametrize("spec", ZERO_KAPPA, ids=["normalized(1)", "regularized_pq(1,2,0)"])
 class TestZeroKappa1D:
     def test_periodic_data_never_moves(self, spec):
@@ -587,7 +606,15 @@ class TestZeroKappa1D:
         assert res.stats.overshoot == 0.0
 
     def test_dirichlet_source_is_the_only_term(self, spec):
-        prob = constant_problem(spec, Boundary.DIRICHLET)
+        self.assert_source_is_the_only_term(constant_problem(spec, Boundary.DIRICHLET))
+
+    def test_periodic_source_is_the_only_term(self, spec):
+        prob = replace(constant_problem(spec, Boundary.PERIODIC),
+                       source=lambda x, t: np.sin(2.0 * x) * (1.0 + t))
+        self.assert_source_is_the_only_term(prob)
+
+    @staticmethod
+    def assert_source_is_the_only_term(prob):
         res = solve(prob)
         # u += f dt on every node, then the boundary data at t + dt, in the kernel's order
         x, h = prob.grid.axis_coords(0), prob.grid.spacing[0]
@@ -597,7 +624,8 @@ class TestZeroKappa1D:
             if dt >= prob.T - t - 1e-12:
                 dt, t_new = prob.T - t, prob.T
             u = u + prob.source(x, t) * dt
-            u[[0, -1]] = prob.dirichlet(x[[0, -1]], t_new)
+            if prob.dirichlet is not None:
+                u[[0, -1]] = prob.dirichlet(x[[0, -1]], t_new)
             t, steps = t_new, steps + 1
         assert res.snapshots[-1].values.tobytes() == u.tobytes()
         assert (res.stats.steps, res.stats.min_dt) == (steps, min(dt_max, dt))
