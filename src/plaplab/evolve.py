@@ -325,7 +325,7 @@ class _Kernel:
                     np.add(uxx, uyy, out=work)
                     return np.add(np.multiply(work, s, out=work), diff, out=diff)
         diffusion, meshes = rate, grid.meshes()
-        if spec.a != 0.0:  # the biased families, whose diffusion term never vanishes
+        if spec.a != 0.0:  # only the biased families, whose diffusion never vanishes (kappa = 1)
             a, eps2_sq = spec.a, spec.eps2 * spec.eps2
             if source is None:
                 def rate(t):
