@@ -26,11 +26,17 @@ grid nodes only, the min/max that checks finiteness is taken after the refill
 (when every ghost copies a node), and a ghost's squared gradient is read as
 1, so no coefficient is evaluated at a spurious zero there. The
 everywhere-defined members with growth exponent 2 have one s at every node
-(1, or eps1 for the biased family): their table is c alone, and
-Lambda = s + max(max c, 0). Where c <= 0 at every gradient as well
-(regularized_pq(p <= 2, 2, eps > 0), with s = 1 and c = (p - 2) r2 / w),
-Lambda = s exactly: the dt is fixed once per solve and no step takes a
-maximum.
+(1, or eps1 for the biased family): their table is c alone.
+
+Lambda is fixed per solve by one rule. At growth exponent 2 a member has one
+s and a c of one sign at every gradient, its singular-gradient proxy included,
+so the kernel takes (s0, c0) at |xi| = 1 once. Where c0 <= 0, Lambda = s0
+exactly: the dt is fixed once per solve and no step takes a maximum. In 2D
+that covers normalized(p <= 2), general_pq(p <= 2, 2), regularized_pq(p <= 2,
+2, eps) and variational(2) (s = 1, c = (p - 2) r2 / w or p - 2); in 1D,
+regularized_pq(p <= 2, 2, eps > 0), while the other 1D members at growth
+exponent 2 step with one constant (below). Every other table member takes
+Lambda = max(s + max(c, 0)) over the nodes at each step.
 
 Singular-gradient policy
 ------------------------
@@ -76,7 +82,6 @@ from .grid import (  # gradient_arrays, hessian_arrays: bound here for perfbench
     interior_mask,
 )
 from .operators import (
-    Family,
     OperatorSpec,
     rank_one_coeff_arrays,
     rank_one_coeffs,
@@ -173,41 +178,39 @@ def _boundary_nodes(grid: GridSpec, mask: np.ndarray):
 
 class _Kernel:
     """One solve's step, bound once. The field ``u`` is the grid view of one
-    ghost-padded buffer and ``rows`` its row view (``grid.Stencil``). Every
-    full-mesh temporary lives in the row layout and is allocated once; the
-    entries at ghost columns are garbage that no node reads.
+    ghost-padded buffer, which the step works on in its row view
+    (``grid.Stencil``). Every full-mesh temporary lives in the row layout and
+    is allocated once; the entries at ghost columns are garbage that no node
+    reads.
 
     ``__init__`` makes every choice that depends only on the member, the grid
     and the problem, and binds the step as two closures over those buffers and
     constants: ``cfl_bound()`` takes what the step needs of ``u`` and returns
     its stable dt, then ``advance(t, dt, t_new)`` steps ``u`` by dt, writes the
     boundary data at t_new, refills the ghosts and returns the new (min, max),
-    which also serve as the finiteness check. ``kappa`` is a 1D member's
-    constant coefficient (None for a table member), and ``s``, ``c`` are the
-    coefficients a table member's last ``cfl_bound`` took."""
+    which also serve as the finiteness check. On a Dirichlet grid
+    ``edge_data`` holds the boundary values the last step wrote."""
 
     def __init__(self, problem: Problem, values: np.ndarray):
         grid, spec, source = problem.grid, problem.spec, problem.source
         stencil = Stencil(grid, values)
-        u, rows = self.u, self.rows = stencil.values, stencil.rows
+        u = self.u = stencil.values
+        rows = stencil.rows
         h_min = min(grid.spacing)
         eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
         floor = eps_num if spec.growth_exponent < 2.0 else 0.0
         floor2 = floor * floor  # r2 <= floor2 takes the singular-gradient policy
         cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
         s = c = None  # a table member's coefficients, as its last cfl_bound took them
-        self._coefficients = lambda: (s, c)  # the closures hold no reference to self
-        # Lambda where it is fixed per solve (see the module docstring): a 1D member
-        # with the constant coefficient kappa = s0 + c0, and regularized_pq(p <= 2,
-        # 2, eps > 0), whose s = 1 and c = (p - 2) r2 / w <= 0 give Lambda = s
+        # Lambda where it is fixed per solve (see the module docstring): at growth
+        # exponent 2, one s and a c of the sign of c0 at every gradient
         kappa = lam = None
-        if grid.dim == 1 and spec.growth_exponent == 2.0 and not spec.everywhere_defined:
+        if spec.growth_exponent == 2.0:
             s0, c0 = rank_one_coeffs(spec, 1.0)
-            kappa, lam = s0 + c0, s0 + max(c0, 0.0)
-        elif (spec.family is Family.REGULARIZED_PQ and spec.everywhere_defined
-              and spec.growth_exponent == 2.0 and spec.p <= 2.0):
-            lam = 1.0
-        self.kappa = kappa
+            if grid.dim == 1 and not spec.everywhere_defined:
+                kappa, lam = s0 + c0, s0 + max(c0, 0.0)
+            elif c0 <= 0.0:
+                lam = s0
         dt_fixed = None if lam is None else cfl_scale / max(lam, 1.0)
         n = rows.shape
         r2, diff, work, c_out = (np.empty(n) for _ in range(4))
@@ -220,7 +223,7 @@ class _Kernel:
         # the nodes the CFL maximum sees: all on periodic grids, the interior on
         # Dirichlet grids (the boundary nodes carry no update)
         inner = (slice(None) if edge is None else slice(1, -1),) * grid.dim
-        work_inner, c_inner = (stencil.nodes(a)[inner] for a in (work, c_out))
+        work_inner = stencil.nodes(work)[inner]
 
         # -- cfl_bound: the gradient, for a table or a first-order term, then (s, c)
         if kappa is None or spec.a != 0.0:
@@ -283,12 +286,6 @@ class _Kernel:
                 def cfl_bound():
                     take_coeffs()
                     return dt_fixed
-            elif spec.everywhere_defined and spec.growth_exponent == 2.0:
-                # s is one float and c is c_out, and max_j fl(s + max(c_j, 0)) =
-                # fl(s + max(max_j c_j, 0)), as fl(s + x) never falls
-                def cfl_bound():
-                    take_coeffs()
-                    return cfl_scale / max(s + max(float(c_inner.max()), 0.0), 1.0)
             else:
                 def cfl_bound():
                     take_coeffs()
@@ -380,16 +377,6 @@ class _Kernel:
                 return settle(t_new)
 
         self.cfl_bound, self.advance = cfl_bound, advance
-
-    @property
-    def s(self):
-        """A table member's s, as its last ``cfl_bound`` took it (None before)."""
-        return self._coefficients()[0]
-
-    @property
-    def c(self):
-        """A table member's c, as its last ``cfl_bound`` took it (None before)."""
-        return self._coefficients()[1]
 
 
 def _bounds(rows: np.ndarray, u: np.ndarray, t: float) -> tuple[float, float]:

@@ -23,6 +23,7 @@ In 1D the rows are exactly the nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -128,8 +129,8 @@ class ScalarField:
             raise ValueError(f"values shape {v.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
-        if self.time < 0:
-            raise ValueError("time must be >= 0")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"time must be finite and >= 0, got {self.time}")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

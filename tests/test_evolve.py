@@ -22,8 +22,8 @@ from plaplab import (
     sup_diff,
 )
 from plaplab import evolve
-from plaplab.evolve import _Kernel
 from plaplab.grid import Stencil, gradient_arrays
+from plaplab.operators import rank_one_coeff_arrays
 
 
 def heat_mode_problem(n=256, p=3.0, T=0.5, **controls):
@@ -547,17 +547,26 @@ def small_problem(spec, dim, T=0.1):
 
 
 @pytest.mark.parametrize("spec, dim", TABLE_MEMBERS)
-def test_non_constant_members_keep_the_coefficient_table(spec, dim):
+def test_non_constant_members_keep_the_coefficient_table(monkeypatch, spec, dim):
+    # (s, c) as the kernel takes them, through the name bound in evolve
+    taken, original = [], evolve.rank_one_coeff_arrays
+
+    def record(*args, **kwargs):
+        taken.append(original(*args, **kwargs))
+        return taken[-1]
+
+    monkeypatch.setattr(evolve, "rank_one_coeff_arrays", record)
     prob = small_problem(spec, dim)
-    kernel = _Kernel(prob, prob.initial_field().values)
-    assert kernel.kappa is None
-    kernel.cfl_bound()
-    assert kernel.c.shape == kernel.rows.shape
+    cfl_dt(prob, prob.initial_field())
+    assert len(taken) == 1  # a table, not one constant
+    s, c = taken[0]
+    rows = Stencil(prob.grid, prob.initial_field().values).rows
+    assert c.shape == rows.shape
     # the everywhere-defined members with growth exponent 2 have one s at every node
     if spec.everywhere_defined and spec.growth_exponent == 2.0:
-        assert type(kernel.s) is float
+        assert type(s) is float
     else:
-        assert kernel.s.shape == kernel.rows.shape
+        assert s.shape == rows.shape
 
 
 @pytest.mark.parametrize("spec, dim", TABLE_MEMBERS + [(spec, 1) for spec in ZERO_KAPPA])
@@ -575,19 +584,53 @@ def test_coefficient_table_is_taken_once_per_step(monkeypatch, spec, dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_fixed_lambda_where_c_is_never_positive(dim):
-    # regularized_pq(p <= 2, 2, eps > 0) has s = 1 and c <= 0, so Lambda = 1 at
-    # every step, as for the heat equation; over T = 2 dt0 that is two whole steps
+    # at growth exponent 2 with c0 <= 0, s = 1 and c <= 0 at every gradient, so
+    # Lambda = 1 at every step, as for the heat equation; over T = 2 dt0 that is
+    # two whole steps
     heat = small_problem(OperatorSpec.normalized(2.0), dim)
     dt0 = cfl_dt(heat, heat.initial_field())
     want = solve(small_problem(OperatorSpec.normalized(2.0), dim, T=2.0 * dt0)).stats
     assert (want.steps, want.min_dt) == (2, dt0)
-    for p in (1.0, 1.5, 2.0):
-        got = solve(small_problem(OperatorSpec.regularized_pq(p, 2.0, 0.1), dim, T=2.0 * dt0))
+    fixed = [OperatorSpec.regularized_pq(p, 2.0, 0.1) for p in (1.0, 1.5, 2.0)] + [
+        OperatorSpec.normalized(1.5), OperatorSpec.general_pq(1.5, 2.0),
+        OperatorSpec.regularized_pq(1.5, 2.0, 0.0), OperatorSpec.variational(2.0)]
+    for spec in fixed:
+        got = solve(small_problem(spec, dim, T=2.0 * dt0))
         assert (got.stats.steps, got.stats.min_dt) == (want.steps, want.min_dt)
     # c > 0 where the gradient is not 0: the bound follows the gradient
     for spec in (OperatorSpec.regularized_pq(3.0, 2.0, 0.1),
                  OperatorSpec.biased_infinity_regularized(0.0, 0.1, 0.0)):
         assert solve(small_problem(spec, dim, T=2.0 * dt0)).stats.min_dt < dt0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("spec", [OperatorSpec.regularized_pq(3.0, 2.0, 0.1),
+                                  OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.1)],
+                         ids=["regularized_pq(3,2,0.1)", "biased_infinity_regularized(0.5,0.1,0.1)"])
+def test_scalar_s_members_take_the_per_step_maximum(spec, dim):
+    # s is one float and c > 0 off zero gradients: the bound is the maximum of
+    # s + max(c, 0) over the CFL nodes, exactly as a hand computation takes it
+    if dim == 1:
+        grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)
+        prob = Problem(spec=spec, grid=grid, initial=lambda x: np.sin(x) + 0.5 * np.cos(3 * x),
+                       T=0.1)
+        inner = slice(None)
+    else:
+        grid = GridSpec.box(((0.0, 0.25), (-1.0, 1.0)), (25, 21), Boundary.DIRICHLET)
+
+        def init(x, y):  # steepest on the boundary rows y = +-1, which carry no update
+            return x * (1.0 + y * y)
+
+        prob = Problem(spec=spec, grid=grid, initial=init, T=0.1,
+                       dirichlet=lambda x, y, t: init(x, y))
+        inner = (slice(1, -1),) * 2
+    f0 = prob.initial_field()
+    r2 = sum(g * g for g in gradient_arrays(f0))
+    s, c = rank_one_coeff_arrays(spec, r2)
+    lam = float(np.max(np.add(s, np.maximum(c, 0.0))[inner]))
+    assert lam > 1.0  # so the floor at 1 does not decide the bound
+    h = min(grid.spacing)
+    assert cfl_dt(prob, f0) == 0.5 * h * h / (2.0 * grid.dim) / max(lam, 1.0)
 
 
 @pytest.mark.parametrize("spec", ZERO_KAPPA, ids=["normalized(1)", "regularized_pq(1,2,0)"])

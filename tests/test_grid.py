@@ -65,6 +65,12 @@ class TestField:
         with pytest.raises(ValueError):
             ScalarField(grid, np.full(8, np.nan))
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, -0.5])
+    def test_time_must_be_finite_and_nonnegative(self, time):
+        grid = GridSpec.line(0.0, 1.0, 8, Boundary.PERIODIC)
+        with pytest.raises(ValueError, match="time must be finite"):
+            ScalarField(grid, np.zeros(8), time)
+
     def test_immutable(self):
         f = line_field(0.0, 1.0, 8, Boundary.PERIODIC, lambda x: x)
         with pytest.raises(ValueError):
@@ -248,6 +254,14 @@ class TestPersistence:
         path = tmp_path / "junk.csv"
         path.write_text("eps,gap\n1,2\n")
         with pytest.raises(ValueError):
+            load_field(path)
+
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_rejects_a_non_finite_time(self, tmp_path, time):
+        path = tmp_path / "t.csv"
+        save_field(line_field(0.0, 1.0, 8, Boundary.PERIODIC, lambda x: x, time=0.5), path)
+        path.write_text(path.read_text().replace("time=0.5", f"time={time}"))
+        with pytest.raises(ValueError, match="time must be finite"):
             load_field(path)
 
     def test_header_format(self, tmp_path):
