@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -316,6 +317,11 @@ _SOLUTIONS = {
 
 
 def cmd_verify_exact(args) -> int:
+    for flag in ("p", "A", "c", "t", "r_min", "r_max", "clearance", "tol"):
+        if not math.isfinite(value := getattr(args, flag)):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
+    if args.radii < 1:
+        raise ValueError(f"--radii must be >= 1, got {args.radii}")
     sid = _SOLUTIONS[args.solution]
     try:
         sol = ExactSolution(sid, p=args.p, n=args.n, A=args.A, c=args.c)
@@ -324,11 +330,10 @@ def cmd_verify_exact(args) -> int:
         return 2
     rng = np.random.default_rng(args.seed)
     radii = args.r_min + (args.r_max - args.r_min) * rng.random(args.radii)
-    t = args.t
-    worst = 0.0
-    for r in radii:
-        worst = max(worst, abs(residual(sol, r, t=t, mode="analytic",
-                                        clearance=min(args.clearance, args.r_min / 2))))
+    clearance = min(args.clearance, args.r_min / 2)
+    # np.max keeps a NaN residual, which then fails the check
+    worst = float(np.max(np.abs([residual(sol, r, t=args.t, mode="analytic",
+                                          clearance=clearance) for r in radii])))
     print(f"max |residual| over {args.radii} radii in ({args.r_min:g}, {args.r_max:g}): "
           f"{worst:.3e}")
     if args.out:

@@ -21,10 +21,10 @@ Every temporary is laid out in the stencil's whole padded rows, so the
 stencils and the update read contiguous memory. The step adds to the whole
 rows, writes the Dirichlet edge and refills the ghosts, which overwrites what
 spilled into the ghost columns. Ghost positions never count: the CFL maximum
-(over a view of the interior nodes) and the singular-gradient decision see
-grid nodes only, the min/max that checks finiteness is taken after the refill
-(when every ghost copies a node), and a ghost's squared gradient is read as
-1, so no coefficient is evaluated at a spurious zero there. The
+is over a view of the interior nodes, the min/max that checks finiteness is
+taken after the refill (when every ghost copies a node), and a ghost's squared
+gradient is read as 1, so no coefficient is evaluated at a spurious zero
+there (and no node reads a ghost's coefficients). The
 everywhere-defined members with growth exponent 2 have one s at every node
 (1, or eps1 for the biased family): their table is c alone.
 
@@ -43,9 +43,9 @@ Singular-gradient policy
 A member that is not defined at a zero gradient takes the policy at nodes
 whose discrete gradient magnitude is at or below a floor: the grid-tied
 ``eps_num`` when the growth exponent is below 2 (the prefactor is unbounded
-near zero), and 0 otherwise (only exact zeros). Those nodes, and only those
-(by flat index), are evaluated through the family's eps_num-regularized form
-(``operators.regularized_coeff_arrays``) instead of the raw one.
+near zero), and 0 otherwise (only exact zeros). Those nodes, found by flat
+index in one pass, take their family's form at eps = eps_num
+(``operators.rank_one_coeff_arrays``), whose eps = 0 form is the member itself.
 
 One exception, in one dimension only: a member with growth exponent 2
 (normalized, general and regularized with p' = 2 and eps = 0, variational(2),
@@ -81,12 +81,7 @@ from .grid import (  # gradient_arrays, hessian_arrays: bound here for perfbench
     hessian_arrays,  # noqa: F401
     interior_mask,
 )
-from .operators import (
-    OperatorSpec,
-    rank_one_coeff_arrays,
-    rank_one_coeffs,
-    regularized_coeff_arrays,
-)
+from .operators import OperatorSpec, rank_one_coeff_arrays, rank_one_coeffs
 
 _CFL_SIGMA = 0.5  # dt_max = _CFL_SIGMA h_min^2 / (2 n Lambda)
 logger = logging.getLogger(__name__)
@@ -215,7 +210,7 @@ class _Kernel:
         n = rows.shape
         r2, diff, work, c_out = (np.empty(n) for _ in range(4))
         zero = np.empty(n, bool)
-        r2_nodes, diff_nodes, work_nodes = (stencil.nodes(a) for a in (r2, diff, work))
+        diff_nodes, work_nodes = stencil.nodes(diff), stencil.nodes(work)
         edge = None  # the Dirichlet boundary nodes, and the values the last step wrote there
         if grid.boundary is Boundary.DIRICHLET:
             edge, edge_coords = _boundary_nodes(grid, interior_mask(grid))
@@ -263,15 +258,15 @@ class _Kernel:
                 def coeffs():
                     """The singular-gradient policy of the module docstring, at the
                     flat indices of the singular nodes only."""
-                    if not r2_nodes.min() <= floor2:
+                    sing = np.flatnonzero(np.less_equal(r2, floor2, out=zero))
+                    if sing.size == 0:
                         return rank_one_coeff_arrays(spec, r2, out=c_out)
                     if eps_num <= 0.0:
                         raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-                    sing = np.flatnonzero(np.less_equal(r2, floor2, out=zero))
                     work[...] = r2  # r2 with 1.0 at the singular nodes
                     work[sing] = 1.0
                     s, c = rank_one_coeff_arrays(spec, work, out=c_out)
-                    s[sing], c[sing] = regularized_coeff_arrays(spec, eps_num, r2[sing])
+                    s[sing], c[sing] = rank_one_coeff_arrays(spec, r2[sing], eps=eps_num)
                     return s, c
 
             def take_coeffs():

@@ -51,8 +51,11 @@ class ExactSolution:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or self.n > 3:
-            raise ValueError("n must be 1, 2 or 3")
+        for name in ("p", "A", "c"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.n not in (1, 2, 3):
+            raise ValueError(f"n must be 1, 2 or 3, got {self.n}")
         sid = self.id
         if sid is SolutionId.HEAT_MODE and self.p < 1:
             raise ValueError("heat mode requires p >= 1")

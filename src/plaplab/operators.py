@@ -9,7 +9,8 @@ square root is closed-form:
 
     A(xi)^{1/2} = sqrt(s) * I + (sqrt(s + c) - sqrt(s)) * (xi ⊗ xi)/|xi|^2.
 
-The coefficient pair (s, c) per family:
+The coefficient pair (s, c) per family; a regularized row at eps = 0 is the
+singular member, and the solver's singular-gradient nodes take eps = eps_num:
 
     normalized          s = 1                        c = (p-2)
     variational         s = |xi|^{p-2}               c = (p-2) s
@@ -167,44 +168,30 @@ class OperatorSpec:
         return 2.0
 
 
-def regularized_coeff_arrays(spec: OperatorSpec, eps: float, r2, out=None):
-    """(s, c) of ``spec``'s family regularized at ``eps``, at squared magnitudes r2.
+def rank_one_coeff_arrays(spec: OperatorSpec, r2, out=None, eps=None):
+    """(s, c) with A = s I + c P(xi) at squared magnitudes r2 = |xi|^2, for
+    ``spec``'s family at regularization ``eps`` (None: its own eps, or eps1).
 
-    The biased families give s = eps, c = r2 / (r2 + eps^2); the others the
-    (p, p'_eff) form with w = r2 + eps^2 from the module table, p'_eff being
-    the growth exponent. Defined at r2 = 0 when eps > 0. Where s is the same
-    at every r2 (the biased families, and p'_eff = 2 with s = 1) it is a
-    Python float. c is computed into ``out`` (an array like r2) when given.
+    eps > 0 is the module table's regularized row with p' the growth exponent:
+    defined at r2 = 0, c computed into ``out`` when given, s one Python float
+    where it is one at every r2. eps = 0 is the singular member: two new
+    arrays, for r2 > 0 only (Python's own arithmetic on a Python float r2).
     """
-    if spec.family in _BIASED:
-        return eps, np.divide(r2, r2 + eps * eps, out=out)
-    w = r2 + eps * eps
-    if spec.growth_exponent == 2.0:  # s = w ** 0 = 1, so c = (p - 2) r2 / w
-        return 1.0, np.divide((spec.p - 2.0) * r2, w, out=out)
-    s = w ** ((spec.growth_exponent - 2.0) / 2.0)
-    return s, np.divide(s * (spec.p - 2.0) * r2, w, out=out)
-
-
-def rank_one_coeff_arrays(spec: OperatorSpec, r2: np.ndarray, out=None):
-    """Coefficients (s, c) with A = s I + c P(xi) at squared magnitudes r2 = |xi|^2.
-
-    The caller guarantees r2 > 0 where the member is singular. A Python float
-    r2 gives 0-d results computed with Python's own arithmetic. An
-    everywhere-defined member takes ``regularized_coeff_arrays``, which may
-    give s as one float and computes c into ``out`` when given; the others
-    give two new arrays.
-    """
-    f = spec.family
-    if f is Family.NORMALIZED:
-        return np.ones_like(r2), np.full_like(r2, spec.p - 2.0)
-    if spec.everywhere_defined:
-        eps = spec.eps if f is Family.REGULARIZED_PQ else spec.eps1
-        return regularized_coeff_arrays(spec, eps, r2, out)
-    if f in (Family.VARIATIONAL, Family.GENERAL_PQ, Family.REGULARIZED_PQ):
-        s = r2 ** ((spec.growth_exponent - 2.0) / 2.0)  # c = (p - 2) s exactly at eps = 0
-        return s, (spec.p - 2.0) * s
-    # biased infinity, and its regularized form at eps1 = 0, where c = r2 / r2 = 1
-    return np.zeros_like(r2), np.ones_like(r2)
+    if eps is None:
+        eps = spec.eps if spec.family is Family.REGULARIZED_PQ else spec.eps1
+    p2 = spec.p - 2.0
+    if eps > 0.0:
+        if spec.family in _BIASED:
+            return eps, np.divide(r2, r2 + eps * eps, out=out)
+        w = r2 + eps * eps
+        if spec.growth_exponent == 2.0:  # s = w ** 0 = 1, so c = (p - 2) r2 / w
+            return 1.0, np.divide(p2 * r2, w, out=out)
+        s = w ** ((spec.growth_exponent - 2.0) / 2.0)
+        return s, np.divide(s * p2 * r2, w, out=out)
+    if spec.family in _BIASED:  # c = r2 / r2 = 1
+        return np.zeros_like(r2), np.ones_like(r2)
+    s = r2 ** ((spec.growth_exponent - 2.0) / 2.0)  # exactly 1 at growth exponent 2
+    return s, p2 * s
 
 
 def rank_one_coeffs(spec: OperatorSpec, r2: float) -> tuple[float, float]:
@@ -316,6 +303,9 @@ class C1Params:
     k: float = 4.0
 
     def __post_init__(self):
+        for fld in fields(self):
+            if not math.isfinite(value := getattr(self, fld.name)):
+                raise ValueError(f"{fld.name} must be finite, got {value}")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
         if self.c_A < 0:
@@ -352,8 +342,8 @@ def c1_certify(
     Passes iff the maximal ratio stays below the candidate constant c_A.
     """
     mags = np.asarray(list(xi_mags), dtype=float)
-    if mags.size == 0 or np.any(mags <= 0):
-        raise ValueError("xi magnitudes must be a nonempty positive list")
+    if mags.size == 0 or not np.all(np.isfinite(mags) & (mags > 0)):
+        raise ValueError("xi magnitudes must be a nonempty list of finite positive values")
     if not eps_list:
         raise ValueError("eps list must be nonempty")
     if dim not in (1, 2, 3):
@@ -366,7 +356,7 @@ def c1_certify(
         for m in mags:
             xi = m * e1
             ratio = c1_gap(spec_eps, base_spec, xi) / (denom_eps * (1.0 + m ** candidate.beta))
-            if ratio > worst[0]:
+            if ratio > worst[0] or math.isnan(ratio):  # a NaN ratio fails
                 worst = (ratio, xi, eps)
     max_ratio, worst_xi, worst_eps = worst
     return C1CertifyReport(

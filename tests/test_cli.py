@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plaplab import load_field
+from plaplab import cli, load_field
 from plaplab.cli import _build_problem, _build_sweep, main
 
 
@@ -462,6 +462,45 @@ class TestVerifyExactCommand:
         assert main(["verify-exact", "--solution", "fundamental",
                      "--p", "2", "--n", "3"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--solution", "radial-elliptic", "--p", "nan"],
+        ["--solution", "radial-elliptic", "--p", "inf"],
+        ["--solution", "barenblatt", "--p", "nan"],
+        ["--solution", "heat-mode", "--p", "3", "--t", "nan"],
+        ["--solution", "torsion", "--p", "3", "--c", "nan"],
+        ["--solution", "radial-elliptic", "--p", "3", "--tol", "inf"],
+        ["--solution", "radial-elliptic", "--p", "3", "--radii", "0"],
+    ], ids=lambda argv: " ".join(argv[1:]))
+    def test_bad_flag_exits_2_without_output(self, tmp_path, capsys, argv):
+        # each read "max |residual| ... 0.000e+00" and exited 0
+        out = tmp_path / "out"
+        assert main(["verify-exact", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "max |residual|" not in captured.out and "error:" in captured.err
+        assert not out.exists()
+
+    def test_nan_residual_fails(self, monkeypatch):
+        # one NaN among finite residuals: max(worst, nan) kept the finite worst
+        calls, residual = [], cli.residual
+
+        def nan_once(*args, **kwargs):
+            calls.append(1)
+            return math.nan if len(calls) == 3 else residual(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "residual", nan_once)
+        assert main(["verify-exact", "--solution", "radial-elliptic", "--p", "3"]) == 1
+        assert len(calls) == 100
+
+    def test_out_writes_the_record(self, tmp_path, capsys):
+        assert main(["verify-exact", "--solution", "torsion", "--p", "3", "--n", "2",
+                     "--radii", "20", "--out", str(tmp_path)]) == 0
+        printed = float(capsys.readouterr().out.split()[-1])
+        record = json.loads((tmp_path / "verify_torsion.json").read_text())
+        assert record == {"solution": "torsion", "p": 3.0, "n": 2,
+                          "max_residual": pytest.approx(printed, rel=1e-3, abs=1e-300),
+                          "tol": 1e-10}
+        assert record["max_residual"] <= 1e-10
+
 
 class TestRateTableCommand:
     def test_regularization_table(self, capsys):
@@ -487,3 +526,15 @@ class TestCheckC1Command:
                   "--alpha", "1", "--c-A", "10"]
         assert main(common + ["--beta", "0.5"]) == 0
         assert main(common + ["--beta", "0.0"]) == 1
+
+    @pytest.mark.parametrize("flag, bad", [("--beta", "nan"), ("--c-A", "inf"), ("--alpha", "nan"),
+                                           ("--k", "inf"), ("--xi-min", "nan")])
+    def test_non_finite_flag_exits_2(self, capsys, flag, bad):
+        # --beta nan read PASS, --c-A inf passed anything, and --alpha nan and
+        # --xi-min nan raised a TypeError traceback
+        flags = {"--alpha": "1", "--beta": "0.5", "--c-A": "10"} | {flag: bad}
+        argv = ["check-c1", "--family", "variational", "--q", "3", "--axis", "p",
+                "--eps", "0.1", "0.01"] + [x for kv in flags.items() for x in kv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and "PASS" not in captured.out

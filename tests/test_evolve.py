@@ -548,12 +548,15 @@ def small_problem(spec, dim, T=0.1):
 
 @pytest.mark.parametrize("spec, dim", TABLE_MEMBERS)
 def test_non_constant_members_keep_the_coefficient_table(monkeypatch, spec, dim):
-    # (s, c) as the kernel takes them, through the name bound in evolve
+    # (s, c) as the kernel takes them, through the name bound in evolve; a call
+    # with eps evaluates the singular-gradient nodes, not the table
     taken, original = [], evolve.rank_one_coeff_arrays
 
     def record(*args, **kwargs):
-        taken.append(original(*args, **kwargs))
-        return taken[-1]
+        got = original(*args, **kwargs)
+        if "eps" not in kwargs:
+            taken.append(got)
+        return got
 
     monkeypatch.setattr(evolve, "rank_one_coeff_arrays", record)
     prob = small_problem(spec, dim)
@@ -572,11 +575,17 @@ def test_non_constant_members_keep_the_coefficient_table(monkeypatch, spec, dim)
 @pytest.mark.parametrize("spec, dim", TABLE_MEMBERS + [(spec, 1) for spec in ZERO_KAPPA])
 def test_coefficient_table_is_taken_once_per_step(monkeypatch, spec, dim):
     # the benchmark's coefficient layer wraps the name bound in evolve: a kernel
-    # that stopped calling it would read 0 there instead of failing
+    # that stopped calling it would read 0 there instead of failing (a call
+    # with eps evaluates the singular-gradient nodes, not the table)
     calls = []
     original = evolve.rank_one_coeff_arrays
-    monkeypatch.setattr(evolve, "rank_one_coeff_arrays",
-                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+
+    def record(*args, **kwargs):
+        if "eps" not in kwargs:
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "rank_one_coeff_arrays", record)
     res = solve(small_problem(spec, dim, T=0.05))
     assert res.stats.steps > 0
     assert len(calls) == (0 if spec in ZERO_KAPPA else res.stats.steps)
@@ -646,6 +655,22 @@ class TestZeroKappa1D:
             assert snap.values.tobytes() == data.tobytes()
         # Lambda0 = 1 for both, so both step at h^2 / 4
         assert (res.stats.steps, res.stats.min_dt) == (heat.stats.steps, heat.stats.min_dt)
+        assert res.stats.overshoot == 0.0
+
+    def test_dirichlet_data_without_a_source_is_all_that_moves(self, spec):
+        # no term to add: each step writes the boundary data at its t + dt,
+        # and the interior never moves
+        prob = replace(constant_problem(spec, Boundary.DIRICHLET), source=None)
+        x = prob.grid.axis_coords(0)
+        edge, data = x[[0, -1]], _flat_top(x)
+        fld = prob.initial_field()
+        for _ in range(3):
+            fld = step(fld, prob, cfl_dt(prob, fld))
+            assert fld.values[[0, -1]].tobytes() == prob.dirichlet(edge, fld.time).tobytes()
+            assert fld.values[1:-1].tobytes() == data[1:-1].tobytes()
+        res = solve(prob)
+        assert res.snapshots[-1].values[1:-1].tobytes() == data[1:-1].tobytes()
+        assert res.snapshots[-1].values[[0, -1]].tobytes() == prob.dirichlet(edge, 0.1).tobytes()
         assert res.stats.overshoot == 0.0
 
     def test_dirichlet_source_is_the_only_term(self, spec):

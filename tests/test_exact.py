@@ -34,6 +34,20 @@ class TestValidity:
         with pytest.raises(ValueError):
             ExactSolution(SolutionId.TORSION_RADIAL, p=3.0, c=0.0)
 
+    @pytest.mark.parametrize("name", ["p", "A", "c"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, bad):
+        # a NaN passed every < / <= window, and its residual read 0
+        for sid in SolutionId:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ExactSolution(sid, **({"p": 3.0} | {name: bad}))
+
+    def test_dimension_is_a_whole_number(self):
+        for n in (0, 1.5, 2.5, 4, math.nan):
+            with pytest.raises(ValueError, match="n must be 1, 2 or 3"):
+                ExactSolution(SolutionId.RADIAL_ELLIPTIC, p=3.0, n=n)
+        ExactSolution(SolutionId.RADIAL_ELLIPTIC, p=3.0, n=2.0)
+
 
 class TestEval:
     def test_heat_mode_initial_crest(self):
@@ -56,6 +70,17 @@ class TestEval:
     def test_radial_elliptic_square(self):
         sol = ExactSolution(SolutionId.RADIAL_ELLIPTIC, p=3.0, n=2)
         assert sol.eval([0.5, 0.0]) == pytest.approx(0.25)
+
+    def test_torsion_profile(self):
+        # p = 3, n = 2, c = 2: v = -(2/3) r^(3/2), and -Delta_3 v = 2
+        sol = ExactSolution(SolutionId.TORSION_RADIAL, p=3.0, n=2, c=2.0)
+        r = np.array([0.0, 0.25, 0.64, 1.0])
+        np.testing.assert_allclose(sol.eval_radial(r), -2.0 / 3.0 * r ** 1.5, rtol=1e-15, atol=0.0)
+        assert sol.eval([0.0, 0.64]) == pytest.approx(-2.0 / 3.0 * 0.512, rel=1e-15)
+        # the discrete residual reads the profile through eval_radial: O(h^2)
+        r1 = abs(residual(sol, 0.5, mode="discrete", h=4e-3, clearance=0.05))
+        r2 = abs(residual(sol, 0.5, mode="discrete", h=2e-3, clearance=0.05))
+        assert r1 < 1e-4 and r2 <= r1 / 3.0
 
     def test_barenblatt_needs_positive_time(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,13 @@ class TestRunSweep:
         assert len(fit.gap_list) == 4 and all(g > 0.0 for g in fit.gap_list)
         assert compare_theory(fit, 0.1).consistent
 
+    def test_too_few_gaps_above_the_floor_abort(self):
+        # two of the members move the solution far less than the refinement
+        # floor measures, so two gaps are left to fit
+        plan = replace(heat_sweep_plan(), values=(0.25, 0.125, 2e-9, 1e-9))
+        with pytest.raises(HarnessError, match="only 2 gaps above 10x the error floor"):
+            run_sweep(plan)
+
     def test_failure_aborts_with_context(self):
         plan = heat_sweep_plan()
         from plaplab import SolverControls

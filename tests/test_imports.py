@@ -1,21 +1,37 @@
-"""Every name a module under src/plaplab imports is used in that module.
+"""Every name a module under src/plaplab imports is used in that module, and
+every name the package exports is used somewhere in the laboratory.
 
 A standard-library stand-in for a linter's unused-import check (F401): a
 module's imported names must each appear as a name in its own code, unless
 the import line carries ``# noqa: F401``. The package ``__init__`` is exempt,
-because it imports names to re-export them.
+because it imports names to re-export them. A name in ``plaplab.__all__``
+must be read by a module under src/plaplab (outside ``__init__``) or
+perfbench/, or appear in the README's code, unless ``UNUSED_EXPORTS`` names
+it with its reason.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "plaplab"
+import plaplab
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "plaplab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# exported names nothing in the laboratory reads, each kept for a test that
+# checks the paper's claims against it
+UNUSED_EXPORTS = {
+    "diffusion_matrix": "criterion 05 checks sqrt_matrix(xi)^2 = diffusion_matrix(xi)",
+    "sqrt_matrix": "criterion 05 checks sqrt_matrix(xi)^2 = diffusion_matrix(xi)",
+    "sup_diff_closed_form": "criterion 03's oracle for the normalized sweep's gaps",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -52,6 +68,41 @@ def test_checker_sees_unused_and_marked_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(source: str) -> set:
+    """Every name, attribute and imported name in ``source``'s code."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def readme_code_names(text: str) -> set:
+    """The words inside the README's code spans and fenced blocks."""
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+    return set(re.findall(r"\w+", " ".join(code)))
+
+
+def test_export_checker_reads_code_not_prose():
+    assert names_read("import numpy as np\nfrom .grid import Stencil\nnp.sqrt(x)\n") == {
+        "numpy", "Stencil", "np", "sqrt", "x"}
+    assert readme_code_names("run `plaplab solve` then\n```\nstep(f)\n```\nsolve it") == {
+        "plaplab", "solve", "step", "f"}
+
+
+def test_every_export_is_used_or_named_with_its_reason():
+    read = set()
+    for path in MODULES + sorted((REPO / "perfbench").glob("*.py")):
+        read |= names_read(path.read_text())
+    read |= readme_code_names((REPO / "README.md").read_text())
+    unused = sorted(name for name in plaplab.__all__ if name not in read)
+    assert unused == sorted(UNUSED_EXPORTS)
 
 
 def test_holder_estimate_and_sweep_import_no_numpy_random_or_ma():

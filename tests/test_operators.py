@@ -17,7 +17,7 @@ from plaplab import (
     perturb_spec,
     sqrt_matrix,
 )
-from plaplab.operators import rank_one_coeff_arrays, rank_one_coeffs, regularized_coeff_arrays
+from plaplab.operators import rank_one_coeff_arrays, rank_one_coeffs
 
 
 def largest_eigenvalue(spec, r2):
@@ -135,11 +135,11 @@ class TestConstruction:
              OperatorSpec.biased_infinity_regularized(0.0, eps, 0.0)),
         )
         for spec, reg in pairs:
-            got = regularized_coeff_arrays(spec, eps, r2)
+            got = rank_one_coeff_arrays(spec, r2, eps=eps)
             for g, want in zip(got, rank_one_coeff_arrays(reg, r2)):  # s may be a float
                 np.testing.assert_array_equal(g, want)
         # p' < 2 has no regularized_pq member; check the table's formula
-        s, c = regularized_coeff_arrays(OperatorSpec.variational(1.5), eps, r2)
+        s, c = rank_one_coeff_arrays(OperatorSpec.variational(1.5), r2, eps=eps)
         w = r2 + eps * eps
         np.testing.assert_allclose(s, w ** -0.25, rtol=1e-15)
         np.testing.assert_allclose(c, -0.5 * s * r2 / w, rtol=1e-15)
@@ -343,6 +343,28 @@ class TestCertify:
         with pytest.raises(ValueError):
             C1Params(alpha=1.0, beta=-0.5, c_A=1.0, k=4.0)  # needs beta > -1/3
         C1Params(alpha=1.0, beta=-0.3, c_A=1.0, k=4.0)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "c_A", "k"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_candidate_rejected(self, name, bad):
+        # a NaN beta passed the window and read PASS; an infinite c_A passed anything
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            C1Params(**({"alpha": 1.0, "beta": 0.5, "c_A": 10.0, "k": 4.0} | {name: bad}))
+
+    def test_nan_ratio_fails(self):
+        # eps^alpha underflows to 0 against a zero gap: 0/0 at every magnitude,
+        # which left no worst point and raised a TypeError
+        with np.errstate(invalid="ignore"):
+            report = c1_certify(OperatorSpec.normalized(3.0), PerturbationAxis.P, [1e-200],
+                                [0.5, 1.0], C1Params(alpha=2.0, beta=0.5, c_A=10.0))
+        assert math.isnan(report.max_ratio) and not report.passed
+        assert report.worst_eps == 1e-200
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_xi_magnitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite positive"):
+            c1_certify(OperatorSpec.normalized(3.0), PerturbationAxis.P, [1e-2], [1.0, bad],
+                       C1Params(alpha=1.0, beta=0.0, c_A=1.0))
 
 
 class TestPerturb:
