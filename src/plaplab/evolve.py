@@ -11,7 +11,9 @@ the coefficients are never clamped. Snapshots are captured exactly at
 requested times; runs are deterministic.
 
 A solve holds its field in one ghost-padded buffer (``grid.Stencil``), steps
-it in place and allocates its temporaries once; snapshots are copies. The
+it in place and allocates its temporaries once, the coefficient table's
+among them (``out`` and ``work`` of ``operators.rank_one_coeff_arrays``), so
+a step allocates no array the size of the field; snapshots are copies. The
 kernel makes every choice that depends only on the member, the grid and the
 problem once per solve, and binds the step as two closures of ufunc calls over
 those buffers, so no step decides anew which terms it has. ``solve``,
@@ -21,12 +23,22 @@ Every temporary is laid out in the stencil's whole padded rows, so the
 stencils and the update read contiguous memory. The step adds to the whole
 rows, writes the Dirichlet edge and refills the ghosts, which overwrites what
 spilled into the ghost columns. Ghost positions never count: the CFL maximum
-is over a view of the interior nodes, the min/max that checks finiteness is
-taken after the refill (when every ghost copies a node), and a ghost's squared
-gradient is read as 1, so no coefficient is evaluated at a spurious zero
-there (and no node reads a ghost's coefficients). The
-everywhere-defined members with growth exponent 2 have one s at every node
-(1, or eps1 for the biased family): their table is c alone.
+is taken over the rows with 0 written at every entry that is not a node it
+sees, the min/max that checks finiteness is taken after the refill (when
+every ghost copies a node), and a ghost's squared gradient is read as 1, so
+no coefficient is evaluated at a spurious zero there (and no node reads a
+ghost's coefficients). The everywhere-defined members with growth exponent 2
+have one s at every node (1, or eps1 for the biased family): their table is
+c alone. Most passes write into one of their own operands, which costs less
+than a pass into a third array.
+
+In 2D the diffusion term is s tr D2u + c (ux^2 uxx + uy^2 uyy + 2 ux uy uxy)
+/ |Du|^2, with |Du|^2 = 0 read as 1, where the stencil's cross difference
+carries the 2. Every stencil sum is taken in an order that reflection of the
+grid maps onto itself and the rest is elementwise, so a step keeps data that
+is symmetric about a node exactly symmetric, and a symmetric critical point
+keeps an exactly zero gradient (and its singular-gradient form) at every
+step.
 
 Lambda is fixed per solve by one rule. At growth exponent 2 a member has one
 s and a c of one sign at every gradient, its singular-gradient proxy included,
@@ -36,7 +48,9 @@ that covers normalized(p <= 2), general_pq(p <= 2, 2), regularized_pq(p <= 2,
 2, eps) and variational(2) (s = 1, c = (p - 2) r2 / w or p - 2); in 1D,
 regularized_pq(p <= 2, 2, eps > 0), while the other 1D members at growth
 exponent 2 step with one constant (below). Every other table member takes
-Lambda = max(s + max(c, 0)) over the nodes at each step.
+Lambda = max(s + max(c, 0)) over the nodes at each step. c has the sign of
+c0 at every gradient in every family, so that maximum is max(s + c) where
+c0 > 0 and max(s) where c0 <= 0, the same bits without a max(c, 0) pass.
 
 Singular-gradient policy
 ------------------------
@@ -183,8 +197,8 @@ class _Kernel:
     constants: ``cfl_bound()`` takes what the step needs of ``u`` and returns
     its stable dt, then ``advance(t, dt, t_new)`` steps ``u`` by dt, writes the
     boundary data at t_new, refills the ghosts and returns the new (min, max),
-    which also serve as the finiteness check. On a Dirichlet grid
-    ``edge_data`` holds the boundary values the last step wrote."""
+    which also serve as the finiteness check; on a Dirichlet grid it returns
+    the (min, max) of the boundary data it wrote after them."""
 
     def __init__(self, problem: Problem, values: np.ndarray):
         grid, spec, source = problem.grid, problem.spec, problem.source
@@ -200,25 +214,31 @@ class _Kernel:
         # Lambda where it is fixed per solve (see the module docstring): at growth
         # exponent 2, one s and a c of the sign of c0 at every gradient
         kappa = lam = None
+        s0, c0 = rank_one_coeffs(spec, 1.0)  # c has the sign of c0 at every gradient
         if spec.growth_exponent == 2.0:
-            s0, c0 = rank_one_coeffs(spec, 1.0)
             if grid.dim == 1 and not spec.everywhere_defined:
                 kappa, lam = s0 + c0, s0 + max(c0, 0.0)
             elif c0 <= 0.0:
                 lam = s0
         dt_fixed = None if lam is None else cfl_scale / max(lam, 1.0)
         n = rows.shape
-        r2, diff, work, c_out = (np.empty(n) for _ in range(4))
+        r2, diff, work = (np.empty(n) for _ in range(3))
         zero = np.empty(n, bool)
         diff_nodes, work_nodes = stencil.nodes(diff), stencil.nodes(work)
-        edge = None  # the Dirichlet boundary nodes, and the values the last step wrote there
+        edge = None  # the Dirichlet boundary nodes
         if grid.boundary is Boundary.DIRICHLET:
             edge, edge_coords = _boundary_nodes(grid, interior_mask(grid))
-            edge_data = self.edge_data = np.empty(edge[0].size)
+
+        def outside(nodes):  # the flat row indices outside stencil.nodes(...)[nodes]
+            mask = np.ones(n, bool)
+            stencil.nodes(mask)[nodes] = False
+            return np.flatnonzero(mask)
+
         # the nodes the CFL maximum sees: all on periodic grids, the interior on
-        # Dirichlet grids (the boundary nodes carry no update)
-        inner = (slice(None) if edge is None else slice(1, -1),) * grid.dim
-        work_inner = stencil.nodes(work)[inner]
+        # Dirichlet grids (the boundary nodes carry no update); it is taken over
+        # the whole rows with 0 written at the rest (a strided maximum would
+        # copy the rows)
+        unseen = outside((slice(None) if edge is None else slice(1, -1),) * grid.dim)
 
         # -- cfl_bound: the gradient, for a table or a first-order term, then (s, c)
         if kappa is None or spec.a != 0.0:
@@ -227,21 +247,18 @@ class _Kernel:
                 (ux,) = grads
 
                 def take_r2():
-                    gradient(grads)
-                    np.multiply(ux, ux, out=r2)
+                    gradient()
+                    np.square(ux, out=r2)
             else:
-                (ux, uy), ux2, uy2 = grads, np.empty(n), np.empty(n)  # squared components
-                on_node = np.zeros(n, bool)
-                stencil.nodes(on_node)[...] = True
-                ghosts = np.flatnonzero(~on_node)  # the ghost columns inside the rows
+                ux, uy = grads
+                ghosts = outside(...)  # the ghost columns inside the rows
 
                 def take_r2():
-                    gradient(grads)
-                    np.multiply(ux, ux, out=ux2)
-                    np.multiply(uy, uy, out=uy2)
-                    np.add(ux2, uy2, out=r2)
+                    gradient()
+                    np.add(np.square(ux, out=r2), np.square(uy, out=diff), out=r2)
                     r2[ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
 
+        sing = None  # the flat indices of the singular nodes, as the last step found them
         if kappa is not None:  # no table: the gradient only for the first-order term
             if spec.a == 0.0:
                 def cfl_bound():
@@ -251,71 +268,99 @@ class _Kernel:
                     take_r2()
                     return dt_fixed
         else:
+            # c, and s with the leaf's temporary (diff is free until the rate)
+            c_out, table = np.empty(n), (np.empty(n), diff)
             if spec.everywhere_defined:
                 def coeffs():
-                    return rank_one_coeff_arrays(spec, r2, out=c_out)
+                    return rank_one_coeff_arrays(spec, r2, out=c_out, work=table)
             else:
+                # at growth exponent >= 2 the leaf is finite at r2 = 0 (r2 ** x
+                # with x >= 0, or the biased (0, 1)), so it takes r2 as it is
+                copy = spec.growth_exponent < 2.0
+
                 def coeffs():
                     """The singular-gradient policy of the module docstring, at the
                     flat indices of the singular nodes only."""
+                    nonlocal sing
                     sing = np.flatnonzero(np.less_equal(r2, floor2, out=zero))
                     if sing.size == 0:
-                        return rank_one_coeff_arrays(spec, r2, out=c_out)
+                        return rank_one_coeff_arrays(spec, r2, out=c_out, work=table)
                     if eps_num <= 0.0:
                         raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-                    work[...] = r2  # r2 with 1.0 at the singular nodes
-                    work[sing] = 1.0
-                    s, c = rank_one_coeff_arrays(spec, work, out=c_out)
+                    at = r2
+                    if copy:
+                        at = work  # r2 with 1.0 at the singular nodes
+                        at[...] = r2
+                        at[sing] = 1.0
+                    s, c = rank_one_coeff_arrays(spec, at, out=c_out, work=table)
                     s[sing], c[sing] = rank_one_coeff_arrays(spec, r2[sing], eps=eps_num)
                     return s, c
 
             def take_coeffs():
                 nonlocal s, c
                 take_r2()
-                # drop the last step's (s, c) first: the allocator then reuses their
-                # memory instead of trimming and refaulting the heap every step
-                s = c = None
                 s, c = coeffs()
 
             if dt_fixed is not None:
                 def cfl_bound():
                     take_coeffs()
                     return dt_fixed
-            else:
+            elif c0 > 0.0:  # s + max(c, 0) = s + c at every node
                 def cfl_bound():
                     take_coeffs()
-                    np.add(s, np.maximum(c, 0.0, out=work), out=work)
-                    return cfl_scale / max(float(work_inner.max()), 1.0)
+                    np.add(c, s, out=diff)
+                    diff[unseen] = 0.0
+                    return cfl_scale / max(float(diff.max()), 1.0)
+            else:
+                # s + max(c, 0) = s at every node; s is a table here (growth
+                # exponent != 2), and no node reads its unseen entries
+                def cfl_bound():
+                    take_coeffs()
+                    s[unseen] = 0.0
+                    return cfl_scale / max(float(s.max()), 1.0)
 
         # -- advance: rate(t), the sum of the terms present, in the row layout, is
         # diffusion + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes)
         rate = None
         if kappa != 0.0:  # kappa = 0 has no diffusion term, so no Hessian
-            hessian, hess = stencil.hessian, stencil.hessian()
-            uxx = hess[(0, 0)]
+            hessian = stencil.hessian
             if kappa is not None:
-                def rate(t):
-                    hessian(hess)
-                    return np.multiply(uxx, kappa, out=diff)
-            elif grid.dim == 1:
-                def rate(t):
-                    hessian(hess)
-                    return np.multiply(np.add(s, c, out=diff), uxx, out=diff)
-            else:
-                uxy, uyy = hess[(0, 1)], hess[(1, 1)]
+                (uxx,) = hessian().values()
 
                 def rate(t):
-                    # quad = (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / r2, with r2 = 0 read as 1
-                    hessian(hess)
-                    np.multiply(ux2, uxx, out=diff)
-                    np.multiply(np.multiply(ux, 2.0, out=work), uy, out=work)
-                    np.add(diff, np.multiply(work, uxy, out=work), out=diff)
-                    np.add(diff, np.multiply(uy2, uyy, out=work), out=diff)
-                    np.equal(r2, 0.0, out=zero)
-                    np.divide(diff, np.add(r2, zero, out=work), out=diff)  # r2 >= 0
-                    np.multiply(diff, c, out=diff)
-                    np.add(uxx, uyy, out=work)
-                    return np.add(np.multiply(work, s, out=work), diff, out=diff)
+                    hessian()
+                    return np.multiply(uxx, kappa, out=diff)
+            elif grid.dim == 1:
+                (uxx,) = hessian().values()
+
+                def rate(t):
+                    hessian()
+                    return np.multiply(np.add(s, c, out=diff), uxx, out=diff)
+            else:
+                # the cross entry is 2 uxy, the factor the quadratic form takes;
+                # the rate works in the Hessian's own arrays, which the next
+                # step rewrites
+                hess = hessian(cross_factor=2.0)
+                uxx, uxy2, uyy = hess[(0, 0)], hess[(0, 1)], hess[(1, 1)]
+                # where the singular decision takes exactly the zeros (floor 0),
+                # its nodes are those of the r2 = 0 guard
+                guarded = not spec.everywhere_defined and floor2 == 0.0
+
+                def rate(t):
+                    # s tr D2u + c (ux^2 uxx + uy^2 uyy + ux uy 2uxy) / r2, with
+                    # r2 = 0 read as 1
+                    hessian(cross_factor=2.0)
+                    np.multiply(np.add(uxx, uyy, out=diff), s, out=diff)
+                    np.multiply(np.multiply(uxx, ux, out=uxx), ux, out=uxx)
+                    np.multiply(np.multiply(uyy, uy, out=uyy), uy, out=uyy)
+                    np.add(uxx, uyy, out=uxx)
+                    np.multiply(np.multiply(uxy2, ux, out=uxy2), uy, out=uxy2)
+                    np.add(uxx, uxy2, out=uxx)
+                    zeros = sing if guarded else np.flatnonzero(np.equal(r2, 0.0, out=zero))
+                    r2[zeros] = 1.0
+                    np.divide(uxx, r2, out=uxx)
+                    r2[zeros] = 0.0  # r2 >= 0, so its zeros are +0.0
+                    return np.add(diff, np.multiply(uxx, c, out=uxx), out=diff)
         diffusion, meshes = rate, grid.meshes()
         if spec.a != 0.0:  # only the biased families, whose diffusion never vanishes (kappa = 1)
             a, eps2_sq = spec.a, spec.eps2 * spec.eps2
@@ -348,12 +393,17 @@ class _Kernel:
                 return _bounds(rows, u, t_new)
         else:
             dirichlet = problem.dirichlet
+            edge_data = np.empty(edge[0].size)
+            # the ring's flat indices into the padded buffer
+            padded = stencil.padded.reshape(-1)
+            ring = np.ravel_multi_index(tuple(i + 1 for i in edge), stencil.padded.shape)
 
             def settle(t_new):
                 edge_data[...] = np.asarray(dirichlet(*edge_coords, t_new), float)
-                u[edge] = edge_data
+                padded[ring] = edge_data
                 fill_ghosts()
-                return _bounds(rows, u, t_new)
+                lo, hi = _bounds(rows, u, t_new)
+                return lo, hi, float(edge_data.min()), float(edge_data.max())
 
         if rate is None and edge is None:
             # a step that adds nothing leaves the field, its ghosts and its
@@ -447,7 +497,11 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
             t_new = t + dt
             if dt >= t_target - t - t_eps:
                 dt, t_new = t_target - t, t_target
-            lo, hi = advance(t, dt, t_new)
+            if dirichlet:  # the field's range, then the range of the boundary data written
+                lo, hi, ring_lo, ring_hi = advance(t, dt, t_new)
+                data_lo, data_hi = min(data_lo, ring_lo), max(data_hi, ring_hi)
+            else:
+                lo, hi = advance(t, dt, t_new)
             t = t_new
             steps += 1
             min_dt = min(min_dt, dt)
@@ -455,9 +509,6 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
                 raise BudgetExceededError(
                     f"horizon T = {problem.T} unreachable within {max_steps} steps"
                 )
-            if dirichlet:
-                data_lo = min(data_lo, float(np.min(kernel.edge_data)))
-                data_hi = max(data_hi, float(np.max(kernel.edge_data)))
             overshoot = max(overshoot, hi - data_hi, data_lo - lo, 0.0)
         if t_target in requested:
             snapshots.append(ScalarField(problem.grid, kernel.u, t))

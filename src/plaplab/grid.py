@@ -5,9 +5,16 @@ wraps to the left); Dirichlet grids store both endpoints (spacing
 (b-a)/(N-1)). Fields are immutable once constructed.
 
 Difference stencils (``Stencil``) read the values from a buffer padded with
-one ghost layer per side. ``gradient_arrays`` and ``hessian_arrays`` pad a
-copy of the field they are given on each call; a solve keeps its field in one
-such buffer for the whole run. On periodic grids a ghost holds
+one ghost layer per side. There is one formula per derivative, in every
+dimension: the central difference (u[i+e] - u[i-e]) / (2 h), the second
+difference ((u[i+e] + u[i-e]) - 2 u[i]) / h^2, and in 2D the mixed one as the
+central y-difference of the x-gradient; each scale is one multiply by a
+reciprocal. Every sum is taken in an order that reflection of the grid maps
+onto itself, so data symmetric about a node has exactly symmetric second
+differences and exactly antisymmetric first ones (an exact 0 at the node).
+``gradient_arrays`` and ``hessian_arrays`` pad a copy of the field they are
+given on each call; a solve keeps its field in one such buffer for the whole
+run. On periodic grids a ghost holds
 the value it wraps to (corner ghosts wrap in both axes); on Dirichlet grids it
 copies the nearest edge node. Dirichlet edge copies only reach the stencils
 of boundary nodes, which carry no update and are masked off via
@@ -149,10 +156,11 @@ class Stencil:
     they run from the first node to the last, so in 2D they include the ghost
     columns of the inner rows (n entries in 1D, n0 (n1 + 2) - 2 in 2D). A
     neighbour is the same slice shifted by +-1 along the last axis and by
-    +-(n1 + 2) along the first. The formulas take and return arrays in this
-    row layout (new arrays when ``out`` is None); ``nodes`` views one as
-    ``grid.shape``. ``values`` and ``rows`` are the two views of the buffer's
-    own nodes; whoever rewrites them then calls ``fill_ghosts``.
+    +-(n1 + 2) along the first. ``gradient`` and ``hessian`` write arrays in
+    this row layout that the stencil allocates on first use and rewrites on
+    every call; ``nodes`` views one as ``grid.shape``. ``values`` and ``rows``
+    are the two views of the buffer's own nodes; whoever rewrites them then
+    calls ``fill_ghosts``.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -173,18 +181,21 @@ class Stencil:
         unit = [s // padded.itemsize for s in padded.strides]  # flat offset of one step per axis
         first = sum(unit)  # node (0, ..., 0)
 
-        def shifted(offset):  # values[i + offset] for every row-layout entry i
-            return flat[first + offset:flat.size - first + offset]
+        def shifted(offset, margin=0):  # values[i + offset] for every row-layout entry i,
+            # and for ``margin`` more entries at each end
+            return flat[first + offset - margin:flat.size - first + offset + margin]
 
         self.rows = shifted(0)
-        # per axis: values[i + e], values[i - e], 2 h, h^2
-        self._axes = [(shifted(o), shifted(-o), 2.0 * h, h * h)
-                      for o, h in zip(unit, grid.spacing)]
-        self._cross = None
-        if grid.dim == 2:
-            (hx, hy), (o0, o1) = grid.spacing, unit
-            self._cross = (shifted(o0 + o1), shifted(-o0 - o1), shifted(o0 - o1),
-                           shifted(o1 - o0), 4.0 * hx * hy)
+        # per axis: values[i + e] and values[i - e] over the gradient's entries
+        # (in 2D the x-difference runs one entry past each end of the rows, so
+        # that the cross difference can read it one column up and down) and
+        # over the rows, then 1 / (2 h) and 1 / h^2
+        margins = (1, 0) if grid.dim == 2 else (0,)
+        self._axes = [(shifted(o, m), shifted(-o, m), shifted(o), shifted(-o),
+                       1.0 / (2.0 * h), 1.0 / (h * h))
+                      for o, h, m in zip(unit, grid.spacing, margins)]
+        self._cross_scale = 1.0 / (2.0 * grid.spacing[-1])
+        self._grad = self._hess = None
         self.fill_ghosts()
 
     def fill_ghosts(self) -> None:
@@ -201,29 +212,41 @@ class Stencil:
         strides = tuple(s // self.values.itemsize * rows.itemsize for s in self.values.strides)
         return np.lib.stride_tricks.as_strided(rows, self.values.shape, strides)
 
-    def gradient(self, out=None) -> list[np.ndarray]:
-        """Central-difference gradient components, in the row layout (entries at
-        ghost columns and Dirichlet boundary nodes are not meaningful)."""
-        if out is None:
-            out = [np.empty(self.rows.shape) for _ in self._axes]
-        for (fa, fb, two_h, _), o in zip(self._axes, out):
-            np.divide(np.subtract(fa, fb, out=o), two_h, out=o)
-        return out
+    def gradient(self) -> list[np.ndarray]:
+        """Central-difference gradient components (u[i+e] - u[i-e]) / (2 h), in
+        the row layout (entries at ghost columns and Dirichlet boundary nodes
+        are not meaningful)."""
+        if self._grad is None:
+            self._wide = [np.empty(fa.shape) for fa, *_ in self._axes]
+            n = self.rows.size
+            self._grad = [w[(w.size - n) // 2:][:n] for w in self._wide]
+        for (fa, fb, _, _, inv_2h, _), o in zip(self._axes, self._wide):
+            np.multiply(np.subtract(fa, fb, out=o), inv_2h, out=o)
+        return self._grad
 
-    def hessian(self, out=None) -> dict[tuple[int, int], np.ndarray]:
-        """Second-difference Hessian entries keyed by (i, j) with i <= j, in the row layout."""
-        if out is None:
-            keys = [(ax, ax) for ax in range(self.values.ndim)]
-            out = {k: np.empty(self.rows.shape) for k in keys + [(0, 1)] * (len(keys) == 2)}
-        for ax, (fa, fb, _, h2) in enumerate(self._axes):
-            o = np.multiply(self.rows, 2.0, out=out[(ax, ax)])
-            np.add(np.subtract(fa, o, out=o), fb, out=o)
-            np.divide(o, h2, out=o)
-        if self._cross is not None:
-            pp, mm, pm, mp, four_hxhy = self._cross
-            o = np.add(pp, mm, out=out[(0, 1)])
-            np.subtract(np.subtract(o, pm, out=o), mp, out=o)
-            np.divide(o, four_hxhy, out=o)
+    def hessian(self, cross_factor: float = 1.0) -> dict[tuple[int, int], np.ndarray]:
+        """Second differences keyed by (i, j) with i <= j, in the row layout:
+        ((u[i+e] + u[i-e]) - 2u) / h^2 on the diagonal and, in 2D, the central
+        y-difference of the x-gradient, times ``cross_factor`` (a power of 2
+        scales it exactly). The cross difference reads the x-gradient that the
+        last ``gradient`` call wrote, so call that first on the same values."""
+        rows, dim = self.rows, len(self._axes)
+        if self._hess is None:
+            keys = [(ax, ax) for ax in range(dim)] + ([(0, 1)] if dim == 2 else [])
+            self._hess = {k: np.empty(rows.shape) for k in keys}
+            # 2u, in the cross entry's array where there is one (it is written last)
+            self._twice = self._hess[(0, 1)] if dim == 2 else np.empty(rows.shape)
+        out = self._hess
+        twice = np.multiply(rows, 2.0, out=self._twice)
+        for ax, (_, _, fa, fb, _, inv_h2) in enumerate(self._axes):
+            o = np.add(fa, fb, out=out[(ax, ax)])
+            np.multiply(np.subtract(o, twice, out=o), inv_h2, out=o)
+        if dim == 2:
+            if self._grad is None:
+                raise ValueError("the cross difference needs a gradient first")
+            wide = self._wide[0]  # the x-gradient, one entry past each end of the rows
+            o = np.subtract(wide[2:], wide[:-2], out=out[(0, 1)])
+            np.multiply(o, self._cross_scale * cross_factor, out=o)
         return out
 
 
@@ -236,6 +259,7 @@ def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
 def hessian_arrays(field: ScalarField) -> dict[tuple[int, int], np.ndarray]:
     """``Stencil.hessian`` of one field, into new arrays of ``grid.shape``."""
     stencil = Stencil(field.grid, field.values)
+    stencil.gradient()  # the cross difference reads the x-gradient
     return {k: stencil.nodes(v) for k, v in stencil.hessian().items()}
 
 

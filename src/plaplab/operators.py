@@ -168,30 +168,50 @@ class OperatorSpec:
         return 2.0
 
 
-def rank_one_coeff_arrays(spec: OperatorSpec, r2, out=None, eps=None):
+# the ufunc ``x ** e`` takes for these scalar exponents e (numpy's fast path);
+# np.power need not round as it does
+_POWER_UFUNCS = {0.5: np.sqrt, 2.0: np.square}
+
+
+def _power(base, e: float, out):
+    """base ** e, into ``out`` when it is given."""
+    if out is None:
+        return base ** e
+    ufunc = _POWER_UFUNCS.get(e)
+    return ufunc(base, out=out) if ufunc is not None else np.power(base, e, out=out)
+
+
+def rank_one_coeff_arrays(spec: OperatorSpec, r2, out=None, eps=None, work=None):
     """(s, c) with A = s I + c P(xi) at squared magnitudes r2 = |xi|^2, for
     ``spec``'s family at regularization ``eps`` (None: its own eps, or eps1).
 
     eps > 0 is the module table's regularized row with p' the growth exponent:
-    defined at r2 = 0, c computed into ``out`` when given, s one Python float
-    where it is one at every r2. eps = 0 is the singular member: two new
-    arrays, for r2 > 0 only (Python's own arithmetic on a Python float r2).
+    defined at r2 = 0, s one Python float where it is one at every r2. eps = 0
+    is the singular member, for r2 > 0 only. c is computed into ``out`` and
+    a table s and the temporaries into the pair of arrays ``work``, where
+    given (a float s leaves the first array to a temporary); otherwise into
+    new arrays, or numpy scalars for a Python float r2.
     """
     if eps is None:
         eps = spec.eps if spec.family is Family.REGULARIZED_PQ else spec.eps1
     p2 = spec.p - 2.0
+    s_out, w_out = (None, None) if work is None else work
     if eps > 0.0:
         if spec.family in _BIASED:
-            return eps, np.divide(r2, r2 + eps * eps, out=out)
-        w = r2 + eps * eps
+            return eps, np.divide(r2, np.add(r2, eps * eps, out=out), out=out)
+        w = np.add(r2, eps * eps, out=w_out)
         if spec.growth_exponent == 2.0:  # s = w ** 0 = 1, so c = (p - 2) r2 / w
-            return 1.0, np.divide(p2 * r2, w, out=out)
-        s = w ** ((spec.growth_exponent - 2.0) / 2.0)
-        return s, np.divide(s * p2 * r2, w, out=out)
+            return 1.0, np.divide(np.multiply(r2, p2, out=s_out), w, out=out)
+        s = _power(w, (spec.growth_exponent - 2.0) / 2.0, s_out)
+        c = np.multiply(s, p2, out=out)
+        return s, np.divide(np.multiply(c, r2, out=out), w, out=out)
     if spec.family in _BIASED:  # c = r2 / r2 = 1
-        return np.zeros_like(r2), np.ones_like(r2)
-    s = r2 ** ((spec.growth_exponent - 2.0) / 2.0)  # exactly 1 at growth exponent 2
-    return s, p2 * s
+        s = np.empty_like(r2) if s_out is None else s_out
+        c = np.empty_like(r2) if out is None else out
+        s[...], c[...] = 0.0, 1.0
+        return s, c
+    s = _power(r2, (spec.growth_exponent - 2.0) / 2.0, s_out)  # exactly 1 at growth exponent 2
+    return s, np.multiply(s, p2, out=out)
 
 
 def rank_one_coeffs(spec: OperatorSpec, r2: float) -> tuple[float, float]:

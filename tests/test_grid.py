@@ -218,6 +218,18 @@ class TestStencilReference:
             with pytest.raises(ValueError, match="row-layout"):
                 stencil.nodes(bad)
 
+    def test_cross_difference_reads_the_gradient(self):
+        # the mixed difference is the y-difference of the last x-gradient, and
+        # cross_factor = 2 doubles it exactly
+        grid = self.GRIDS[2](Boundary.PERIODIC)
+        X, Y = grid.meshes()
+        stencil = Stencil(grid, np.sin(X) * np.cos(2.0 * Y))
+        with pytest.raises(ValueError, match="gradient first"):
+            stencil.hessian()
+        stencil.gradient()
+        once = stencil.hessian()[(0, 1)].copy()
+        np.testing.assert_array_equal(stencil.hessian(cross_factor=2.0)[(0, 1)], 2.0 * once)
+
 
 class TestNorms:
     def test_identical_fields(self):
