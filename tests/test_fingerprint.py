@@ -1,10 +1,11 @@
-"""A fingerprint of the scheme: recorded values of 36 solves and two public calls.
+"""A fingerprint of the scheme: recorded values of 48 solves and two public calls.
 
-Every family is solved on three grids (1D periodic, 2D periodic with a source,
-2D Dirichlet with a source), with captures at 0, 0.03 and 0.1; for each solve
-the steps, min dt and overshoot and, per snapshot, its sum, min, max and three
-node values (a corner node among them) are compared at 1e-12 relative with
-``fingerprint.json``. One ``cfl_dt`` and one ``step`` on the Dirichlet grid are
+Every family is solved on four grids (1D periodic, 1D Dirichlet with a
+source, 2D periodic with a source, 2D Dirichlet with a source), with captures
+at 0, 0.03 and 0.1; for each solve the steps, min dt and overshoot and, per
+snapshot, its sum, min, max and three node values (a corner node among them)
+are compared at 1e-12 relative with ``fingerprint.json``. One ``cfl_dt`` and
+one ``step`` on the 2D Dirichlet grid are
 checked the same way. The file stores values, not hashes, so a change shows
 which numbers moved and by how much.
 
@@ -56,6 +57,11 @@ SPECS = {
 }
 
 
+def _dirichlet_line(x):
+    # an exact zero of the discrete gradient at the centre node 32, x = 0
+    return x * x + 0.3 * np.cos(3.0 * x)
+
+
 def _dirichlet_initial(x, y):
     # an exact zero of the discrete gradient at the centre node (0, 0)
     return x * x + 0.5 * y * y + 0.3 * np.sin(3.0 * x) * y
@@ -70,6 +76,12 @@ GRIDS = {
         lambda x: np.minimum(np.cos(x) + 0.3 * np.cos(2.0 * x), 0.9),
         None, None,
         ([0, 21, 32],)),
+    "1d-dirichlet-65": (
+        GridSpec.line(-1.0, 1.0, 65, Boundary.DIRICHLET),
+        _dirichlet_line,
+        lambda x, t: 0.5 * np.sin(2.0 * x + 0.4) * (1.0 + t),
+        lambda x, t: _dirichlet_line(x) + t * x,
+        ([0, 32, 47],)),
     "2d-periodic-24x17": (
         GridSpec.box(((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (24, 17), Boundary.PERIODIC),
         lambda x, y: np.sin(x) * np.cos(y) + 0.2 * np.sin(2.0 * y + 0.3),
