@@ -15,10 +15,11 @@ it in place and allocates its temporaries once, the coefficient table's
 among them (``out`` and ``work`` of ``operators.rank_one_coeff_arrays``), so
 a step allocates no array the size of the field; snapshots are copies. The
 kernel makes every choice that depends only on the member, the grid and the
-problem once per solve, and binds the step as two closures of ufunc calls over
-those buffers, so no step decides anew which terms it has. ``solve``,
-``step`` and ``cfl_dt`` all run them, the last two on a fresh copy of their
-field.
+problem once per solve, as constants, and steps with two functions of ufunc
+calls over those buffers: ``cfl_bound`` and ``advance`` run the stages of the
+step in order, each stage guarded by its constant, so no step decides anew
+which terms it has. ``solve``, ``step`` and ``cfl_dt`` all run them, the last
+two on a fresh copy of their field.
 Every temporary is laid out in the stencil's whole padded rows, so the
 stencils and the update read contiguous memory. The step adds to the whole
 rows, writes the Dirichlet edge and refills the ghosts, which overwrites what
@@ -42,38 +43,44 @@ step.
 
 Lambda is fixed per solve by one rule. At growth exponent 2 a member has one
 s and a c of one sign at every gradient, its singular-gradient proxy included,
-so the kernel takes (s0, c0) at |xi| = 1 once. Where c0 <= 0, Lambda = s0
-exactly: the dt is fixed once per solve and no step takes a maximum. In 2D
-that covers normalized(p <= 2), general_pq(p <= 2, 2), regularized_pq(p <= 2,
-2, eps) and variational(2) (s = 1, c = (p - 2) r2 / w or p - 2); in 1D,
-regularized_pq(p <= 2, 2, eps > 0), while the other 1D members at growth
-exponent 2 step with one constant (below). Every other table member takes
-Lambda = max(s + max(c, 0)) over the nodes at each step. c has the sign of
-c0 at every gradient in every family, so that maximum is max(s + c) where
-c0 > 0 and max(s) where c0 <= 0, the same bits without a max(c, 0) pass.
+so the kernel takes (s0, c0) at |xi| = 1 once. A member with constant
+coefficients (below) steps at Lambda = s0 + max(c0, 0); a table member with
+c0 <= 0 (regularized_pq(p <= 2, 2, eps > 0)) at Lambda = s0 exactly. Either
+way the dt is fixed once per solve and no step takes a maximum. Every other
+table member takes Lambda = max(s + max(c, 0)) over the nodes at each step.
+c has the sign of c0 at every gradient in every family, so that maximum is
+max(s + c) where c0 > 0 and max(s) where c0 <= 0, the same bits without a
+max(c, 0) pass.
 
 Singular-gradient policy
 ------------------------
-A member that is not defined at a zero gradient takes the policy at nodes
-whose discrete gradient magnitude is at or below a floor: the grid-tied
-``eps_num`` when the growth exponent is below 2 (the prefactor is unbounded
-near zero), and 0 otherwise (only exact zeros). Those nodes, found by flat
-index in one pass, take their family's form at eps = eps_num
+A table member that is not defined at a zero gradient takes the policy at
+nodes whose discrete gradient magnitude is at or below a floor: the
+grid-tied ``eps_num`` when the growth exponent is below 2 (the prefactor is
+unbounded near zero), and 0 otherwise (only exact zeros). Those nodes, found
+by flat index in one pass, take their family's form at eps = eps_num
 (``operators.rank_one_coeff_arrays``), whose eps = 0 form is the member itself.
 
-One exception, in one dimension only: a member with growth exponent 2
-(normalized, general and regularized with p' = 2 and eps = 0, variational(2),
-and the biased infinity families with eps1 = 0) has the coefficient
-s + c = s0 + c0 at every nonzero gradient. The kernel steps it with that one
-constant at every node, singular ones included, which is the exact
-one-dimensional reduction of the operator, and with the dt it fixes once per
-solve from Lambda = s0 + max(c0, 0). It builds no coefficient table, so
-eps_num plays no part (0 is accepted). The regularized form would put an O(h)
-defect at isolated critical points and destroy the scheme's second-order
-convergence there. At kappa = 0 (normalized(1), regularized_pq(1, 2, 0)) the
-step takes no Hessian and adds only the source, if any. With no source and
-no Dirichlet edge such a step adds nothing, and it leaves the field, its
-ghosts and its (min, max) as the previous step left them.
+Constant coefficients
+---------------------
+A member with growth exponent 2 that is not defined at a zero gradient
+(normalized, general_pq(p, 2), regularized_pq(p, 2, 0) and variational(2),
+with (s, c) = (1, p - 2), and the biased infinity families with eps1 = 0,
+with (0, 1)) has (s, c) = (s0, c0) at every nonzero gradient. Except for the
+biased families in 2D, the kernel steps it with those two numbers at every
+node, singular ones included, and with the dt it fixes once per solve. It
+builds no coefficient table, so eps_num plays no part (0 is accepted).
+In 2D this is what the policy itself gives: the eps_num form keeps s = 1, and
+at |Du|^2 = 0 c multiplies a quadratic form that is exactly 0. The biased
+families keep their 2D table, because their singular nodes take s = eps_num.
+In 1D the step is kappa uxx with kappa = s0 + c0, the exact one-dimensional
+reduction of the operator, the biased families included; the regularized
+form would put an O(h) defect at isolated critical points and destroy the
+scheme's second-order convergence there. At kappa = 0 (normalized(1),
+regularized_pq(1, 2, 0)) the step takes no Hessian and adds only the source,
+if any. With no source and no Dirichlet edge such a step adds nothing, and
+it leaves the field, its ghosts and its (min, max) as the previous step left
+them.
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ from .grid import (  # gradient_arrays, hessian_arrays: bound here for perfbench
     hessian_arrays,  # noqa: F401
     interior_mask,
 )
-from .operators import OperatorSpec, rank_one_coeff_arrays, rank_one_coeffs
+from .operators import _BIASED, OperatorSpec, rank_one_coeff_arrays, rank_one_coeffs
 
 _CFL_SIGMA = 0.5  # dt_max = _CFL_SIGMA h_min^2 / (2 n Lambda)
 logger = logging.getLogger(__name__)
@@ -193,12 +200,15 @@ class _Kernel:
     reads.
 
     ``__init__`` makes every choice that depends only on the member, the grid
-    and the problem, and binds the step as two closures over those buffers and
-    constants: ``cfl_bound()`` takes what the step needs of ``u`` and returns
-    its stable dt, then ``advance(t, dt, t_new)`` steps ``u`` by dt, writes the
-    boundary data at t_new, refills the ghosts and returns the new (min, max),
-    which also serve as the finiteness check; on a Dirichlet grid it returns
-    the (min, max) of the boundary data it wrote after them."""
+    and the problem into a local constant, and binds the step as two functions
+    over those buffers that run its stages in order, each stage guarded by its
+    constant. ``cfl_bound()`` takes the gradient and r2, the coefficient table
+    with the singular-gradient policy, then Lambda, and returns the stable dt.
+    ``advance(t, dt, t_new)`` adds dt times the diffusion, the first-order term
+    and the source to ``u``, writes the boundary data at t_new, refills the
+    ghosts and returns the new (min, max), which also serve as the finiteness
+    check; on a Dirichlet grid it returns the (min, max) of the boundary data
+    it wrote after them."""
 
     def __init__(self, problem: Problem, values: np.ndarray):
         grid, spec, source = problem.grid, problem.spec, problem.source
@@ -207,27 +217,42 @@ class _Kernel:
         rows = stencil.rows
         h_min = min(grid.spacing)
         eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
-        floor = eps_num if spec.growth_exponent < 2.0 else 0.0
-        floor2 = floor * floor  # r2 <= floor2 takes the singular-gradient policy
+        # r2 <= floor2 takes the singular-gradient policy
+        floor2 = eps_num * eps_num if spec.growth_exponent < 2.0 else 0.0
         cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
-        s = c = None  # a table member's coefficients, as its last cfl_bound took them
-        # Lambda where it is fixed per solve (see the module docstring): at growth
-        # exponent 2, one s and a c of the sign of c0 at every gradient
-        kappa = lam = None
+        # -- the choices made once per solve (see the module docstring)
         s0, c0 = rank_one_coeffs(spec, 1.0)  # c has the sign of c0 at every gradient
-        if spec.growth_exponent == 2.0:
-            if grid.dim == 1 and not spec.everywhere_defined:
-                kappa, lam = s0 + c0, s0 + max(c0, 0.0)
-            elif c0 <= 0.0:
-                lam = s0
-        dt_fixed = None if lam is None else cfl_scale / max(lam, 1.0)
+        const = (spec.growth_exponent == 2.0 and not spec.everywhere_defined
+                 and (grid.dim == 1 or spec.family not in _BIASED))  # (s, c) = (s0, c0)
+        kappa = s0 + c0 if const and grid.dim == 1 else None  # the 1D coefficient of uxx
+        dt_fixed = None  # where Lambda is fixed per solve
+        if spec.growth_exponent == 2.0 and (const or c0 <= 0.0):
+            dt_fixed = cfl_scale / max(s0 + max(c0, 0.0), 1.0)
+        singular = not (const or spec.everywhere_defined)  # takes the singular-gradient policy
+        copy = spec.growth_exponent < 2.0  # the leaf is not finite at r2 = 0
+        # where the singular decision takes exactly the zeros (floor 0), its
+        # nodes are those of the 2D rate's r2 = 0 guard
+        guarded = singular and floor2 == 0.0
+        diffuses = kappa != 0.0  # kappa = 0 has no diffusion term, so no Hessian
+        a, eps2_sq = spec.a, spec.eps2 * spec.eps2  # only the biased families have a != 0
+        # r2 feeds a table, the first-order term and the 2D quadratic form
+        takes_r2 = not const or a != 0.0 or grid.dim == 2
+        adds = diffuses or a != 0.0 or source is not None
+        edge = None  # the Dirichlet boundary nodes
+        if grid.boundary is Boundary.DIRICHLET:
+            edge, edge_coords = _boundary_nodes(grid, interior_mask(grid))
+            dirichlet, edge_data = problem.dirichlet, np.empty(edge[0].size)
+            # the ring's flat indices into the padded buffer
+            padded = stencil.padded.reshape(-1)
+            ring = np.ravel_multi_index(tuple(i + 1 for i in edge), stencil.padded.shape)
+
         n = rows.shape
         r2, diff, work = (np.empty(n) for _ in range(3))
         zero = np.empty(n, bool)
         diff_nodes, work_nodes = stencil.nodes(diff), stencil.nodes(work)
-        edge = None  # the Dirichlet boundary nodes
-        if grid.boundary is Boundary.DIRICHLET:
-            edge, edge_coords = _boundary_nodes(grid, interior_mask(grid))
+        meshes, fill_ghosts = grid.meshes(), stencil.fill_ghosts
+        if not const:  # c, and s with the leaf's temporary (diff is free until the rate)
+            c_out, table = np.empty(n), (np.empty(n), diff)
 
         def outside(nodes):  # the flat row indices outside stencil.nodes(...)[nodes]
             mask = np.ones(n, bool)
@@ -239,117 +264,67 @@ class _Kernel:
         # the whole rows with 0 written at the rest (a strided maximum would
         # copy the rows)
         unseen = outside((slice(None) if edge is None else slice(1, -1),) * grid.dim)
-
-        # -- cfl_bound: the gradient, for a table or a first-order term, then (s, c)
-        if kappa is None or spec.a != 0.0:
-            gradient, grads = stencil.gradient, stencil.gradient()
-            if grid.dim == 1:  # no ghost columns
-                (ux,) = grads
-
-                def take_r2():
-                    gradient()
-                    np.square(ux, out=r2)
-            else:
-                ux, uy = grads
+        if takes_r2:
+            gradient = stencil.gradient
+            grads = gradient()
+            ux, uy = grads[0], grads[-1]  # in 1D uy is ux, and unread
+            if grid.dim == 2:
                 ghosts = outside(...)  # the ghost columns inside the rows
+        if diffuses:
+            # in 2D the cross entry is 2 uxy, the factor the quadratic form takes;
+            # the rate works in the Hessian's own arrays, which the next step rewrites
+            hessian = stencil.hessian
+            hess = hessian(cross_factor=2.0)
+            uxx, uxy2, uyy = hess[(0, 0)], hess.get((0, 1)), hess.get((1, 1))
+        # the coefficients and the flat indices of the singular nodes, as the
+        # last cfl_bound took them
+        s, c, sing = s0, c0, None
 
-                def take_r2():
-                    gradient()
+        def cfl_bound():
+            nonlocal s, c, sing
+            if takes_r2:
+                gradient()
+                if grid.dim == 1:  # no ghost columns
+                    np.square(ux, out=r2)
+                else:
                     np.add(np.square(ux, out=r2), np.square(uy, out=diff), out=r2)
                     r2[ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
-
-        sing = None  # the flat indices of the singular nodes, as the last step found them
-        if kappa is not None:  # no table: the gradient only for the first-order term
-            if spec.a == 0.0:
-                def cfl_bound():
-                    return dt_fixed
-            else:
-                def cfl_bound():
-                    take_r2()
-                    return dt_fixed
-        else:
-            # c, and s with the leaf's temporary (diff is free until the rate)
-            c_out, table = np.empty(n), (np.empty(n), diff)
-            if spec.everywhere_defined:
-                def coeffs():
-                    return rank_one_coeff_arrays(spec, r2, out=c_out, work=table)
-            else:
-                # at growth exponent >= 2 the leaf is finite at r2 = 0 (r2 ** x
-                # with x >= 0, or the biased (0, 1)), so it takes r2 as it is
-                copy = spec.growth_exponent < 2.0
-
-                def coeffs():
-                    """The singular-gradient policy of the module docstring, at the
-                    flat indices of the singular nodes only."""
-                    nonlocal sing
+            if not const:
+                at = r2
+                if singular:  # the policy of the module docstring, at its nodes only
                     sing = np.flatnonzero(np.less_equal(r2, floor2, out=zero))
-                    if sing.size == 0:
-                        return rank_one_coeff_arrays(spec, r2, out=c_out, work=table)
-                    if eps_num <= 0.0:
+                    if sing.size and eps_num <= 0.0:
                         raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-                    at = r2
-                    if copy:
+                    # at growth exponent >= 2 the leaf is finite at r2 = 0 (r2 ** x
+                    # with x >= 0, or the biased (0, 1)), so it takes r2 as it is
+                    if sing.size and copy:
                         at = work  # r2 with 1.0 at the singular nodes
                         at[...] = r2
                         at[sing] = 1.0
-                    s, c = rank_one_coeff_arrays(spec, at, out=c_out, work=table)
+                s, c = rank_one_coeff_arrays(spec, at, out=c_out, work=table)
+                if singular and sing.size:
                     s[sing], c[sing] = rank_one_coeff_arrays(spec, r2[sing], eps=eps_num)
-                    return s, c
-
-            def take_coeffs():
-                nonlocal s, c
-                take_r2()
-                s, c = coeffs()
-
             if dt_fixed is not None:
-                def cfl_bound():
-                    take_coeffs()
-                    return dt_fixed
-            elif c0 > 0.0:  # s + max(c, 0) = s + c at every node
-                def cfl_bound():
-                    take_coeffs()
-                    np.add(c, s, out=diff)
-                    diff[unseen] = 0.0
-                    return cfl_scale / max(float(diff.max()), 1.0)
-            else:
-                # s + max(c, 0) = s at every node; s is a table here (growth
-                # exponent != 2), and no node reads its unseen entries
-                def cfl_bound():
-                    take_coeffs()
-                    s[unseen] = 0.0
-                    return cfl_scale / max(float(s.max()), 1.0)
+                return dt_fixed
+            # c has the sign of c0 at every node, so s + max(c, 0) is s + c where
+            # c0 > 0, and else s, a table here (growth exponent != 2) whose
+            # unseen entries no node reads
+            lam = np.add(c, s, out=diff) if c0 > 0.0 else s
+            lam[unseen] = 0.0
+            return cfl_scale / max(float(lam.max()), 1.0)
 
-        # -- advance: rate(t), the sum of the terms present, in the row layout, is
-        # diffusion + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes)
-        rate = None
-        if kappa != 0.0:  # kappa = 0 has no diffusion term, so no Hessian
-            hessian = stencil.hessian
-            if kappa is not None:
-                (uxx,) = hessian().values()
-
-                def rate(t):
-                    hessian()
-                    return np.multiply(uxx, kappa, out=diff)
-            elif grid.dim == 1:
-                (uxx,) = hessian().values()
-
-                def rate(t):
-                    hessian()
-                    return np.multiply(np.add(s, c, out=diff), uxx, out=diff)
-            else:
-                # the cross entry is 2 uxy, the factor the quadratic form takes;
-                # the rate works in the Hessian's own arrays, which the next
-                # step rewrites
-                hess = hessian(cross_factor=2.0)
-                uxx, uxy2, uyy = hess[(0, 0)], hess[(0, 1)], hess[(1, 1)]
-                # where the singular decision takes exactly the zeros (floor 0),
-                # its nodes are those of the r2 = 0 guard
-                guarded = not spec.everywhere_defined and floor2 == 0.0
-
-                def rate(t):
+        def advance(t, dt, t_new):
+            # the rate, the sum of the terms present, in the row layout: diffusion
+            # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes), in diff
+            if diffuses:
+                hessian(cross_factor=2.0)
+                if kappa is not None:
+                    np.multiply(uxx, kappa, out=diff)
+                elif grid.dim == 1:
+                    np.multiply(np.add(s, c, out=diff), uxx, out=diff)
+                else:
                     # s tr D2u + c (ux^2 uxx + uy^2 uyy + ux uy 2uxy) / r2, with
                     # r2 = 0 read as 1
-                    hessian(cross_factor=2.0)
                     np.multiply(np.add(uxx, uyy, out=diff), s, out=diff)
                     np.multiply(np.multiply(uxx, ux, out=uxx), ux, out=uxx)
                     np.multiply(np.multiply(uyy, uy, out=uyy), uy, out=uyy)
@@ -360,66 +335,35 @@ class _Kernel:
                     r2[zeros] = 1.0
                     np.divide(uxx, r2, out=uxx)
                     r2[zeros] = 0.0  # r2 >= 0, so its zeros are +0.0
-                    return np.add(diff, np.multiply(uxx, c, out=uxx), out=diff)
-        diffusion, meshes = rate, grid.meshes()
-        if spec.a != 0.0:  # only the biased families, whose diffusion never vanishes (kappa = 1)
-            a, eps2_sq = spec.a, spec.eps2 * spec.eps2
-            if source is None:
-                def rate(t):
-                    d = diffusion(t)
-                    np.sqrt(np.add(r2, eps2_sq, out=work), out=work)
-                    return np.add(d, np.multiply(work, a, out=work), out=diff)
-            else:
-                def rate(t):
-                    d = diffusion(t)
-                    np.sqrt(np.add(r2, eps2_sq, out=work), out=work)
-                    np.multiply(work, a, out=work)
+                    np.add(diff, np.multiply(uxx, c, out=uxx), out=diff)
+            if a != 0.0:  # the biased families, whose diffusion never vanishes
+                np.sqrt(np.add(r2, eps2_sq, out=work), out=work)
+                np.multiply(work, a, out=work)
+                if source is not None:
                     np.add(work_nodes, np.asarray(source(*meshes, t), float), out=work_nodes)
-                    return np.add(d, work, out=diff)
-        elif source is not None and diffusion is not None:
-            def rate(t):
-                d = diffusion(t)
+                np.add(diff, work, out=diff)
+            elif source is not None and diffuses:
                 np.add(diff_nodes, np.asarray(source(*meshes, t), float), out=diff_nodes)
-                return d
-        elif source is not None:
-            def rate(t):
+            elif source is not None:
                 diff_nodes[...] = np.asarray(source(*meshes, t), float)
-                return diff
-
-        fill_ghosts = stencil.fill_ghosts
-        if edge is None:
-            def settle(t_new):
-                fill_ghosts()  # every ghost now copies a node
-                return _bounds(rows, u, t_new)
-        else:
-            dirichlet = problem.dirichlet
-            edge_data = np.empty(edge[0].size)
-            # the ring's flat indices into the padded buffer
-            padded = stencil.padded.reshape(-1)
-            ring = np.ravel_multi_index(tuple(i + 1 for i in edge), stencil.padded.shape)
-
-            def settle(t_new):
+            if adds:  # the update spills into the ghost columns
+                np.add(rows, np.multiply(diff, dt, out=diff), out=rows)
+            if edge is not None:
                 edge_data[...] = np.asarray(dirichlet(*edge_coords, t_new), float)
                 padded[ring] = edge_data
-                fill_ghosts()
-                lo, hi = _bounds(rows, u, t_new)
-                return lo, hi, float(edge_data.min()), float(edge_data.max())
+            fill_ghosts()  # every ghost now copies a node
+            bounds = _bounds(rows, u, t_new)
+            if edge is None:
+                return bounds
+            return bounds + (float(edge_data.min()), float(edge_data.max()))
 
-        if rate is None and edge is None:
+        if not adds and edge is None:
             # a step that adds nothing leaves the field, its ghosts and its
             # (min, max) as they were
             unchanged = float(rows.min()), float(rows.max())
 
             def advance(t, dt, t_new):
                 return unchanged
-        elif rate is None:
-            def advance(t, dt, t_new):
-                return settle(t_new)
-        else:
-            def advance(t, dt, t_new):
-                r = rate(t)
-                np.add(rows, np.multiply(r, dt, out=r), out=rows)  # spills into the ghost columns
-                return settle(t_new)
 
         self.cfl_bound, self.advance = cfl_bound, advance
 

@@ -63,6 +63,8 @@ class GridSpec:
         if len(self.extent) != self.dim or len(self.resolution) != self.dim:
             raise ValueError("extent/resolution must have one entry per axis")
         for (a, b), n in zip(self.extent, self.resolution):
+            if not math.isfinite(b - a):  # also where an endpoint is not finite
+                raise ValueError(f"extent [{a}, {b}] must have a finite length")
             if not b > a:
                 raise ValueError(f"empty extent [{a}, {b}]")
             if n < 8:

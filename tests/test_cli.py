@@ -160,7 +160,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_exit_2_without_output(self, tmp_path, bad):
         # JSON's NaN and Infinity: the horizon, a capture time, eps_num, an
-        # operator field and a sweep value
+        # operator field, a grid extent (with data that a NaN coordinate does
+        # not make non-finite) and a sweep value
         horizon = heat_config(T=bad)
         capture = heat_config(snapshot_times=[bad, 0.1])
         floor = heat_config()
@@ -172,6 +173,9 @@ class TestSolveCommand:
                                       "eps": bad}
         drift = heat_config()
         drift["problem"]["operator"] = {"family": "biased_infinity", "a": bad}
+        extent = heat_config()
+        extent["problem"]["grid"]["extent"] = [[0.0, bad]]
+        extent["problem"]["data"] = {"kind": "constant", "value": 1.0}
         member = heat_config()
         member["sweep"] = {"axis": "p", "values": [bad, 0.2, 0.1, 0.05]}
         for name, cfg_data, command in (("horizon", horizon, "solve"),
@@ -180,6 +184,7 @@ class TestSolveCommand:
                                         ("exponent", exponent, "solve"),
                                         ("reg", reg, "solve"),
                                         ("drift", drift, "solve"),
+                                        ("extent", extent, "solve"),
                                         ("member", member, "rate-sweep")):
             cfg = write_config(tmp_path / f"{name}.json", cfg_data)
             out = tmp_path / f"{name}_out"

@@ -24,7 +24,7 @@ from plaplab import (
 )
 from plaplab import evolve
 from plaplab.exact import ExactSolution, SolutionId
-from plaplab.grid import Stencil, gradient_arrays
+from plaplab.grid import Stencil, gradient_arrays, interior_mask
 from plaplab.operators import rank_one_coeff_arrays
 
 
@@ -527,16 +527,101 @@ class TestConstantCoefficient1D:
         np.testing.assert_array_equal(res.snapshots[-1].values, ref.snapshots[-1].values)
 
 
+# 2D members singular at xi = 0 with growth exponent 2: (s0, c0) = (1, p - 2)
+# at every node, the singular ones included
+CONSTANT_2D = {
+    "normalized(3)": (OperatorSpec.normalized(3.0), 1.0, 1.0),
+    "normalized(1.5)": (OperatorSpec.normalized(1.5), 1.0, -0.5),
+    "general_pq(3,2)": (OperatorSpec.general_pq(3.0, 2.0), 1.0, 1.0),
+    "variational(2)": (OperatorSpec.variational(2.0), 1.0, 0.0),
+    "regularized_pq(1,2,0)": (OperatorSpec.regularized_pq(1.0, 2.0, 0.0), 1.0, -1.0),
+}
+
+
+def _saddle(x, y):
+    # an exact zero gradient at the centre node (0, 0)
+    return x * x + 0.5 * y * y + 0.3 * np.sin(3.0 * x) * y
+
+
+def constant_problem_2d(spec, boundary, eps_num=None):
+    """16 x 12 periodic nodes with flat tops, or 17 x 13 Dirichlet nodes with a
+    source and moving boundary data; both have exactly zero gradients."""
+    controls = SolverControls(eps_num=eps_num)
+    if boundary is Boundary.PERIODIC:
+        grid = GridSpec.box(((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (16, 12), boundary)
+        return Problem(spec=spec, grid=grid, T=0.1, controls=controls,
+                       initial=lambda x, y: np.minimum(np.cos(x) * np.cos(y), 0.5))
+    grid = GridSpec.box(((-1.0, 1.0), (-1.5, 1.5)), (17, 13), boundary)
+    return Problem(spec=spec, grid=grid, initial=_saddle, T=0.1, controls=controls,
+                   source=lambda x, y, t: 0.5 * np.cos(x + y) * (1.0 + t),
+                   dirichlet=lambda x, y, t: _saddle(x, y) + t * (x - y))
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.DIRICHLET])
+@pytest.mark.parametrize("name", list(CONSTANT_2D))
+class TestConstantCoefficient2D:
+    def test_step_is_the_constant_coefficient_update(self, name, boundary):
+        spec, s0, c0 = CONSTANT_2D[name]
+        prob = constant_problem_2d(spec, boundary)
+        f0 = prob.initial_field()
+        u = f0.values
+        assert np.count_nonzero(sum(g * g for g in gradient_arrays(f0)) == 0.0) > 0
+        dt = cfl_dt(prob, f0)
+        got = step(f0, prob, dt).values
+        # u + dt (s0 tr D2u + c0 (ux^2 uxx + uy^2 uyy + ux uy 2uxy) / r2 + f), with
+        # r2 = 0 read as 1, in the kernel's order
+        hx, hy = prob.grid.spacing
+        mode = "wrap" if boundary is Boundary.PERIODIC else "edge"
+        padded = np.pad(u, 1, mode=mode)
+        gx = (padded[2:] - padded[:-2]) * (1.0 / (2.0 * hx))  # on every padded column
+        ux, uy = gx[:, 1:-1], (padded[1:-1, 2:] - padded[1:-1, :-2]) * (1.0 / (2.0 * hy))
+        twice = u * 2.0
+        uxx = ((padded[2:, 1:-1] + padded[:-2, 1:-1]) - twice) * (1.0 / (hx * hx))
+        uyy = ((padded[1:-1, 2:] + padded[1:-1, :-2]) - twice) * (1.0 / (hy * hy))
+        uxy2 = (gx[:, 2:] - gx[:, :-2]) * ((1.0 / (2.0 * hy)) * 2.0)
+        r2 = ux * ux + uy * uy
+        form = (uxx * ux * ux + uyy * uy * uy) + uxy2 * ux * uy
+        rate = (uxx + uyy) * s0 + form / np.where(r2 == 0.0, 1.0, r2) * c0
+        if prob.source is not None:
+            rate = rate + prob.source(*prob.grid.meshes(), 0.0)
+        want = u + rate * dt
+        if boundary is Boundary.DIRICHLET:
+            inner = interior_mask(prob.grid)
+            want[~inner] = prob.dirichlet(*(m[~inner] for m in prob.grid.meshes()), dt)
+        np.testing.assert_array_equal(got, want)
+
+    def test_cfl_dt_is_fixed_by_the_constants(self, name, boundary):
+        spec, s0, c0 = CONSTANT_2D[name]
+        prob = constant_problem_2d(spec, boundary)
+        h = min(prob.grid.spacing)
+        want = 0.5 * h * h / 4.0 / max(s0 + max(c0, 0.0), 1.0)
+        f0 = prob.initial_field()
+        assert cfl_dt(prob, f0) == want
+        # whatever the field, a constant one with no nonzero gradient included
+        assert cfl_dt(prob, ScalarField(prob.grid, 5.0 * f0.values)) == want
+        assert cfl_dt(prob, ScalarField(prob.grid, np.zeros(prob.grid.shape))) == want
+
+    def test_zero_eps_num_accepted(self, name, boundary):
+        # the data have exact zero gradients, yet no node is regularized
+        spec = CONSTANT_2D[name][0]
+        res = solve(constant_problem_2d(spec, boundary, eps_num=0.0))
+        ref = solve(constant_problem_2d(spec, boundary))
+        assert res.stats == ref.stats
+        np.testing.assert_array_equal(res.snapshots[-1].values, ref.snapshots[-1].values)
+
+
 TABLE_MEMBERS = [
     (OperatorSpec.regularized_pq(1.0, 2.0, 0.1), 1),
     (OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.1), 1),
     (OperatorSpec.variational(3.0), 1),
     (OperatorSpec.general_pq(3.0, 1.5), 1),
-    (OperatorSpec.normalized(3.0), 2),  # singular nodes take the eps_num form in 2D
+    (OperatorSpec.biased_infinity(0.5), 2),  # singular nodes take s = eps_num in 2D
     (OperatorSpec.regularized_pq(1.5, 2.0, 0.1), 2),  # a fixed Lambda
 ]
 # kappa = s0 + c0 = 0: no diffusion, and no first-order term of the operator
 ZERO_KAPPA = [OperatorSpec.normalized(1.0), OperatorSpec.regularized_pq(1.0, 2.0, 0.0)]
+# members stepped without a table: kappa = 0 in 1D, and the 2D constant members
+NO_TABLE = [(spec, 1) for spec in ZERO_KAPPA] + [(spec, 2) for spec, _, _ in CONSTANT_2D.values()]
 
 
 def small_problem(spec, dim, T=0.1):
@@ -574,7 +659,7 @@ def test_non_constant_members_keep_the_coefficient_table(monkeypatch, spec, dim)
         assert s.shape == rows.shape
 
 
-@pytest.mark.parametrize("spec, dim", TABLE_MEMBERS + [(spec, 1) for spec in ZERO_KAPPA])
+@pytest.mark.parametrize("spec, dim", TABLE_MEMBERS + NO_TABLE)
 def test_coefficient_table_is_taken_once_per_step(monkeypatch, spec, dim):
     # the benchmark's coefficient layer wraps the name bound in evolve: a kernel
     # that stopped calling it would read 0 there instead of failing (a call
@@ -590,7 +675,7 @@ def test_coefficient_table_is_taken_once_per_step(monkeypatch, spec, dim):
     monkeypatch.setattr(evolve, "rank_one_coeff_arrays", record)
     res = solve(small_problem(spec, dim, T=0.05))
     assert res.stats.steps > 0
-    assert len(calls) == (0 if spec in ZERO_KAPPA else res.stats.steps)
+    assert len(calls) == (0 if (spec, dim) in NO_TABLE else res.stats.steps)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

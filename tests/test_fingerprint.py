@@ -50,7 +50,7 @@ SPECS = {
     "biased_infinity(0.5)": OperatorSpec.biased_infinity(0.5),
     "biased_infinity_regularized(0.5,0.1,0.1)":
         OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.1),
-    # kappa = 0 in 1D; in 2D a coefficient table with c = -1
+    # kappa = 0 in 1D; in 2D the constant coefficients (s, c) = (1, -1)
     "normalized(1)": OperatorSpec.normalized(1.0),
     # one s and c <= 0 at every gradient, so Lambda = s, at p != 1
     "regularized_pq(1.5,2,0.1)": OperatorSpec.regularized_pq(1.5, 2.0, 0.1),

@@ -35,6 +35,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(3, ((0, 1),) * 3, (8,) * 3, Boundary.PERIODIC)
 
+    def test_non_finite_extent_rejected(self):
+        # an infinite extent gave an infinite spacing and NaN node coordinates
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+                     (0.0, math.nan), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="finite length"):
+                GridSpec.line(a, b, 16, Boundary.DIRICHLET)
+            with pytest.raises(ValueError, match="finite length"):
+                GridSpec.box(((0.0, 1.0), (a, b)), (8, 8), Boundary.PERIODIC)
+
     def test_whole_number_dim_and_resolution(self):
         # 1.7 and 64.9 were truncated to a 64-node 1D grid
         for dim, n in ((1.7, 64), (1, 64.9), (1, math.nan), (True, 64), (1, "64")):
@@ -274,6 +283,14 @@ class TestPersistence:
         save_field(line_field(0.0, 1.0, 8, Boundary.PERIODIC, lambda x: x, time=0.5), path)
         path.write_text(path.read_text().replace("time=0.5", f"time={time}"))
         with pytest.raises(ValueError, match="time must be finite"):
+            load_field(path)
+
+    def test_rejects_an_infinite_extent(self, tmp_path):
+        # the header a solve on an infinite extent used to write
+        path = tmp_path / "x.csv"
+        save_field(line_field(0.0, 1.0, 8, Boundary.PERIODIC, lambda x: 0.0 * x + 1.0), path)
+        path.write_text(path.read_text().replace("extent=0,1", "extent=0,inf"))
+        with pytest.raises(ValueError, match="finite length"):
             load_field(path)
 
     def test_header_format(self, tmp_path):
