@@ -448,8 +448,8 @@ class TestRateSweepCommand:
                                   data_for_spec=lambda spec: data_for(spec.p)))
         assert not any(fit.excluded)
         np.testing.assert_allclose(gaps, fit.gap_list, rtol=1e-12, atol=0.0)
-        assert summary["slope"] == pytest.approx(fit.slope, rel=1e-12)
-        assert summary["error_floor"] == pytest.approx(fit.error_floor, rel=1e-12)
+        assert summary["slope"] == pytest.approx(fit.slope, rel=1e-12, abs=0)
+        assert summary["error_floor"] == pytest.approx(fit.error_floor, rel=1e-12, abs=0)
 
 
 class TestVerifyExactCommand:

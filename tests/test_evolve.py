@@ -40,14 +40,14 @@ class TestCfl:
         prob = Problem(spec=OperatorSpec.normalized(3.0), grid=grid,
                        initial=np.sin, T=1.0)
         dt = cfl_dt(prob, prob.initial_field())
-        assert dt == pytest.approx(0.5 * 0.01 / (2.0 * 2.0), rel=1e-12)
+        assert dt == pytest.approx(0.5 * 0.01 / (2.0 * 2.0), rel=1e-12, abs=0)
 
     def test_variational_p2(self):
         grid = GridSpec.line(0.0, 1.0, 10, Boundary.PERIODIC)
         prob = Problem(spec=OperatorSpec.variational(2.0), grid=grid,
                        initial=np.sin, T=1.0)
         dt = cfl_dt(prob, prob.initial_field())
-        assert dt == pytest.approx(2.5e-3, rel=1e-12)
+        assert dt == pytest.approx(2.5e-3, rel=1e-12, abs=0)
 
     def test_variational_p4_with_gradient(self):
         # |grad u| = 2 on the interior; Lambda = (p-1)|xi|^{p-2} = 3 * 4 = 12
@@ -56,7 +56,7 @@ class TestCfl:
                        initial=lambda x: 2.0 * x, T=1.0,
                        dirichlet=lambda x, t: 2.0 * x)
         dt = cfl_dt(prob, prob.initial_field())
-        assert dt == pytest.approx(0.5 * 0.01 / (2.0 * 12.0), rel=1e-12)
+        assert dt == pytest.approx(0.5 * 0.01 / (2.0 * 12.0), rel=1e-12, abs=0)
 
     def test_degenerate_floor(self):
         # frozen member (p=1, p'=2): Lambda floors at 1 so dt stays finite
@@ -65,7 +65,7 @@ class TestCfl:
                        initial=np.sin, T=1.0)
         dt = cfl_dt(prob, prob.initial_field())
         h = grid.spacing[0]
-        assert dt == pytest.approx(0.5 * h * h / 2.0, rel=1e-12)
+        assert dt == pytest.approx(0.5 * h * h / 2.0, rel=1e-12, abs=0)
 
 
 class TestStep:
@@ -112,7 +112,7 @@ class TestStep:
         uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
         fld = ScalarField(grid, u)
         dt = cfl_dt(prob, fld)
-        assert dt == pytest.approx(h * h / (4.0 * 2.0 * np.max(np.abs(ux))), rel=1e-12)
+        assert dt == pytest.approx(h * h / (4.0 * 2.0 * np.max(np.abs(ux))), rel=1e-12, abs=0)
         new = step(fld, prob, dt).values
         np.testing.assert_allclose(new[1:-1], u[1:-1] + dt * 2.0 * np.abs(ux) * uxx,
                                    rtol=0.0, atol=1e-12)
@@ -444,9 +444,9 @@ class TestSingularPolicy:
             res = solve(prob)
         # pinned at 1e-12 relative to the scheme before the row-layout kernel
         assert res.stats.steps == 6
-        assert res.stats.min_dt == pytest.approx(0.006403814171871469, rel=1e-12)
+        assert res.stats.min_dt == pytest.approx(0.006403814171871469, rel=1e-12, abs=0)
         golden = [0.2878383338031408, 0.9252203652661024, -0.2160422025150362]
-        assert res.snapshots[-1].values[[0, 5, 15], [0, 2, 11]] == pytest.approx(golden, rel=1e-12)
+        assert res.snapshots[-1].values[[0, 5, 15], [0, 2, 11]] == pytest.approx(golden, rel=1e-12, abs=0)
 
 
 # 1D members singular at xi = 0 with growth exponent 2: (kappa = s + c, and
@@ -965,9 +965,9 @@ class TestTwoDimensional:
         X, Y = grid.meshes()
         assert np.max(np.abs(final - aronsson(X, Y) - 0.02)) < 1e-7
         assert res.stats.steps == 256
-        assert res.stats.min_dt == pytest.approx(7.812499999999996e-05, rel=1e-12)
+        assert res.stats.min_dt == pytest.approx(7.812499999999996e-05, rel=1e-12, abs=0)
         golden = [-0.23178926982857423, 0.17873183666871378, -0.09046841067975837]
-        assert final[[5, 16, 27], [3, 11, 6]] == pytest.approx(golden, rel=1e-12)
+        assert final[[5, 16, 27], [3, 11, 6]] == pytest.approx(golden, rel=1e-12, abs=0)
 
     def test_curvature_mode_shrinking_circles(self):
         # level-set curvature mode (p = 1, p' = 2): u = r^2/2 + t evolves
@@ -1004,9 +1004,9 @@ class TestTwoDimensional:
         for spec, golden in pins:
             res, _ = run(spec, 33)
             assert res.stats.steps == 205
-            assert res.stats.min_dt == pytest.approx(0.00039062500000000555, rel=1e-12)
+            assert res.stats.min_dt == pytest.approx(0.00039062500000000555, rel=1e-12, abs=0)
             final = res.snapshots[-1].values
-            assert final[[16, 13, 21], [16, 18, 9]] == pytest.approx(golden, rel=1e-12)
+            assert final[[16, 13, 21], [16, 18, 9]] == pytest.approx(golden, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("spec, source, steps, min_dt, golden", [
         (OperatorSpec.normalized(3.0), None, 24, 0.0014753032877364708,
@@ -1025,9 +1025,9 @@ class TestTwoDimensional:
                        initial=lambda x, y: np.sin(x) * np.cos(y) + 0.2 * np.sin(2.0 * y + 0.3))
         res = solve(prob)
         assert res.stats.steps == steps
-        assert res.stats.min_dt == pytest.approx(min_dt, rel=1e-12)
+        assert res.stats.min_dt == pytest.approx(min_dt, rel=1e-12, abs=0)
         final = res.snapshots[-1].values
-        assert final[[23, 7, 15], [16, 3, 10]] == pytest.approx(golden, rel=1e-12)
+        assert final[[23, 7, 15], [16, 3, 10]] == pytest.approx(golden, rel=1e-12, abs=0)
 
     def test_dirichlet_data_evaluated_on_boundary_nodes_only(self):
         nx, ny = 17, 9

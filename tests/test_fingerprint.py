@@ -9,11 +9,15 @@ one ``step`` on the 2D Dirichlet grid are
 checked the same way. The file stores values, not hashes, so a change shows
 which numbers moved and by how much.
 
-A change to the scheme that moves an entry re-records the file with
+A change to the scheme that moves entries re-records them, and only them, with
 
-    PYTHONPATH=src python tests/test_fingerprint.py
+    PYTHONPATH=src python tests/test_fingerprint.py KEY...
 
-and names the moved entries, and why they moved, in CHANGES.md.
+(a key as the test ids print it, ``"variational(3) @ 1d-periodic-64"`` or
+``calls``), and names the moved entries, and why they moved, in CHANGES.md.
+Every run also records the entries the file lacks, so with no key it records
+a new grid's or member's entries alone; every other entry is written back as
+it was read, byte for byte.
 """
 
 import json
@@ -133,10 +137,14 @@ def calls_entry() -> dict:
 SOLVES = [f"{s} @ {g}" for s in SPECS for g in GRIDS]
 
 
-def record() -> dict:
-    entries = {key: solve_entry(*key.split(" @ ")) for key in SOLVES}
-    entries["calls"] = calls_entry()
-    return entries
+def record(keys, entries: dict) -> dict:
+    """``entries`` with the named keys, and every key it lacks, recorded anew."""
+    unknown = set(keys) - set(SOLVES) - {"calls"}
+    if unknown:
+        raise SystemExit(f"unknown fingerprint key(s): {sorted(unknown)}")
+    fresh = set(keys) | (set(SOLVES) | {"calls"}) - set(entries)
+    return {key: (calls_entry() if key == "calls" else solve_entry(*key.split(" @ ")))
+            if key in fresh else entries[key] for key in SOLVES + ["calls"]}
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +165,7 @@ def assert_same(got: dict, want: dict) -> None:
         elif isinstance(value, dict):
             assert_same(got[key], value)
         else:
-            assert got[key] == pytest.approx(value, rel=1e-12), key
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
 
 
 def test_cases_cover_every_family(recorded):
@@ -174,9 +182,28 @@ def test_public_calls(recorded):
     assert_same(calls_entry(), recorded["calls"])
 
 
+def test_record_rewrites_only_named_and_missing_entries(recorded):
+    assert record([], recorded) == recorded
+    key = SOLVES[0]
+    partial = {k: v for k, v in recorded.items() if k != key}
+    partial["calls"] = {"stale": True}
+    entries = record(["calls"], partial)
+    assert list(entries) == list(recorded)
+    assert entries[key] == solve_entry(*key.split(" @ "))
+    assert entries["calls"] == calls_entry()
+    assert all(entries[k] is recorded[k] for k in SOLVES[1:])
+    with pytest.raises(SystemExit, match="unknown"):
+        record(["no such key"], recorded)
+
+
 if __name__ == "__main__":
-    entries = record()
+    import sys
+
+    with open(RECORD) as fh:
+        old = json.load(fh)
+    entries = record(sys.argv[1:], old)
     with open(RECORD, "w") as fh:
         json.dump(entries, fh, indent=1)
         fh.write("\n")
-    print(f"recorded {len(SOLVES)} solves and the public calls in {RECORD}")
+    moved = [key for key in entries if entries[key] != old.get(key)]
+    print(f"recorded {len(moved)} changed or new entries in {RECORD}: {moved}")

@@ -119,7 +119,7 @@ class TestRunSweep:
         fit = run_sweep(plan)
         base = _with_snapshots(plan.base, plan.gap_times)
         direct = estimate_holder(solve(base).snapshots[-1])
-        assert fit.holder_theta == pytest.approx(direct.theta_hat, rel=1e-12)
+        assert fit.holder_theta == pytest.approx(direct.theta_hat, rel=1e-12, abs=0)
 
     def test_flat_base_capture_reports_no_holder_theta(self):
         # data 0.5 + (p - 3) sin x track the member's p, so the base stays flat
@@ -151,7 +151,7 @@ class TestRunSweep:
         ref = solve(base, dt_override=dt).snapshots[-1]
         for member, gap in zip(members, fit.gap_list):
             want = sup_diff(solve(member, dt_override=dt).snapshots[-1], ref)
-            assert gap == pytest.approx(want, rel=1e-12)
+            assert gap == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_growing_gradient_sweep_completes(self):
         # the shared dt is fixed from the t = 0 fields while the gradient, and
