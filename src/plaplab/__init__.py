@@ -20,7 +20,6 @@ from .errors import (
 )
 from .evolve import Problem, SolveResult, SolveStats, SolverControls, cfl_dt, solve, step
 from .exact import (
-    DomainSampler,
     ExactSolution,
     SingularPointError,
     SolutionId,

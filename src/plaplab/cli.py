@@ -54,6 +54,8 @@ class ConfigError(ValueError):
 
 
 def _check_keys(node: dict, allowed: set, where: str, required: tuple = ()):
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(node) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -85,8 +87,6 @@ def _load_config(path: Path) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
     _check_keys(cfg, {"schema_version", "problem", "sweep"}, "config root",
                 required=("problem",))
     if cfg.get("schema_version") != SCHEMA_VERSION:

@@ -19,7 +19,9 @@ problem once per solve, as constants, and steps with two functions of ufunc
 calls over those buffers: ``cfl_bound`` and ``advance`` run the stages of the
 step in order, each stage guarded by its constant, so no step decides anew
 which terms it has. ``solve``, ``step`` and ``cfl_dt`` all run them, the last
-two on a fresh copy of their field.
+two on a fresh copy of their field. The kernel also keeps the data range, the
+t = 0 range widened by each boundary value it writes, and ``advance`` returns
+its step's overshoot beyond that range, so ``solve`` only takes the largest.
 Every temporary is laid out in the stencil's whole padded rows, so the
 stencils and the update read contiguous memory. The step adds to the whole
 rows, writes the Dirichlet edge and refills the ghosts, which overwrites what
@@ -78,9 +80,8 @@ reduction of the operator, the biased families included; the regularized
 form would put an O(h) defect at isolated critical points and destroy the
 scheme's second-order convergence there. At kappa = 0 (normalized(1),
 regularized_pq(1, 2, 0)) the step takes no Hessian and adds only the source,
-if any. With no source and no Dirichlet edge such a step adds nothing, and
-it leaves the field, its ghosts and its (min, max) as the previous step left
-them.
+if any. With no source and no Dirichlet edge such a step adds nothing: it
+leaves the field and its ghosts as they were and returns an overshoot of 0.
 """
 
 from __future__ import annotations
@@ -192,197 +193,190 @@ def _boundary_nodes(grid: GridSpec, mask: np.ndarray):
     return edge, tuple(m[edge] for m in grid.meshes())
 
 
-class _Kernel:
-    """One solve's step, bound once. The field ``u`` is the grid view of one
-    ghost-padded buffer, which the step works on in its row view
-    (``grid.Stencil``). Every full-mesh temporary lives in the row layout and
-    is allocated once; the entries at ghost columns are garbage that no node
-    reads.
+def _kernel(problem: Problem, values: np.ndarray):
+    """One solve's step, bound once: ``(u, cfl_bound, advance)``. The field
+    ``u`` is the grid view of one ghost-padded buffer holding ``values``, which
+    the step works on in its row view (``grid.Stencil``). Every full-mesh
+    temporary lives in the row layout and is allocated once; the entries at
+    ghost columns are garbage that no node reads.
 
-    ``__init__`` makes every choice that depends only on the member, the grid
-    and the problem into a local constant, and binds the step as two functions
+    Every choice that depends only on the member, the grid and the problem is
+    made once, into a local constant, and the step is bound as two functions
     over those buffers that run its stages in order, each stage guarded by its
     constant. ``cfl_bound()`` takes the gradient and r2, the coefficient table
     with the singular-gradient policy, then Lambda, and returns the stable dt.
     ``advance(t, dt, t_new)`` adds dt times the diffusion, the first-order term
     and the source to ``u``, writes the boundary data at t_new, refills the
-    ghosts and returns the new (min, max), which also serve as the finiteness
-    check; on a Dirichlet grid it returns the (min, max) of the boundary data
-    it wrote after them."""
+    ghosts and takes the new (min, max), which also serve as the finiteness
+    check. It returns the step's overshoot: how far that (min, max) leaves the
+    data range, the range of ``values`` widened by every boundary value written
+    so far."""
+    grid, spec, source = problem.grid, problem.spec, problem.source
+    stencil = Stencil(grid, values)
+    u = stencil.values
+    rows = stencil.rows
+    h_min = min(grid.spacing)
+    eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
+    # r2 <= floor2 takes the singular-gradient policy
+    floor2 = eps_num * eps_num if spec.growth_exponent < 2.0 else 0.0
+    cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
+    # -- the choices made once per solve (see the module docstring)
+    s0, c0 = rank_one_coeffs(spec, 1.0)  # c has the sign of c0 at every gradient
+    const = (spec.growth_exponent == 2.0 and not spec.everywhere_defined
+             and (grid.dim == 1 or spec.family not in _BIASED))  # (s, c) = (s0, c0)
+    kappa = s0 + c0 if const and grid.dim == 1 else None  # the 1D coefficient of uxx
+    dt_fixed = None  # where Lambda is fixed per solve
+    if spec.growth_exponent == 2.0 and (const or c0 <= 0.0):
+        dt_fixed = cfl_scale / max(s0 + max(c0, 0.0), 1.0)
+    singular = not (const or spec.everywhere_defined)  # takes the singular-gradient policy
+    copy = spec.growth_exponent < 2.0  # the leaf is not finite at r2 = 0
+    # where the singular decision takes exactly the zeros (floor 0), its
+    # nodes are those of the 2D rate's r2 = 0 guard
+    guarded = singular and floor2 == 0.0
+    diffuses = kappa != 0.0  # kappa = 0 has no diffusion term, so no Hessian
+    a, eps2_sq = spec.a, spec.eps2 * spec.eps2  # only the biased families have a != 0
+    # r2 feeds a table, the first-order term and the 2D quadratic form
+    takes_r2 = not const or a != 0.0 or grid.dim == 2
+    adds = diffuses or a != 0.0 or source is not None
+    edge = None  # the Dirichlet boundary nodes
+    if grid.boundary is Boundary.DIRICHLET:
+        edge, edge_coords = _boundary_nodes(grid, interior_mask(grid))
+        dirichlet, edge_data = problem.dirichlet, np.empty(edge[0].size)
+        # the ring's flat indices into the padded buffer
+        padded = stencil.padded.reshape(-1)
+        ring = np.ravel_multi_index(tuple(i + 1 for i in edge), stencil.padded.shape)
 
-    def __init__(self, problem: Problem, values: np.ndarray):
-        grid, spec, source = problem.grid, problem.spec, problem.source
-        stencil = Stencil(grid, values)
-        u = self.u = stencil.values
-        rows = stencil.rows
-        h_min = min(grid.spacing)
-        eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
-        # r2 <= floor2 takes the singular-gradient policy
-        floor2 = eps_num * eps_num if spec.growth_exponent < 2.0 else 0.0
-        cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
-        # -- the choices made once per solve (see the module docstring)
-        s0, c0 = rank_one_coeffs(spec, 1.0)  # c has the sign of c0 at every gradient
-        const = (spec.growth_exponent == 2.0 and not spec.everywhere_defined
-                 and (grid.dim == 1 or spec.family not in _BIASED))  # (s, c) = (s0, c0)
-        kappa = s0 + c0 if const and grid.dim == 1 else None  # the 1D coefficient of uxx
-        dt_fixed = None  # where Lambda is fixed per solve
-        if spec.growth_exponent == 2.0 and (const or c0 <= 0.0):
-            dt_fixed = cfl_scale / max(s0 + max(c0, 0.0), 1.0)
-        singular = not (const or spec.everywhere_defined)  # takes the singular-gradient policy
-        copy = spec.growth_exponent < 2.0  # the leaf is not finite at r2 = 0
-        # where the singular decision takes exactly the zeros (floor 0), its
-        # nodes are those of the 2D rate's r2 = 0 guard
-        guarded = singular and floor2 == 0.0
-        diffuses = kappa != 0.0  # kappa = 0 has no diffusion term, so no Hessian
-        a, eps2_sq = spec.a, spec.eps2 * spec.eps2  # only the biased families have a != 0
-        # r2 feeds a table, the first-order term and the 2D quadratic form
-        takes_r2 = not const or a != 0.0 or grid.dim == 2
-        adds = diffuses or a != 0.0 or source is not None
-        edge = None  # the Dirichlet boundary nodes
-        if grid.boundary is Boundary.DIRICHLET:
-            edge, edge_coords = _boundary_nodes(grid, interior_mask(grid))
-            dirichlet, edge_data = problem.dirichlet, np.empty(edge[0].size)
-            # the ring's flat indices into the padded buffer
-            padded = stencil.padded.reshape(-1)
-            ring = np.ravel_multi_index(tuple(i + 1 for i in edge), stencil.padded.shape)
+    n = rows.shape
+    r2, diff, work = (np.empty(n) for _ in range(3))
+    zero = np.empty(n, bool)
+    diff_nodes, work_nodes = stencil.nodes(diff), stencil.nodes(work)
+    meshes, fill_ghosts = grid.meshes(), stencil.fill_ghosts
+    if not const:  # c, and s with the leaf's temporary (diff is free until the rate)
+        c_out, table = np.empty(n), (np.empty(n), diff)
 
-        n = rows.shape
-        r2, diff, work = (np.empty(n) for _ in range(3))
-        zero = np.empty(n, bool)
-        diff_nodes, work_nodes = stencil.nodes(diff), stencil.nodes(work)
-        meshes, fill_ghosts = grid.meshes(), stencil.fill_ghosts
-        if not const:  # c, and s with the leaf's temporary (diff is free until the rate)
-            c_out, table = np.empty(n), (np.empty(n), diff)
+    def outside(nodes):  # the flat row indices outside stencil.nodes(...)[nodes]
+        mask = np.ones(n, bool)
+        stencil.nodes(mask)[nodes] = False
+        return np.flatnonzero(mask)
 
-        def outside(nodes):  # the flat row indices outside stencil.nodes(...)[nodes]
-            mask = np.ones(n, bool)
-            stencil.nodes(mask)[nodes] = False
-            return np.flatnonzero(mask)
+    # the nodes the CFL maximum sees: all on periodic grids, the interior on
+    # Dirichlet grids (the boundary nodes carry no update); it is taken over
+    # the whole rows with 0 written at the rest (a strided maximum would
+    # copy the rows)
+    unseen = outside((slice(None) if edge is None else slice(1, -1),) * grid.dim)
+    if takes_r2:
+        gradient = stencil.gradient
+        grads = gradient()
+        ux, uy = grads[0], grads[-1]  # in 1D uy is ux, and unread
+        if grid.dim == 2:
+            ghosts = outside(...)  # the ghost columns inside the rows
+    if diffuses:
+        # in 2D the cross entry is 2 uxy, the factor the quadratic form takes;
+        # the rate works in the Hessian's own arrays, which the next step rewrites
+        hessian = stencil.hessian
+        hess = hessian(cross_factor=2.0)
+        uxx, uxy2, uyy = hess[(0, 0)], hess.get((0, 1)), hess.get((1, 1))
+    # the coefficients and the flat indices of the singular nodes, as the
+    # last cfl_bound took them
+    s, c, sing = s0, c0, None
+    data_lo, data_hi = float(u.min()), float(u.max())  # widened by the boundary data
 
-        # the nodes the CFL maximum sees: all on periodic grids, the interior on
-        # Dirichlet grids (the boundary nodes carry no update); it is taken over
-        # the whole rows with 0 written at the rest (a strided maximum would
-        # copy the rows)
-        unseen = outside((slice(None) if edge is None else slice(1, -1),) * grid.dim)
+    def cfl_bound():
+        nonlocal s, c, sing
         if takes_r2:
-            gradient = stencil.gradient
-            grads = gradient()
-            ux, uy = grads[0], grads[-1]  # in 1D uy is ux, and unread
-            if grid.dim == 2:
-                ghosts = outside(...)  # the ghost columns inside the rows
-        if diffuses:
-            # in 2D the cross entry is 2 uxy, the factor the quadratic form takes;
-            # the rate works in the Hessian's own arrays, which the next step rewrites
-            hessian = stencil.hessian
-            hess = hessian(cross_factor=2.0)
-            uxx, uxy2, uyy = hess[(0, 0)], hess.get((0, 1)), hess.get((1, 1))
-        # the coefficients and the flat indices of the singular nodes, as the
-        # last cfl_bound took them
-        s, c, sing = s0, c0, None
+            gradient()
+            if grid.dim == 1:  # no ghost columns
+                np.square(ux, out=r2)
+            else:
+                np.add(np.square(ux, out=r2), np.square(uy, out=diff), out=r2)
+                r2[ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
+        if not const:
+            at = r2
+            if singular:  # the policy of the module docstring, at its nodes only
+                sing = np.flatnonzero(np.less_equal(r2, floor2, out=zero))
+                if sing.size and eps_num <= 0.0:
+                    raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
+                # at growth exponent >= 2 the leaf is finite at r2 = 0 (r2 ** x
+                # with x >= 0, or the biased (0, 1)), so it takes r2 as it is
+                if sing.size and copy:
+                    at = work  # r2 with 1.0 at the singular nodes
+                    at[...] = r2
+                    at[sing] = 1.0
+            s, c = rank_one_coeff_arrays(spec, at, out=c_out, work=table)
+            if singular and sing.size:
+                s[sing], c[sing] = rank_one_coeff_arrays(spec, r2[sing], eps=eps_num)
+        if dt_fixed is not None:
+            return dt_fixed
+        # c has the sign of c0 at every node, so s + max(c, 0) is s + c where
+        # c0 > 0, and else s, a table here (growth exponent != 2) whose
+        # unseen entries no node reads
+        lam = np.add(c, s, out=diff) if c0 > 0.0 else s
+        lam[unseen] = 0.0
+        return cfl_scale / max(float(lam.max()), 1.0)
 
-        def cfl_bound():
-            nonlocal s, c, sing
-            if takes_r2:
-                gradient()
-                if grid.dim == 1:  # no ghost columns
-                    np.square(ux, out=r2)
-                else:
-                    np.add(np.square(ux, out=r2), np.square(uy, out=diff), out=r2)
-                    r2[ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
-            if not const:
-                at = r2
-                if singular:  # the policy of the module docstring, at its nodes only
-                    sing = np.flatnonzero(np.less_equal(r2, floor2, out=zero))
-                    if sing.size and eps_num <= 0.0:
-                        raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-                    # at growth exponent >= 2 the leaf is finite at r2 = 0 (r2 ** x
-                    # with x >= 0, or the biased (0, 1)), so it takes r2 as it is
-                    if sing.size and copy:
-                        at = work  # r2 with 1.0 at the singular nodes
-                        at[...] = r2
-                        at[sing] = 1.0
-                s, c = rank_one_coeff_arrays(spec, at, out=c_out, work=table)
-                if singular and sing.size:
-                    s[sing], c[sing] = rank_one_coeff_arrays(spec, r2[sing], eps=eps_num)
-            if dt_fixed is not None:
-                return dt_fixed
-            # c has the sign of c0 at every node, so s + max(c, 0) is s + c where
-            # c0 > 0, and else s, a table here (growth exponent != 2) whose
-            # unseen entries no node reads
-            lam = np.add(c, s, out=diff) if c0 > 0.0 else s
-            lam[unseen] = 0.0
-            return cfl_scale / max(float(lam.max()), 1.0)
+    def advance(t, dt, t_new):
+        nonlocal data_lo, data_hi
+        # the rate, the sum of the terms present, in the row layout: diffusion
+        # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes), in diff
+        if diffuses:
+            hessian(cross_factor=2.0)
+            if kappa is not None:
+                np.multiply(uxx, kappa, out=diff)
+            elif grid.dim == 1:
+                np.multiply(np.add(s, c, out=diff), uxx, out=diff)
+            else:
+                # s tr D2u + c (ux^2 uxx + uy^2 uyy + ux uy 2uxy) / r2, with
+                # r2 = 0 read as 1
+                np.multiply(np.add(uxx, uyy, out=diff), s, out=diff)
+                np.multiply(np.multiply(uxx, ux, out=uxx), ux, out=uxx)
+                np.multiply(np.multiply(uyy, uy, out=uyy), uy, out=uyy)
+                np.add(uxx, uyy, out=uxx)
+                np.multiply(np.multiply(uxy2, ux, out=uxy2), uy, out=uxy2)
+                np.add(uxx, uxy2, out=uxx)
+                zeros = sing if guarded else np.flatnonzero(np.equal(r2, 0.0, out=zero))
+                r2[zeros] = 1.0
+                np.divide(uxx, r2, out=uxx)
+                r2[zeros] = 0.0  # r2 >= 0, so its zeros are +0.0
+                np.add(diff, np.multiply(uxx, c, out=uxx), out=diff)
+        if a != 0.0:  # the biased families, whose diffusion never vanishes
+            np.sqrt(np.add(r2, eps2_sq, out=work), out=work)
+            np.multiply(work, a, out=work)
+            if source is not None:
+                np.add(work_nodes, np.asarray(source(*meshes, t), float), out=work_nodes)
+            np.add(diff, work, out=diff)
+        elif source is not None and diffuses:
+            np.add(diff_nodes, np.asarray(source(*meshes, t), float), out=diff_nodes)
+        elif source is not None:
+            diff_nodes[...] = np.asarray(source(*meshes, t), float)
+        if adds:  # the update spills into the ghost columns
+            np.add(rows, np.multiply(diff, dt, out=diff), out=rows)
+        if edge is not None:
+            edge_data[...] = np.asarray(dirichlet(*edge_coords, t_new), float)
+            padded[ring] = edge_data
+        fill_ghosts()  # every ghost now copies a node
+        lo, hi = float(rows.min()), float(rows.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            bad = np.argwhere(~np.isfinite(u))[0]
+            raise BlowUpError(tuple(int(i) for i in bad), t_new)
+        if edge is not None:
+            data_lo = min(data_lo, float(edge_data.min()))
+            data_hi = max(data_hi, float(edge_data.max()))
+        return max(hi - data_hi, data_lo - lo, 0.0)
+
+    if not adds and edge is None:
+        # a step that adds nothing leaves the field and its ghosts as they were
 
         def advance(t, dt, t_new):
-            # the rate, the sum of the terms present, in the row layout: diffusion
-            # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes), in diff
-            if diffuses:
-                hessian(cross_factor=2.0)
-                if kappa is not None:
-                    np.multiply(uxx, kappa, out=diff)
-                elif grid.dim == 1:
-                    np.multiply(np.add(s, c, out=diff), uxx, out=diff)
-                else:
-                    # s tr D2u + c (ux^2 uxx + uy^2 uyy + ux uy 2uxy) / r2, with
-                    # r2 = 0 read as 1
-                    np.multiply(np.add(uxx, uyy, out=diff), s, out=diff)
-                    np.multiply(np.multiply(uxx, ux, out=uxx), ux, out=uxx)
-                    np.multiply(np.multiply(uyy, uy, out=uyy), uy, out=uyy)
-                    np.add(uxx, uyy, out=uxx)
-                    np.multiply(np.multiply(uxy2, ux, out=uxy2), uy, out=uxy2)
-                    np.add(uxx, uxy2, out=uxx)
-                    zeros = sing if guarded else np.flatnonzero(np.equal(r2, 0.0, out=zero))
-                    r2[zeros] = 1.0
-                    np.divide(uxx, r2, out=uxx)
-                    r2[zeros] = 0.0  # r2 >= 0, so its zeros are +0.0
-                    np.add(diff, np.multiply(uxx, c, out=uxx), out=diff)
-            if a != 0.0:  # the biased families, whose diffusion never vanishes
-                np.sqrt(np.add(r2, eps2_sq, out=work), out=work)
-                np.multiply(work, a, out=work)
-                if source is not None:
-                    np.add(work_nodes, np.asarray(source(*meshes, t), float), out=work_nodes)
-                np.add(diff, work, out=diff)
-            elif source is not None and diffuses:
-                np.add(diff_nodes, np.asarray(source(*meshes, t), float), out=diff_nodes)
-            elif source is not None:
-                diff_nodes[...] = np.asarray(source(*meshes, t), float)
-            if adds:  # the update spills into the ghost columns
-                np.add(rows, np.multiply(diff, dt, out=diff), out=rows)
-            if edge is not None:
-                edge_data[...] = np.asarray(dirichlet(*edge_coords, t_new), float)
-                padded[ring] = edge_data
-            fill_ghosts()  # every ghost now copies a node
-            bounds = _bounds(rows, u, t_new)
-            if edge is None:
-                return bounds
-            return bounds + (float(edge_data.min()), float(edge_data.max()))
+            return 0.0
 
-        if not adds and edge is None:
-            # a step that adds nothing leaves the field, its ghosts and its
-            # (min, max) as they were
-            unchanged = float(rows.min()), float(rows.max())
-
-            def advance(t, dt, t_new):
-                return unchanged
-
-        self.cfl_bound, self.advance = cfl_bound, advance
-
-
-def _bounds(rows: np.ndarray, u: np.ndarray, t: float) -> tuple[float, float]:
-    """(min, max) of the rows after the ghost refill (every ghost copies a node);
-    a non-finite one raises ``BlowUpError`` at the first non-finite node of ``u``."""
-    lo, hi = float(rows.min()), float(rows.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        bad = np.argwhere(~np.isfinite(u))[0]
-        raise BlowUpError(tuple(int(i) for i in bad), t)
-    return lo, hi
+    return u, cfl_bound, advance
 
 
 def cfl_dt(problem: Problem, fld: ScalarField) -> float:
     """Stable time step for the current field (same coefficients as ``step``)."""
     if fld.grid != problem.grid:
         raise ValueError("field is not on the problem's grid")
-    return _Kernel(problem, fld.values).cfl_bound()
+    return _kernel(problem, fld.values)[1]()
 
 
 def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
@@ -393,12 +387,12 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if fld.time + dt > problem.T + 1e-9 * max(dt, problem.T, 1.0):
         raise ValueError(f"step past the horizon: t = {fld.time:.6g}, T = {problem.T:.6g}")
-    kernel = _Kernel(problem, fld.values)
-    dt_max = kernel.cfl_bound()
+    u, cfl_bound, advance = _kernel(problem, fld.values)
+    dt_max = cfl_bound()
     if dt > dt_max * (1.0 + 1e-9):
         raise CflViolationError(f"dt = {dt:.3e} exceeds CFL bound {dt_max:.3e}")
-    kernel.advance(fld.time, dt, fld.time + dt)
-    return ScalarField(problem.grid, kernel.u, fld.time + dt)
+    advance(fld.time, dt, fld.time + dt)
+    return ScalarField(problem.grid, u, fld.time + dt)
 
 
 def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
@@ -414,13 +408,9 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
     requested = tuple(sorted(set(requested)))
     targets = tuple(sorted(set(requested + (problem.T,))))
     initial = problem.initial_field()
-    kernel = _Kernel(problem, initial.values)
-    cfl_bound, advance = kernel.cfl_bound, kernel.advance
+    u, cfl_bound, advance = _kernel(problem, initial.values)
     max_steps = problem.controls.max_steps
-    dirichlet = problem.grid.boundary is Boundary.DIRICHLET
     snapshots = []
-    data_lo = float(np.min(initial.values))
-    data_hi = float(np.max(initial.values))
     overshoot = 0.0
     steps = 0
     min_dt = math.inf
@@ -441,11 +431,7 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
             t_new = t + dt
             if dt >= t_target - t - t_eps:
                 dt, t_new = t_target - t, t_target
-            if dirichlet:  # the field's range, then the range of the boundary data written
-                lo, hi, ring_lo, ring_hi = advance(t, dt, t_new)
-                data_lo, data_hi = min(data_lo, ring_lo), max(data_hi, ring_hi)
-            else:
-                lo, hi = advance(t, dt, t_new)
+            overshoot = max(overshoot, advance(t, dt, t_new))
             t = t_new
             steps += 1
             min_dt = min(min_dt, dt)
@@ -453,9 +439,8 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
                 raise BudgetExceededError(
                     f"horizon T = {problem.T} unreachable within {max_steps} steps"
                 )
-            overshoot = max(overshoot, hi - data_hi, data_lo - lo, 0.0)
         if t_target in requested:
-            snapshots.append(ScalarField(problem.grid, kernel.u, t))
+            snapshots.append(ScalarField(problem.grid, u, t))
     stats = SolveStats(
         steps=steps,
         min_dt=min_dt if steps else 0.0,

@@ -275,36 +275,17 @@ def _residual_discrete(sol: ExactSolution, r: float, t, h: float) -> float:
 # -- closed-form sup differences ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DomainSampler:
-    """Sample points (coordinates in heat mode, radii otherwise) and times."""
-
-    points: tuple[float, ...]
-    times: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(float(x) for x in self.points))
-        object.__setattr__(self, "times", tuple(float(x) for x in self.times))
-        if not self.points or not self.times:
-            raise ValueError("sampler needs nonempty point and time sets")
-
-    @staticmethod
-    def uniform(x_max: float, t_max: float, nx: int = 10_000, nt: int = 100,
-                x_min: float = 0.0, t_min: float = 0.0) -> "DomainSampler":
-        return DomainSampler(
-            tuple(np.linspace(x_min, x_max, nx)),
-            tuple(np.linspace(t_min, t_max, nt)),
-        )
-
-
-def sup_diff_closed_form(sol1: ExactSolution, sol2: ExactSolution,
-                         sampler: DomainSampler) -> float:
-    """max |u_1 - u_2| over the sampled space-time product grid."""
+def sup_diff_closed_form(sol1: ExactSolution, sol2: ExactSolution, points, times) -> float:
+    """max |u_1 - u_2| over the product of ``points`` (coordinates in heat mode,
+    radii otherwise) and ``times``; neither may be empty."""
     if sol1.id is not sol2.id:
         raise ValueError("solutions must belong to the same family")
-    pts = np.asarray(sampler.points)
+    pts = np.asarray(points, float)
+    times = tuple(float(t) for t in times)
+    if not (pts.size and times):
+        raise ValueError("need nonempty point and time sets")
     best = 0.0
-    for t in sampler.times:
+    for t in times:
         d = np.max(np.abs(sol1.eval_radial(pts, t) - sol2.eval_radial(pts, t)))
         best = max(best, float(d))
     return best

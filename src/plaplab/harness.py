@@ -1,12 +1,14 @@
 """Perturbation sweeps, sup-norm gap measurement, and exponent fitting.
 
-A sweep solves the base and each perturbed problem at one shared step, capped
-at each solve's own CFL bound, measures the largest sup-norm gap over the
-requested capture times, and fits the decay exponent by ordinary least squares
-in log-log coordinates. Gaps below ten times the measured discretization floor
-(estimated from one refinement pair on the base problem) reflect scheme error
-rather than operator closeness and are excluded from the fit. Every sweep also
-estimates the Hoelder exponent of the base's last capture.
+A ``SweepPlan`` builds every problem its sweep solves when it is made, so bad
+member data fails before any solve. ``run_sweep`` solves the base and each
+perturbed problem at one shared step, capped at each solve's own CFL bound,
+measures the largest sup-norm gap over the requested capture times, and fits
+the decay exponent by ordinary least squares in log-log coordinates. Gaps
+below ten times the measured discretization floor (estimated from one
+refinement pair on the base problem) reflect scheme error rather than
+operator closeness and are excluded from the fit. Every sweep also estimates
+the Hoelder exponent of the base's last capture.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import PlapError
-from .evolve import Problem, SolveResult, cfl_dt, solve
+from .evolve import Problem, cfl_dt, solve
 from .grid import _FMT, Boundary, ScalarField, restrict_to, sup_diff
 from .operators import OperatorSpec, PerturbationAxis, perturb_spec
 from .rates import RatePrediction
@@ -86,14 +88,18 @@ class RateFit:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Base problem plus the perturbation schedule.
+    """Base problem plus the perturbation schedule, and every problem it solves.
 
-    ``values`` must be strictly decreasing and positive (at least four), and
-    each must give a member along ``axis``.
+    ``values`` must be strictly decreasing and positive (at least four).
     ``data_for_spec`` optionally maps a member's operator spec to its
     (initial, dirichlet), for sweeps whose data tracks the perturbed parameter;
     the boundary gap it induces is part of the measured quantity. Without it
     every member keeps the base's data.
+
+    Construction builds, and so checks, every problem the sweep solves:
+    ``problems`` is the base with the gap-time captures, then one member per
+    value along ``axis``; ``refined`` is that base on ``grid.refine()`` with
+    ``eps_num`` back at its grid-tied default, the floor's solve.
     """
 
     base: Problem
@@ -102,6 +108,8 @@ class SweepPlan:
     gap_times: tuple[float, ...] = ()
     theory: Optional[RatePrediction] = None
     data_for_spec: Optional[Callable[[OperatorSpec], tuple]] = None
+    problems: tuple[Problem, ...] = dc_field(init=False, repr=False, compare=False)
+    refined: Problem = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -112,59 +120,37 @@ class SweepPlan:
             raise ValueError(f"perturbation values must be finite and > 0, got {vals}")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ValueError("perturbation values must be strictly decreasing")
-        for v in vals:  # every member must exist before any solve
-            perturb_spec(self.base.spec, self.axis, v)
         times = tuple(float(t) for t in self.gap_times) or (self.base.T,)
         if not all(0 <= t <= self.base.T for t in times):  # NaN included
             raise ValueError("gap times must lie in [0, T]")
         object.__setattr__(self, "gap_times", tuple(sorted(set(times))))
-
-
-def _member(plan: SweepPlan, base: Problem, value: float) -> Problem:
-    """The member of ``base`` (which carries the captures) at ``value``."""
-    spec = perturb_spec(base.spec, plan.axis, value)
-    initial, dirichlet = base.initial, base.dirichlet
-    if plan.data_for_spec is not None:
-        initial, dirichlet = plan.data_for_spec(spec)
-    return replace(base, spec=spec, initial=initial, dirichlet=dirichlet)
-
-
-def _with_snapshots(problem: Problem, times: tuple[float, ...]) -> Problem:
-    controls = replace(problem.controls, snapshot_times=times)
-    return replace(problem, controls=controls)
-
-
-def _measure_floor(base: Problem, base_result: SolveResult) -> float:
-    # eps_num reverts to its grid-tied default on the refined grid
-    fine = replace(base, grid=base.grid.refine(),
-                   controls=replace(base.controls, eps_num=None))
-    fine_result = solve(fine)
-    floor = 0.0
-    for coarse_snap, fine_snap in zip(base_result.snapshots, fine_result.snapshots):
-        floor = max(floor, sup_diff(coarse_snap, restrict_to(fine_snap, base.grid)))
-    return floor
+        base = replace(self.base, controls=replace(self.base.controls,
+                                                   snapshot_times=self.gap_times))
+        problems = [base]
+        for v in vals:
+            spec = perturb_spec(base.spec, self.axis, v)
+            initial, dirichlet = base.initial, base.dirichlet
+            if self.data_for_spec is not None:
+                initial, dirichlet = self.data_for_spec(spec)
+            problems.append(replace(base, spec=spec, initial=initial, dirichlet=dirichlet))
+        object.__setattr__(self, "problems", tuple(problems))
+        object.__setattr__(self, "refined", replace(
+            base, grid=base.grid.refine(), controls=replace(base.controls, eps_num=None)))
 
 
 def run_sweep(plan: SweepPlan) -> RateFit:
-    """Solve base and perturbed problems, measure gaps, and fit the exponent."""
-    base = _with_snapshots(plan.base, plan.gap_times)
-    perturbed = [_member(plan, base, v) for v in plan.values]
-
-    dt = min(cfl_dt(p, p.initial_field()) for p in [base] + perturbed)
+    """Solve the plan's problems, measure the floor and the gaps, and fit the exponent."""
+    dt = min(cfl_dt(p, p.initial_field()) for p in plan.problems)
     try:
-        results = [solve(p, dt_override=dt) for p in [base] + perturbed]
-        floor = _measure_floor(base, results[0])
+        base_result, *rest = [solve(p, dt_override=dt) for p in plan.problems]
+        fine_result = solve(plan.refined)
     except PlapError as err:
         raise HarnessError(f"sweep aborted: {err}") from err
-    base_result, rest = results[0], results[1:]
-
-    gaps = []
-    for res in rest:
-        gap = max(
-            sup_diff(snap, base_snap)
-            for snap, base_snap in zip(res.snapshots, base_result.snapshots)
-        )
-        gaps.append(gap)
+    base_snaps = base_result.snapshots
+    floor = max(sup_diff(coarse, restrict_to(fine, plan.base.grid))
+                for coarse, fine in zip(base_snaps, fine_result.snapshots))
+    gaps = [max(sup_diff(snap, base_snap) for snap, base_snap in zip(res.snapshots, base_snaps))
+            for res in rest]
 
     excluded = tuple(g < 10.0 * floor for g in gaps)
     survivors = [(e, g) for e, g, ex in zip(plan.values, gaps, excluded) if not ex]
@@ -181,7 +167,7 @@ def run_sweep(plan: SweepPlan) -> RateFit:
     fit = fit_loglog(survivors)
     theory_nu = plan.theory.nu_sup if plan.theory else None
     theory_att = plan.theory.attained if plan.theory else None
-    est = estimate_holder(base_result.snapshots[-1])
+    est = estimate_holder(base_snaps[-1])
     return RateFit(
         eps_list=plan.values,
         gap_list=tuple(gaps),

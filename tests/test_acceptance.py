@@ -13,7 +13,6 @@ import pytest
 from plaplab import (
     Boundary,
     C1Params,
-    DomainSampler,
     ExactSolution,
     FamilyCase,
     GridSpec,
@@ -132,7 +131,7 @@ def test_criterion_03_oracle_agreement(normalized_sweep):
         if excluded:
             continue
         pert = ExactSolution(SolutionId.HEAT_MODE, p=3.0 + eps)
-        oracle = sup_diff_closed_form(pert, ref, DomainSampler(pts, GAP_TIMES))
+        oracle = sup_diff_closed_form(pert, ref, pts, GAP_TIMES)
         worst = max(worst, abs(gap - oracle))
     ok = worst <= fit.error_floor and fit.error_floor <= 1e-3
     report(3, "oracle agreement", ok,

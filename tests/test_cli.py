@@ -149,6 +149,24 @@ class TestSolveCommand:
             node[path[-1]] = value
             command = "rate-sweep" if "sweep" in number_cfg else "solve"
             cases.append((f"number{i}", number_cfg, command))
+        # a section must be a JSON object: a list raised an AttributeError (exit
+        # 1), "x" read as the unknown key 'x' and ["case"] as a missing theta
+        sections = [
+            (heat_config(), ("problem", "controls"), [], "solve"),
+            (heat_config(extra=sweep), ("problem", "controls"), [], "rate-sweep"),
+            (heat_config(), ("problem", "operator"), [], "solve"),
+            (heat_config(extra=sweep), ("problem", "operator"), [], "rate-sweep"),
+            (heat_config(extra=sweep), ("sweep",), [], "rate-sweep"),
+            (heat_config(), ("problem", "controls"), "x", "solve"),
+            (heat_config(extra=sweep), ("sweep", "theory"), ["case"], "rate-sweep"),
+        ]
+        for i, (section_cfg, path, value, command) in enumerate(sections):
+            section_cfg = json.loads(json.dumps(section_cfg))
+            node = section_cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            cases.append((f"object{i}", section_cfg, command))
         for name, cfg_data, command in cases:
             cfg = write_config(tmp_path / f"{name}.json", cfg_data)
             out = tmp_path / f"{name}_out"
@@ -156,6 +174,7 @@ class TestSolveCommand:
             assert not out.exists(), name
             err = capsys.readouterr().err
             assert not name.startswith("number") or "must be a number" in err, (name, err)
+            assert not name.startswith("object") or "must be an object" in err, (name, err)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_exit_2_without_output(self, tmp_path, bad):
@@ -355,6 +374,22 @@ class TestRateSweepCommand:
         out = tmp_path / "o"
         assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_member_data_that_cannot_be_built_exit_2_without_output(self, tmp_path, capsys):
+        # the p = 2 member of a variational(1.5) sweep has no Barenblatt data;
+        # the plan builds every member before the output directory is made
+        cfg_data = {"schema_version": 1, "problem": {
+            "operator": {"family": "variational", "p": 1.5},
+            "grid": {"dim": 1, "extent": [[0.5, 2.0]], "resolution": [33],
+                     "boundary": "dirichlet"},
+            "data": {"kind": "barenblatt", "A": 1.0, "time_offset": 1.0},
+            "horizon": 0.1},
+            "sweep": {"axis": "p", "values": [0.5, 0.25, 0.125, 0.0625]}}
+        cfg = write_config(tmp_path / "gaussian.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "p != 2" in capsys.readouterr().err
 
     def test_axis_without_members_exit_2(self, tmp_path):
         # the biased families have no p: the sweep is refused before any output

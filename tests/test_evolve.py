@@ -817,15 +817,15 @@ def test_steps_allocate_no_row_array(name, dim):
     # every temporary of a step lives in a buffer the solve allocates once: after
     # warm-up, 100 steps together allocate less than one row-size array at a time
     prob = crest_problem(LEAVES[name], dim)
-    kernel = evolve._Kernel(prob, prob.initial_field().values)
+    _, cfl_bound, advance = evolve._kernel(prob, prob.initial_field().values)
     row_bytes = Stencil(prob.grid, prob.initial_field().values).rows.nbytes
     t = 0.0
 
     def steps(k):
         nonlocal t
         for _ in range(k):
-            dt = kernel.cfl_bound()
-            kernel.advance(t, dt, t + dt)
+            dt = cfl_bound()
+            advance(t, dt, t + dt)
             t += dt
 
     steps(3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from plaplab import DomainSampler, ExactSolution, SolutionId, residual, sup_diff_closed_form
+from plaplab import ExactSolution, SolutionId, residual, sup_diff_closed_form
 from plaplab.exact import SingularPointError
 
 
@@ -184,36 +184,39 @@ class TestDiscreteResiduals:
 class TestSupDiffClosedForm:
     def test_same_parameters_zero(self):
         a = ExactSolution(SolutionId.HEAT_MODE, p=3.0)
-        sampler = DomainSampler.uniform(2.0 * math.pi, 1.0, nx=100, nt=10)
-        assert sup_diff_closed_form(a, a, sampler) == 0.0
+        points, times = np.linspace(0.0, 2.0 * math.pi, 100), np.linspace(0.0, 1.0, 10)
+        assert sup_diff_closed_form(a, a, points, times) == 0.0
 
     def test_heat_mode_quarter_gap(self):
         # max_t |e^{-2t} - e^{-t}| = 1/4 at t = ln 2
         a = ExactSolution(SolutionId.HEAT_MODE, p=3.0)
         b = ExactSolution(SolutionId.HEAT_MODE, p=2.0)
-        sampler = DomainSampler(
-            points=tuple(np.linspace(0, 2 * math.pi, 4097)),
-            times=(0.0, 0.25, math.log(2.0), 1.0),
-        )
-        got = sup_diff_closed_form(a, b, sampler)
+        got = sup_diff_closed_form(a, b, np.linspace(0, 2 * math.pi, 4097),
+                                   (0.0, 0.25, math.log(2.0), 1.0))
         assert got == pytest.approx(0.25, abs=1e-6)
 
     def test_family_mismatch_rejected(self):
         a = ExactSolution(SolutionId.HEAT_MODE, p=3.0)
         b = ExactSolution(SolutionId.RADIAL_ELLIPTIC, p=3.0)
-        sampler = DomainSampler.uniform(1.0, 1.0, nx=10, nt=2)
         with pytest.raises(ValueError):
-            sup_diff_closed_form(a, b, sampler)
+            sup_diff_closed_form(a, b, np.linspace(0.0, 1.0, 10), (0.0, 1.0))
+
+    def test_empty_samples_rejected(self):
+        # no times would make the sup over nothing read 0.0
+        a = ExactSolution(SolutionId.HEAT_MODE, p=3.0)
+        b = ExactSolution(SolutionId.HEAT_MODE, p=2.0)
+        for points, times in (([], (0.0, 1.0)), ([0.0, 1.0], ())):
+            with pytest.raises(ValueError, match="nonempty"):
+                sup_diff_closed_form(a, b, points, times)
 
     def test_barenblatt_linear_envelope(self):
         # gap / |p - q| stabilizes as p -> q on a clearance domain
         q = 3.0
-        sampler = DomainSampler(points=tuple(np.linspace(0.0, 2.0, 400)),
-                                times=tuple(np.linspace(1.0, 2.0, 40)))
+        points, times = np.linspace(0.0, 2.0, 400), np.linspace(1.0, 2.0, 40)
         base = barenblatt(q, n=1)
         ratios = []
         for eps in (0.1, 0.05, 0.025, 0.0125):
-            gap = sup_diff_closed_form(barenblatt(q + eps, n=1), base, sampler)
+            gap = sup_diff_closed_form(barenblatt(q + eps, n=1), base, points, times)
             ratios.append(gap / eps)
         assert ratios[-1] > 0.0
         assert 0.8 <= ratios[0] / ratios[-1] <= 1.25

@@ -114,11 +114,9 @@ class TestRunSweep:
         assert a == b
 
     def test_holder_estimate_wiring(self):
-        from plaplab.harness import _with_snapshots
         plan = heat_sweep_plan(n=128)
         fit = run_sweep(plan)
-        base = _with_snapshots(plan.base, plan.gap_times)
-        direct = estimate_holder(solve(base).snapshots[-1])
+        direct = estimate_holder(solve(plan.problems[0]).snapshots[-1])
         assert fit.holder_theta == pytest.approx(direct.theta_hat, rel=1e-12, abs=0)
 
     def test_flat_base_capture_reports_no_holder_theta(self):
