@@ -10,8 +10,7 @@ largest diffusion eigenvalue at the step's actual gradient (floored at 1);
 the coefficients are never clamped. Snapshots are captured exactly at
 requested times; runs are deterministic.
 
-A solve holds its field in one ghost-padded buffer (``grid.Stencil``), steps
-it in place and allocates its temporaries once, the coefficient table's
+A solve holds its field in one buffer (``grid.Stencil``), steps it in place and allocates its temporaries once, the coefficient table's
 among them (``out`` and ``work`` of ``operators.rank_one_coeff_arrays``), so
 a step allocates no array the size of the field; snapshots are copies. The
 kernel makes every choice that depends only on the member, the grid and the
@@ -22,15 +21,21 @@ which terms it has. ``solve``, ``step`` and ``cfl_dt`` all run them, the last
 two on a fresh copy of their field. The kernel also keeps the data range, the
 t = 0 range widened by each boundary value it writes, and ``advance`` returns
 its step's overshoot beyond that range, so ``solve`` only takes the largest.
-Every temporary is laid out in the stencil's whole padded rows, so the
-stencils and the update read contiguous memory. The step adds to the whole
-rows, writes the Dirichlet edge and refills the ghosts, which overwrites what
-spilled into the ghost columns. Ghost positions never count: the CFL maximum
-is taken over the rows with 0 written at every entry that is not a node it
-sees, the min/max that checks finiteness is taken after the refill (when
-every ghost copies a node), and a ghost's squared gradient is read as 1, so
-no coefficient is evaluated at a spurious zero there (and no node reads a
-ghost's coefficients). The everywhere-defined members with growth exponent 2
+A Dirichlet grid is its own frame: the step updates its interior, and its
+boundary nodes hold the prescribed data and act as the interior's ghosts, so
+no stage of the step (gradient, coefficients, singular-gradient decision,
+rate, source) is taken for a boundary node. A periodic grid updates every
+node inside a layer of wrapped ghosts. Every temporary is laid out in the
+stencil's whole rows over the updated nodes, so the stencils and the update
+read contiguous memory. The step adds to the whole rows, then writes the
+boundary data straight into the field (Dirichlet) or refills the ghosts
+(periodic), which overwrites what spilled into the ghost columns. Ghost
+columns never count, by one skip list: the CFL maximum is taken over the
+rows with 0 written there, and their squared gradient is read as 1, so no
+coefficient is evaluated at a spurious zero there (and no node reads a
+ghost's coefficients). The min/max that checks finiteness is taken after the
+write, over the rows and, on a Dirichlet grid, the boundary data, which
+together cover every node. The everywhere-defined members with growth exponent 2
 have one s at every node (1, or eps1 for the biased family): their table is
 c alone. Most passes write into one of their own operands, which costs less
 than a pass into a third array.
@@ -138,8 +143,11 @@ class Problem:
     boundary nodes only: its coordinate arguments are 1D arrays of those
     nodes, and it returns one value per node or a scalar. Both must agree
     at t = 0 on the boundary. ``source`` is f in the first-order term
-    (f(x, t) in 1D, f(x, y, t) in 2D, evaluated on the whole mesh); None
-    means f = 0. The rest of the first-order term comes from ``spec``.
+    (f(x, t) in 1D, f(x, y, t) in 2D), evaluated at the updated nodes only:
+    its coordinate arguments are arrays of every node of a periodic grid and
+    of the interior of a Dirichlet grid, and it returns an array of that
+    shape or a scalar. None means f = 0. The rest of the first-order term
+    comes from ``spec``.
     """
 
     spec: OperatorSpec
@@ -161,12 +169,12 @@ class Problem:
             self._check_compatibility()
 
     def _check_compatibility(self):
-        u0 = np.broadcast_to(np.asarray(self.initial(*self.grid.meshes()), float),
-                             self.grid.shape)
-        edge, coords = _boundary_nodes(self.grid, interior_mask(self.grid))
-        g0 = np.asarray(self.dirichlet(*coords, 0.0), float)
+        meshes = self.grid.meshes()
+        u0 = np.broadcast_to(np.asarray(self.initial(*meshes), float), self.grid.shape)
+        edge = np.flatnonzero(~interior_mask(self.grid))  # the boundary nodes, row-major
+        g0 = np.asarray(self.dirichlet(*(np.take(m, edge) for m in meshes), 0.0), float)
         scale = 1.0 + np.max(np.abs(u0))
-        if np.max(np.abs(u0[edge] - g0)) > 1e-9 * scale:
+        if np.max(np.abs(np.take(u0, edge) - g0)) > 1e-9 * scale:
             raise ValueError("initial and Dirichlet data disagree at t = 0 on the boundary")
 
     def initial_field(self) -> ScalarField:
@@ -187,18 +195,12 @@ class SolveResult:
     stats: SolveStats
 
 
-def _boundary_nodes(grid: GridSpec, mask: np.ndarray):
-    """Index and coordinates (row-major) of the nodes outside ``mask``."""
-    edge = np.nonzero(~mask)
-    return edge, tuple(m[edge] for m in grid.meshes())
-
-
 def _kernel(problem: Problem, values: np.ndarray):
     """One solve's step, bound once: ``(u, cfl_bound, advance)``. The field
-    ``u`` is the grid view of one ghost-padded buffer holding ``values``, which
-    the step works on in its row view (``grid.Stencil``). Every full-mesh
-    temporary lives in the row layout and is allocated once; the entries at
-    ghost columns are garbage that no node reads.
+    ``u`` is the grid view of one buffer holding ``values``, which the step
+    works on in its row view over the updated nodes (``grid.Stencil``). Every
+    full-mesh temporary lives in the row layout and is allocated once; the
+    entries at ghost columns are garbage that no node reads.
 
     Every choice that depends only on the member, the grid and the problem is
     made once, into a local constant, and the step is bound as two functions
@@ -206,15 +208,14 @@ def _kernel(problem: Problem, values: np.ndarray):
     constant. ``cfl_bound()`` takes the gradient and r2, the coefficient table
     with the singular-gradient policy, then Lambda, and returns the stable dt.
     ``advance(t, dt, t_new)`` adds dt times the diffusion, the first-order term
-    and the source to ``u``, writes the boundary data at t_new, refills the
-    ghosts and takes the new (min, max), which also serve as the finiteness
-    check. It returns the step's overshoot: how far that (min, max) leaves the
-    data range, the range of ``values`` widened by every boundary value written
-    so far."""
+    and the source to ``u``, writes the boundary data at t_new (Dirichlet) or
+    refills the ghosts (periodic) and takes the new (min, max) of the field,
+    which also serve as the finiteness check. It returns the step's overshoot:
+    how far that (min, max) leaves the data range, the range of ``values``
+    widened by every boundary value written so far."""
     grid, spec, source = problem.grid, problem.spec, problem.source
     stencil = Stencil(grid, values)
-    u = stencil.values
-    rows = stencil.rows
+    u, rows = stencil.values, stencil.rows
     h_min = min(grid.spacing)
     eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
     # r2 <= floor2 takes the singular-gradient policy
@@ -238,43 +239,35 @@ def _kernel(problem: Problem, values: np.ndarray):
     # r2 feeds a table, the first-order term and the 2D quadratic form
     takes_r2 = not const or a != 0.0 or grid.dim == 2
     adds = diffuses or a != 0.0 or source is not None
-    edge = None  # the Dirichlet boundary nodes
+    meshes, fill_ghosts = grid.meshes(), stencil.fill_ghosts
+    edge = None  # the Dirichlet boundary nodes, row-major
     if grid.boundary is Boundary.DIRICHLET:
-        edge, edge_coords = _boundary_nodes(grid, interior_mask(grid))
-        dirichlet, edge_data = problem.dirichlet, np.empty(edge[0].size)
-        # the ring's flat indices into the padded buffer
-        padded = stencil.padded.reshape(-1)
-        ring = np.ravel_multi_index(tuple(i + 1 for i in edge), stencil.padded.shape)
+        edge = np.flatnonzero(~interior_mask(grid))
+        edge_coords = tuple(np.take(m, edge) for m in meshes)
+        dirichlet, edge_data, frame = problem.dirichlet, np.empty(edge.size), u.reshape(-1)
+    meshes = tuple(m[stencil.updated] for m in meshes)  # the source's arguments
 
     n = rows.shape
     r2, diff, work = (np.empty(n) for _ in range(3))
     zero = np.empty(n, bool)
     diff_nodes, work_nodes = stencil.nodes(diff), stencil.nodes(work)
-    meshes, fill_ghosts = grid.meshes(), stencil.fill_ghosts
     if not const:  # c, and s with the leaf's temporary (diff is free until the rate)
         c_out, table = np.empty(n), (np.empty(n), diff)
-
-    def outside(nodes):  # the flat row indices outside stencil.nodes(...)[nodes]
-        mask = np.ones(n, bool)
-        stencil.nodes(mask)[nodes] = False
-        return np.flatnonzero(mask)
-
-    # the nodes the CFL maximum sees: all on periodic grids, the interior on
-    # Dirichlet grids (the boundary nodes carry no update); it is taken over
-    # the whole rows with 0 written at the rest (a strided maximum would
-    # copy the rows)
-    unseen = outside((slice(None) if edge is None else slice(1, -1),) * grid.dim)
+    # the ghost columns, the entries of the rows that are no updated node (none
+    # in 1D): the CFL maximum is taken over the whole rows with 0 written
+    # there (a strided maximum would copy the rows), and r2 is read as 1 there
+    ghosts = np.ones(n, bool)
+    stencil.nodes(ghosts)[...] = False
+    ghosts = np.flatnonzero(ghosts)
     if takes_r2:
         gradient = stencil.gradient
         grads = gradient()
         ux, uy = grads[0], grads[-1]  # in 1D uy is ux, and unread
-        if grid.dim == 2:
-            ghosts = outside(...)  # the ghost columns inside the rows
     if diffuses:
         # in 2D the cross entry is 2 uxy, the factor the quadratic form takes;
         # the rate works in the Hessian's own arrays, which the next step rewrites
         hessian = stencil.hessian
-        hess = hessian(cross_factor=2.0)
+        hess = hessian()
         uxx, uxy2, uyy = hess[(0, 0)], hess.get((0, 1)), hess.get((1, 1))
     # the coefficients and the flat indices of the singular nodes, as the
     # last cfl_bound took them
@@ -309,9 +302,9 @@ def _kernel(problem: Problem, values: np.ndarray):
             return dt_fixed
         # c has the sign of c0 at every node, so s + max(c, 0) is s + c where
         # c0 > 0, and else s, a table here (growth exponent != 2) whose
-        # unseen entries no node reads
+        # ghost-column entries no node reads
         lam = np.add(c, s, out=diff) if c0 > 0.0 else s
-        lam[unseen] = 0.0
+        lam[ghosts] = 0.0
         return cfl_scale / max(float(lam.max()), 1.0)
 
     def advance(t, dt, t_new):
@@ -319,7 +312,7 @@ def _kernel(problem: Problem, values: np.ndarray):
         # the rate, the sum of the terms present, in the row layout: diffusion
         # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes), in diff
         if diffuses:
-            hessian(cross_factor=2.0)
+            hessian()
             if kappa is not None:
                 np.multiply(uxx, kappa, out=diff)
             elif grid.dim == 1:
@@ -350,17 +343,21 @@ def _kernel(problem: Problem, values: np.ndarray):
             diff_nodes[...] = np.asarray(source(*meshes, t), float)
         if adds:  # the update spills into the ghost columns
             np.add(rows, np.multiply(diff, dt, out=diff), out=rows)
-        if edge is not None:
+        if edge is None:
+            fill_ghosts()  # every ghost now copies a node
+        else:  # the boundary data, which also overwrites the ghost columns
             edge_data[...] = np.asarray(dirichlet(*edge_coords, t_new), float)
-            padded[ring] = edge_data
-        fill_ghosts()  # every ghost now copies a node
+            frame[edge] = edge_data
         lo, hi = float(rows.min()), float(rows.max())
+        if edge is not None:
+            # the rows miss the rest of the boundary, so its data's range joins
+            # theirs; a NaN datum makes both ends of that range NaN
+            e_lo, e_hi = float(edge_data.min()), float(edge_data.max())
+            lo, hi = (min(lo, e_lo), max(hi, e_hi)) if e_lo <= e_hi else (e_lo, e_hi)
+            data_lo, data_hi = min(data_lo, e_lo), max(data_hi, e_hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             bad = np.argwhere(~np.isfinite(u))[0]
             raise BlowUpError(tuple(int(i) for i in bad), t_new)
-        if edge is not None:
-            data_lo = min(data_lo, float(edge_data.min()))
-            data_hi = max(data_hi, float(edge_data.max()))
         return max(hi - data_hi, data_lo - lo, 0.0)
 
     if not adds and edge is None:

@@ -4,28 +4,33 @@ Periodic grids store N nodes per axis (spacing (b-a)/N, the right endpoint
 wraps to the left); Dirichlet grids store both endpoints (spacing
 (b-a)/(N-1)). Fields are immutable once constructed.
 
-Difference stencils (``Stencil``) read the values from a buffer padded with
-one ghost layer per side. There is one formula per derivative, in every
-dimension: the central difference (u[i+e] - u[i-e]) / (2 h), the second
-difference ((u[i+e] + u[i-e]) - 2 u[i]) / h^2, and in 2D the mixed one as the
-central y-difference of the x-gradient; each scale is one multiply by a
-reciprocal. Every sum is taken in an order that reflection of the grid maps
-onto itself, so data symmetric about a node has exactly symmetric second
-differences and exactly antisymmetric first ones (an exact 0 at the node).
-``gradient_arrays`` and ``hessian_arrays`` pad a copy of the field they are
-given on each call; a solve keeps its field in one such buffer for the whole
-run. On periodic grids a ghost holds
-the value it wraps to (corner ghosts wrap in both axes); on Dirichlet grids it
-copies the nearest edge node. Dirichlet edge copies only reach the stencils
-of boundary nodes, which carry no update and are masked off via
-``interior_mask``.
+Difference stencils (``Stencil``) read the values from a buffer with a frame
+one node wide. There is one formula per derivative, in every dimension: the
+central difference (u[i+e] - u[i-e]) / (2 h), the second difference
+((u[i+e] + u[i-e]) - 2 u[i]) / h^2, and in 2D the mixed one as the central
+y-difference of the x-gradient; each scale is one multiply by a reciprocal.
+Every sum is taken in an order that reflection of the grid maps onto itself,
+so data symmetric about a node has exactly symmetric second differences and
+exactly antisymmetric first ones (an exact 0 at the node).
+``gradient_arrays`` and ``hessian_arrays`` copy the field they are given into
+a new buffer on each call; a solve keeps its field in one buffer for the
+whole run.
 
-The stencils work on whole padded rows: every operand is one contiguous
-slice of the flattened buffer, from the first node to the last, so in 2D it
-also covers the ghost columns of the inner rows. Results at those positions
-are garbage that no node reads; an update written over the rows spills into
-the ghost columns, and ``Stencil.fill_ghosts`` then overwrites every ghost.
-In 1D the rows are exactly the nodes.
+A Dirichlet grid is its own frame: the buffer is the field itself, and its
+boundary nodes, which carry the prescribed data, are the ghosts of the
+interior. The stencils run over the interior, the nodes a step updates, and
+no result is taken at a boundary node. A periodic grid keeps a ghost layer
+around its nodes, each ghost holding the value it wraps to (corner ghosts
+wrap in both axes), and every node is updated.
+
+The stencils work on whole rows: every operand is one contiguous slice of
+the flattened buffer, from the first updated node to the last, so in 2D it
+also covers the frame columns between the inner rows, the ghost columns (on
+a Dirichlet grid these are boundary nodes). Results at those positions are
+garbage that no node reads; an update written over the rows spills into the
+ghost columns, and ``Stencil.fill_ghosts`` (periodic) or the boundary data
+(Dirichlet) then overwrites them. In 1D the rows are exactly the updated
+nodes.
 """
 
 from __future__ import annotations
@@ -152,36 +157,40 @@ class ScalarField:
 
 
 class Stencil:
-    """The difference formulas over one ghost-padded buffer (see module doc).
+    """The difference formulas over one framed buffer (see module doc).
 
     Every operand is one contiguous slice of the flattened buffer, the *rows*:
-    they run from the first node to the last, so in 2D they include the ghost
-    columns of the inner rows (n entries in 1D, n0 (n1 + 2) - 2 in 2D). A
-    neighbour is the same slice shifted by +-1 along the last axis and by
-    +-(n1 + 2) along the first. ``gradient`` and ``hessian`` write arrays in
-    this row layout that the stencil allocates on first use and rewrites on
-    every call; ``nodes`` views one as ``grid.shape``. ``values`` and ``rows``
-    are the two views of the buffer's own nodes; whoever rewrites them then
-    calls ``fill_ghosts``.
+    they run from the first updated node to the last, so in 2D they include
+    the ghost columns of the inner rows. That is n entries in 1D and
+    n0 (n1 + 2) - 2 in 2D on a periodic grid, n - 2 and (n0 - 2) n1 - 2 on a
+    Dirichlet grid. A neighbour is the same slice shifted by +-1 along the
+    last axis and by one buffer row along the first. ``gradient`` and
+    ``hessian`` write arrays in this row layout that the stencil allocates on
+    first use and rewrites on every call; ``nodes`` views one as the updated
+    nodes, ``values[updated]``. ``values`` is the ``grid.shape`` view of the
+    buffer's nodes and ``rows`` its row view; whoever rewrites them then calls
+    ``fill_ghosts`` (periodic) or writes the boundary data (Dirichlet).
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
-        self.padded = padded = np.empty(tuple(n + 2 for n in grid.shape))
-        self.values = padded[(slice(1, -1),) * grid.dim]
+        # a Dirichlet grid is its own frame; a periodic grid's nodes sit in a ghost layer
+        frame = _frame(grid)
+        self._buffer = buffer = np.empty(tuple(n + 2 - 2 * frame for n in grid.shape))
+        self.values = buffer if frame else buffer[(slice(1, -1),) * grid.dim]
         self.values[...] = values
-        # ghost <- the node it wraps to (periodic) or the edge node (Dirichlet),
-        # axis by axis over full extents, so later axes also fill the corners;
-        # (ghost, node) index pairs into padded, plain ints along the first axis
-        # (in 1D each ghost is one scalar)
-        lo, hi = (-2, 1) if grid.boundary is Boundary.PERIODIC else (1, -2)
+        self.updated = tuple(slice(frame, n - frame) for n in grid.shape)
+        # periodic: ghost <- the node it wraps to, axis by axis over full
+        # extents, so later axes also fill the corners; (ghost, node) index
+        # pairs into the buffer, plain ints along the first axis (in 1D each
+        # ghost is one scalar)
         self._ghosts = []
-        for ax in range(grid.dim):
+        for ax in range(0 if frame else grid.dim):
             def plane(i):
                 return (slice(None),) * ax + (i,) if ax else i
-            self._ghosts += [(plane(0), plane(lo)), (plane(-1), plane(hi))]
-        flat = padded.reshape(-1)
-        unit = [s // padded.itemsize for s in padded.strides]  # flat offset of one step per axis
-        first = sum(unit)  # node (0, ..., 0)
+            self._ghosts += [(plane(0), plane(-2)), (plane(-1), plane(1))]
+        flat = buffer.reshape(-1)
+        unit = [s // buffer.itemsize for s in buffer.strides]  # flat offset of one step per axis
+        first = sum(unit)  # the first updated node, (1, ..., 1) in the buffer
 
         def shifted(offset, margin=0):  # values[i + offset] for every row-layout entry i,
             # and for ``margin`` more entries at each end
@@ -196,28 +205,29 @@ class Stencil:
         self._axes = [(shifted(o, m), shifted(-o, m), shifted(o), shifted(-o),
                        1.0 / (2.0 * h), 1.0 / (h * h))
                       for o, h, m in zip(unit, grid.spacing, margins)]
-        self._cross_scale = 1.0 / (2.0 * grid.spacing[-1])
+        self._cross_scale = 1.0 / grid.spacing[-1]  # twice the y-difference's 1 / (2 h)
         self._grad = self._hess = None
         self.fill_ghosts()
 
     def fill_ghosts(self) -> None:
-        """Overwrite every ghost, including what a row-layout update spilled there."""
-        padded = self.padded
+        """Overwrite every periodic ghost, including what a row-layout update
+        spilled there (a Dirichlet grid has none)."""
+        buffer = self._buffer
         for ghost, node in self._ghosts:
-            padded[ghost] = padded[node]
+            buffer[ghost] = buffer[node]
 
     def nodes(self, rows: np.ndarray) -> np.ndarray:
-        """The ``grid.shape`` view of a contiguous row-layout array (skips the
-        ghost columns)."""
+        """The view of a contiguous row-layout array as the updated nodes
+        (skips the ghost columns)."""
         if rows.shape != self.rows.shape or rows.strides != (rows.itemsize,):
             raise ValueError("not a contiguous row-layout array")
-        strides = tuple(s // self.values.itemsize * rows.itemsize for s in self.values.strides)
-        return np.lib.stride_tricks.as_strided(rows, self.values.shape, strides)
+        inner = self.values[self.updated]
+        strides = tuple(s // inner.itemsize * rows.itemsize for s in inner.strides)
+        return np.lib.stride_tricks.as_strided(rows, inner.shape, strides)
 
     def gradient(self) -> list[np.ndarray]:
         """Central-difference gradient components (u[i+e] - u[i-e]) / (2 h), in
-        the row layout (entries at ghost columns and Dirichlet boundary nodes
-        are not meaningful)."""
+        the row layout (entries at ghost columns are not meaningful)."""
         if self._grad is None:
             self._wide = [np.empty(fa.shape) for fa, *_ in self._axes]
             n = self.rows.size
@@ -226,12 +236,13 @@ class Stencil:
             np.multiply(np.subtract(fa, fb, out=o), inv_2h, out=o)
         return self._grad
 
-    def hessian(self, cross_factor: float = 1.0) -> dict[tuple[int, int], np.ndarray]:
+    def hessian(self) -> dict[tuple[int, int], np.ndarray]:
         """Second differences keyed by (i, j) with i <= j, in the row layout:
-        ((u[i+e] + u[i-e]) - 2u) / h^2 on the diagonal and, in 2D, the central
-        y-difference of the x-gradient, times ``cross_factor`` (a power of 2
-        scales it exactly). The cross difference reads the x-gradient that the
-        last ``gradient`` call wrote, so call that first on the same values."""
+        ((u[i+e] + u[i-e]) - 2u) / h^2 on the diagonal and, in 2D, twice the
+        central y-difference of the x-gradient, 2 uxy, the factor the
+        diffusion's quadratic form takes. The cross difference reads the
+        x-gradient that the last ``gradient`` call wrote, so call that first on
+        the same values."""
         rows, dim = self.rows, len(self._axes)
         if self._hess is None:
             keys = [(ax, ax) for ax in range(dim)] + ([(0, 1)] if dim == 2 else [])
@@ -248,31 +259,37 @@ class Stencil:
                 raise ValueError("the cross difference needs a gradient first")
             wide = self._wide[0]  # the x-gradient, one entry past each end of the rows
             o = np.subtract(wide[2:], wide[:-2], out=out[(0, 1)])
-            np.multiply(o, self._cross_scale * cross_factor, out=o)
+            np.multiply(o, self._cross_scale, out=o)
         return out
 
 
 def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
-    """``Stencil.gradient`` of one field, into new arrays of ``grid.shape``."""
-    stencil = Stencil(field.grid, field.values)
-    return [stencil.nodes(g) for g in stencil.gradient()]
+    """``Stencil.gradient`` of one field, into new arrays of ``grid.shape``
+    (0 at Dirichlet boundary nodes)."""
+    stencil, frame = Stencil(field.grid, field.values), _frame(field.grid)
+    return [np.pad(stencil.nodes(g), frame) for g in stencil.gradient()]
 
 
 def hessian_arrays(field: ScalarField) -> dict[tuple[int, int], np.ndarray]:
-    """``Stencil.hessian`` of one field, into new arrays of ``grid.shape``."""
-    stencil = Stencil(field.grid, field.values)
+    """``Stencil.hessian`` of one field, into new arrays of ``grid.shape``
+    (0 at Dirichlet boundary nodes), with the stencil's mixed entry 2 uxy
+    halved to uxy (exactly: a power of 2 scales without rounding)."""
+    stencil, frame = Stencil(field.grid, field.values), _frame(field.grid)
     stencil.gradient()  # the cross difference reads the x-gradient
-    return {k: stencil.nodes(v) for k, v in stencil.hessian().items()}
+    return {k: np.pad(stencil.nodes(v) * (0.5 if k == (0, 1) else 1.0), frame)
+            for k, v in stencil.hessian().items()}
+
+
+def _frame(grid: GridSpec) -> int:
+    """The width of the frame around the nodes a step updates: 1 on a
+    Dirichlet grid (its boundary nodes), 0 on a periodic one."""
+    return int(grid.boundary is Boundary.DIRICHLET)
 
 
 def interior_mask(grid: GridSpec) -> np.ndarray:
     """True where stencil updates apply (everywhere on periodic grids)."""
-    if grid.boundary is Boundary.PERIODIC:
-        return np.ones(grid.shape, dtype=bool)
-    mask = np.zeros(grid.shape, dtype=bool)
-    sl = tuple(slice(1, -1) for _ in range(grid.dim))
-    mask[sl] = True
-    return mask
+    frame = _frame(grid)
+    return np.pad(np.ones(tuple(n - 2 * frame for n in grid.shape), dtype=bool), frame)
 
 
 def sup_diff(f: ScalarField, g: ScalarField) -> float:

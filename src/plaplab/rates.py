@@ -13,6 +13,7 @@ comparison then only checks the one-sided bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -41,6 +42,7 @@ class RatePrediction:
 
 def theoretical_rate(alpha: float, beta: float, theta: float) -> float:
     """nu = alpha*theta / (1 + (1-theta) max(beta, 0))."""
+    _check_finite(alpha=alpha, beta=beta, theta=theta)
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     if not (0.0 < theta <= 1.0):
@@ -48,9 +50,11 @@ def theoretical_rate(alpha: float, beta: float, theta: float) -> float:
     return alpha * theta / (1.0 + (1.0 - theta) * max(beta, 0.0))
 
 
-def _check_theta(theta: float) -> None:
-    if not (0.0 < theta <= 1.0):
-        raise CaseNotApplicableError("theta must lie in (0, 1]")
+def _check_finite(**values: Optional[float]) -> None:
+    """A parameter that is given must be finite: no case's window holds an
+    infinite or NaN one, and the formulas would return NaN for it."""
+    _require(all(v is None or math.isfinite(v) for v in values.values()),
+             f"parameters must be finite, got {values}")
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -74,7 +78,8 @@ def family_rate(
     when omitted, the supremum over its admissible interval is returned (and
     flagged as an open bound).
     """
-    _check_theta(theta)
+    _check_finite(theta=theta, p=p, q=q, p_prime=p_prime, q_prime=q_prime, m=m)
+    _require(0.0 < theta <= 1.0, "theta must lie in (0, 1]")
 
     if case is FamilyCase.NORMALIZED:
         if p is not None:

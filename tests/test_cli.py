@@ -367,6 +367,23 @@ class TestRateSweepCommand:
         assert fit["consistent"] is True
         assert 0.85 <= fit["slope"] <= 1.15
 
+    @pytest.mark.parametrize("case, key, bad", [
+        ("variational-degenerate", "q", math.inf),
+        ("normalized", "q", math.inf),
+        ("regularized", "p_prime", math.nan),
+    ])
+    def test_non_finite_theory_exits_2_without_output(self, tmp_path, capsys, case, key, bad):
+        # "q": Infinity wrote "theory_nu": NaN (not JSON) and exited 0
+        cfg_data = heat_config(T=0.1)
+        theory = {"case": case, "theta": 1.0, "p": 3.0, "q": 3.0, "p_prime": 3.0} | {key: bad}
+        cfg_data["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05], "gap_times": [0.1],
+                             "theory": theory}
+        cfg = write_config(tmp_path / "theory.json", cfg_data)
+        out = tmp_path / "o"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
+
     def test_too_few_values_exit_2(self, tmp_path):
         cfg_data = heat_config(T=0.1)
         cfg_data["sweep"] = {"axis": "p", "values": [0.1, 0.05]}
@@ -557,6 +574,16 @@ class TestRateTableCommand:
 
     def test_invalid_theta_exit_2(self):
         assert main(["rate-table", "--case", "normalized", "--theta", "1.5"]) == 2
+
+    @pytest.mark.parametrize("flag, bad", [("--q", "inf"), ("--p", "nan"), ("--theta", "nan"),
+                                           ("--m", "inf")])
+    def test_non_finite_parameter_exits_2(self, capsys, flag, bad):
+        # --q inf printed nu = nan and exited 0
+        flags = {"--theta": "1", "--p": "3", "--q": "3"} | {flag: bad}
+        argv = ["rate-table", "--case", "variational-degenerate"]
+        assert main(argv + [x for kv in flags.items() for x in kv]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
 
 
 class TestCheckC1Command:

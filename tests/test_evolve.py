@@ -291,8 +291,8 @@ class TestSolve:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_reused_buffer_matches_step_chain(self, dim, boundary):
-        # solve keeps its field in one padded buffer; each public step pads a
-        # fresh copy, so a ghost left stale after an update (periodic) or a
+        # solve keeps its field in one buffer; each public step copies it into
+        # a fresh one, so a ghost left stale after an update (periodic) or a
         # missed edge write (Dirichlet) would make the two differ
         spec = OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.2)
         if dim == 1:
@@ -353,6 +353,29 @@ class TestSolve:
         with pytest.raises(BlowUpError) as err:
             solve(prob)
         assert err.value.node == (8, 4)
+        assert err.value.time == cfl_dt(prob, prob.initial_field())
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dirichlet_nan_at_an_end_or_corner_blows_up_there(self, dim):
+        # the rows of a Dirichlet grid cover neither end of a line nor any
+        # corner of a box, so the finiteness check reads the boundary data too
+        if dim == 1:
+            grid = GridSpec.line(0.0, 1.0, 11, Boundary.DIRICHLET)
+            node = (10,)
+        else:
+            grid = GridSpec.box(((0.0, 1.0), (0.0, 1.0)), (9, 9), Boundary.DIRICHLET)
+            node = (8, 8)
+
+        def g(*args):  # the coordinates, then t
+            *xs, t = args
+            at = np.logical_and.reduce([x == 1.0 for x in xs])
+            return np.where(at & (t > 0), np.nan, 0.0)
+
+        prob = Problem(spec=OperatorSpec.normalized(3.0), grid=grid,
+                       initial=lambda *xs: 0.0 * xs[0], T=1.0, dirichlet=g)
+        with pytest.raises(BlowUpError) as err:
+            solve(prob)
+        assert err.value.node == node
         assert err.value.time == cfl_dt(prob, prob.initial_field())
 
     def test_regularization_monotonicity(self):
@@ -423,6 +446,36 @@ class TestSingularPolicy:
         # sin has exact-zero discrete gradients at the crest nodes
         with pytest.raises(ValueError):
             solve(prob)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_eps_num_takes_no_decision_at_the_boundary(self, dim):
+        # (x - h/2)^2 (+ (y - h/2)^2) on a Dirichlet grid from 0: no interior
+        # node has a zero gradient, but the edge node at 0 and its neighbour
+        # hold equal values, so a gradient read from ghost copies of the edge
+        # was 0 at the end node of the line and at the corner of the box, and
+        # eps_num = 0 raised there. The boundary carries data and takes no
+        # singular-gradient decision, so eps_num plays no part at all.
+        if dim == 1:
+            grid = GridSpec.line(0.0, 1.0, 33, Boundary.DIRICHLET)
+        else:
+            grid = GridSpec.box(((0.0, 1.0), (0.0, 1.0)), (17, 17), Boundary.DIRICHLET)
+        h = grid.spacing[0]
+
+        def data(*args):  # the coordinates, then t
+            return sum((x - 0.5 * h) ** 2 for x in args[:dim])
+
+        def prob(eps_num):
+            return Problem(spec=OperatorSpec.variational(3.0), grid=grid, T=0.01,
+                           initial=data, dirichlet=data,
+                           controls=SolverControls(eps_num=eps_num))
+
+        f0 = prob(0.0).initial_field()
+        r2 = sum(g * g for g in gradient_arrays(f0))
+        assert np.all(r2[interior_mask(grid)] > 0.0)
+        res = solve(prob(0.0))
+        assert res.stats.steps > 0
+        np.testing.assert_array_equal(res.snapshots[-1].values,
+                                      solve(prob(None)).snapshots[-1].values)
 
     def test_zero_gradient_at_a_ghost_column_is_not_singular(self):
         # Data constant along the first axis: in the stencil's row layout every
@@ -1045,6 +1098,24 @@ class TestTwoDimensional:
         ring = 2 * (nx + ny) - 4
         assert len(later) == res.stats.steps
         assert all(sx == sy == (ring,) for sx, sy in later)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_source_evaluated_on_updated_nodes_only(self, boundary):
+        # every node of a periodic grid, the interior of a Dirichlet one
+        nx, ny = 17, 9
+        grid = GridSpec.box(((0, 1), (0, 1)), (nx, ny), boundary)
+        shapes = []
+
+        def f(x, y, t):
+            shapes.append((np.shape(x), np.shape(y)))
+            return 0.0 * x
+
+        prob = Problem(spec=OperatorSpec.normalized(2.0), grid=grid, source=f,
+                       initial=lambda x, y: x + y, T=0.01, dirichlet=lambda x, y, t: x + y)
+        res = solve(prob)
+        inner = (nx, ny) if boundary is Boundary.PERIODIC else (nx - 2, ny - 2)
+        assert len(shapes) == res.stats.steps
+        assert set(shapes) == {(inner, inner)}
 
     def test_quadratic_with_source_is_exact(self):
         # u = x^2 + y^2 + t has u_t = 1, tr(A D2u) = 4 for A = I, and the

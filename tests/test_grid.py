@@ -204,6 +204,9 @@ class TestStencilReference:
             np.testing.assert_allclose(got[mask], want[mask], rtol=1e-13, atol=1e-12)
         for key, want in want_hess.items():
             np.testing.assert_allclose(got_hess[key][mask], want[mask], rtol=1e-13, atol=1e-12)
+        # a Dirichlet boundary node takes no difference: its entries are 0
+        for got in got_grad + list(got_hess.values()):
+            assert got.shape == grid.shape and not got[~mask].any()
         if dim == 2 and boundary is Boundary.PERIODIC:
             # the cross term at opposite corners wraps in both axes at once
             n, m = grid.shape
@@ -212,32 +215,45 @@ class TestStencilReference:
                     want_hess[(0, 1)][corner], rel=1e-13, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_row_layout(self, dim):
-        # the rows run from the first node to the last through the padded
-        # buffer: n entries in 1D, n0 (n1 + 2) - 2 in 2D (inner ghost columns)
-        grid = self.GRIDS[dim](Boundary.PERIODIC)
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_row_layout(self, dim, boundary):
+        # the rows run from the first updated node to the last: on a periodic
+        # grid every node, n entries in 1D and n0 (n1 + 2) - 2 in 2D (inner
+        # ghost columns); on a Dirichlet grid, its own frame, the interior,
+        # n - 2 entries in 1D and (n0 - 2) n1 - 2 in 2D (inner boundary columns)
+        grid = self.GRIDS[dim](boundary)
         values = np.arange(float(np.prod(grid.shape))).reshape(grid.shape)
         stencil = Stencil(grid, values)
         n = grid.shape
-        assert stencil.rows.shape == ((n[0],) if dim == 1 else (n[0] * (n[1] + 2) - 2,))
+        if boundary is Boundary.PERIODIC:
+            rows, inner = (n[0],) if dim == 1 else (n[0] * (n[1] + 2) - 2,), values
+        else:
+            rows = (n[0] - 2,) if dim == 1 else ((n[0] - 2) * n[1] - 2,)
+            inner = values[(slice(1, -1),) * dim]
+        assert stencil.rows.shape == rows
         assert stencil.rows.flags.c_contiguous
-        np.testing.assert_array_equal(stencil.nodes(stencil.rows), values)
-        assert stencil.nodes(stencil.gradient()[0]).shape == grid.shape
+        np.testing.assert_array_equal(stencil.values, values)
+        np.testing.assert_array_equal(stencil.values[stencil.updated], inner)
+        np.testing.assert_array_equal(stencil.nodes(stencil.rows), inner)
+        assert stencil.nodes(stencil.gradient()[0]).shape == inner.shape
         for bad in (np.empty(stencil.rows.size + 1), np.empty(2 * stencil.rows.size)[::2]):
             with pytest.raises(ValueError, match="row-layout"):
                 stencil.nodes(bad)
 
     def test_cross_difference_reads_the_gradient(self):
-        # the mixed difference is the y-difference of the last x-gradient, and
-        # cross_factor = 2 doubles it exactly
-        grid = self.GRIDS[2](Boundary.PERIODIC)
-        X, Y = grid.meshes()
-        stencil = Stencil(grid, np.sin(X) * np.cos(2.0 * Y))
-        with pytest.raises(ValueError, match="gradient first"):
-            stencil.hessian()
-        stencil.gradient()
-        once = stencil.hessian()[(0, 1)].copy()
-        np.testing.assert_array_equal(stencil.hessian(cross_factor=2.0)[(0, 1)], 2.0 * once)
+        # the stencil's mixed entry is twice the y-difference of the last
+        # x-gradient, 2 uxy, and hessian_arrays halves it exactly
+        for boundary in Boundary:
+            grid = self.GRIDS[2](boundary)
+            X, Y = grid.meshes()
+            field = ScalarField(grid, np.sin(X) * np.cos(2.0 * Y))
+            stencil = Stencil(grid, field.values)
+            with pytest.raises(ValueError, match="gradient first"):
+                stencil.hessian()
+            stencil.gradient()
+            twice = stencil.nodes(stencil.hessian()[(0, 1)])
+            np.testing.assert_array_equal(hessian_arrays(field)[(0, 1)][stencil.updated],
+                                          0.5 * twice)
 
 
 class TestNorms:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,14 @@ class TestMasterFormula:
            theta=st.floats(min_value=1e-6, max_value=1.0))
     def test_nonpositive_beta_branch_exact(self, alpha, beta, theta):
         assert theoretical_rate(alpha, beta, theta) == alpha * theta
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "theta"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, name, bad):
+        # beta = nan returned nan, and beta = inf at theta = 1 returned nan
+        args = {"alpha": 1.0, "beta": 0.5, "theta": 1.0} | {name: bad}
+        with pytest.raises(CaseNotApplicableError, match="finite"):
+            theoretical_rate(**args)
 
     def test_strictly_decreasing_in_positive_beta(self):
         theta = 0.5
@@ -100,6 +110,14 @@ class TestFamilyRate:
         assert pred.nu_sup == pytest.approx(0.125) and not pred.attained
         with pytest.raises(CaseNotApplicableError):
             family_rate(FamilyCase.BIASED_INFINITY, theta=0.5, m=0.75)
+
+    @pytest.mark.parametrize("name", ["theta", "p", "q", "p_prime", "q_prime", "m"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, name, bad):
+        # q = inf passed the q >= 2 window and gave nu = nan
+        args = {"theta": 1.0, "p": 3.0, "q": 3.0} | {name: bad}
+        with pytest.raises(CaseNotApplicableError, match="finite"):
+            family_rate(FamilyCase.VARIATIONAL_DEGENERATE, **args)
 
     def test_theta_window(self):
         with pytest.raises(CaseNotApplicableError):
