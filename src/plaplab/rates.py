@@ -53,8 +53,8 @@ def theoretical_rate(alpha: float, beta: float, theta: float) -> float:
 def _check_finite(**values: Optional[float]) -> None:
     """A parameter that is given must be finite: no case's window holds an
     infinite or NaN one, and the formulas would return NaN for it."""
-    _require(all(v is None or math.isfinite(v) for v in values.values()),
-             f"parameters must be finite, got {values}")
+    bad = [f"{k} = {v}" for k, v in values.items() if v is not None and not math.isfinite(v)]
+    _require(not bad, f"parameters must be finite, got {', '.join(bad)}")
 
 
 def _require(cond: bool, msg: str) -> None:

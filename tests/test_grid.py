@@ -215,30 +215,30 @@ class TestStencilReference:
                     want_hess[(0, 1)][corner], rel=1e-13, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("boundary", list(Boundary))
-    def test_row_layout(self, dim, boundary):
+    def test_row_layout(self, dim):
         # the rows run from the first updated node to the last: on a periodic
         # grid every node, n entries in 1D and n0 (n1 + 2) - 2 in 2D (inner
         # ghost columns); on a Dirichlet grid, its own frame, the interior,
         # n - 2 entries in 1D and (n0 - 2) n1 - 2 in 2D (inner boundary columns)
-        grid = self.GRIDS[dim](boundary)
-        values = np.arange(float(np.prod(grid.shape))).reshape(grid.shape)
-        stencil = Stencil(grid, values)
-        n = grid.shape
-        if boundary is Boundary.PERIODIC:
-            rows, inner = (n[0],) if dim == 1 else (n[0] * (n[1] + 2) - 2,), values
-        else:
-            rows = (n[0] - 2,) if dim == 1 else ((n[0] - 2) * n[1] - 2,)
-            inner = values[(slice(1, -1),) * dim]
-        assert stencil.rows.shape == rows
-        assert stencil.rows.flags.c_contiguous
-        np.testing.assert_array_equal(stencil.values, values)
-        np.testing.assert_array_equal(stencil.values[stencil.updated], inner)
-        np.testing.assert_array_equal(stencil.nodes(stencil.rows), inner)
-        assert stencil.nodes(stencil.gradient()[0]).shape == inner.shape
-        for bad in (np.empty(stencil.rows.size + 1), np.empty(2 * stencil.rows.size)[::2]):
-            with pytest.raises(ValueError, match="row-layout"):
-                stencil.nodes(bad)
+        for boundary in Boundary:
+            grid = self.GRIDS[dim](boundary)
+            values = np.arange(float(np.prod(grid.shape))).reshape(grid.shape)
+            stencil = Stencil(grid, values)
+            n = grid.shape
+            if boundary is Boundary.PERIODIC:
+                rows, inner = (n[0],) if dim == 1 else (n[0] * (n[1] + 2) - 2,), values
+            else:
+                rows = (n[0] - 2,) if dim == 1 else ((n[0] - 2) * n[1] - 2,)
+                inner = values[(slice(1, -1),) * dim]
+            assert stencil.rows.shape == rows
+            assert stencil.rows.flags.c_contiguous
+            np.testing.assert_array_equal(stencil.values, values)
+            np.testing.assert_array_equal(stencil.values[stencil.updated], inner)
+            np.testing.assert_array_equal(stencil.nodes(stencil.rows), inner)
+            assert stencil.nodes(stencil.gradient()[0]).shape == inner.shape
+            for bad in (np.empty(stencil.rows.size + 1), np.empty(2 * stencil.rows.size)[::2]):
+                with pytest.raises(ValueError, match="row-layout"):
+                    stencil.nodes(bad)
 
     def test_cross_difference_reads_the_gradient(self):
         # the stencil's mixed entry is twice the y-difference of the last
