@@ -238,8 +238,8 @@ def _build_sweep(cfg: dict, problem: Problem, data):
                  if k != "case" and v is not None}
         theory = family_rate(case, **given)
     margin = _number(node.get("margin", 0.1), "sweep.margin")
-    if margin <= 0:
-        raise ConfigError(f"sweep.margin must be > 0, got {margin}")
+    if not (math.isfinite(margin) and margin > 0):
+        raise ConfigError(f"sweep.margin must be finite and > 0, got {margin}")
     plan = SweepPlan(
         base=problem,
         axis=axis,
@@ -255,6 +255,8 @@ def _build_sweep(cfg: dict, problem: Problem, data):
 
 
 def _out_dir(args) -> Path:
+    """The ``--out`` directory, made when a command has its results to write:
+    a run that fails leaves none behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -277,9 +279,8 @@ def cmd_solve(args) -> int:
     cfg = _load_config(Path(args.config))
     problem, _ = _from_config(_build_problem, cfg["problem"])
     _check_snapshot_names(problem)
-    out = _out_dir(args)
-    run_id = Path(args.config).stem
     result = solve(problem)
+    out, run_id = _out_dir(args), Path(args.config).stem
     for snap in result.snapshots:
         save_field(snap, out / f"{run_id}_t{snap.time:g}.csv")
     stats = asdict(result.stats) | {"snapshots": [snap.time for snap in result.snapshots]}
@@ -294,12 +295,11 @@ def cmd_rate_sweep(args) -> int:
     cfg = _load_config(Path(args.config))
     problem, data = _from_config(_build_problem, cfg["problem"])
     plan, margin = _from_config(_build_sweep, cfg, problem, data)
-    out = _out_dir(args)
-    run_id = Path(args.config).stem
     fit = run_sweep(plan)
     consistent = None
     if fit.theory_nu is not None:
         consistent = compare_theory(fit, margin).consistent
+    out, run_id = _out_dir(args), Path(args.config).stem
     write_rate_table(fit, out / f"{run_id}_rates.csv")
     write_fit_summary(fit, out / f"{run_id}_fit.json", consistent=consistent)
     print(f"slope = {fit.slope:.6g}  r^2 = {fit.r_squared:.6g}  "

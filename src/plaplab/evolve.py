@@ -10,17 +10,21 @@ largest diffusion eigenvalue at the step's actual gradient (floored at 1);
 the coefficients are never clamped. Snapshots are captured exactly at
 requested times; runs are deterministic.
 
-A solve holds its field in one buffer (``grid.Stencil``), steps it in place and allocates its temporaries once, the coefficient table's
-among them (``out`` and ``work`` of ``operators.rank_one_coeff_arrays``), so
-a step allocates no array the size of the field; snapshots are copies. The
-kernel makes every choice that depends only on the member, the grid and the
-problem once per solve, as constants, and steps with two functions of ufunc
-calls over those buffers: ``cfl_bound`` and ``advance`` run the stages of the
-step in order, each stage guarded by its constant, so no step decides anew
-which terms it has. ``solve``, ``step`` and ``cfl_dt`` all run them, the last
-two on a fresh copy of their field. The kernel also keeps the data range, the
-t = 0 range widened by each boundary value it writes, and ``advance`` returns
-its step's overshoot beyond that range, so ``solve`` only takes the largest.
+A solve holds its field in one buffer (``grid.Stencil``), steps it in place
+and allocates its temporaries once, the coefficient table's among them
+(``out`` and ``work`` of ``operators.rank_one_coeff_arrays``), so a step
+allocates no array the size of the field; snapshots are copies. The kernel
+makes every choice that depends only on the member, the grid and the problem
+once per solve, as constants, and steps with two functions of ufunc calls
+over those buffers: ``cfl_bound`` and ``advance`` run the stages of the step
+in order, each stage guarded by its constant, so no step decides anew which
+terms it has. ``cfl_bound`` takes every term that depends on the gradient
+(r2 = |Du|^2, the first-order term, the coefficient table and Lambda),
+``advance`` the Hessian, the rate and the update. ``solve``, ``step`` and
+``cfl_dt`` all run them, the last two on a fresh copy of their field. The
+kernel also keeps the data range, the t = 0 range widened by each boundary
+value it writes, and ``advance`` returns its step's overshoot beyond that
+range, so ``solve`` only takes the largest.
 A Dirichlet grid is its own frame: the step updates its interior, and its
 boundary nodes hold the prescribed data and act as the interior's ghosts, so
 no stage of the step (gradient, coefficients, singular-gradient decision,
@@ -30,15 +34,16 @@ stencil's whole rows over the updated nodes, so the stencils and the update
 read contiguous memory. The step adds to the whole rows, then writes the
 boundary data straight into the field (Dirichlet) or refills the ghosts
 (periodic), which overwrites what spilled into the ghost columns. Ghost
-columns never count, by one skip list: the CFL maximum is taken over the
-rows with 0 written there, and their squared gradient is read as 1, so no
-coefficient is evaluated at a spurious zero there (and no node reads a
-ghost's coefficients). The min/max that checks finiteness is taken after the
-write, over the rows and, on a Dirichlet grid, the boundary data, which
-together cover every node. The everywhere-defined members with growth exponent 2
-have one s at every node (1, or eps1 for the biased family): their table is
-c alone. Most passes write into one of their own operands, which costs less
-than a pass into a third array.
+columns never count, by one skip list (``Stencil.ghost_columns``): the CFL
+maximum is taken over the rows with 0 written there, and their squared
+gradient is read as 1, so no coefficient is evaluated at a spurious zero
+there (and no node reads a ghost's coefficients). The min/max that checks
+finiteness is taken after the write over the whole buffer (``Stencil.flat``):
+every node, those on both boundaries included, and on a periodic grid the
+ghosts, which then copy nodes. The everywhere-defined members with growth
+exponent 2 have one s at every node (1, or eps1 for the biased family): their
+table is c alone. Most passes write into one of their own operands, which
+costs less than a pass into a third array.
 
 In 2D the diffusion term is s tr D2u + c (ux^2 uxx + uy^2 uyy + 2 ux uy uxy)
 / |Du|^2, with |Du|^2 = 0 read as 1, where the stencil's cross difference
@@ -67,6 +72,15 @@ grid-tied ``eps_num`` when the growth exponent is below 2 (the prefactor is
 unbounded near zero), and 0 otherwise (only exact zeros). Those nodes, found
 by flat index in one pass, take their family's form at eps = eps_num
 (``operators.rank_one_coeff_arrays``), whose eps = 0 form is the member itself.
+
+One rule reads r2's zeros. ``cfl_bound`` takes the first-order term at the
+true r2, then gathers the singular nodes' r2 for the eps_num form and writes
+r2 = 1 there in place, so the table's leaf is finite at every node. Where the
+floor is 0 those nodes are exactly r2's zeros, and the write is also the 2D
+quadratic form's |Du|^2 = 0 read as 1. Where the floor is > 0 (growth
+exponent < 2) the 2D rate reads their true r2, so it is written back; that
+member, and every 2D member without the policy, reads its zeros as 1 by one
+pass for r2 = 0. In 1D nothing reads r2 after the table.
 
 Constant coefficients
 ---------------------
@@ -108,7 +122,7 @@ from .grid import (  # gradient_arrays, hessian_arrays: bound here for perfbench
     hessian_arrays,  # noqa: F401
     interior_mask,
 )
-from .operators import _BIASED, OperatorSpec, rank_one_coeff_arrays, rank_one_coeffs
+from .operators import OperatorSpec, rank_one_coeff_arrays, rank_one_coeffs
 
 _CFL_SIGMA = 0.5  # dt_max = _CFL_SIGMA h_min^2 / (2 n Lambda)
 logger = logging.getLogger(__name__)
@@ -205,17 +219,21 @@ def _kernel(problem: Problem, values: np.ndarray):
     Every choice that depends only on the member, the grid and the problem is
     made once, into a local constant, and the step is bound as two functions
     over those buffers that run its stages in order, each stage guarded by its
-    constant. ``cfl_bound()`` takes the gradient and r2, the coefficient table
-    with the singular-gradient policy, then Lambda, and returns the stable dt.
-    ``advance(t, dt, t_new)`` adds dt times the diffusion, the first-order term
-    and the source to ``u``, writes the boundary data at t_new (Dirichlet) or
-    refills the ghosts (periodic) and takes the new (min, max) of the field,
-    which also serve as the finiteness check. It returns the step's overshoot:
+    constant. ``cfl_bound()`` takes every term that depends on the gradient:
+    the gradient and r2, the first-order term (into a buffer that ``advance``
+    reads), the coefficient table with the singular-gradient policy, then
+    Lambda; it leaves r2 with no zero in 2D (the module docstring's rule) and
+    returns the stable dt. ``advance(t, dt, t_new)``, called after
+    ``cfl_bound`` on the same field, adds dt times the diffusion, the
+    first-order term and the source to ``u``, writes the boundary data at
+    t_new (Dirichlet) or refills the ghosts (periodic) and takes the new
+    (min, max) over the whole buffer, which also serve as the finiteness
+    check. It returns the step's overshoot:
     how far that (min, max) leaves the data range, the range of ``values``
     widened by every boundary value written so far."""
     grid, spec, source = problem.grid, problem.spec, problem.source
     stencil = Stencil(grid, values)
-    u, rows = stencil.values, stencil.rows
+    u, rows, flat, ghosts = stencil.values, stencil.rows, stencil.flat, stencil.ghost_columns
     h_min = min(grid.spacing)
     eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
     # r2 <= floor2 takes the singular-gradient policy
@@ -223,16 +241,16 @@ def _kernel(problem: Problem, values: np.ndarray):
     cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
     # -- the choices made once per solve (see the module docstring)
     s0, c0 = rank_one_coeffs(spec, 1.0)  # c has the sign of c0 at every gradient
+    # (s, c) = (s0, c0); in 2D not for the biased families (s0 = 0)
     const = (spec.growth_exponent == 2.0 and not spec.everywhere_defined
-             and (grid.dim == 1 or spec.family not in _BIASED))  # (s, c) = (s0, c0)
+             and (grid.dim == 1 or s0 > 0.0))
     kappa = s0 + c0 if const and grid.dim == 1 else None  # the 1D coefficient of uxx
     dt_fixed = None  # where Lambda is fixed per solve
     if spec.growth_exponent == 2.0 and (const or c0 <= 0.0):
         dt_fixed = cfl_scale / max(s0 + max(c0, 0.0), 1.0)
     singular = not (const or spec.everywhere_defined)  # takes the singular-gradient policy
-    copy = spec.growth_exponent < 2.0  # the leaf is not finite at r2 = 0
-    # where the singular decision takes exactly the zeros (floor 0), its
-    # nodes are those of the 2D rate's r2 = 0 guard
+    # where the singular decision takes exactly the zeros (floor 0), its r2 = 1
+    # write leaves the 2D quadratic form no zero to read as 1
     guarded = singular and floor2 == 0.0
     diffuses = kappa != 0.0  # kappa = 0 has no diffusion term, so no Hessian
     a, eps2_sq = spec.a, spec.eps2 * spec.eps2  # only the biased families have a != 0
@@ -244,21 +262,15 @@ def _kernel(problem: Problem, values: np.ndarray):
     if grid.boundary is Boundary.DIRICHLET:
         edge = np.flatnonzero(~interior_mask(grid))
         edge_coords = tuple(np.take(m, edge) for m in meshes)
-        dirichlet, edge_data, frame = problem.dirichlet, np.empty(edge.size), u.reshape(-1)
+        dirichlet, edge_data = problem.dirichlet, np.empty(edge.size)
     meshes = tuple(m[stencil.updated] for m in meshes)  # the source's arguments
 
     n = rows.shape
-    r2, diff, work = (np.empty(n) for _ in range(3))
+    r2, diff, work = (np.empty(n) for _ in range(3))  # work: the first-order term
     zero = np.empty(n, bool)
     diff_nodes, work_nodes = stencil.nodes(diff), stencil.nodes(work)
     if not const:  # c, and s with the leaf's temporary (diff is free until the rate)
         c_out, table = np.empty(n), (np.empty(n), diff)
-    # the ghost columns, the entries of the rows that are no updated node (none
-    # in 1D): the CFL maximum is taken over the whole rows with 0 written
-    # there (a strided maximum would copy the rows), and r2 is read as 1 there
-    ghosts = np.ones(n, bool)
-    stencil.nodes(ghosts)[...] = False
-    ghosts = np.flatnonzero(ghosts)
     if takes_r2:
         gradient = stencil.gradient
         grads = gradient()
@@ -269,13 +281,12 @@ def _kernel(problem: Problem, values: np.ndarray):
         hessian = stencil.hessian
         hess = hessian()
         uxx, uxy2, uyy = hess[(0, 0)], hess.get((0, 1)), hess.get((1, 1))
-    # the coefficients and the flat indices of the singular nodes, as the
-    # last cfl_bound took them
-    s, c, sing = s0, c0, None
+    # the coefficients, as the last cfl_bound took them
+    s, c = s0, c0
     data_lo, data_hi = float(u.min()), float(u.max())  # widened by the boundary data
 
     def cfl_bound():
-        nonlocal s, c, sing
+        nonlocal s, c
         if takes_r2:
             gradient()
             if grid.dim == 1:  # no ghost columns
@@ -283,21 +294,23 @@ def _kernel(problem: Problem, values: np.ndarray):
             else:
                 np.add(np.square(ux, out=r2), np.square(uy, out=diff), out=r2)
                 r2[ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
+            if a != 0.0:  # a sqrt(|Du|^2 + eps2^2), at the singular nodes' true r2
+                np.multiply(np.sqrt(np.add(r2, eps2_sq, out=work), out=work), a, out=work)
         if not const:
-            at = r2
             if singular:  # the policy of the module docstring, at its nodes only
                 sing = np.flatnonzero(np.less_equal(r2, floor2, out=zero))
-                if sing.size and eps_num <= 0.0:
-                    raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
-                # at growth exponent >= 2 the leaf is finite at r2 = 0 (r2 ** x
-                # with x >= 0, or the biased (0, 1)), so it takes r2 as it is
-                if sing.size and copy:
-                    at = work  # r2 with 1.0 at the singular nodes
-                    at[...] = r2
-                    at[sing] = 1.0
-            s, c = rank_one_coeff_arrays(spec, at, out=c_out, work=table)
+                if sing.size:
+                    if eps_num <= 0.0:
+                        raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
+                    r2_sing = r2[sing]  # the eps_num form's argument
+                    r2[sing] = 1.0  # every leaf is finite there
+            s, c = rank_one_coeff_arrays(spec, r2, out=c_out, work=table)
             if singular and sing.size:
-                s[sing], c[sing] = rank_one_coeff_arrays(spec, r2[sing], eps=eps_num)
+                s[sing], c[sing] = rank_one_coeff_arrays(spec, r2_sing, eps=eps_num)
+                if floor2 > 0.0 and grid.dim == 2:  # the 2D rate reads their r2
+                    r2[sing] = r2_sing
+        if grid.dim == 2 and not guarded:  # the quadratic form reads r2 = 0 as 1
+            r2[np.flatnonzero(np.equal(r2, 0.0, out=zero))] = 1.0
         if dt_fixed is not None:
             return dt_fixed
         # c has the sign of c0 at every node, so s + max(c, 0) is s + c where
@@ -318,22 +331,17 @@ def _kernel(problem: Problem, values: np.ndarray):
             elif grid.dim == 1:
                 np.multiply(np.add(s, c, out=diff), uxx, out=diff)
             else:
-                # s tr D2u + c (ux^2 uxx + uy^2 uyy + ux uy 2uxy) / r2, with
-                # r2 = 0 read as 1
+                # s tr D2u + c (ux^2 uxx + uy^2 uyy + ux uy 2uxy) / r2, with no
+                # zero left in r2 (cfl_bound)
                 np.multiply(np.add(uxx, uyy, out=diff), s, out=diff)
                 np.multiply(np.multiply(uxx, ux, out=uxx), ux, out=uxx)
                 np.multiply(np.multiply(uyy, uy, out=uyy), uy, out=uyy)
                 np.add(uxx, uyy, out=uxx)
                 np.multiply(np.multiply(uxy2, ux, out=uxy2), uy, out=uxy2)
                 np.add(uxx, uxy2, out=uxx)
-                zeros = sing if guarded else np.flatnonzero(np.equal(r2, 0.0, out=zero))
-                r2[zeros] = 1.0
                 np.divide(uxx, r2, out=uxx)
-                r2[zeros] = 0.0  # r2 >= 0, so its zeros are +0.0
                 np.add(diff, np.multiply(uxx, c, out=uxx), out=diff)
         if a != 0.0:  # the biased families, whose diffusion never vanishes
-            np.sqrt(np.add(r2, eps2_sq, out=work), out=work)
-            np.multiply(work, a, out=work)
             if source is not None:
                 np.add(work_nodes, np.asarray(source(*meshes, t), float), out=work_nodes)
             np.add(diff, work, out=diff)
@@ -347,14 +355,11 @@ def _kernel(problem: Problem, values: np.ndarray):
             fill_ghosts()  # every ghost now copies a node
         else:  # the boundary data, which also overwrites the ghost columns
             edge_data[...] = np.asarray(dirichlet(*edge_coords, t_new), float)
-            frame[edge] = edge_data
-        lo, hi = float(rows.min()), float(rows.max())
-        if edge is not None:
-            # the rows miss the rest of the boundary, so its data's range joins
-            # theirs; a NaN datum makes both ends of that range NaN
-            e_lo, e_hi = float(edge_data.min()), float(edge_data.max())
-            lo, hi = (min(lo, e_lo), max(hi, e_hi)) if e_lo <= e_hi else (e_lo, e_hi)
-            data_lo, data_hi = min(data_lo, e_lo), max(data_hi, e_hi)
+            flat[edge] = edge_data
+            # a NaN datum leaves the data range as it is and fails the check below
+            data_lo = min(data_lo, float(edge_data.min()))
+            data_hi = max(data_hi, float(edge_data.max()))
+        lo, hi = float(flat.min()), float(flat.max())  # every node, and ghosts that copy nodes
         if not (math.isfinite(lo) and math.isfinite(hi)):
             bad = np.argwhere(~np.isfinite(u))[0]
             raise BlowUpError(tuple(int(i) for i in bad), t_new)

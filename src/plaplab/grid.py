@@ -167,9 +167,13 @@ class Stencil:
     last axis and by one buffer row along the first. ``gradient`` and
     ``hessian`` write arrays in this row layout that the stencil allocates on
     first use and rewrites on every call; ``nodes`` views one as the updated
-    nodes, ``values[updated]``. ``values`` is the ``grid.shape`` view of the
-    buffer's nodes and ``rows`` its row view; whoever rewrites them then calls
-    ``fill_ghosts`` (periodic) or writes the boundary data (Dirichlet).
+    nodes, ``values[updated]``, and ``ghost_columns`` holds the flat indices
+    of the row-layout entries that are no updated node (none in 1D).
+    ``values`` is the ``grid.shape`` view of the buffer's nodes, ``rows`` its
+    row view and ``flat`` the whole buffer, flattened: every node, those on
+    both boundaries included, and on a periodic grid the ghosts, which copy
+    nodes once filled. Whoever rewrites the nodes then calls ``fill_ghosts``
+    (periodic) or writes the boundary data (Dirichlet).
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -188,7 +192,7 @@ class Stencil:
             def plane(i):
                 return (slice(None),) * ax + (i,) if ax else i
             self._ghosts += [(plane(0), plane(-2)), (plane(-1), plane(1))]
-        flat = buffer.reshape(-1)
+        self.flat = flat = buffer.reshape(-1)
         unit = [s // buffer.itemsize for s in buffer.strides]  # flat offset of one step per axis
         first = sum(unit)  # the first updated node, (1, ..., 1) in the buffer
 
@@ -197,6 +201,9 @@ class Stencil:
             return flat[first + offset - margin:flat.size - first + offset + margin]
 
         self.rows = shifted(0)
+        ghost = np.ones(self.rows.shape, bool)
+        self.nodes(ghost)[...] = False
+        self.ghost_columns = np.flatnonzero(ghost)
         # per axis: values[i + e] and values[i - e] over the gradient's entries
         # (in 2D the x-difference runs one entry past each end of the rows, so
         # that the cross difference can read it one column up and down) and
@@ -308,22 +315,22 @@ def restrict_to(fine: ScalarField, coarse_grid: GridSpec) -> ScalarField:
 
 # -- persistence --------------------------------------------------------------
 
-_FMT = "%.17g"
+FLOAT_FMT = "%.17g"  # the CSV files' float format: it round-trips every float
 
 
 def save_field(field: ScalarField, path) -> None:
     """Dump as CSV: a grid-describing header line, then values row-major."""
     g = field.grid
-    extent = ";".join(_FMT % a + "," + _FMT % b for a, b in g.extent)
+    extent = ";".join(FLOAT_FMT % a + "," + FLOAT_FMT % b for a, b in g.extent)
     res = ",".join(str(n) for n in g.resolution)
     header = (
         f"# grid dim={g.dim} extent={extent} N={res} "
-        f"boundary={g.boundary.value} time={_FMT % field.time}"
+        f"boundary={g.boundary.value} time={FLOAT_FMT % field.time}"
     )
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for v in field.values.ravel(order="C"):
-            fh.write(_FMT % v + "\n")
+            fh.write(FLOAT_FMT % v + "\n")
 
 
 def load_field(path) -> ScalarField:

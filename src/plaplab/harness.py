@@ -5,7 +5,7 @@ member data fails before any solve. ``run_sweep`` solves the base and each
 perturbed problem at one shared step, capped at each solve's own CFL bound,
 measures the largest sup-norm gap over the requested capture times, and fits
 the decay exponent by ordinary least squares in log-log coordinates. Gaps
-below ten times the measured discretization floor (estimated from one
+not above ten times the measured discretization floor (estimated from one
 refinement pair on the base problem) reflect scheme error rather than
 operator closeness and are excluded from the fit. Every sweep also estimates
 the Hoelder exponent of the base's last capture.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PlapError
 from .evolve import Problem, cfl_dt, solve
-from .grid import _FMT, Boundary, ScalarField, restrict_to, sup_diff
+from .grid import FLOAT_FMT, Boundary, ScalarField, restrict_to, sup_diff
 from .operators import OperatorSpec, PerturbationAxis, perturb_spec
 from .rates import RatePrediction
 
@@ -44,20 +44,19 @@ class FitResult:
 def fit_loglog(pairs: Sequence[tuple[float, float]]) -> FitResult:
     """OLS fit of log(gap) against log(eps); the slope is the exponent.
 
-    Zero gaps are dropped with a warning; fewer than three surviving pairs or
-    degenerate abscissae are rejected.
+    A size or gap <= 0, fewer than three pairs or degenerate abscissae are
+    rejected (``run_sweep`` excludes every gap not above ten times its floor,
+    and ``estimate_holder`` keeps only oscillations > 0).
     """
-    kept = [(e, g) for e, g in pairs]
-    if any(e <= 0 for e, _ in kept):
+    pairs = list(pairs)
+    if any(e <= 0 for e, _ in pairs):
         raise ValueError("perturbation sizes must be > 0")
-    dropped = [(e, g) for e, g in kept if g <= 0]
-    if dropped:
-        logger.warning("dropping %d zero gaps from the fit", len(dropped))
-        kept = [(e, g) for e, g in kept if g > 0]
-    if len(kept) < 3:
-        raise ValueError(f"need >= 3 positive pairs to fit, have {len(kept)}")
-    le = np.log([e for e, _ in kept])
-    lg = np.log([g for _, g in kept])
+    if not all(g > 0 for _, g in pairs):  # NaN included
+        raise ValueError("gaps must be > 0")
+    if len(pairs) < 3:
+        raise ValueError(f"need >= 3 pairs to fit, have {len(pairs)}")
+    le = np.log([e for e, _ in pairs])
+    lg = np.log([g for _, g in pairs])
     if np.ptp(le) == 0.0:
         raise ValueError("degenerate abscissae: all perturbation sizes equal")
     A = np.vstack([le, np.ones_like(le)]).T
@@ -152,7 +151,7 @@ def run_sweep(plan: SweepPlan) -> RateFit:
     gaps = [max(sup_diff(snap, base_snap) for snap, base_snap in zip(res.snapshots, base_snaps))
             for res in rest]
 
-    excluded = tuple(g < 10.0 * floor for g in gaps)
+    excluded = tuple(not g > 10.0 * floor for g in gaps)  # a zero gap at a zero floor too
     survivors = [(e, g) for e, g, ex in zip(plan.values, gaps, excluded) if not ex]
     if len(survivors) < 3:
         raise HarnessError(
@@ -161,7 +160,7 @@ def run_sweep(plan: SweepPlan) -> RateFit:
         )
     if len(survivors) < len(gaps):
         logger.warning(
-            "excluded %d gaps below 10x the error floor %.3e",
+            "excluded %d gaps not above 10x the error floor %.3e",
             len(gaps) - len(survivors), floor,
         )
     fit = fit_loglog(survivors)
@@ -246,8 +245,8 @@ class TheoryVerdict:
 
 def compare_theory(fit: RateFit, margin: float) -> TheoryVerdict:
     """Attained rates are two-sided; open suprema only bound the slope below."""
-    if margin <= 0:
-        raise ValueError("margin must be > 0")
+    if not (math.isfinite(margin) and margin > 0):
+        raise ValueError(f"margin must be finite and > 0, got {margin}")
     if fit.theory_nu is None or fit.theory_attained is None:
         raise ValueError("fit carries no theoretical rate to compare against")
     nu = fit.theory_nu
@@ -267,7 +266,8 @@ def write_rate_table(fit: RateFit, path) -> None:
     with open(path, "w") as fh:
         fh.write("eps,gap,excluded\n")
         for e, g, ex in zip(fit.eps_list, fit.gap_list, fit.excluded):
-            fh.write(_FMT % e + "," + _FMT % g + "," + ("true" if ex else "false") + "\n")
+            fh.write(FLOAT_FMT % e + "," + FLOAT_FMT % g + ","
+                     + ("true" if ex else "false") + "\n")
 
 
 def write_fit_summary(fit: RateFit, path, consistent: Optional[bool] = None) -> None:

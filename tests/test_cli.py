@@ -180,7 +180,8 @@ class TestSolveCommand:
     def test_non_finite_values_exit_2_without_output(self, tmp_path, bad):
         # JSON's NaN and Infinity: the horizon, a capture time, eps_num, an
         # operator field, a grid extent (with data that a NaN coordinate does
-        # not make non-finite) and a sweep value
+        # not make non-finite), a sweep value and the margin (Infinity wrote
+        # "consistent": true and exited 0)
         horizon = heat_config(T=bad)
         capture = heat_config(snapshot_times=[bad, 0.1])
         floor = heat_config()
@@ -197,6 +198,9 @@ class TestSolveCommand:
         extent["problem"]["data"] = {"kind": "constant", "value": 1.0}
         member = heat_config()
         member["sweep"] = {"axis": "p", "values": [bad, 0.2, 0.1, 0.05]}
+        margin = heat_config()
+        margin["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05], "margin": bad,
+                           "theory": {"case": "normalized", "theta": 1.0, "q": 3.0}}
         for name, cfg_data, command in (("horizon", horizon, "solve"),
                                         ("capture", capture, "solve"),
                                         ("floor", floor, "solve"),
@@ -204,7 +208,8 @@ class TestSolveCommand:
                                         ("reg", reg, "solve"),
                                         ("drift", drift, "solve"),
                                         ("extent", extent, "solve"),
-                                        ("member", member, "rate-sweep")):
+                                        ("member", member, "rate-sweep"),
+                                        ("margin", margin, "rate-sweep")):
             cfg = write_config(tmp_path / f"{name}.json", cfg_data)
             out = tmp_path / f"{name}_out"
             assert main([command, "--config", cfg, "--out", str(out)]) == 2, name
@@ -303,8 +308,36 @@ class TestSolveCommand:
         cfg_data = heat_config()
         cfg_data["problem"]["controls"] = {"max_steps": 1}
         cfg = write_config(tmp_path / "short.json", cfg_data)
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
         assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unregularizable_solve_exits_2_without_output(self, tmp_path, capsys):
+        # constant data: every node is singular, and eps_num = 0 cannot
+        # regularize them; the error comes from the first step, after the
+        # config checks, and still leaves no --out directory
+        cfg_data = heat_config()
+        cfg_data["problem"]["operator"] = {"family": "variational", "p": 1.5}
+        cfg_data["problem"]["data"] = {"kind": "constant", "value": 1.0}
+        cfg_data["problem"]["controls"] = {"eps_num": 0.0}
+        cfg = write_config(tmp_path / "flat.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert "eps_num = 0 cannot regularize" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_gap_sweep_exits_1_without_output(self, tmp_path, capsys):
+        # constant data: every gap and the floor are 0, so no gap is above
+        # 10x the floor (a zero gap reached the fit and exited 2)
+        cfg_data = heat_config()
+        cfg_data["problem"]["data"] = {"kind": "constant", "value": 1.0}
+        cfg_data["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05]}
+        cfg = write_config(tmp_path / "flat.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "only 0 gaps above 10x the error floor" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_constant_data_keeps_its_value(self, tmp_path):
         cfg_data = heat_config()

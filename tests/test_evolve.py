@@ -155,6 +155,29 @@ class TestStep:
             np.testing.assert_allclose(res.snapshots[-1].values,
                                        grid.axis_coords(0), atol=1e-12)
 
+    def test_first_order_term_reads_an_exact_zero_gradient(self):
+        # u = r^2/2 has an exactly zero discrete gradient at the centre, a
+        # singular node of the 2D biased table, whose r2 is read as 1 for the
+        # coefficients; a sqrt(r2) must still read the true 0 there, so the
+        # drift a = 1 adds exactly nothing at the centre
+        grid = GridSpec.box(((-1.0, 1.0), (-1.0, 1.0)), (17, 17), Boundary.DIRICHLET)
+
+        def data(x, y, t=0.0):
+            return 0.5 * (x * x + y * y)
+
+        def prob(a):
+            return Problem(spec=OperatorSpec.biased_infinity(a), grid=grid, T=1.0,
+                           initial=data, dirichlet=data)
+
+        f0 = prob(0.0).initial_field()
+        assert all(g[8, 8] == 0.0 for g in gradient_arrays(f0))
+        dt = cfl_dt(prob(0.0), f0)
+        drift = step(f0, prob(1.0), dt).values - step(f0, prob(0.0), dt).values
+        assert drift[8, 8] == 0.0
+        elsewhere = interior_mask(grid)
+        elsewhere[8, 8] = False
+        assert np.all(drift[elsewhere] > 0.0)
+
     def test_blow_up_signal_carries_node(self):
         grid = GridSpec.line(0.0, 1.0, 11, Boundary.DIRICHLET)
 

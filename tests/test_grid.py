@@ -240,6 +240,25 @@ class TestStencilReference:
                 with pytest.raises(ValueError, match="row-layout"):
                     stencil.nodes(bad)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_flat_view_and_ghost_columns(self, dim):
+        # flat is the whole buffer: every node, and on a periodic grid ghosts
+        # that copy nodes; ghost_columns are the rows' entries that are no
+        # updated node (none in 1D)
+        for boundary in Boundary:
+            grid = self.GRIDS[dim](boundary)
+            values = np.arange(float(np.prod(grid.shape))).reshape(grid.shape)
+            stencil = Stencil(grid, values)
+            if boundary is Boundary.DIRICHLET:
+                np.testing.assert_array_equal(stencil.flat, values.ravel())
+            else:
+                assert stencil.flat.size == np.prod([n + 2 for n in grid.shape])
+                assert set(stencil.flat.tolist()) == set(values.ravel().tolist())
+            marked = stencil.rows.copy()
+            stencil.nodes(marked)[...] = -1.0
+            np.testing.assert_array_equal(stencil.ghost_columns, np.flatnonzero(marked != -1.0))
+            assert (stencil.ghost_columns.size > 0) == (dim == 2)
+
     def test_cross_difference_reads_the_gradient(self):
         # the stencil's mixed entry is twice the y-difference of the last
         # x-gradient, 2 uxy, and hessian_arrays halves it exactly

@@ -50,11 +50,14 @@ class TestFitLogLog:
         fit = fit_loglog(list(zip(eps, gaps)))
         assert abs(fit.slope - 0.7) < 0.02
 
-    def test_zero_gaps_dropped(self, caplog):
-        fit = fit_loglog([(1.0, 1.0), (0.5, 0.5), (0.25, 0.25), (0.125, 0.0)])
-        assert fit.slope == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            fit_loglog([(1.0, 0.0), (0.5, 0.0), (0.25, 0.25), (0.125, 0.1)])
+    def test_zero_gaps_rejected(self):
+        # run_sweep excludes every gap not above 10x its floor, so a gap <= 0
+        # (or NaN) reaching the fit is an error, as a size <= 0 is
+        for gap in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="gaps must be > 0"):
+                fit_loglog([(1.0, 1.0), (0.5, 0.5), (0.25, 0.25), (0.125, gap)])
+        with pytest.raises(ValueError, match="sizes must be > 0"):
+            fit_loglog([(1.0, 1.0), (0.5, 0.5), (0.0, 0.25)])
 
     def test_degenerate_abscissae(self):
         with pytest.raises(ValueError):
@@ -107,6 +110,15 @@ class TestRunSweep:
         assert fit.theory_nu == 1.0 and fit.theory_attained
         verdict = compare_theory(fit, margin=0.15)
         assert verdict.consistent
+
+    def test_zero_gaps_at_a_zero_floor_are_excluded(self):
+        # constant data: every gap and the floor are exactly 0; a gap of 0 is
+        # not above 10x a floor of 0, so it is excluded and the sweep fails as
+        # one without gaps to fit, not in the fit
+        plan = heat_sweep_plan()
+        base = replace(plan.base, initial=lambda x: np.full_like(x, 0.5))
+        with pytest.raises(HarnessError, match="only 0 gaps above 10x the error floor"):
+            run_sweep(replace(plan, base=base))
 
     def test_determinism(self):
         a = run_sweep(heat_sweep_plan())
@@ -278,6 +290,13 @@ class TestCompareTheory:
         assert compare_theory(synthetic_fit(1.3, 0.5, False), 0.1).consistent
         assert compare_theory(synthetic_fit(0.41, 0.5, False), 0.1).consistent
         assert not compare_theory(synthetic_fit(0.35, 0.5, False), 0.1).consistent
+
+    @pytest.mark.parametrize("margin", [math.inf, math.nan, 0.0, -0.1])
+    def test_margin_must_be_finite_and_positive(self, margin):
+        # an infinite margin called a slope of 5 against nu = 1 consistent,
+        # and NaN called every slope inconsistent
+        with pytest.raises(ValueError, match="margin must be"):
+            compare_theory(synthetic_fit(5.0, 1.0, True), margin)
 
     def test_missing_theory_rejected(self):
         fit = RateFit(eps_list=(0.1,) * 4, gap_list=(1.0,) * 4, slope=1.0,

@@ -1,5 +1,6 @@
-"""Every name a module under src/plaplab imports is used in that module, and
-every name the package exports is used somewhere in the laboratory.
+"""Every name a module under src/plaplab imports is used in that module, no
+module imports a private name of another, and every name the package exports
+is used somewhere in the laboratory.
 
 A standard-library stand-in for a linter's unused-import check (F401): a
 module's imported names must each appear as a name in its own code, unless
@@ -7,7 +8,9 @@ the import line carries ``# noqa: F401``. The package ``__init__`` is exempt,
 because it imports names to re-export them. A name in ``plaplab.__all__``
 must be read by a module under src/plaplab (outside ``__init__``) or
 perfbench/, or appear in the README's code, unless ``UNUSED_EXPORTS`` names
-it with its reason.
+it with its reason. A name with a leading underscore (a dunder such as
+``__version__`` aside) belongs to its module: one that another module needs
+is made public where it is defined.
 """
 
 import ast
@@ -68,6 +71,34 @@ def test_checker_sees_unused_and_marked_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each private name ``source`` imports from plaplab's
+    own modules, by a relative or an absolute import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "plaplab"):
+            found += [(alias.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_private_import_checker_sees_relative_and_absolute_imports():
+    source = ("from . import __version__\n"
+              "from .grid import FLOAT_FMT, _frame\n"
+              "from plaplab.operators import (\n"
+              "    _BIASED,\n"
+              "    OperatorSpec,\n"
+              ")\n"
+              "from numpy import _core\n")
+    assert private_imports(source) == [(2, "_frame"), (4, "_BIASED")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []
 
 
 def names_read(source: str) -> set:
