@@ -1,7 +1,7 @@
-"""A fingerprint of the scheme: recorded values of 48 solves and two public calls.
+"""A fingerprint of the scheme: recorded values of 60 solves and two public calls.
 
-Every family is solved on four grids (1D periodic, 1D Dirichlet with a
-source, 2D periodic with a source, 2D Dirichlet with a source), with captures
+Every family is solved on five grids (1D periodic, 1D Dirichlet with a
+source, 2D periodic with a source, two 2D Dirichlet grids with a source), with captures
 at 0, 0.03 and 0.1; for each solve the steps, min dt and overshoot and, per
 snapshot, its sum, min, max and three node values (a corner node among them)
 are compared at 1e-14 relative with ``fingerprint.json``. One ``cfl_dt`` and
@@ -70,8 +70,15 @@ def _dirichlet_line(x):
 
 
 def _dirichlet_initial(x, y):
-    # an exact zero of the discrete gradient at the centre node (0, 0)
+    # a near-zero discrete gradient at the centre node (0, 0): r2 = 1.6e-32 there,
+    # not 0, because -1 + k h with h = 1/12 is not exactly symmetric about 0
     return x * x + 0.5 * y * y + 0.3 * np.sin(3.0 * x) * y
+
+
+def _symmetric_initial(x, y):
+    # even in x and in y about the centre node (0, 0), which the exact
+    # coordinates -1 + k/8 keep: an exact zero of the discrete gradient there
+    return x * x + 0.5 * y * y + 0.3 * np.cos(3.0 * x) * np.cos(2.0 * y)
 
 
 # name: (grid, initial, source, dirichlet, the three recorded nodes)
@@ -101,6 +108,14 @@ GRIDS = {
         lambda x, y, t: 0.5 * np.cos(x + y) * (1.0 + t),
         lambda x, y, t: _dirichlet_initial(x, y) + t * (x - y),
         ([24, 12, 17], [0, 10, 4])),
+    # every datum is even in x and in y, so the centre node keeps an exactly
+    # zero gradient at every step: the singular-gradient branch at floor 0
+    "2d-dirichlet-17x17": (
+        GridSpec.box(((-1.0, 1.0), (-1.0, 1.0)), (17, 17), Boundary.DIRICHLET),
+        _symmetric_initial,
+        lambda x, y, t: 0.5 * np.cos(x) * np.cos(y) * (1.0 + t),
+        lambda x, y, t: _symmetric_initial(x, y) + t * (x * x - y * y),
+        ([8, 16, 3], [8, 0, 11])),
 }
 
 
