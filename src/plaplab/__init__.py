@@ -18,7 +18,16 @@ from .errors import (
     PlapError,
     SingularGradientError,
 )
-from .evolve import Problem, SolveResult, SolveStats, SolverControls, cfl_dt, solve, step
+from .evolve import (
+    Problem,
+    SolveResult,
+    SolveStats,
+    SolverControls,
+    cfl_dt,
+    solve,
+    solve_lockstep,
+    step,
+)
 from .exact import (
     ExactSolution,
     SingularPointError,

@@ -20,10 +20,12 @@ class CflViolationError(PlapError):
 class BlowUpError(PlapError):
     """The explicit scheme produced a non-finite value."""
 
-    def __init__(self, node, time):
+    def __init__(self, node, time, member=None):
         self.node = node
         self.time = time
-        super().__init__(f"non-finite value at node {node}, t={time:.6g}")
+        self.member = member  # the problem's place in a lockstep solve of several
+        where = f"node {node}" if member is None else f"node {node} of problem {member}"
+        super().__init__(f"non-finite value at {where}, t={time:.6g}")
 
 
 class BudgetExceededError(PlapError):

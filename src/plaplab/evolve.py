@@ -20,11 +20,27 @@ over those buffers: ``cfl_bound`` and ``advance`` run the stages of the step
 in order, each stage guarded by its constant, so no step decides anew which
 terms it has. ``cfl_bound`` takes every term that depends on the gradient
 (r2 = |Du|^2, the first-order term, the coefficient table and Lambda),
-``advance`` the Hessian, the rate and the update. ``solve``, ``step`` and
-``cfl_dt`` all run them, the last two on a fresh copy of their field. The
-kernel also keeps the data range, the t = 0 range widened by each boundary
-value it writes, and ``advance`` returns its step's overshoot beyond that
-range, so ``solve`` only takes the largest.
+``advance`` the Hessian, the rate and the update. ``solve_lockstep`` (and
+``solve``, its call with one problem), ``step`` and ``cfl_dt`` all run them,
+the last two on a fresh copy of their field. The kernel also keeps the data
+range, the t = 0 range widened by each boundary value it writes, and
+``advance`` keeps the largest overshoot beyond that range.
+
+Lockstep
+--------
+``solve_lockstep`` marches problems that share a grid, T, source and
+controls in one time loop. Problems whose kernels make the same per-solve
+choices (``_choices``) form one batch: their fields lie along a leading axis
+of one buffer, laid out like the rows of a 2D grid, so each stage of the step
+is one ufunc call for the whole batch, and the ghost entries between two
+fields are ghost columns like those between two rows. A parameter that
+differs between its members (eps, kappa = s0 + c0, p, a or eps2) is a
+row-layout array of each member's value, one float where they all agree.
+Each step takes dt = min(dt_override, the smallest bound over every batch),
+clipped at the captures. Everything else stays per member: a member's
+singular nodes are its own flat indices, and it has its own data range,
+overshoot and finiteness check. So a member's result is bitwise that of its
+own solve with the dts the loop took.
 A Dirichlet grid is its own frame: the step updates its interior, and its
 boundary nodes hold the prescribed data and act as the interior's ghosts, so
 no stage of the step (gradient, coefficients, singular-gradient decision,
@@ -108,7 +124,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -209,60 +225,94 @@ class SolveResult:
     stats: SolveStats
 
 
-def _kernel(problem: Problem, values: np.ndarray):
-    """One solve's step, bound once: ``(u, cfl_bound, advance)``. The field
-    ``u`` is the grid view of one buffer holding ``values``, which the step
-    works on in its row view over the updated nodes (``grid.Stencil``). Every
-    full-mesh temporary lives in the row layout and is allocated once; the
-    entries at ghost columns are garbage that no node reads.
+def _choices(problem: Problem) -> tuple:
+    """The choices the kernel makes once per solve for ``problem`` (see the
+    module docstring), as a key: problems with equal keys step as one batch,
+    with one set of branches and one coefficient formula. The family, its
+    growth exponent and whether it is regularized take the branches of
+    ``rank_one_coeff_arrays``; the rest are ``_kernel``'s constants."""
+    spec, dim = problem.spec, problem.grid.dim
+    s0, c0 = rank_one_coeffs(spec, 1.0)  # c has the sign of c0 at every gradient
+    # (s, c) = (s0, c0); in 2D not for the biased families (s0 = 0)
+    const = (spec.growth_exponent == 2.0 and not spec.everywhere_defined
+             and (dim == 1 or s0 > 0.0))
+    fixed = spec.growth_exponent == 2.0 and (const or c0 <= 0.0)  # Lambda fixed per solve
+    still = const and dim == 1 and s0 + c0 == 0.0  # kappa = 0: no diffusion term
+    return (spec.family, spec.growth_exponent, spec.everywhere_defined, const, fixed,
+            still, not fixed and c0 > 0.0, spec.a != 0.0)
 
-    Every choice that depends only on the member, the grid and the problem is
-    made once, into a local constant, and the step is bound as two functions
-    over those buffers that run its stages in order, each stage guarded by its
-    constant. ``cfl_bound()`` takes every term that depends on the gradient:
-    the gradient and r2, the first-order term (into a buffer that ``advance``
-    reads), the coefficient table with the singular-gradient policy, then
-    Lambda; it leaves r2 with no zero in 2D (the module docstring's rule) and
-    returns the stable dt. ``advance(t, dt, t_new)``, called after
-    ``cfl_bound`` on the same field, adds dt times the diffusion, the
-    first-order term and the source to ``u``, writes the boundary data at
-    t_new (Dirichlet) or refills the ghosts (periodic) and takes the new
-    (min, max) over the whole buffer, which also serve as the finiteness
-    check. It returns the step's overshoot:
-    how far that (min, max) leaves the data range, the range of ``values``
-    widened by every boundary value written so far."""
+
+def _kernel(problems, values, members=None):
+    """The step of a batch of problems with equal ``_choices`` on one grid,
+    bound once: ``(u, cfl_bound, advance, overshoot)``. The fields ``u``, of shape
+    (B, *grid.shape), are the views of one buffer holding ``values`` (one
+    field per problem), which the step works on in its row view over the
+    updated nodes of every field (``grid.Stencil``): the ghost entries between
+    two fields are ghost columns like those between two rows. Every full-mesh
+    temporary lives in the row layout and is allocated once; the entries at
+    ghost columns are garbage that no node reads.
+
+    Every choice is made once, into a local constant, and the step is bound as
+    two functions over those buffers that run its stages in order, each stage
+    guarded by its constant; a parameter that differs between the members (the
+    swept one) is a row-layout array of each member's value
+    (``Stencil.spread``), one float where they all agree. ``cfl_bound()``
+    takes every term that depends on the gradient: the gradient and r2, the
+    first-order term (into a buffer that ``advance`` reads), the coefficient
+    table with the singular-gradient policy, then Lambda; it leaves r2 with no
+    zero in 2D (the module docstring's rule) and returns the dt that is stable
+    for every member. ``advance(t, dt, t_new)``, called after ``cfl_bound`` on
+    the same fields, adds dt times the diffusion, the first-order term and the
+    source to ``u``, writes the boundary data at t_new (Dirichlet) or refills
+    the ghosts (periodic) and takes each member's (min, max) over its part of
+    the buffer, which also serve as the finiteness check (a non-finite value
+    raises ``BlowUpError`` naming the node and, from ``members[b]``, the
+    member). ``overshoot`` is a list of each member's largest overshoot so
+    far (0 before the first step), which ``advance`` updates in place: how far
+    that (min, max) leaves the member's data range, the range of its
+    ``values`` widened by every boundary value written so far."""
+    problem = problems[0]
     grid, spec, source = problem.grid, problem.spec, problem.source
     stencil = Stencil(grid, values)
     u, rows, flat, ghosts = stencil.values, stencil.rows, stencil.flat, stencil.ghost_columns
+    spread, size = stencil.spread, len(problems)
     h_min = min(grid.spacing)
     eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
     # r2 <= floor2 takes the singular-gradient policy
     floor2 = eps_num * eps_num if spec.growth_exponent < 2.0 else 0.0
     cfl_scale = _CFL_SIGMA * h_min * h_min / (2.0 * grid.dim)  # = dt_max * Lambda
     # -- the choices made once per solve (see the module docstring)
-    s0, c0 = rank_one_coeffs(spec, 1.0)  # c has the sign of c0 at every gradient
-    # (s, c) = (s0, c0); in 2D not for the biased families (s0 = 0)
-    const = (spec.growth_exponent == 2.0 and not spec.everywhere_defined
-             and (grid.dim == 1 or s0 > 0.0))
-    kappa = s0 + c0 if const and grid.dim == 1 else None  # the 1D coefficient of uxx
+    *_, const, fixed, still, lam_c, first_order = _choices(problem)
+    s0c0 = [rank_one_coeffs(p.spec, 1.0) for p in problems]
+    kappa = None  # the 1D coefficient of uxx
+    if const and grid.dim == 1:
+        kappa = spread(s0 + c0 for s0, c0 in s0c0)
     dt_fixed = None  # where Lambda is fixed per solve
-    if spec.growth_exponent == 2.0 and (const or c0 <= 0.0):
-        dt_fixed = cfl_scale / max(s0 + max(c0, 0.0), 1.0)
+    if fixed:
+        dt_fixed = min(cfl_scale / max(s0 + max(c0, 0.0), 1.0) for s0, c0 in s0c0)
     singular = not (const or spec.everywhere_defined)  # takes the singular-gradient policy
     # where the singular decision takes exactly the zeros (floor 0), its r2 = 1
     # write leaves the 2D quadratic form no zero to read as 1
     guarded = singular and floor2 == 0.0
-    diffuses = kappa != 0.0  # kappa = 0 has no diffusion term, so no Hessian
-    a, eps2_sq = spec.a, spec.eps2 * spec.eps2  # only the biased families have a != 0
+    diffuses = not still  # kappa = 0 has no diffusion term, so no Hessian
+    # a sqrt(|Du|^2 + eps2^2): only the biased families have a != 0
+    a = spread(p.spec.a for p in problems)
+    eps2_sq = spread(p.spec.eps2 * p.spec.eps2 for p in problems)
+    # the coefficient formula's values, one per member (rank_one_coeff_arrays)
+    eps_v = spread(p.spec.regularization for p in problems)
+    p2 = spread(p.spec.p - 2.0 for p in problems)
+    params = (eps_v, eps_v * eps_v, p2)
     # r2 feeds a table, the first-order term and the 2D quadratic form
-    takes_r2 = not const or a != 0.0 or grid.dim == 2
-    adds = diffuses or a != 0.0 or source is not None
+    takes_r2 = not const or first_order or grid.dim == 2
+    adds = diffuses or first_order or source is not None
     meshes, fill_ghosts = grid.meshes(), stencil.fill_ghosts
-    edge = None  # the Dirichlet boundary nodes, row-major
+    edge = None  # the Dirichlet boundary nodes of every member, row-major
     if grid.boundary is Boundary.DIRICHLET:
         edge = np.flatnonzero(~interior_mask(grid))
         edge_coords = tuple(np.take(m, edge) for m in meshes)
-        dirichlet, edge_data = problem.dirichlet, np.empty(edge.size)
+        edge = edge + np.arange(size)[:, None] * (flat.size // size)  # (B, boundary nodes)
+        edge_data = np.empty(edge.shape)
+        dirichlets = [p.dirichlet for p in problems]
     meshes = tuple(m[stencil.updated] for m in meshes)  # the source's arguments
 
     n = rows.shape
@@ -282,19 +332,26 @@ def _kernel(problem: Problem, values: np.ndarray):
         hess = hessian()
         uxx, uxy2, uyy = hess[(0, 0)], hess.get((0, 1)), hess.get((1, 1))
     # the coefficients, as the last cfl_bound took them
-    s, c = s0, c0
-    data_lo, data_hi = float(u.min()), float(u.max())  # widened by the boundary data
+    s, c = spread(s0 for s0, _ in s0c0), spread(c0 for _, c0 in s0c0)
+    # each member's part of the buffer; its nodes' range, widened by the
+    # boundary data, and its largest overshoot so far (Python floats: a
+    # member's check is a few scalar operations)
+    blocks = flat.reshape(size, -1)
+    axes = tuple(range(1, u.ndim))
+    data_lo, data_hi = u.min(axis=axes).tolist(), u.max(axis=axes).tolist()
+    overshoot = [0.0] * size
 
     def cfl_bound():
         nonlocal s, c
         if takes_r2:
             gradient()
-            if grid.dim == 1:  # no ghost columns
+            if grid.dim == 1:
                 np.square(ux, out=r2)
             else:
                 np.add(np.square(ux, out=r2), np.square(uy, out=diff), out=r2)
-                r2[ghosts] = 1.0  # a ghost column's r2 may be 0; keep r2 ** -x finite
-            if a != 0.0:  # a sqrt(|Du|^2 + eps2^2), at the singular nodes' true r2
+            if ghosts.size:  # a ghost column's r2 may be 0; keep r2 ** -x finite
+                r2[ghosts] = 1.0
+            if first_order:  # a sqrt(|Du|^2 + eps2^2), at the singular nodes' true r2
                 np.multiply(np.sqrt(np.add(r2, eps2_sq, out=work), out=work), a, out=work)
         if not const:
             if singular:  # the policy of the module docstring, at its nodes only
@@ -304,9 +361,12 @@ def _kernel(problem: Problem, values: np.ndarray):
                         raise ValueError("eps_num = 0 cannot regularize singular-gradient nodes")
                     r2_sing = r2[sing]  # the eps_num form's argument
                     r2[sing] = 1.0  # every leaf is finite there
-            s, c = rank_one_coeff_arrays(spec, r2, out=c_out, work=table)
+            s, c = rank_one_coeff_arrays(spec, r2, out=c_out, work=table, params=params)
             if singular and sing.size:
-                s[sing], c[sing] = rank_one_coeff_arrays(spec, r2_sing, eps=eps_num)
+                sing_params = (eps_num, eps_num * eps_num,
+                               p2 if isinstance(p2, float) else p2[sing])
+                s[sing], c[sing] = rank_one_coeff_arrays(spec, r2_sing, eps=eps_num,
+                                                         params=sing_params)
                 if floor2 > 0.0 and grid.dim == 2:  # the 2D rate reads their r2
                     r2[sing] = r2_sing
         if grid.dim == 2 and not guarded:  # the quadratic form reads r2 = 0 as 1
@@ -315,13 +375,12 @@ def _kernel(problem: Problem, values: np.ndarray):
             return dt_fixed
         # c has the sign of c0 at every node, so s + max(c, 0) is s + c where
         # c0 > 0, and else s, a table here (growth exponent != 2) whose
-        # ghost-column entries no node reads
-        lam = np.add(c, s, out=diff) if c0 > 0.0 else s
+        # ghost-column entries no node reads; the largest over every member
+        lam = np.add(c, s, out=diff) if lam_c else s
         lam[ghosts] = 0.0
         return cfl_scale / max(float(lam.max()), 1.0)
 
     def advance(t, dt, t_new):
-        nonlocal data_lo, data_hi
         # the rate, the sum of the terms present, in the row layout: diffusion
         # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes), in diff
         if diffuses:
@@ -341,7 +400,7 @@ def _kernel(problem: Problem, values: np.ndarray):
                 np.add(uxx, uxy2, out=uxx)
                 np.divide(uxx, r2, out=uxx)
                 np.add(diff, np.multiply(uxx, c, out=uxx), out=diff)
-        if a != 0.0:  # the biased families, whose diffusion never vanishes
+        if first_order:  # the biased families, whose diffusion never vanishes
             if source is not None:
                 np.add(work_nodes, np.asarray(source(*meshes, t), float), out=work_nodes)
             np.add(diff, work, out=diff)
@@ -354,31 +413,35 @@ def _kernel(problem: Problem, values: np.ndarray):
         if edge is None:
             fill_ghosts()  # every ghost now copies a node
         else:  # the boundary data, which also overwrites the ghost columns
-            edge_data[...] = np.asarray(dirichlet(*edge_coords, t_new), float)
+            for member_data, dirichlet in zip(edge_data, dirichlets):
+                member_data[...] = np.asarray(dirichlet(*edge_coords, t_new), float)
             flat[edge] = edge_data
             # a NaN datum leaves the data range as it is and fails the check below
-            data_lo = min(data_lo, float(edge_data.min()))
-            data_hi = max(data_hi, float(edge_data.max()))
-        lo, hi = float(flat.min()), float(flat.max())  # every node, and ghosts that copy nodes
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            bad = np.argwhere(~np.isfinite(u))[0]
-            raise BlowUpError(tuple(int(i) for i in bad), t_new)
-        return max(hi - data_hi, data_lo - lo, 0.0)
+            data_lo[:] = map(min, data_lo, edge_data.min(axis=1).tolist())
+            data_hi[:] = map(max, data_hi, edge_data.max(axis=1).tolist())
+        # every node, and ghosts that copy nodes
+        lo, hi = blocks.min(axis=1).tolist(), blocks.max(axis=1).tolist()
+        for b, (l, h) in enumerate(zip(lo, hi)):
+            if not (math.isfinite(l) and math.isfinite(h)):
+                node = np.argwhere(~np.isfinite(u[b]))[0]
+                raise BlowUpError(tuple(int(i) for i in node), t_new,
+                                  None if members is None else members[b])
+            overshoot[b] = max(overshoot[b], h - data_hi[b], data_lo[b] - l)
 
     if not adds and edge is None:
-        # a step that adds nothing leaves the field and its ghosts as they were
+        # a step that adds nothing leaves the fields and their ghosts as they were
 
         def advance(t, dt, t_new):
-            return 0.0
+            pass
 
-    return u, cfl_bound, advance
+    return u, cfl_bound, advance, overshoot
 
 
 def cfl_dt(problem: Problem, fld: ScalarField) -> float:
     """Stable time step for the current field (same coefficients as ``step``)."""
     if fld.grid != problem.grid:
         raise ValueError("field is not on the problem's grid")
-    return _kernel(problem, fld.values)[1]()
+    return _kernel([problem], fld.values[None])[1]()
 
 
 def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
@@ -389,40 +452,71 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if fld.time + dt > problem.T + 1e-9 * max(dt, problem.T, 1.0):
         raise ValueError(f"step past the horizon: t = {fld.time:.6g}, T = {problem.T:.6g}")
-    u, cfl_bound, advance = _kernel(problem, fld.values)
+    u, cfl_bound, advance, _ = _kernel([problem], fld.values[None])
     dt_max = cfl_bound()
     if dt > dt_max * (1.0 + 1e-9):
         raise CflViolationError(f"dt = {dt:.3e} exceeds CFL bound {dt_max:.3e}")
     advance(fld.time, dt, fld.time + dt)
-    return ScalarField(problem.grid, u, fld.time + dt)
+    return ScalarField(problem.grid, u[0], fld.time + dt)
 
 
 def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
-    """March from t = 0 to T, capturing snapshots exactly at requested times.
+    """March from t = 0 to T, capturing snapshots exactly at requested times:
+    ``solve_lockstep`` of this one problem."""
+    return solve_lockstep([problem], dt_override)[0]
 
-    Each step takes the CFL bound, or ``dt_override`` (finite and > 0) where
-    that is within it, clipped at capture times; the first step the bound wins
-    is logged once. Snapshots are copies of the solve's own buffer.
+
+def solve_lockstep(problems: Sequence[Problem],
+                   dt_override: Optional[float] = None) -> list[SolveResult]:
+    """March every problem from t = 0 to T in one time loop, capturing
+    snapshots exactly at the requested times; one ``SolveResult`` per problem,
+    in order.
+
+    The problems must share grid, T, controls (the captures among them) and
+    source; their operators and data may differ. Problems with the same
+    per-solve choices (``_choices``) step as one batch, one buffer and one
+    ufunc call per stage for all of them; the others form further batches of
+    the same loop. Each step takes the smallest CFL bound over every member,
+    or ``dt_override`` (finite and > 0) where that is within it, clipped at
+    capture times; the first step the bound wins is logged once. So every
+    member steps with every dt the loop takes, and its result is that of
+    ``solve(member, dt_override=dt)`` wherever that steps with the same dts.
+    The steps and min dt are shared; each member has its own overshoot and
+    finiteness check. Snapshots are copies of the loop's own buffers.
     """
+    problems = list(problems)
+    if not problems:
+        raise ValueError("solve_lockstep needs at least one problem")
+    first = problems[0]
+    shared = (first.grid, first.T, first.source, first.controls)
+    if any((p.grid, p.T, p.source, p.controls) != shared for p in problems[1:]):
+        raise ValueError("lockstep problems must share grid, T, source and controls")
     if dt_override is not None and not (math.isfinite(dt_override) and dt_override > 0):
         raise ValueError(f"dt_override must be finite and > 0, got {dt_override}")
-    requested = problem.controls.snapshot_times or (problem.T,)
+    requested = first.controls.snapshot_times or (first.T,)
     requested = tuple(sorted(set(requested)))
-    targets = tuple(sorted(set(requested + (problem.T,))))
-    initial = problem.initial_field()
-    u, cfl_bound, advance = _kernel(problem, initial.values)
-    max_steps = problem.controls.max_steps
-    snapshots = []
-    overshoot = 0.0
+    targets = tuple(sorted(set(requested + (first.T,))))
+    batches = {}  # choices -> the indices of the problems that share them
+    for i, p in enumerate(problems):
+        batches.setdefault(_choices(p), []).append(i)
+    batches = list(batches.values())
+    kernels = [_kernel([problems[i] for i in idx],
+                       [problems[i].initial_field().values for i in idx],
+                       idx if len(problems) > 1 else None)  # a blow-up names its member
+               for idx in batches]
+    bounds = [bound for _, bound, _, _ in kernels]
+    advances = [advance for _, _, advance, _ in kernels]
+    max_steps = first.controls.max_steps
+    snapshots = [[] for _ in problems]
     steps = 0
     min_dt = math.inf
-    t = initial.time
-    t_eps = 1e-12 * max(1.0, problem.T)
+    t = 0.0
+    t_eps = 1e-12 * max(1.0, first.T)
     capped = False  # the bound has won a step (logged once)
     for t_target in targets:
         t_stop = t_target - t_eps
         while t < t_stop:
-            dt = cfl_bound()
+            dt = min([bound() for bound in bounds])
             if dt_override is not None:
                 if dt_override <= dt * (1.0 + 1e-9):
                     dt = dt_override
@@ -433,20 +527,23 @@ def solve(problem: Problem, dt_override: Optional[float] = None) -> SolveResult:
             t_new = t + dt
             if dt >= t_target - t - t_eps:
                 dt, t_new = t_target - t, t_target
-            overshoot = max(overshoot, advance(t, dt, t_new))
+            for advance in advances:
+                advance(t, dt, t_new)
             t = t_new
             steps += 1
             min_dt = min(min_dt, dt)
             if steps > max_steps:
                 raise BudgetExceededError(
-                    f"horizon T = {problem.T} unreachable within {max_steps} steps"
+                    f"horizon T = {first.T} unreachable within {max_steps} steps"
                 )
         if t_target in requested:
-            snapshots.append(ScalarField(problem.grid, u, t))
-    stats = SolveStats(
-        steps=steps,
-        min_dt=min_dt if steps else 0.0,
-        overshoot=overshoot,
-        final_time=t,
-    )
-    return SolveResult(snapshots=snapshots, stats=stats)
+            for idx, (u, *_) in zip(batches, kernels):
+                for i, values in zip(idx, u):
+                    snapshots[i].append(ScalarField(first.grid, values, t))
+    results = [None] * len(problems)
+    for idx, (*_, overshoot) in zip(batches, kernels):
+        for i, member_over in zip(idx, overshoot):
+            stats = SolveStats(steps=steps, min_dt=min_dt if steps else 0.0,
+                               overshoot=float(member_over), final_time=t)
+            results[i] = SolveResult(snapshots=snapshots[i], stats=stats)
+    return results

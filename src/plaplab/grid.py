@@ -29,8 +29,14 @@ also covers the frame columns between the inner rows, the ghost columns (on
 a Dirichlet grid these are boundary nodes). Results at those positions are
 garbage that no node reads; an update written over the rows spills into the
 ghost columns, and ``Stencil.fill_ghosts`` (periodic) or the boundary data
-(Dirichlet) then overwrites them. In 1D the rows are exactly the updated
-nodes.
+(Dirichlet) then overwrites them. In 1D the rows of one field are exactly
+its updated nodes.
+
+A stencil also takes a batch of fields on one grid, along a leading axis of
+its buffer, each field in its own frame. The batch is laid out like the rows
+of a grid with one more axis: the rows run from the first field's first
+updated node to the last field's last, and the frame entries between two
+fields are ghost columns too.
 """
 
 from __future__ import annotations
@@ -157,19 +163,22 @@ class ScalarField:
 
 
 class Stencil:
-    """The difference formulas over one framed buffer (see module doc).
+    """The difference formulas over one framed buffer (see module doc), for a
+    field of ``grid.shape`` or a batch of B of them, of shape (B, *grid.shape).
 
     Every operand is one contiguous slice of the flattened buffer, the *rows*:
     they run from the first updated node to the last, so in 2D they include
-    the ghost columns of the inner rows. That is n entries in 1D and
-    n0 (n1 + 2) - 2 in 2D on a periodic grid, n - 2 and (n0 - 2) n1 - 2 on a
-    Dirichlet grid. A neighbour is the same slice shifted by +-1 along the
-    last axis and by one buffer row along the first. ``gradient`` and
-    ``hessian`` write arrays in this row layout that the stencil allocates on
-    first use and rewrites on every call; ``nodes`` views one as the updated
-    nodes, ``values[updated]``, and ``ghost_columns`` holds the flat indices
-    of the row-layout entries that are no updated node (none in 1D).
-    ``values`` is the ``grid.shape`` view of the buffer's nodes, ``rows`` its
+    the ghost columns of the inner rows. For one field that is n entries in 1D
+    and n0 (n1 + 2) - 2 in 2D on a periodic grid, n - 2 and (n0 - 2) n1 - 2 on
+    a Dirichlet grid; a batch adds the whole framed field once per further
+    field. A neighbour is the same slice shifted by +-1 along the last axis
+    and by one buffer row along the first. ``gradient`` and ``hessian`` write
+    arrays in this row layout that the stencil allocates on first use and
+    rewrites on every call; ``nodes`` views one as the updated nodes,
+    ``values[..., updated]``, and ``ghost_columns`` holds the flat indices of
+    the row-layout entries that are no updated node (none for one 1D field).
+    ``values`` is the view of the buffer's nodes, of the shape of the values
+    it was given, ``rows`` its
     row view and ``flat`` the whole buffer, flattened: every node, those on
     both boundaries included, and on a periodic grid the ghosts, which copy
     nodes once filled. Whoever rewrites the nodes then calls ``fill_ghosts``
@@ -177,30 +186,37 @@ class Stencil:
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
-        # a Dirichlet grid is its own frame; a periodic grid's nodes sit in a ghost layer
-        frame = _frame(grid)
-        self._buffer = buffer = np.empty(tuple(n + 2 - 2 * frame for n in grid.shape))
-        self.values = buffer if frame else buffer[(slice(1, -1),) * grid.dim]
+        # a batch of fields on one grid lies along a leading axis, each in its
+        # own frame; a Dirichlet grid is its own frame, a periodic grid's
+        # nodes sit in a ghost layer
+        values = np.asarray(values, dtype=float)
+        batch, frame = values.shape[:-grid.dim], _frame(grid)
+        self._buffer = buffer = np.empty(batch + tuple(n + 2 - 2 * frame for n in grid.shape))
+        self.values = buffer if frame else buffer[(...,) + (slice(1, -1),) * grid.dim]
         self.values[...] = values
         self.updated = tuple(slice(frame, n - frame) for n in grid.shape)
         # periodic: ghost <- the node it wraps to, axis by axis over full
-        # extents, so later axes also fill the corners; (ghost, node) index
-        # pairs into the buffer, plain ints along the first axis (in 1D each
-        # ghost is one scalar)
+        # extents, so later axes also fill the corners; per axis one (ghosts,
+        # nodes) pair of strided views of every field: the ghost planes 0 and
+        # n + 1 take the nodes n and 1
         self._ghosts = []
-        for ax in range(0 if frame else grid.dim):
-            def plane(i):
-                return (slice(None),) * ax + (i,) if ax else i
-            self._ghosts += [(plane(0), plane(-2)), (plane(-1), plane(1))]
+        for ax, n in enumerate(grid.shape if not frame else ()):
+            after = (slice(None),) * (grid.dim - 1 - ax)
+            self._ghosts.append((buffer[(..., slice(0, None, n + 1)) + after],
+                                 buffer[(..., slice(n, 0, 1 - n)) + after]))
         self.flat = flat = buffer.reshape(-1)
-        unit = [s // buffer.itemsize for s in buffer.strides]  # flat offset of one step per axis
-        first = sum(unit)  # the first updated node, (1, ..., 1) in the buffer
+        # flat offset of one step per grid axis
+        unit = [s // buffer.itemsize for s in buffer.strides[len(batch):]]
+        first = sum(unit)  # the first updated node, (1, ..., 1) in the (first) buffer
 
         def shifted(offset, margin=0):  # values[i + offset] for every row-layout entry i,
             # and for ``margin`` more entries at each end
             return flat[first + offset - margin:flat.size - first + offset + margin]
 
         self.rows = shifted(0)
+        # the field each row-layout entry lies in (a ghost column between two
+        # fields counts to one of them)
+        self._field = (first + np.arange(self.rows.size)) // (flat.size // math.prod(batch))
         ghost = np.ones(self.rows.shape, bool)
         self.nodes(ghost)[...] = False
         self.ghost_columns = np.flatnonzero(ghost)
@@ -219,16 +235,24 @@ class Stencil:
     def fill_ghosts(self) -> None:
         """Overwrite every periodic ghost, including what a row-layout update
         spilled there (a Dirichlet grid has none)."""
-        buffer = self._buffer
         for ghost, node in self._ghosts:
-            buffer[ghost] = buffer[node]
+            ghost[...] = node
+
+    def spread(self, per_field) -> "float | np.ndarray":
+        """One value per field of the batch (one value without a batch axis):
+        one float where they are all equal, else a row-layout array holding
+        each field's value at its entries."""
+        per_field = [float(v) for v in per_field]
+        if all(v == per_field[0] for v in per_field):
+            return per_field[0]
+        return np.asarray(per_field)[self._field]
 
     def nodes(self, rows: np.ndarray) -> np.ndarray:
         """The view of a contiguous row-layout array as the updated nodes
-        (skips the ghost columns)."""
+        (skips the ghost columns), with the batch axis if there is one."""
         if rows.shape != self.rows.shape or rows.strides != (rows.itemsize,):
             raise ValueError("not a contiguous row-layout array")
-        inner = self.values[self.updated]
+        inner = self.values[(...,) + self.updated]
         strides = tuple(s // inner.itemsize * rows.itemsize for s in inner.strides)
         return np.lib.stride_tricks.as_strided(rows, inner.shape, strides)
 

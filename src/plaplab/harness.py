@@ -1,14 +1,16 @@
 """Perturbation sweeps, sup-norm gap measurement, and exponent fitting.
 
 A ``SweepPlan`` builds every problem its sweep solves when it is made, so bad
-member data fails before any solve. ``run_sweep`` solves the base and each
-perturbed problem at one shared step, capped at each solve's own CFL bound,
-measures the largest sup-norm gap over the requested capture times, and fits
-the decay exponent by ordinary least squares in log-log coordinates. Gaps
-not above ten times the measured discretization floor (estimated from one
-refinement pair on the base problem) reflect scheme error rather than
-operator closeness and are excluded from the fit. Every sweep also estimates
-the Hoelder exponent of the base's last capture.
+member data fails before any solve. ``run_sweep`` solves the base and every
+perturbed problem in one lockstep loop (``evolve.solve_lockstep``) at one
+shared step, the smallest t = 0 CFL bound among them, capped on every step at
+the smallest bound of that step; it measures the largest sup-norm gap over
+the requested capture times and fits the decay exponent by ordinary least
+squares in log-log coordinates. Gaps not above ten times the measured
+discretization floor (estimated from one refinement pair on the base
+problem) reflect scheme error rather than operator closeness and are
+excluded from the fit. Every sweep also estimates the Hoelder exponent of
+the base's last capture.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PlapError
-from .evolve import Problem, cfl_dt, solve
+from .evolve import Problem, cfl_dt, solve, solve_lockstep
 from .grid import FLOAT_FMT, Boundary, ScalarField, restrict_to, sup_diff
 from .operators import OperatorSpec, PerturbationAxis, perturb_spec
 from .rates import RatePrediction
@@ -138,10 +140,11 @@ class SweepPlan:
 
 
 def run_sweep(plan: SweepPlan) -> RateFit:
-    """Solve the plan's problems, measure the floor and the gaps, and fit the exponent."""
+    """Solve the plan's problems in lockstep and the refined base alone, measure
+    the floor and the gaps, and fit the exponent."""
     dt = min(cfl_dt(p, p.initial_field()) for p in plan.problems)
     try:
-        base_result, *rest = [solve(p, dt_override=dt) for p in plan.problems]
+        base_result, *rest = solve_lockstep(plan.problems, dt_override=dt)
         fine_result = solve(plan.refined)
     except PlapError as err:
         raise HarnessError(f"sweep aborted: {err}") from err

@@ -150,13 +150,15 @@ class OperatorSpec:
     # -- structural properties --------------------------------------------
 
     @property
+    def regularization(self) -> float:
+        """The eps of the module table's regularized row: eps, or eps1 (0 for
+        the families without one)."""
+        return self.eps if self.family is Family.REGULARIZED_PQ else self.eps1
+
+    @property
     def everywhere_defined(self) -> bool:
         """True when A extends continuously to xi = 0."""
-        if self.family is Family.REGULARIZED_PQ:
-            return self.eps > 0
-        if self.family is Family.BIASED_INFINITY_REGULARIZED:
-            return self.eps1 > 0
-        return False
+        return self.regularization > 0
 
     @property
     def growth_exponent(self) -> float:
@@ -181,9 +183,9 @@ def _power(base, e: float, out):
     return ufunc(base, out=out) if ufunc is not None else np.power(base, e, out=out)
 
 
-def rank_one_coeff_arrays(spec: OperatorSpec, r2, out=None, eps=None, work=None):
+def rank_one_coeff_arrays(spec: OperatorSpec, r2, out=None, eps=None, work=None, params=None):
     """(s, c) with A = s I + c P(xi) at squared magnitudes r2 = |xi|^2, for
-    ``spec``'s family at regularization ``eps`` (None: its own eps, or eps1).
+    ``spec``'s family at regularization ``eps`` (None: ``spec.regularization``).
 
     eps > 0 is the module table's regularized row with p' the growth exponent:
     defined at r2 = 0, s one Python float where it is one at every r2. eps = 0
@@ -191,15 +193,20 @@ def rank_one_coeff_arrays(spec: OperatorSpec, r2, out=None, eps=None, work=None)
     a table s and the temporaries into the pair of arrays ``work``, where
     given (a float s leaves the first array to a temporary); otherwise into
     new arrays, or numpy scalars for a Python float r2.
+
+    ``params`` = (eps, eps * eps, p - 2), each a float or an array of r2's
+    shape, gives the values the formula reads, for a batch of members that
+    take ``spec``'s branches at ``eps``; None takes them from ``spec`` and
+    ``eps``. So the branches are taken once for the whole batch.
     """
     if eps is None:
-        eps = spec.eps if spec.family is Family.REGULARIZED_PQ else spec.eps1
-    p2 = spec.p - 2.0
+        eps = spec.regularization
+    eps_v, eps_sq, p2 = (eps, eps * eps, spec.p - 2.0) if params is None else params
     s_out, w_out = (None, None) if work is None else work
     if eps > 0.0:
         if spec.family in _BIASED:
-            return eps, np.divide(r2, np.add(r2, eps * eps, out=out), out=out)
-        w = np.add(r2, eps * eps, out=w_out)
+            return eps_v, np.divide(r2, np.add(r2, eps_sq, out=out), out=out)
+        w = np.add(r2, eps_sq, out=w_out)
         if spec.growth_exponent == 2.0:  # s = w ** 0 = 1, so c = (p - 2) r2 / w
             return 1.0, np.divide(np.multiply(r2, p2, out=s_out), w, out=out)
         s = _power(w, (spec.growth_exponent - 2.0) / 2.0, s_out)

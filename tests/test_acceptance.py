@@ -86,19 +86,39 @@ def assert_golden(num: int, fit) -> None:
     assert fit.error_floor == pytest.approx(want["floor"], rel=1e-12, abs=0)
 
 
-@pytest.fixture(scope="module")
-def normalized_sweep():
-    base = heat_problem(256)
-    plan = SweepPlan(
-        base=base,
+def normalized_plan() -> SweepPlan:
+    """Criterion 02's sweep: normalized(3 + 2^-k) heat modes on 256 nodes."""
+    return SweepPlan(
+        base=heat_problem(256),
         axis=PerturbationAxis.P,
         values=tuple(2.0 ** (-k) for k in range(3, 9)),
         gap_times=GAP_TIMES,
         theory=family_rate(FamilyCase.NORMALIZED, theta=1.0, q=3.0),
     )
+
+
+def regularization_plan() -> SweepPlan:
+    """Criterion 08's sweep: regularized_pq(1, 2, 2^-k) curvature modes on 1,024 nodes."""
+    grid = GridSpec.line(0.0, 2.0 * math.pi, 1024, Boundary.PERIODIC)
+    base = Problem(
+        spec=OperatorSpec.regularized_pq(1.0, 2.0, 0.0), grid=grid, initial=np.sin,
+        T=0.25, controls=SolverControls(eps_num=grid.spacing[0]),
+    )
+    return SweepPlan(
+        base=base,
+        axis=PerturbationAxis.EPS,
+        values=tuple(2.0 ** (-k) for k in range(2, 7)),
+        gap_times=tuple(np.linspace(0.05, 0.25, 5)),
+        theory=family_rate(FamilyCase.REGULARIZED, theta=1.0, p_prime=2.0),
+    )
+
+
+@pytest.fixture(scope="module")
+def normalized_sweep():
+    plan = normalized_plan()
     start = time.perf_counter()
     fit = run_sweep(plan)
-    return fit, base, time.perf_counter() - start
+    return fit, plan.base, time.perf_counter() - start
 
 
 def test_criterion_01_heat_mode_accuracy():
@@ -259,21 +279,7 @@ def test_criterion_07_rate_exponent_tables():
 
 def test_criterion_08_regularization_rate():
     start = time.perf_counter()
-    n = 1024
-    grid = GridSpec.line(0.0, 2.0 * math.pi, n, Boundary.PERIODIC)
-    h = grid.spacing[0]
-    base = Problem(
-        spec=OperatorSpec.regularized_pq(1.0, 2.0, 0.0), grid=grid, initial=np.sin,
-        T=0.25, controls=SolverControls(eps_num=h),
-    )
-    plan = SweepPlan(
-        base=base,
-        axis=PerturbationAxis.EPS,
-        values=tuple(2.0 ** (-k) for k in range(2, 7)),
-        gap_times=tuple(np.linspace(0.05, 0.25, 5)),
-        theory=family_rate(FamilyCase.REGULARIZED, theta=1.0, p_prime=2.0),
-    )
-    fit = run_sweep(plan)
+    fit = run_sweep(regularization_plan())
     verdict = compare_theory(fit, margin=0.1)
     elapsed = time.perf_counter() - start
     ok = fit.slope >= 0.4 and verdict.consistent and elapsed < 300.0

@@ -19,6 +19,7 @@ from plaplab import (
     SolverControls,
     cfl_dt,
     solve,
+    solve_lockstep,
     step,
     sup_diff,
 )
@@ -413,6 +414,120 @@ class TestSolve:
         base = run(0.0)
         gaps = [sup_diff(run(e), base) for e in (0.2, 0.1, 0.05)]
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+
+def _even(x, y):
+    # even in x and in y: on [-1, 1]^2 with h = 1/8 the centre node keeps an
+    # exactly zero discrete gradient
+    return x * x + 0.5 * y * y + 0.3 * np.cos(3.0 * x) * np.cos(2.0 * y)
+
+
+class TestLockstep:
+    """``solve_lockstep`` steps several problems in one loop, each member in its
+    own part of one buffer per batch of equal per-solve choices."""
+
+    @staticmethod
+    def box_member(p, p_prime, tilt, T=0.02):
+        # general_pq(p, p') takes the singular-gradient policy, at floor 0 for
+        # p' >= 2 and at r2 <= eps_num^2 below; a tilt != 0 leaves no node with
+        # an exactly zero gradient
+        grid = GridSpec.box(((-1.0, 1.0), (-1.0, 1.0)), (17, 17), Boundary.DIRICHLET)
+
+        def initial(x, y):
+            return _even(x, y) + tilt * (x + 0.7 * y)
+
+        return Problem(spec=OperatorSpec.general_pq(p, p_prime), grid=grid, initial=initial, T=T,
+                       source=_box_source, dirichlet=lambda x, y, t: initial(x, y) + t * x * y,
+                       controls=SolverControls(snapshot_times=(0.01, T)))
+
+    @pytest.mark.parametrize("p_prime", [3.0, 1.5])
+    def test_singular_node_stays_in_its_member(self, caplog, p_prime):
+        # one batch (equal choices, p a per-member array) in which only the
+        # middle member has a node with an exactly zero gradient, which takes
+        # the eps_num form (at p' = 1.5, with its own p, as do the nodes of
+        # every member whose r2 is within the floor); at a dt below every
+        # member's bound at every step (no cap is logged) each member equals its
+        # solve alone, so no singular node reaches another member
+        problems = [self.box_member(2.5, p_prime, 0.1), self.box_member(3.0, p_prime, 0.0),
+                    self.box_member(3.5, p_prime, 0.2)]
+        assert len({evolve._choices(p) for p in problems}) == 1
+        for p, zeros in zip(problems, (0, 1, 0)):
+            gx, gy = gradient_arrays(p.initial_field())
+            inner = interior_mask(p.grid)
+            assert np.count_nonzero((gx == 0.0) & (gy == 0.0) & inner) == zeros
+        dt = 0.5 * min(cfl_dt(p, p.initial_field()) for p in problems)
+        with caplog.at_level(logging.WARNING, logger="plaplab.evolve"):
+            batch = solve_lockstep(problems, dt_override=dt)
+            alone = [solve(p, dt_override=dt) for p in problems]
+        assert not caplog.records
+        gx, gy = gradient_arrays(batch[1].snapshots[-1])
+        assert gx[8, 8] == 0.0 and gy[8, 8] == 0.0  # still singular at the end
+        for res, want in zip(batch, alone, strict=True):
+            assert res.stats == want.stats
+            for a, b in zip(res.snapshots, want.snapshots, strict=True):
+                assert a.time == b.time
+                np.testing.assert_array_equal(a.values, b.values)
+
+    def test_nan_boundary_datum_blows_up_in_its_member(self):
+        # the members' boundary data differ; the third problem's NaN at x = 1
+        # raises at its node, named by the problem's place in the call (it
+        # shares a batch with the first, the second steps in a batch of its own)
+        grid = GridSpec.line(0.0, 1.0, 16, Boundary.DIRICHLET)
+
+        def member(spec, bad):
+            def g(x, t):
+                return np.where(bad & (x == 1.0) & (t > 0), np.nan, x * x + t * x)
+
+            return Problem(spec=spec, grid=grid, initial=lambda x: x * x, T=1.0, dirichlet=g)
+
+        problems = [member(OperatorSpec.normalized(3.0), False),
+                    member(OperatorSpec.variational(3.0), False),
+                    member(OperatorSpec.normalized(2.5), True)]
+        assert len({evolve._choices(p) for p in problems}) == 2
+        dt = 0.5 * min(cfl_dt(p, p.initial_field()) for p in problems)
+        with pytest.raises(BlowUpError, match="of problem 2") as err:
+            solve_lockstep(problems, dt_override=dt)
+        assert (err.value.member, err.value.node, err.value.time) == (2, (15,), dt)
+
+    def test_one_cap_warning_per_call(self, caplog):
+        # above the smallest bound every member steps at it, as with no
+        # dt_override, and the call logs the first such step once
+        problems = [heat_mode_problem(n=64, p=p, T=0.02) for p in (2.5, 3.0, 4.0)]
+        dt = min(cfl_dt(p, p.initial_field()) for p in problems)
+        with caplog.at_level(logging.WARNING, logger="plaplab.evolve"):
+            forced = solve_lockstep(problems, dt_override=3.0 * dt)
+        [record] = caplog.records
+        assert "exceeds the CFL bound" in record.getMessage() and "t = 0;" in record.getMessage()
+        for res, free in zip(forced, solve_lockstep(problems), strict=True):
+            assert res.stats == free.stats
+            np.testing.assert_array_equal(res.snapshots[-1].values, free.snapshots[-1].values)
+
+    @pytest.mark.parametrize("change", ["grid", "T", "captures", "source", "controls"])
+    def test_problems_must_share_the_loop(self, change):
+        # rejected before any step: no source is evaluated
+        calls = []
+
+        def source(x, t):
+            calls.append(t)
+            return 0.0 * x
+
+        first = replace(heat_mode_problem(n=32, T=0.1), source=source)
+        other = {
+            "grid": replace(first, grid=GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)),
+            "T": replace(first, T=0.2),
+            "captures": replace(first, controls=SolverControls(snapshot_times=(0.05,))),
+            "source": replace(first, source=lambda x, t: source(x, t)),
+            "controls": replace(first, controls=SolverControls(eps_num=0.01)),
+        }[change]
+        with pytest.raises(ValueError, match="must share"):
+            solve_lockstep([first, other])
+        assert not calls
+        with pytest.raises(ValueError, match="at least one"):
+            solve_lockstep([])
+
+
+def _box_source(x, y, t):
+    return 0.5 * np.cos(x) * np.cos(y) * (1.0 + t)
 
 
 class TestMaxPrinciple:
@@ -893,7 +1008,7 @@ def test_steps_allocate_no_row_array(name, dim):
     # every temporary of a step lives in a buffer the solve allocates once: after
     # warm-up, 100 steps together allocate less than one row-size array at a time
     prob = crest_problem(LEAVES[name], dim)
-    _, cfl_bound, advance = evolve._kernel(prob, prob.initial_field().values)
+    _, cfl_bound, advance, _ = evolve._kernel([prob], prob.initial_field().values[None])
     row_bytes = Stencil(prob.grid, prob.initial_field().values).rows.nbytes
     t = 0.0
 
@@ -926,8 +1041,8 @@ def test_buffered_leaves_are_bitwise_the_allocating_ones(monkeypatch, name, dim)
     want = solve(prob).snapshots[-1].values
     original = evolve.rank_one_coeff_arrays
 
-    def allocating(spec, r2, out=None, eps=None, work=None):
-        s, c = original(spec, r2, eps=eps)
+    def allocating(spec, r2, out=None, eps=None, work=None, params=None):
+        s, c = original(spec, r2, eps=eps, params=params)
         if out is not None:
             out[...] = c
             c = out

@@ -259,6 +259,34 @@ class TestStencilReference:
             np.testing.assert_array_equal(stencil.ghost_columns, np.flatnonzero(marked != -1.0))
             assert (stencil.ghost_columns.size > 0) == (dim == 2)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batch_is_each_field_alone(self, dim):
+        # a batch of fields lies in one buffer like the rows of a grid with one
+        # more axis: each field's differences are bitwise its own stencil's, and
+        # the frame entries between two fields are ghost columns
+        for boundary in Boundary:
+            grid = self.GRIDS[dim](boundary)
+            rng = np.random.default_rng(3 * dim + len(boundary.value))
+            fields = rng.normal(size=(3,) + grid.shape)
+            batch = Stencil(grid, fields)
+            assert batch.values.shape == fields.shape
+            grads = [batch.nodes(g) for g in batch.gradient()]
+            hess = {k: batch.nodes(v) for k, v in batch.hessian().items()}
+            marked = batch.rows.copy()
+            batch.nodes(marked)[...] = -1.0
+            np.testing.assert_array_equal(batch.ghost_columns, np.flatnonzero(marked != -1.0))
+            for b, values in enumerate(fields):
+                alone = Stencil(grid, values)
+                for got, want in zip(grads, alone.gradient(), strict=True):
+                    np.testing.assert_array_equal(got[b], alone.nodes(want))
+                for key, want in alone.hessian().items():
+                    np.testing.assert_array_equal(hess[key][b], alone.nodes(want))
+            # one value per field: a float where all agree, else each field's own
+            assert batch.spread([2.0, 2.0, 2.0]) == 2.0
+            owner = batch.nodes(batch.spread([0.0, 1.0, 2.0]))
+            for b in range(3):
+                assert (owner[b] == b).all()
+
     def test_cross_difference_reads_the_gradient(self):
         # the stencil's mixed entry is twice the y-difference of the last
         # x-gradient, 2 uxy, and hessian_arrays halves it exactly

@@ -23,11 +23,13 @@ from plaplab import (
     perturb_spec,
     run_sweep,
     solve,
+    solve_lockstep,
     sup_diff,
     write_fit_summary,
     write_rate_table,
 )
 from plaplab.harness import HarnessError
+from tests.test_acceptance import normalized_plan, regularization_plan
 
 
 class TestFitLogLog:
@@ -165,8 +167,9 @@ class TestRunSweep:
 
     def test_growing_gradient_sweep_completes(self):
         # the shared dt is fixed from the t = 0 fields while the gradient, and
-        # with it Lambda, grows: it exceeds the base's bound at t = 0.0100151,
-        # and from there each solve steps at its own bound instead of aborting
+        # with it Lambda, grows: it exceeds the smallest bound of the base and
+        # the members at t = 0.00995213, and from there all of them step at
+        # that smallest bound instead of aborting
         grid = GridSpec.line(0.0, 1.0, 64, Boundary.DIRICHLET)
         base = Problem(spec=OperatorSpec.variational(3.0), grid=grid, initial=np.zeros_like,
                        T=0.1, dirichlet=lambda x, t: 4.0 * t * x)
@@ -193,6 +196,24 @@ class TestRunSweep:
             crippled = replace(plan.base, controls=SolverControls(max_steps=steps))
             with pytest.raises(HarnessError, match="sweep aborted"):
                 run_sweep(replace(plan, base=crippled))
+
+
+class TestLockstepSweeps:
+    """A sweep solves its base and members in one lockstep loop; each member
+    ends bitwise where its own solve at the sweep's dt ends."""
+
+    @pytest.mark.parametrize("plan", [normalized_plan, regularization_plan],
+                             ids=["criterion-02", "criterion-08"])
+    def test_members_are_their_solves_alone(self, plan):
+        plan = plan()
+        dt = min(cfl_dt(p, p.initial_field()) for p in plan.problems)
+        batch = solve_lockstep(plan.problems, dt_override=dt)
+        for member, res in zip(plan.problems, batch, strict=True):
+            alone = solve(member, dt_override=dt)
+            assert res.stats == alone.stats
+            for a, b in zip(res.snapshots, alone.snapshots, strict=True):
+                assert a.time == b.time
+                np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestTrackingBoundaryData:
