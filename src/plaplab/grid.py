@@ -200,23 +200,20 @@ class Stencil:
         # nodes) pair of strided views of every field: the ghost planes 0 and
         # n + 1 take the nodes n and 1
         self._ghosts = []
-        for ax, n in enumerate(grid.shape if not frame else ()):
+        for ax, n in enumerate(() if frame else grid.shape):
             after = (slice(None),) * (grid.dim - 1 - ax)
             self._ghosts.append((buffer[(..., slice(0, None, n + 1)) + after],
                                  buffer[(..., slice(n, 0, 1 - n)) + after]))
         self.flat = flat = buffer.reshape(-1)
         # flat offset of one step per grid axis
         unit = [s // buffer.itemsize for s in buffer.strides[len(batch):]]
-        first = sum(unit)  # the first updated node, (1, ..., 1) in the (first) buffer
+        first = sum(unit)  # the first updated node, (1, ..., 1) of the first field
 
         def shifted(offset, margin=0):  # values[i + offset] for every row-layout entry i,
             # and for ``margin`` more entries at each end
             return flat[first + offset - margin:flat.size - first + offset + margin]
 
         self.rows = shifted(0)
-        # the field each row-layout entry lies in (a ghost column between two
-        # fields counts to one of them)
-        self._field = (first + np.arange(self.rows.size)) // (flat.size // math.prod(batch))
         ghost = np.ones(self.rows.shape, bool)
         self.nodes(ghost)[...] = False
         self.ghost_columns = np.flatnonzero(ghost)
@@ -245,7 +242,11 @@ class Stencil:
         per_field = [float(v) for v in per_field]
         if all(v == per_field[0] for v in per_field):
             return per_field[0]
-        return np.asarray(per_field)[self._field]
+        # the field each row-layout entry lies in (a ghost column between two
+        # fields counts to one of them); the rows leave one margin at each end
+        # of the buffer
+        first, size = (self.flat.size - self.rows.size) // 2, self.flat.size // len(per_field)
+        return np.asarray(per_field)[(first + np.arange(self.rows.size)) // size]
 
     def nodes(self, rows: np.ndarray) -> np.ndarray:
         """The view of a contiguous row-layout array as the updated nodes
