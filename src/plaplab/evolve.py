@@ -36,8 +36,10 @@ is one ufunc call for the whole batch, and the ghost entries between two
 fields are ghost columns like those between two rows. A parameter that
 differs between its members (eps, kappa = s0 + c0, p, a or eps2) is a
 row-layout array of each member's value, one float where they all agree.
-Each step takes dt = min(dt_override, the smallest bound over every batch),
-clipped at the captures. Everything else stays per member: a member's
+Each step takes the smallest bound over every batch, or a ``dt_override``,
+which must be within every step's bound (the check of ``step``, else
+``CflViolationError``), clipped at the captures. Everything else stays per
+member: a member's
 singular nodes are its own flat indices, and it has its own data range,
 overshoot and finiteness check. So a member's result is bitwise that of its
 own solve with the dts the loop took.
@@ -121,7 +123,6 @@ leaves the field and its ghosts as they were and returns an overshoot of 0.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
@@ -141,7 +142,6 @@ from .grid import (  # gradient_arrays, hessian_arrays: bound here for perfbench
 from .operators import OperatorSpec, rank_one_coeff_arrays, rank_one_coeffs
 
 _CFL_SIGMA = 0.5  # dt_max = _CFL_SIGMA h_min^2 / (2 n Lambda)
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -437,6 +437,13 @@ def _kernel(problems, values, members=None):
     return u, cfl_bound, advance, overshoot
 
 
+def _check_stable(dt: float, dt_max: float, t: float) -> None:
+    """The one stability check of a caller's dt: above the CFL bound dt_max of
+    the step at t (within 1e-9 relative) it raises ``CflViolationError``."""
+    if dt > dt_max * (1.0 + 1e-9):
+        raise CflViolationError(f"dt = {dt:.3e} exceeds CFL bound {dt_max:.3e} at t = {t:.6g}")
+
+
 def cfl_dt(problem: Problem, fld: ScalarField) -> float:
     """Stable time step for the current field (same coefficients as ``step``)."""
     if fld.grid != problem.grid:
@@ -453,9 +460,7 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
     if fld.time + dt > problem.T + 1e-9 * max(dt, problem.T, 1.0):
         raise ValueError(f"step past the horizon: t = {fld.time:.6g}, T = {problem.T:.6g}")
     u, cfl_bound, advance, _ = _kernel([problem], fld.values[None])
-    dt_max = cfl_bound()
-    if dt > dt_max * (1.0 + 1e-9):
-        raise CflViolationError(f"dt = {dt:.3e} exceeds CFL bound {dt_max:.3e}")
+    _check_stable(dt, cfl_bound(), fld.time)
     advance(fld.time, dt, fld.time + dt)
     return ScalarField(problem.grid, u[0], fld.time + dt)
 
@@ -476,13 +481,14 @@ def solve_lockstep(problems: Sequence[Problem],
     source; their operators and data may differ. Problems with the same
     per-solve choices (``_choices``) step as one batch, one buffer and one
     ufunc call per stage for all of them; the others form further batches of
-    the same loop. Each step takes the smallest CFL bound over every member,
-    or ``dt_override`` (finite and > 0) where that is within it, clipped at
-    capture times; the first step the bound wins is logged once. So every
-    member steps with every dt the loop takes, and its result is that of
-    ``solve(member, dt_override=dt)`` wherever that steps with the same dts.
-    The steps and min dt are shared; each member has its own overshoot and
-    finiteness check. Snapshots are copies of the loop's own buffers.
+    the same loop. Each step takes the smallest CFL bound of that step over
+    every member, clipped at capture times. A ``dt_override`` (finite and
+    > 0) fixes every step instead; one above some step's bound raises
+    ``CflViolationError`` naming dt, the bound and t, as ``step`` does. So
+    every member steps with every dt the loop takes, and its result is that
+    of ``solve(member, dt_override=dt)`` wherever that steps with the same
+    dts. The steps and min dt are shared; each member has its own overshoot
+    and finiteness check. Snapshots are copies of the loop's own buffers.
     """
     problems = list(problems)
     if not problems:
@@ -512,18 +518,13 @@ def solve_lockstep(problems: Sequence[Problem],
     min_dt = math.inf
     t = 0.0
     t_eps = 1e-12 * max(1.0, first.T)
-    capped = False  # the bound has won a step (logged once)
     for t_target in targets:
         t_stop = t_target - t_eps
         while t < t_stop:
             dt = min([bound() for bound in bounds])
             if dt_override is not None:
-                if dt_override <= dt * (1.0 + 1e-9):
-                    dt = dt_override
-                elif not capped:
-                    capped = True
-                    logger.warning("dt_override = %.3e exceeds the CFL bound %.3e at t = %.6g;"
-                                   " stepping at the bound", dt_override, dt, t)
+                _check_stable(dt_override, dt, t)
+                dt = dt_override
             t_new = t + dt
             if dt >= t_target - t - t_eps:
                 dt, t_new = t_target - t, t_target

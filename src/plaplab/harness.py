@@ -2,13 +2,12 @@
 
 A ``SweepPlan`` builds every problem its sweep solves when it is made, so bad
 member data fails before any solve. ``run_sweep`` solves the base and every
-perturbed problem in one lockstep loop (``evolve.solve_lockstep``) at one
-shared step, the smallest t = 0 CFL bound among them, capped on every step at
-the smallest bound of that step; it measures the largest sup-norm gap over
-the requested capture times and fits the decay exponent by ordinary least
-squares in log-log coordinates. Gaps not above ten times the measured
-discretization floor (estimated from one refinement pair on the base
-problem) reflect scheme error rather than operator closeness and are
+perturbed problem in one lockstep loop (``evolve.solve_lockstep``), each step
+the smallest CFL bound of that step among them; it measures the largest
+sup-norm gap over the requested capture times and fits the decay exponent by
+ordinary least squares in log-log coordinates. Gaps not above ten times the
+measured discretization floor (estimated from one refinement pair on the
+base problem) reflect scheme error rather than operator closeness and are
 excluded from the fit. Every sweep also estimates the Hoelder exponent of
 the base's last capture.
 """
@@ -24,7 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PlapError
-from .evolve import Problem, cfl_dt, solve, solve_lockstep
+from .evolve import Problem, solve, solve_lockstep
+from .evolve import cfl_dt  # noqa: F401  bound here for perfbench/hooks.py
 from .grid import FLOAT_FMT, Boundary, ScalarField, restrict_to, sup_diff
 from .operators import OperatorSpec, PerturbationAxis, perturb_spec
 from .rates import RatePrediction
@@ -46,15 +46,15 @@ class FitResult:
 def fit_loglog(pairs: Sequence[tuple[float, float]]) -> FitResult:
     """OLS fit of log(gap) against log(eps); the slope is the exponent.
 
-    A size or gap <= 0, fewer than three pairs or degenerate abscissae are
-    rejected (``run_sweep`` excludes every gap not above ten times its floor,
-    and ``estimate_holder`` keeps only oscillations > 0).
+    A size or gap <= 0 or not finite, fewer than three pairs or degenerate
+    abscissae are rejected (``run_sweep`` excludes every gap not above ten
+    times its floor, and ``estimate_holder`` keeps only oscillations > 0).
     """
     pairs = list(pairs)
-    if any(e <= 0 for e, _ in pairs):
-        raise ValueError("perturbation sizes must be > 0")
-    if not all(g > 0 for _, g in pairs):  # NaN included
-        raise ValueError("gaps must be > 0")
+    if not all(e > 0 and math.isfinite(e) for e, _ in pairs):
+        raise ValueError("perturbation sizes must be > 0 and finite")
+    if not all(g > 0 and math.isfinite(g) for _, g in pairs):
+        raise ValueError("gaps must be > 0 and finite")
     if len(pairs) < 3:
         raise ValueError(f"need >= 3 pairs to fit, have {len(pairs)}")
     le = np.log([e for e, _ in pairs])
@@ -140,11 +140,11 @@ class SweepPlan:
 
 
 def run_sweep(plan: SweepPlan) -> RateFit:
-    """Solve the plan's problems in lockstep and the refined base alone, measure
-    the floor and the gaps, and fit the exponent."""
-    dt = min(cfl_dt(p, p.initial_field()) for p in plan.problems)
+    """Solve the plan's problems in lockstep, each step at the smallest CFL
+    bound of that step among them, and the refined base alone at its own
+    bound; measure the floor and the gaps, and fit the exponent."""
     try:
-        base_result, *rest = solve_lockstep(plan.problems, dt_override=dt)
+        base_result, *rest = solve_lockstep(plan.problems)
         fine_result = solve(plan.refined)
     except PlapError as err:
         raise HarnessError(f"sweep aborted: {err}") from err

@@ -239,7 +239,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_removed_shared_dt_exits_2_without_output(self, tmp_path, capsys, shared):
-        # sweeps always share one step, capped at the smallest CFL bound of
+        # every step of a sweep is the smallest CFL bound of that step over
         # the base and the members
         cfg_data = heat_config()
         cfg_data["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05], "shared_dt": shared}

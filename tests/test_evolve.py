@@ -1,4 +1,3 @@
-import logging
 import math
 import tracemalloc
 import warnings
@@ -27,6 +26,7 @@ from plaplab import evolve
 from plaplab.exact import ExactSolution, SolutionId
 from plaplab.grid import Stencil, gradient_arrays, interior_mask
 from plaplab.operators import rank_one_coeff_arrays
+from tests.test_harness import growing_gradient_plan
 
 
 def heat_mode_problem(n=256, p=3.0, T=0.5, **controls):
@@ -286,23 +286,14 @@ class TestSolve:
         assert errs[0] / errs[1] >= 3.0
         assert errs[1] / errs[2] >= 3.0
 
-    def test_fixed_dt_override_runs_and_checks(self, caplog):
+    def test_fixed_dt_override_runs_and_checks(self):
         prob = heat_mode_problem(n=64, T=0.05, snapshot_times=(0.02, 0.05))
         dt = cfl_dt(prob, prob.initial_field())
-        with caplog.at_level(logging.WARNING, logger="plaplab.evolve"):
-            res = solve(prob, dt_override=dt / 2.0)
-            assert res.stats.final_time == pytest.approx(0.05)
-            assert not caplog.records
-            # above the bound, every step takes the bound: the same steps as
-            # an unforced solve, bitwise, and one warning for the first step
-            forced = solve(prob, dt_override=dt * 3.0)
-        free = solve(prob)
-        assert forced.stats == free.stats
-        for a, b in zip(forced.snapshots, free.snapshots, strict=True):
-            assert a.time == b.time
-            np.testing.assert_array_equal(a.values, b.values)
-        [record] = caplog.records
-        assert "exceeds the CFL bound" in record.getMessage() and "t = 0;" in record.getMessage()
+        res = solve(prob, dt_override=dt / 2.0)
+        assert res.stats.final_time == pytest.approx(0.05)
+        # above the bound the first step raises, as step does
+        with pytest.raises(CflViolationError, match="exceeds CFL bound .* at t = 0$"):
+            solve(prob, dt_override=dt * 3.0)
 
     @pytest.mark.parametrize("dt", [0.0, math.nan, -1e-3])
     def test_dt_override_must_be_finite_and_positive(self, dt):
@@ -441,13 +432,13 @@ class TestLockstep:
                        controls=SolverControls(snapshot_times=(0.01, T)))
 
     @pytest.mark.parametrize("p_prime", [3.0, 1.5])
-    def test_singular_node_stays_in_its_member(self, caplog, p_prime):
+    def test_singular_node_stays_in_its_member(self, p_prime):
         # one batch (equal choices, p a per-member array) in which only the
         # middle member has a node with an exactly zero gradient, which takes
         # the eps_num form (at p' = 1.5, with its own p, as do the nodes of
         # every member whose r2 is within the floor); at a dt below every
-        # member's bound at every step (no cap is logged) each member equals its
-        # solve alone, so no singular node reaches another member
+        # member's bound at every step (a dt above one would raise) each member
+        # equals its solve alone, so no singular node reaches another member
         problems = [self.box_member(2.5, p_prime, 0.1), self.box_member(3.0, p_prime, 0.0),
                     self.box_member(3.5, p_prime, 0.2)]
         assert len({evolve._choices(p) for p in problems}) == 1
@@ -456,10 +447,8 @@ class TestLockstep:
             inner = interior_mask(p.grid)
             assert np.count_nonzero((gx == 0.0) & (gy == 0.0) & inner) == zeros
         dt = 0.5 * min(cfl_dt(p, p.initial_field()) for p in problems)
-        with caplog.at_level(logging.WARNING, logger="plaplab.evolve"):
-            batch = solve_lockstep(problems, dt_override=dt)
-            alone = [solve(p, dt_override=dt) for p in problems]
-        assert not caplog.records
+        batch = solve_lockstep(problems, dt_override=dt)
+        alone = [solve(p, dt_override=dt) for p in problems]
         gx, gy = gradient_arrays(batch[1].snapshots[-1])
         assert gx[8, 8] == 0.0 and gy[8, 8] == 0.0  # still singular at the end
         for res, want in zip(batch, alone, strict=True):
@@ -489,18 +478,45 @@ class TestLockstep:
             solve_lockstep(problems, dt_override=dt)
         assert (err.value.member, err.value.node, err.value.time) == (2, (15,), dt)
 
-    def test_one_cap_warning_per_call(self, caplog):
-        # above the smallest bound every member steps at it, as with no
-        # dt_override, and the call logs the first such step once
-        problems = [heat_mode_problem(n=64, p=p, T=0.02) for p in (2.5, 3.0, 4.0)]
-        dt = min(cfl_dt(p, p.initial_field()) for p in problems)
-        with caplog.at_level(logging.WARNING, logger="plaplab.evolve"):
-            forced = solve_lockstep(problems, dt_override=3.0 * dt)
-        [record] = caplog.records
-        assert "exceeds the CFL bound" in record.getMessage() and "t = 0;" in record.getMessage()
-        for res, free in zip(forced, solve_lockstep(problems), strict=True):
-            assert res.stats == free.stats
-            np.testing.assert_array_equal(res.snapshots[-1].values, free.snapshots[-1].values)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_members_keep_their_first_order_term(self, dim):
+        # one batch whose members differ in eps1 and in the eps2 of their
+        # first-order term a sqrt(|Du|^2 + eps2^2); below every member's bound
+        # each ends bitwise where its own solve ends, so none reads another's
+        if dim == 1:
+            grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)
+            initial, dirichlet = np.sin, None
+        else:
+            grid = GridSpec.box(((-1.0, 1.0), (-1.0, 1.0)), (17, 17), Boundary.DIRICHLET)
+
+            def initial(x, y):
+                return _even(x, y) + 0.1 * (x + 0.7 * y)
+
+            def dirichlet(x, y, t):
+                return initial(x, y) + t * x * y
+
+        problems = [Problem(spec=OperatorSpec.biased_infinity_regularized(1.0, v, v), grid=grid,
+                            initial=initial, T=0.05, dirichlet=dirichlet)
+                    for v in (0.4, 0.2, 0.1, 0.05)]
+        assert len({evolve._choices(p) for p in problems}) == 1
+        dt = 0.5 * min(cfl_dt(p, p.initial_field()) for p in problems)
+        batch = solve_lockstep(problems, dt_override=dt)
+        for member, res in zip(problems, batch, strict=True):
+            alone = solve(member, dt_override=dt)
+            assert res.stats == alone.stats
+            for a, b in zip(res.snapshots, alone.snapshots, strict=True):
+                assert a.time == b.time
+                np.testing.assert_array_equal(a.values, b.values)
+
+    def test_dt_override_above_a_later_bound_raises(self):
+        # the growing-gradient sweep's Lambda grows with its gradient: a
+        # dt_override at the smallest t = 0 bound of its problems exceeds the
+        # smallest bound of a later step, and the call raises there
+        plan = growing_gradient_plan()
+        dt = min(cfl_dt(p, p.initial_field()) for p in plan.problems)
+        want = r"^dt = 6\.299e-05 exceeds CFL bound 6\.290e-05 at t = 0\.00995213$"
+        with pytest.raises(CflViolationError, match=want):
+            solve_lockstep(plan.problems, dt_override=dt)
 
     @pytest.mark.parametrize("change", ["grid", "T", "captures", "source", "controls"])
     def test_problems_must_share_the_loop(self, change):

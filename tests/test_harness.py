@@ -20,7 +20,6 @@ from plaplab import (
     estimate_holder,
     family_rate,
     fit_loglog,
-    perturb_spec,
     run_sweep,
     solve,
     solve_lockstep,
@@ -54,12 +53,15 @@ class TestFitLogLog:
 
     def test_zero_gaps_rejected(self):
         # run_sweep excludes every gap not above 10x its floor, so a gap <= 0
-        # (or NaN) reaching the fit is an error, as a size <= 0 is
-        for gap in (0.0, -0.1, math.nan):
+        # (or not finite) reaching the fit is an error, as such a size is; an
+        # infinite gap used to reach a NaN subtraction and a non-finite size
+        # LAPACK, which raised LinAlgError
+        for gap in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="gaps must be > 0"):
                 fit_loglog([(1.0, 1.0), (0.5, 0.5), (0.25, 0.25), (0.125, gap)])
-        with pytest.raises(ValueError, match="sizes must be > 0"):
-            fit_loglog([(1.0, 1.0), (0.5, 0.5), (0.0, 0.25)])
+        for size in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sizes must be > 0"):
+                fit_loglog([(1.0, 1.0), (0.5, 0.5), (size, 0.25)])
 
     def test_degenerate_abscissae(self):
         with pytest.raises(ValueError):
@@ -84,6 +86,14 @@ def heat_sweep_plan(n=64, T=0.25, ks=(3, 4, 5, 6), q=3.0):
         gap_times=tuple(np.linspace(T / 8.0, T, 8)),
         theory=theory,
     )
+
+
+def growing_gradient_plan():
+    grid = GridSpec.line(0.0, 1.0, 64, Boundary.DIRICHLET)
+    base = Problem(spec=OperatorSpec.variational(3.0), grid=grid, initial=np.zeros_like,
+                   T=0.1, dirichlet=lambda x, t: 4.0 * t * x)
+    return SweepPlan(base=base, axis=PerturbationAxis.P, values=(0.2, 0.1, 0.05, 0.025),
+                     theory=family_rate(FamilyCase.VARIATIONAL_DEGENERATE, theta=1.0, p=3.2, q=3.0))
 
 
 class TestRunSweep:
@@ -147,7 +157,7 @@ class TestRunSweep:
 
     def test_members_keep_their_first_order_term(self):
         # a member's first-order term a sqrt(|Du|^2 + eps2^2) takes its own
-        # eps2, so each sweep gap equals a one-at-a-time solve at the shared dt.
+        # eps2 (TestLockstep checks each member against its solve alone).
         # Dropping a gives gaps 0.0241/0.0302/0.0356/0.0411; the base's
         # eps2 = 0 on every member gives 0.0257/0.0334/0.0410/0.0478.
         grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)
@@ -157,25 +167,16 @@ class TestRunSweep:
                          values=(0.4, 0.2, 0.1, 0.05))
         fit = run_sweep(plan)
         assert fit.gap_list == pytest.approx([0.0385, 0.0351, 0.0369, 0.0456], abs=1e-4)
-        members = [replace(base, spec=perturb_spec(base.spec, plan.axis, v))
-                   for v in plan.values]
-        dt = min(cfl_dt(p, p.initial_field()) for p in [base] + members)
-        ref = solve(base, dt_override=dt).snapshots[-1]
-        for member, gap in zip(members, fit.gap_list):
-            want = sup_diff(solve(member, dt_override=dt).snapshots[-1], ref)
+        base_result, *rest = solve_lockstep(plan.problems)
+        for res, gap in zip(rest, fit.gap_list, strict=True):
+            want = sup_diff(res.snapshots[-1], base_result.snapshots[-1])
             assert gap == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_growing_gradient_sweep_completes(self):
-        # the shared dt is fixed from the t = 0 fields while the gradient, and
-        # with it Lambda, grows: it exceeds the smallest bound of the base and
-        # the members at t = 0.00995213, and from there all of them step at
-        # that smallest bound instead of aborting
-        grid = GridSpec.line(0.0, 1.0, 64, Boundary.DIRICHLET)
-        base = Problem(spec=OperatorSpec.variational(3.0), grid=grid, initial=np.zeros_like,
-                       T=0.1, dirichlet=lambda x, t: 4.0 * t * x)
-        plan = SweepPlan(base=base, axis=PerturbationAxis.P, values=(0.2, 0.1, 0.05, 0.025),
-                         theory=family_rate(FamilyCase.VARIATIONAL_DEGENERATE,
-                                            theta=1.0, p=3.2, q=3.0))
+        # the gradient, and with it Lambda, grows: the smallest bound of the
+        # base and the members falls below its t = 0 value at t = 0.00995213,
+        # and every step of the sweep takes the smallest bound of that step
+        plan = growing_gradient_plan()
         fit = run_sweep(plan)
         assert len(fit.gap_list) == 4 and all(g > 0.0 for g in fit.gap_list)
         assert compare_theory(fit, 0.1).consistent
