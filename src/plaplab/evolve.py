@@ -39,10 +39,9 @@ row-layout array of each member's value, one float where they all agree.
 Each step takes the smallest bound over every batch, or a ``dt_override``,
 which must be within every step's bound (the check of ``step``, else
 ``CflViolationError``), clipped at the captures. Everything else stays per
-member: a member's
-singular nodes are its own flat indices, and it has its own data range,
-overshoot and finiteness check. So a member's result is bitwise that of its
-own solve with the dts the loop took.
+member: a member's singular nodes are its own flat indices, and it has its
+own data range, overshoot and finiteness check. So a member's result is
+bitwise that of its own solve with the dts the loop took.
 A Dirichlet grid is its own frame: the step updates its interior, and its
 boundary nodes hold the prescribed data and act as the interior's ghosts, so
 no stage of the step (gradient, coefficients, singular-gradient decision,
