@@ -237,6 +237,34 @@ class TestSolveCommand:
             assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
             assert not out.exists(), key
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("schema_version",), 2, "schema_version must be 1"),
+        (("problem", "operator", "family"), "laplace", "unknown operator family 'laplace'"),
+        (("problem", "grid", "boundary"), "neumann", "bad boundary"),
+        (("problem", "data", "kind"), "gaussian", "unknown data kind 'gaussian'"),
+        (("sweep", "axis"), "q", "unknown sweep axis 'q'"),
+        (("sweep", "theory", "case"), "quadratic", "unknown theory case 'quadratic'"),
+        (("sweep",), None, "config needs a 'sweep' section for rate-sweep"),
+    ], ids=["schema", "family", "boundary", "data", "axis", "case", "no_sweep"])
+    def test_unknown_name_exits_2_without_output(self, tmp_path, capsys, path, value, message):
+        cfg_data = heat_config(extra={"sweep": {
+            "axis": "p", "values": [0.4, 0.2, 0.1, 0.05],
+            "theory": {"case": "normalized", "theta": 1.0}}})
+        node = cfg_data
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        cfg = write_config(tmp_path / "bad.json", cfg_data)
+        commands = ["rate-sweep"] if path[0] == "sweep" else ["solve", "rate-sweep"]
+        for command in commands:
+            out = tmp_path / f"{command}_out"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2, command
+            assert not out.exists(), command
+            assert message in capsys.readouterr().err, command
+
     @pytest.mark.parametrize("shared", [True, False])
     def test_removed_shared_dt_exits_2_without_output(self, tmp_path, capsys, shared):
         # every step of a sweep is the smallest CFL bound of that step over

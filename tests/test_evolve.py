@@ -228,6 +228,19 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="eps_num must be finite"):
             SolverControls(eps_num=bad)
 
+    def test_snapshot_times_must_be_sorted(self):
+        with pytest.raises(ValueError, match="snapshot_times must be sorted"):
+            SolverControls(snapshot_times=(0.2, 0.1))
+        assert SolverControls(snapshot_times=(0.1, 0.1, 0.2)).snapshot_times == (0.1, 0.1, 0.2)
+
+    def test_field_on_another_grid_rejected(self):
+        prob = heat_mode_problem(n=64)
+        other = heat_mode_problem(n=32).initial_field()
+        with pytest.raises(ValueError, match="field is not on the problem's grid"):
+            cfl_dt(prob, other)
+        with pytest.raises(ValueError, match="field is not on the problem's grid"):
+            step(other, prob, 1e-6)
+
     @pytest.mark.parametrize("bad", [0, -5, 2.7, 3.0, True, "5"])
     def test_max_steps_must_be_a_positive_int(self, bad):
         # -5 used to reach the solve and fail as a numerical error, and 2.7

@@ -175,10 +175,50 @@ class TestDiscreteResiduals:
             r2 = abs(residual(sol, r, t=t, mode="discrete", h=2e-3, clearance=0.05))
             assert r2 <= r1 / 3.0 or r2 < 1e-11
 
+    @pytest.mark.parametrize("t", [0.0, 1e-3])
+    def test_heat_mode_first_order_below_h(self, t):
+        # below t = h the time stencil is one-sided: the defect halves with h
+        sol = ExactSolution(SolutionId.HEAT_MODE, p=3.0)
+        r1 = abs(residual(sol, 0.4, t=t, mode="discrete", h=4e-3))
+        r2 = abs(residual(sol, 0.4, t=t, mode="discrete", h=2e-3))
+        assert r1 < 5e-3 and 0.45 <= r2 / r1 <= 0.55
+
     def test_spacing_below_clearance_required(self):
         sol = ExactSolution(SolutionId.RADIAL_ELLIPTIC, p=3.0, n=1)
         with pytest.raises(ValueError):
             residual(sol, 0.5, mode="discrete", h=0.01, clearance=0.005)
+
+
+HEAT = ExactSolution(SolutionId.HEAT_MODE, p=3.0)
+TORSION = ExactSolution(SolutionId.TORSION_RADIAL, p=3.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ExactSolution(SolutionId.HEAT_MODE, p=0.5), ValueError, "heat mode requires p >= 1"),
+    (lambda: TORSION.lambda_p, ValueError, "lambda_p undefined for torsion_radial"),
+    (lambda: HEAT.lambda_p, ValueError, "lambda_p undefined for heat_mode"),
+    (lambda: TORSION.support_radius(1.0), ValueError, "support radius applies"),
+    (lambda: HEAT.eval(0.5, -0.1), ValueError, "t must be >= 0"),
+    (lambda: residual(barenblatt(3.0), 1.5 * barenblatt(3.0).support_radius(1.0), t=1.0,
+                      clearance=0.05), SingularPointError, "point outside the support"),
+    (lambda: residual(TORSION, 0.5, clearance=0.0), ValueError, "clearance must be > 0"),
+    (lambda: residual(HEAT, 0.5, clearance=-1.0), ValueError, "clearance must be > 0"),
+    (lambda: residual(barenblatt(3.0), 0.5), ValueError, "self-similar solution needs t > 0"),
+    (lambda: residual(barenblatt(3.0), 0.5, t=0.0), ValueError,
+     "self-similar solution needs t > 0"),
+    (lambda: residual(TORSION, 0.5, mode="spectral"), ValueError, "mode must be"),
+    (lambda: residual(TORSION, 0.5, mode="discrete", clearance=0.05), ValueError,
+     "discrete mode needs a spacing h > 0"),
+    (lambda: residual(TORSION, 0.5, mode="discrete", h=0.0, clearance=0.05), ValueError,
+     "discrete mode needs a spacing h > 0"),
+    (lambda: residual(barenblatt(1.5), 0.5, t=1e-3, mode="discrete", h=2e-3, clearance=0.05),
+     ValueError, "time stencil leaves t > 0"),
+], ids=["heat_p", "lambda_torsion", "lambda_heat", "support_torsion", "heat_eval_t",
+        "outside_support", "clearance_zero", "clearance_negative", "barenblatt_no_t",
+        "barenblatt_t0", "mode", "no_h", "zero_h", "time_stencil"])
+def test_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestSupDiffClosedForm:

@@ -34,6 +34,9 @@ class TestGridSpec:
             GridSpec.line(1.0, 0.0, 16, Boundary.PERIODIC)
         with pytest.raises(ValueError):
             GridSpec(3, ((0, 1),) * 3, (8,) * 3, Boundary.PERIODIC)
+        for extent, resolution in ((((0, 1), (0, 1)), (8,)), (((0, 1),), (8, 8))):
+            with pytest.raises(ValueError, match="one entry per axis"):
+                GridSpec(1, extent, resolution, Boundary.PERIODIC)
 
     def test_non_finite_extent_rejected(self):
         # an infinite extent gave an infinite spacing and NaN node coordinates

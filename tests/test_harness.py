@@ -63,6 +63,10 @@ class TestFitLogLog:
             with pytest.raises(ValueError, match="sizes must be > 0"):
                 fit_loglog([(1.0, 1.0), (0.5, 0.5), (size, 0.25)])
 
+    def test_two_pairs_rejected(self):
+        with pytest.raises(ValueError, match="need >= 3 pairs to fit, have 2"):
+            fit_loglog([(1.0, 1.0), (0.5, 0.5)])
+
     def test_degenerate_abscissae(self):
         with pytest.raises(ValueError):
             fit_loglog([(0.5, 1.0), (0.5, 0.5), (0.5, 0.25)])
@@ -280,6 +284,12 @@ class TestEstimateHolder:
         f = ScalarField.from_function(grid, lambda x: np.full_like(x, 2.0))
         est = estimate_holder(f)
         assert est.flat
+
+    def test_fewer_than_three_lags_report_flat(self):
+        # 16 nodes leave the lags 8 and 9 only: no fit of two points
+        grid = GridSpec.line(0.0, 1.0, 16, Boundary.DIRICHLET)
+        est = estimate_holder(ScalarField.from_function(grid, lambda x: x))
+        assert est.flat and math.isnan(est.theta_hat) and est.L_hat == 0.0
 
     def test_two_dimensional_field(self):
         grid = GridSpec.box(((0, 1), (0, 1)), (65, 65), Boundary.DIRICHLET)

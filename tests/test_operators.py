@@ -206,6 +206,17 @@ class TestDiffusionMatrix:
         A = diffusion_matrix(spec, [1.0, 0.0])
         np.testing.assert_allclose(A, np.diag([1.0 / 1.25 + 0.5, 0.5]), atol=1e-15)
 
+    def test_negative_r2_rejected(self):
+        with pytest.raises(ValueError, match="r2 must be >= 0"):
+            rank_one_coeffs(OperatorSpec.normalized(3.0), -1.0)
+
+    def test_scalar_xi_is_a_one_vector(self):
+        a, b = OperatorSpec.variational(3.0), OperatorSpec.normalized(2.5)
+        for build in (diffusion_matrix, sqrt_matrix):
+            np.testing.assert_array_equal(build(a, 2.0), build(a, [2.0]))
+            assert build(a, 2.0).shape == (1, 1)
+        assert c1_gap(a, b, 2.0) == c1_gap(a, b, [2.0])
+
     def test_singular_families_reject_zero_gradient(self):
         for spec in (OperatorSpec.normalized(3.0), OperatorSpec.variational(1.5),
                      OperatorSpec.general_pq(2.0, 3.0), OperatorSpec.biased_infinity(),
@@ -344,6 +355,23 @@ class TestCertify:
             C1Params(alpha=1.0, beta=-0.5, c_A=1.0, k=4.0)  # needs beta > -1/3
         C1Params(alpha=1.0, beta=-0.3, c_A=1.0, k=4.0)
 
+    @pytest.mark.parametrize("name, bad, message", [
+        ("alpha", 0.0, "alpha must be > 0"),
+        ("alpha", -1.0, "alpha must be > 0"),
+        ("c_A", -0.5, "c_A must be >= 0"),
+        ("k", 2.0, "k must be > 2"),
+        ("k", 1.5, "k must be > 2"),
+    ])
+    def test_candidate_parameter_windows(self, name, bad, message):
+        with pytest.raises(ValueError, match=message):
+            C1Params(**({"alpha": 1.0, "beta": 0.5, "c_A": 10.0, "k": 4.0} | {name: bad}))
+        assert C1Params(alpha=1.0, beta=0.5, c_A=0.0).c_A == 0.0
+
+    def test_empty_eps_list_rejected(self):
+        with pytest.raises(ValueError, match="eps list must be nonempty"):
+            c1_certify(OperatorSpec.normalized(3.0), PerturbationAxis.P, [], [1.0],
+                       C1Params(alpha=1.0, beta=0.0, c_A=1.0))
+
     @pytest.mark.parametrize("name", ["alpha", "beta", "c_A", "k"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_candidate_rejected(self, name, bad):
@@ -393,6 +421,24 @@ class TestPerturb:
                        OperatorSpec.biased_infinity_regularized(1.0, 0.0, 0.0)):
             with pytest.raises(ValueError):
                 perturb_spec(biased, PerturbationAxis.P, 0.1)
+
+    @pytest.mark.parametrize("axis", list(PerturbationAxis), ids=lambda a: a.value)
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    def test_nonpositive_value_rejected(self, axis, value):
+        base = (OperatorSpec.biased_infinity_regularized(1.0, 0.0, 0.0)
+                if axis is PerturbationAxis.EPS1_EPS2 else OperatorSpec.regularized_pq(3.0, 2.5, 0.0))
+        with pytest.raises(ValueError, match="perturbation value must be > 0"):
+            perturb_spec(base, axis, value)
+
+    def test_eps1_eps2_axis_needs_its_family_at_zero(self):
+        for base in (OperatorSpec.regularized_pq(1.0, 2.0, 0.0), OperatorSpec.biased_infinity(1.0),
+                     OperatorSpec.normalized(3.0)):
+            with pytest.raises(ValueError, match="eps1/eps2 perturbation needs"):
+                perturb_spec(base, PerturbationAxis.EPS1_EPS2, 0.1)
+        for eps1, eps2 in ((0.1, 0.0), (0.0, 0.1)):
+            base = OperatorSpec.biased_infinity_regularized(1.0, eps1, eps2)
+            with pytest.raises(ValueError, match="base member at eps1 = eps2 = 0"):
+                perturb_spec(base, PerturbationAxis.EPS1_EPS2, 0.1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -97,6 +97,33 @@ class TestFamilyRate:
         want = theoretical_rate(0.9, max(1.0, 5.0 / 2.0 - 1.0 - 0.9), 0.5)
         assert pred.nu_sup == pytest.approx(want)
 
+    @pytest.mark.parametrize("p_prime, m, nu", [
+        # no m: the sup theta / (1 + (1 - theta) max(p' - 4, 0)), at theta = 0.5
+        (3.0, None, 0.5),
+        (4.0, None, 0.5),
+        (4.5, None, 0.4),
+        # m = 0.5: the master formula at alpha = m, beta = max(p' - 4, p'/2 - 1 - m)
+        (3.0, 0.5, theoretical_rate(0.5, 0.0, 0.5)),
+        (4.0, 0.5, theoretical_rate(0.5, 0.5, 0.5)),
+        (4.5, 0.5, theoretical_rate(0.5, 0.75, 0.5)),
+    ])
+    def test_regularized_from_three(self, p_prime, m, nu):
+        pred = family_rate(FamilyCase.REGULARIZED, theta=0.5, p_prime=p_prime, m=m)
+        assert pred.nu_sup == nu and not pred.attained
+        for bad in (0.0, 1.0):
+            with pytest.raises(CaseNotApplicableError, match=r"requires m in \(0, 1\)"):
+                family_rate(FamilyCase.REGULARIZED, theta=0.5, p_prime=p_prime, m=bad)
+
+    def test_normalized_p_window(self):
+        with pytest.raises(CaseNotApplicableError, match="normalized case needs p >= 1"):
+            family_rate(FamilyCase.NORMALIZED, theta=0.5, p=0.5)
+        with pytest.raises(CaseNotApplicableError, match="normalized case needs q >= 1"):
+            family_rate(FamilyCase.NORMALIZED, theta=0.5, q=0.5)
+
+    def test_unknown_case_rejected(self):
+        with pytest.raises(CaseNotApplicableError, match="unknown case"):
+            family_rate("regularized", theta=0.5, p_prime=3.0)
+
     def test_regularized_window(self):
         with pytest.raises(CaseNotApplicableError):
             family_rate(FamilyCase.REGULARIZED, theta=0.5, p_prime=1.5)
