@@ -4,7 +4,9 @@ Commands: ``solve``, ``rate-sweep``, ``verify-exact``, ``rate-table``,
 ``check-c1``. Experiment configuration is a versioned JSON document that is
 validated in full (unknown keys rejected) before any computation. Exit codes:
 0 success, 1 numerical failure, 2 configuration or validation error. The
-``PLAP_LOG`` environment variable sets the log level.
+``PLAP_LOG`` environment variable sets the log level: DEBUG, INFO, WARNING
+(the default), ERROR or CRITICAL, in any case; another value is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from .operators import (
 )
 from .rates import FamilyCase, family_rate
 
-logger = logging.getLogger("plaplab")
-
 SCHEMA_VERSION = 1
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 class ConfigError(ValueError):
@@ -452,10 +453,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("PLAP_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = _parser().parse_args(argv)
     try:
+        level = os.environ.get("PLAP_LOG", "WARNING")
+        if level.upper() not in _LOG_LEVELS:  # before any work
+            raise ConfigError(f"PLAP_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level!r}")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         return args.fn(args)
     except ValueError as err:  # ConfigError included
         print(f"error: {err}", file=sys.stderr)

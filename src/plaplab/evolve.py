@@ -90,14 +90,14 @@ unbounded near zero), and 0 otherwise (only exact zeros). Those nodes, found
 by flat index in one pass, take their family's form at eps = eps_num
 (``operators.rank_one_coeff_arrays``), whose eps = 0 form is the member itself.
 
-One rule reads r2's zeros. ``cfl_bound`` takes the first-order term at the
-true r2, then gathers the singular nodes' r2 for the eps_num form and writes
-r2 = 1 there in place, so the table's leaf is finite at every node. Where the
-floor is 0 those nodes are exactly r2's zeros, and the write is also the 2D
-quadratic form's |Du|^2 = 0 read as 1. Where the floor is > 0 (growth
-exponent < 2) the 2D rate reads their true r2, so it is written back; that
-member, and every 2D member without the policy, reads its zeros as 1 by one
-pass for r2 = 0. In 1D nothing reads r2 after the table.
+One rule reads r2's zeros. The floor is >= 0, so every zero of r2 is a
+singular node. ``cfl_bound`` takes the first-order term at the true r2, then
+gathers the singular nodes' r2 for the eps_num form and writes r2 = 1 there
+in place, so the table's leaf is finite at every node, and that write is also
+the 2D quadratic form's |Du|^2 = 0 read as 1. Where the floor is > 0 (growth
+exponent < 2) the 2D rate reads their true r2, so it is written back with a
+zero read as 1. Only a 2D member without the policy reads its zeros as 1 by
+one pass over r2. In 1D nothing reads r2 after the table.
 
 Constant coefficients
 ---------------------
@@ -289,10 +289,8 @@ def _kernel(problems, values, members=None):
     dt_fixed = None  # where Lambda is fixed per solve
     if fixed:
         dt_fixed = min(cfl_scale / max(s0 + max(c0, 0.0), 1.0) for s0, c0 in s0c0)
-    singular = not (const or spec.everywhere_defined)  # takes the singular-gradient policy
-    # where the singular decision takes exactly the zeros (floor 0), its r2 = 1
-    # write leaves the 2D quadratic form no zero to read as 1
-    guarded = singular and floor2 == 0.0
+    # takes the singular-gradient policy, whose nodes hold every zero of r2
+    singular = not (const or spec.everywhere_defined)
     diffuses = not still  # kappa = 0 has no diffusion term, so no Hessian
     # a sqrt(|Du|^2 + eps2^2): only the biased families have a != 0
     a = spread(p.spec.a for p in problems)
@@ -366,9 +364,9 @@ def _kernel(problems, values, members=None):
                                p2 if isinstance(p2, float) else p2[sing])
                 s[sing], c[sing] = rank_one_coeff_arrays(spec, r2_sing, eps=eps_num,
                                                          params=sing_params)
-                if floor2 > 0.0 and grid.dim == 2:  # the 2D rate reads their r2
-                    r2[sing] = r2_sing
-        if grid.dim == 2 and not guarded:  # the quadratic form reads r2 = 0 as 1
+                if floor2 > 0.0 and grid.dim == 2:  # the 2D rate reads their r2, 0 as 1
+                    r2[sing] = np.where(r2_sing == 0.0, 1.0, r2_sing)
+        if grid.dim == 2 and not singular:  # the quadratic form reads r2 = 0 as 1
             r2[np.flatnonzero(np.equal(r2, 0.0, out=zero))] = 1.0
         if dt_fixed is not None:
             return dt_fixed

@@ -87,8 +87,7 @@ class ExactSolution:
     @property
     def gamma_p(self) -> float:
         """Sign encodes the regime: > 0 below p = 2, < 0 above."""
-        lam = self.n * (self.p - 2.0) + self.p
-        return (2.0 - self.p) / self.p * lam ** (1.0 / (1.0 - self.p))
+        return (2.0 - self.p) / self.p * self.lambda_p ** (1.0 / (1.0 - self.p))
 
     def support_radius(self, t: float) -> float:
         """Free-boundary radius at time t (infinite in the fast-diffusion range)."""
@@ -103,13 +102,15 @@ class ExactSolution:
 
     def eval(self, x, t: float = 0.0) -> float:
         """Exact value at a point x (scalar in 1D or length-n vector)."""
+        if self.id is SolutionId.HEAT_MODE and t < 0:
+            raise ValueError("t must be >= 0")
+        return float(self.eval_radial(np.array([self._radius(x)]), t)[0])
+
+    def _radius(self, x) -> float:
+        """The radius of a point x (scalar in 1D or length-n vector); in heat
+        mode, which has no singular set, its signed first coordinate."""
         v = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.id is SolutionId.HEAT_MODE:
-            if t < 0:
-                raise ValueError("t must be >= 0")
-            return float(math.exp((1.0 - self.p) * t) * math.sin(v[0]))
-        r = float(np.linalg.norm(v))
-        return float(self.eval_radial(np.array([r]), t)[0])
+        return float(v[0] if self.id is SolutionId.HEAT_MODE else np.linalg.norm(v))
 
     def eval_radial(self, r: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Vectorized value from the radius (time ignored by elliptic profiles)."""
@@ -126,22 +127,24 @@ class ExactSolution:
             s = r * t ** (-1.0 / lam)
             base = self.A + self.gamma_p * s ** m
             return t ** (-self.n / lam) * np.where(base > 0.0, base, 0.0) ** kappa
-        if sid is SolutionId.RADIAL_ELLIPTIC:
-            return r ** ((self.p + 1.0) / (self.p - 1.0))
-        if sid is SolutionId.TORSION_RADIAL:
-            coef = -(self.p - 1.0) / self.p * (self.c / self.n) ** (1.0 / (self.p - 1.0))
-            return coef * r ** (self.p / (self.p - 1.0))
-        return r ** ((self.p - self.n) / (self.p - 1.0))
+        coef, a = self._power_law()
+        return coef * r ** a
+
+    def _power_law(self) -> tuple[float, float]:
+        """(coef, a) of the elliptic profiles u = coef * r**a: the radial
+        eigenfunction, the torsion profile and the fundamental profile."""
+        p = self.p
+        if self.id is SolutionId.RADIAL_ELLIPTIC:
+            return 1.0, (p + 1.0) / (p - 1.0)
+        if self.id is SolutionId.TORSION_RADIAL:
+            return -(p - 1.0) / p * (self.c / self.n) ** (1.0 / (p - 1.0)), p / (p - 1.0)
+        return 1.0, (p - self.n) / (p - 1.0)
 
 
 def _radial_plaplacian(p: float, n: int, r: float, u1: float, u2: float) -> float:
     """Delta_p of a radial profile from u'(r), u''(r), valid where u' != 0."""
     lower = (n - 1.0) * u1 / r if n > 1 else 0.0
     return abs(u1) ** (p - 2.0) * ((p - 1.0) * u2 + lower)
-
-
-def _power_derivatives(coef: float, a: float, r: float) -> tuple[float, float]:
-    return coef * a * r ** (a - 1.0), coef * a * (a - 1.0) * r ** (a - 2.0)
 
 
 def _barenblatt_derivatives(sol: ExactSolution, r: float, t: float):
@@ -195,14 +198,10 @@ def residual(
     solution's singular set (origin for the radial profiles, additionally the
     free boundary for the compactly supported self-similar solution).
     """
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if sol.id is SolutionId.HEAT_MODE:
-        r = float(v[0])  # signed coordinate; no singular set
-    else:
-        r = float(np.linalg.norm(v))
+    r = sol._radius(x)
     _check_clearance(sol, abs(r), t, clearance)
     if mode == "analytic":
-        return _residual_analytic(sol, v, r, t)
+        return _residual_analytic(sol, r, t)
     if mode != "discrete":
         raise ValueError("mode must be 'analytic' or 'discrete'")
     if h is None or h <= 0:
@@ -227,29 +226,19 @@ def _governing_defect(sol: ExactSolution, r, t, u, u_t, u1, u2) -> float:
     return -dp  # fundamental profile: p-harmonic
 
 
-def _residual_analytic(sol: ExactSolution, v: np.ndarray, r: float, t) -> float:
-    p = sol.p
-    sid = sol.id
-    if sid is SolutionId.HEAT_MODE:
-        x0 = float(v[0])
+def _residual_analytic(sol: ExactSolution, r: float, t) -> float:
+    if sol.id is SolutionId.HEAT_MODE:  # r is the signed coordinate
+        p = sol.p
         tt = 0.0 if t is None else t
-        u_t = (1.0 - p) * math.exp((1.0 - p) * tt) * math.sin(x0)
-        u2 = -math.exp((1.0 - p) * tt) * math.sin(x0)
-        return _governing_defect(sol, x0, tt, None, u_t, None, u2)
-    if sid is SolutionId.BARENBLATT:
+        u_t = (1.0 - p) * math.exp((1.0 - p) * tt) * math.sin(r)
+        u2 = -math.exp((1.0 - p) * tt) * math.sin(r)
+        return _governing_defect(sol, r, tt, None, u_t, None, u2)
+    if sol.id is SolutionId.BARENBLATT:
         u_t, u1, u2 = _barenblatt_derivatives(sol, r, t)
         return _governing_defect(sol, r, t, None, u_t, u1, u2)
-    if sid is SolutionId.RADIAL_ELLIPTIC:
-        a = (p + 1.0) / (p - 1.0)
-        u1, u2 = _power_derivatives(1.0, a, r)
-        return _governing_defect(sol, r, t, r ** a, None, u1, u2)
-    if sid is SolutionId.TORSION_RADIAL:
-        coef = -(p - 1.0) / p * (sol.c / sol.n) ** (1.0 / (p - 1.0))
-        u1, u2 = _power_derivatives(coef, p / (p - 1.0), r)
-        return _governing_defect(sol, r, t, None, None, u1, u2)
-    a = (p - sol.n) / (p - 1.0)
-    u1, u2 = _power_derivatives(1.0, a, r)
-    return _governing_defect(sol, r, t, None, None, u1, u2)
+    coef, a = sol._power_law()
+    u1, u2 = coef * a * r ** (a - 1.0), coef * a * (a - 1.0) * r ** (a - 2.0)
+    return _governing_defect(sol, r, t, coef * r ** a, None, u1, u2)
 
 
 def _residual_discrete(sol: ExactSolution, r: float, t, h: float) -> float:

@@ -77,6 +77,17 @@ class PerturbationAxis(Enum):
     EPS1_EPS2 = "eps1_eps2"
 
 
+# the fields each axis adds its value to, and whether the base member must
+# hold them at 0 (the regularizations, which the value then sets); an axis
+# applies to the families that read all of its fields (``_READS``)
+_AXIS_FIELDS = {
+    PerturbationAxis.P: (("p",), False),
+    PerturbationAxis.P_PRIME: (("p_prime",), False),
+    PerturbationAxis.EPS: (("eps",), True),
+    PerturbationAxis.EPS1_EPS2: (("eps1", "eps2"), True),
+}
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """One member of the diffusion family.
@@ -259,13 +270,18 @@ def diffusion_matrix(spec: OperatorSpec, xi) -> np.ndarray:
     return _assemble(v, s, c, r2)
 
 
+def _sqrt_eigenvalues(spec: OperatorSpec, r2: float) -> tuple[float, float]:
+    """The eigenvalues (sqrt(s), sqrt(s + c)) of A(xi)^{1/2} at r2 = |xi|^2,
+    transverse and along xi."""
+    s, c = rank_one_coeffs(spec, r2)
+    return math.sqrt(max(s, 0.0)), math.sqrt(max(s + c, 0.0))
+
+
 def sqrt_matrix(spec: OperatorSpec, xi) -> np.ndarray:
     """Closed-form symmetric PSD square root of ``diffusion_matrix``."""
     v = _as_xi(xi)
     r2 = float(v @ v)
-    s, c = rank_one_coeffs(spec, r2)
-    rs = math.sqrt(max(s, 0.0))
-    rsc = math.sqrt(max(s + c, 0.0))
+    rs, rsc = _sqrt_eigenvalues(spec, r2)
     return _assemble(v, rs, rsc - rs, r2)
 
 
@@ -278,39 +294,24 @@ def c1_gap(spec_a: OperatorSpec, spec_b: OperatorSpec, xi) -> float:
     """
     v = _as_xi(xi)
     r2 = float(v @ v)
-    sa, ca = rank_one_coeffs(spec_a, r2)
-    sb, cb = rank_one_coeffs(spec_b, r2)
-    along = abs(math.sqrt(max(sa + ca, 0.0)) - math.sqrt(max(sb + cb, 0.0)))
-    if v.size == 1:
-        return along
-    trans = abs(math.sqrt(max(sa, 0.0)) - math.sqrt(max(sb, 0.0)))
-    return max(along, trans)
+    trans_a, along_a = _sqrt_eigenvalues(spec_a, r2)
+    trans_b, along_b = _sqrt_eigenvalues(spec_b, r2)
+    along = abs(along_a - along_b)
+    return along if v.size == 1 else max(along, abs(trans_a - trans_b))
 
 
 def perturb_spec(spec: OperatorSpec, axis: PerturbationAxis, value: float) -> OperatorSpec:
     """The family member at perturbation ``value`` along ``axis`` (see enum doc)."""
     if value <= 0:
         raise ValueError("perturbation value must be > 0")
-    if axis is PerturbationAxis.P:
-        if spec.family in _BIASED:
-            raise ValueError(f"p perturbation needs a family with an exponent p, "
-                             f"got {spec.family.value}")
-        return replace(spec, p=spec.p + value)
-    if axis is PerturbationAxis.P_PRIME:
-        if spec.family not in (Family.GENERAL_PQ, Family.REGULARIZED_PQ):
-            raise ValueError("p' perturbation needs a (p, p') family")
-        return replace(spec, p_prime=spec.p_prime + value)
-    if axis is PerturbationAxis.EPS:
-        if spec.family is not Family.REGULARIZED_PQ:
-            raise ValueError("eps perturbation needs the regularized_pq family")
-        if spec.eps != 0.0:
-            raise ValueError("eps sweep requires the base member at eps = 0")
-        return replace(spec, eps=value)
-    if spec.family is not Family.BIASED_INFINITY_REGULARIZED:
-        raise ValueError("eps1/eps2 perturbation needs the regularized biased family")
-    if spec.eps1 != 0.0 or spec.eps2 != 0.0:
-        raise ValueError("eps1/eps2 sweep requires the base member at eps1 = eps2 = 0")
-    return replace(spec, eps1=value, eps2=value)
+    names, from_zero = _AXIS_FIELDS[axis]
+    label = "/".join(names)
+    if not set(names) <= set(_READS[spec.family]):
+        raise ValueError(f"{label} perturbation needs a family that reads {label}, "
+                         f"got {spec.family.value}")
+    if from_zero and any(getattr(spec, name) != 0.0 for name in names):
+        raise ValueError(f"{label} sweep requires the base member at {' = '.join(names)} = 0")
+    return replace(spec, **{name: getattr(spec, name) + value for name in names})
 
 
 # -- closeness certification ------------------------------------------------

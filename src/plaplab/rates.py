@@ -32,6 +32,17 @@ class FamilyCase(Enum):
     BIASED_INFINITY = "biased_infinity"                  # eps1 -> 0
 
 
+# the variational and general (p, p') cases read one exponent pair each: the
+# prime that marks it ("" for (p, q), "'" for (p', q')), and the singular
+# case's rate detail (None for a degenerate case)
+_PAIRED = {
+    FamilyCase.VARIATIONAL_SINGULAR: ("", "rate |p-q|^theta (beta < 0 window)"),
+    FamilyCase.VARIATIONAL_DEGENERATE: ("", None),
+    FamilyCase.GENERAL_PQ_SINGULAR: ("'", "rate (|p-q|+|p'-q'|)^theta"),
+    FamilyCase.GENERAL_PQ_DEGENERATE: ("'", None),
+}
+
+
 @dataclass(frozen=True)
 class RatePrediction:
     nu_sup: float
@@ -88,27 +99,17 @@ def family_rate(
             _require(q >= 1, "normalized case needs q >= 1")
         return RatePrediction(theta, True, case, "rate |p-q|^theta")
 
-    if case is FamilyCase.VARIATIONAL_SINGULAR:
-        _require(p is not None and 1 < p < 2, "requires 1 < p < 2")
-        _require(q is None or 1 < q <= 2, "requires 1 < q <= 2")
-        return RatePrediction(theta, True, case, "rate |p-q|^theta (beta < 0 window)")
-
-    if case is FamilyCase.VARIATIONAL_DEGENERATE:
-        _require(p is not None and p > 2, "requires p > 2")
-        _require(q is not None and q >= 2, "requires q >= 2")
-        nu = 2.0 * theta / (2.0 * theta + (1.0 - theta) * q)
-        return RatePrediction(nu, theta == 1.0, case, "sup over beta > q/2 - 1")
-
-    if case is FamilyCase.GENERAL_PQ_SINGULAR:
-        _require(p_prime is not None and 1 < p_prime < 2, "requires 1 < p' < 2")
-        _require(q_prime is None or 1 < q_prime <= 2, "requires 1 < q' <= 2")
-        return RatePrediction(theta, True, case, "rate (|p-q|+|p'-q'|)^theta")
-
-    if case is FamilyCase.GENERAL_PQ_DEGENERATE:
-        _require(p_prime is not None and p_prime > 2, "requires p' > 2")
-        _require(q_prime is not None and q_prime >= 2, "requires q' >= 2")
-        nu = 2.0 * theta / (2.0 * theta + (1.0 - theta) * q_prime)
-        return RatePrediction(nu, theta == 1.0, case, "sup over beta > q'/2 - 1")
+    if case in _PAIRED:
+        mark, singular = _PAIRED[case]
+        a, b = (p_prime, q_prime) if mark else (p, q)
+        if singular is not None:
+            _require(a is not None and 1 < a < 2, f"requires 1 < p{mark} < 2")
+            _require(b is None or 1 < b <= 2, f"requires 1 < q{mark} <= 2")
+            return RatePrediction(theta, True, case, singular)
+        _require(a is not None and a > 2, f"requires p{mark} > 2")
+        _require(b is not None and b >= 2, f"requires q{mark} >= 2")
+        nu = 2.0 * theta / (2.0 * theta + (1.0 - theta) * b)
+        return RatePrediction(nu, theta == 1.0, case, f"sup over beta > q{mark}/2 - 1")
 
     if case is FamilyCase.GENERAL_PQ_MATCHED:
         _require(q_prime is not None and q_prime > 1, "requires q' > 1")
@@ -140,15 +141,9 @@ def _regularized_rate(p_prime: float, theta: float, m: Optional[float]) -> RateP
         return RatePrediction(m * theta, False, case, f"p'=2, m = {m}")
     if 2.0 < p_prime < 3.0:
         return RatePrediction((p_prime - 2.0) * theta, True, case, "2<p'<3: nu=(p'-2)theta")
-    if 3.0 <= p_prime <= 4.0:
-        if m is None:
-            return RatePrediction(theta, False, case, "3<=p'<=4: sup over m in (0, 1)")
-        _require(0 < m < 1, "requires m in (0, 1)")
-        beta = p_prime / 2.0 - 1.0 - m
-        return RatePrediction(theoretical_rate(m, beta, theta), False, case, f"m = {m}")
-    if m is None:
-        nu = theta / (1.0 + (1.0 - theta) * (p_prime - 4.0))
-        return RatePrediction(nu, False, case, "p'>4: sup over m in (0, 1)")
+    if m is None:  # p' <= 4 divides by exactly 1.0
+        nu = theta / (1.0 + (1.0 - theta) * max(p_prime - 4.0, 0.0))
+        return RatePrediction(nu, False, case, "p'>=3: sup over m in (0, 1)")
     _require(0 < m < 1, "requires m in (0, 1)")
     beta = max(p_prime - 4.0, p_prime / 2.0 - 1.0 - m)
     return RatePrediction(theoretical_rate(m, beta, theta), False, case, f"m = {m}")

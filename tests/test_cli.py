@@ -621,6 +621,24 @@ class TestVerifyExactCommand:
         assert record["max_residual"] <= 1e-10
 
 
+class TestLogLevel:
+    @pytest.mark.parametrize("level", ["LOUD", "10", "warn", ""])
+    def test_unknown_level_exits_2_before_any_work(self, monkeypatch, capsys, level):
+        # "LOUD" and "10" raised logging's ValueError traceback and exited 1
+        monkeypatch.setenv("PLAP_LOG", level)
+        assert main(["rate-table", "--case", "normalized", "--theta", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: PLAP_LOG must be one of")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("level", ["debug", "Info", "WARNING", "error", "critical"])
+    def test_known_level_in_any_case_runs(self, monkeypatch, capsys, level):
+        monkeypatch.setenv("PLAP_LOG", level)
+        assert main(["rate-table", "--case", "normalized", "--theta", "1"]) == 0
+        assert "attained" in capsys.readouterr().out
+
+
 class TestRateTableCommand:
     def test_regularization_table(self, capsys):
         assert main(["rate-table", "--case", "regularized", "--theta", "1",

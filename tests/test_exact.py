@@ -82,6 +82,14 @@ class TestEval:
         r2 = abs(residual(sol, 0.5, mode="discrete", h=2e-3, clearance=0.05))
         assert r1 < 1e-4 and r2 <= r1 / 3.0
 
+    def test_point_eval_reads_eval_radial(self):
+        # heat mode had its own math.exp copy, one ulp off np.exp at some t
+        for sid in SolutionId:
+            sol = ExactSolution(sid, p=3.5, n=2)
+            for x, t in ((0.4, 0.3), (-1.3, 1.7), (2.8, 0.05)):
+                r = x if sid is SolutionId.HEAT_MODE else np.linalg.norm([x, 0.5])
+                assert sol.eval([x, 0.5], t) == sol.eval_radial(np.array([r]), t)[0]
+
     def test_barenblatt_needs_positive_time(self):
         with pytest.raises(ValueError):
             barenblatt(3.0).eval(0.0, 0.0)
