@@ -2,11 +2,14 @@
 
 Commands: ``solve``, ``rate-sweep``, ``verify-exact``, ``rate-table``,
 ``check-c1``. Experiment configuration is a versioned JSON document that is
-validated in full (unknown keys rejected) before any computation. Exit codes:
-0 success, 1 numerical failure, 2 configuration or validation error. The
-``PLAP_LOG`` environment variable sets the log level: DEBUG, INFO, WARNING
-(the default), ERROR or CRITICAL, in any case; another value is a
-configuration error.
+validated in full (unknown keys rejected) before any computation; a section
+that builds a dataclass takes that dataclass's fields as its keys. Exit codes:
+0 success, 1 numerical failure, 2 configuration or validation error. ``main``
+alone reports a raised error, as one ``error:`` line (exit 2) or one
+``numerical failure:`` line (exit 1) on stderr; a failed check (verify-exact,
+check-c1) prints its result and exits 1. The ``PLAP_LOG`` environment
+variable sets the log level: DEBUG, INFO, WARNING (the default), ERROR or
+CRITICAL, in any case; another value is a configuration error.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from . import __version__
 from .errors import PlapError
 from .evolve import Problem, SolverControls, solve
 from .exact import ExactSolution, SolutionId, residual
-from .grid import Boundary, GridSpec, save_field
+from .grid import Boundary, GridSpec, save_field, save_json
 from .harness import (
     SweepPlan,
     compare_theory,
@@ -54,15 +57,22 @@ class ConfigError(ValueError):
 # -- config validation ---------------------------------------------------------
 
 
-def _check_keys(node: dict, allowed: set, where: str, required: tuple = ()):
+def _check_keys(node: dict, allowed, where: str, required: tuple = ()):
+    """Reject a ``node`` that is no object, has a key not in ``allowed`` or
+    lacks one in ``required``. A section that builds a dataclass allows its
+    fields (``_field_names``): the dataclass owns the key list."""
     if not isinstance(node, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = set(node) - allowed
+    unknown = set(node).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
     missing = [k for k in required if k not in node]
     if missing:
         raise ConfigError(f"{where} needs {missing}")
+
+
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
 
 
 def _from_config(build, *args):
@@ -99,8 +109,7 @@ _FAMILIES = {f.value: f for f in Family}
 
 
 def _build_operator(node: dict) -> OperatorSpec:
-    _check_keys(node, {"family", "p", "p_prime", "eps", "eps1", "eps2", "a"},
-                "problem.operator", required=("family",))
+    _check_keys(node, _field_names(OperatorSpec), "problem.operator", required=("family",))
     fam = node.get("family")
     if fam not in _FAMILIES:
         raise ConfigError(f"unknown operator family {fam!r}")
@@ -109,8 +118,8 @@ def _build_operator(node: dict) -> OperatorSpec:
 
 
 def _build_grid(node: dict) -> GridSpec:
-    keys = ("dim", "extent", "resolution", "boundary")
-    _check_keys(node, set(keys), "problem.grid", required=keys)
+    keys = _field_names(GridSpec)
+    _check_keys(node, keys, "problem.grid", required=keys)
     try:
         boundary = Boundary(node["boundary"])
     except ValueError as err:
@@ -185,7 +194,7 @@ def _radius(coords) -> np.ndarray:
 
 
 def _build_controls(node: dict) -> SolverControls:
-    _check_keys(node, {"snapshot_times", "eps_num", "max_steps"}, "problem.controls")
+    _check_keys(node, _field_names(SolverControls), "problem.controls")
     kwargs = {}
     if "snapshot_times" in node:
         kwargs["snapshot_times"] = tuple(_number(t, "problem.controls.snapshot_times")
@@ -268,7 +277,7 @@ def _check_snapshot_names(problem: Problem) -> None:
     significant digits: two capture times with one name are a ``ConfigError``,
     not a snapshot overwritten."""
     seen = {}
-    for t in sorted(set(problem.controls.snapshot_times or (problem.T,))):
+    for t in problem.captures:
         name = f"{t:g}"
         if name in seen:
             raise ConfigError(f"snapshot times {seen[name]!r} and {t!r} would share the "
@@ -284,10 +293,8 @@ def cmd_solve(args) -> int:
     out, run_id = _out_dir(args), Path(args.config).stem
     for snap in result.snapshots:
         save_field(snap, out / f"{run_id}_t{snap.time:g}.csv")
-    stats = asdict(result.stats) | {"snapshots": [snap.time for snap in result.snapshots]}
-    with open(out / f"{run_id}_stats.json", "w") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(asdict(result.stats) | {"snapshots": [snap.time for snap in result.snapshots]},
+              out / f"{run_id}_stats.json")
     print(f"wrote {len(result.snapshots)} snapshot(s) to {out}")
     return 0
 
@@ -318,31 +325,23 @@ _SOLUTIONS = {
 
 
 def cmd_verify_exact(args) -> int:
-    for flag in ("p", "A", "c", "t", "r_min", "r_max", "clearance", "tol"):
+    # ExactSolution checks p, A and c
+    for flag in ("t", "r_min", "r_max", "clearance", "tol"):
         if not math.isfinite(value := getattr(args, flag)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     if args.radii < 1:
         raise ValueError(f"--radii must be >= 1, got {args.radii}")
-    sid = _SOLUTIONS[args.solution]
-    try:
-        sol = ExactSolution(sid, p=args.p, n=args.n, A=args.A, c=args.c)
-    except ValueError as err:
-        print(f"parameter outside validity: {err}", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(args.seed)
-    radii = args.r_min + (args.r_max - args.r_min) * rng.random(args.radii)
+    sol = ExactSolution(_SOLUTIONS[args.solution], p=args.p, n=args.n, A=args.A, c=args.c)
     clearance = min(args.clearance, args.r_min / 2)
     # np.max keeps a NaN residual, which then fails the check
-    worst = float(np.max(np.abs([residual(sol, r, t=args.t, mode="analytic",
-                                          clearance=clearance) for r in radii])))
-    print(f"max |residual| over {args.radii} radii in ({args.r_min:g}, {args.r_max:g}): "
+    worst = float(np.max(np.abs([residual(sol, r, t=args.t, mode="analytic", clearance=clearance)
+                                 for r in np.linspace(args.r_min, args.r_max, args.radii)])))
+    print(f"max |residual| over {args.radii} radii in [{args.r_min:g}, {args.r_max:g}]: "
           f"{worst:.3e}")
     if args.out:
-        out = _out_dir(args)
-        with open(out / f"verify_{args.solution}.json", "w") as fh:
-            json.dump({"solution": args.solution, "p": args.p, "n": args.n,
-                       "max_residual": worst, "tol": args.tol}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json({"solution": args.solution, "p": args.p, "n": args.n,
+                   "max_residual": worst, "tol": args.tol},
+                  _out_dir(args) / f"verify_{args.solution}.json")
     return 0 if worst <= args.tol else 1
 
 
@@ -351,13 +350,8 @@ def cmd_rate_table(args) -> int:
     rows = []
     for theta in args.theta:
         for pp in args.p_prime or [None]:
-            try:
-                pred = family_rate(case, theta=theta, p=args.p, q=args.q,
-                                   p_prime=pp, q_prime=args.q_prime, m=args.m)
-            except PlapError as err:
-                print(f"case not applicable: {err}", file=sys.stderr)
-                return 2
-            rows.append((theta, pp, pred))
+            rows.append((theta, pp, family_rate(case, theta=theta, p=args.p, q=args.q,
+                                                p_prime=pp, q_prime=args.q_prime, m=args.m)))
     print(f"{'theta':>8} {'p_prime':>8} {'nu':>12} {'kind':>9}")
     for theta, pp, pred in rows:
         kind = "attained" if pred.attained else "open sup"
@@ -419,7 +413,6 @@ def _parser() -> argparse.ArgumentParser:
     pv.add_argument("--r-max", type=float, default=1.0)
     pv.add_argument("--clearance", type=float, default=1e-3)
     pv.add_argument("--tol", type=float, default=1e-10)
-    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", default=None)
     pv.set_defaults(fn=cmd_verify_exact)
 

@@ -177,6 +177,9 @@ class Problem:
     of the interior of a Dirichlet grid, and it returns an array of that
     shape or a scalar. None means f = 0. The rest of the first-order term
     comes from ``spec``.
+
+    ``captures`` owns the rule of which times a solve captures; the solver,
+    the sweep plan and the CLI's snapshot file names all read it.
     """
 
     spec: OperatorSpec
@@ -205,6 +208,12 @@ class Problem:
         scale = 1.0 + np.max(np.abs(u0))
         if np.max(np.abs(np.take(u0, edge) - g0)) > 1e-9 * scale:
             raise ValueError("initial and Dirichlet data disagree at t = 0 on the boundary")
+
+    @property
+    def captures(self) -> tuple[float, ...]:
+        """The times a solve captures: the requested ones, sorted and without
+        repeats, or T alone when none is requested."""
+        return tuple(sorted(set(self.controls.snapshot_times))) or (self.T,)
 
     def initial_field(self) -> ScalarField:
         return ScalarField.from_function(self.grid, self.initial, 0.0)
@@ -496,8 +505,7 @@ def solve_lockstep(problems: Sequence[Problem],
         raise ValueError("lockstep problems must share grid, T, source and controls")
     if dt_override is not None and not (math.isfinite(dt_override) and dt_override > 0):
         raise ValueError(f"dt_override must be finite and > 0, got {dt_override}")
-    requested = first.controls.snapshot_times or (first.T,)
-    requested = tuple(sorted(set(requested)))
+    requested = first.captures
     targets = tuple(sorted(set(requested + (first.T,))))
     batches = {}  # choices -> the indices of the problems that share them
     for i, p in enumerate(problems):

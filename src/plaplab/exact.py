@@ -169,8 +169,8 @@ def _barenblatt_derivatives(sol: ExactSolution, r: float, t: float):
 
 
 def _check_clearance(sol: ExactSolution, r: float, t: Optional[float], clearance: float):
-    if clearance <= 0:
-        raise ValueError("clearance must be > 0")
+    if not (math.isfinite(clearance) and clearance > 0):
+        raise ValueError(f"clearance must be > 0 and finite, got {clearance}")
     if sol.id is SolutionId.HEAT_MODE:
         return
     if r < clearance:
@@ -204,8 +204,8 @@ def residual(
         return _residual_analytic(sol, r, t)
     if mode != "discrete":
         raise ValueError("mode must be 'analytic' or 'discrete'")
-    if h is None or h <= 0:
-        raise ValueError("discrete mode needs a spacing h > 0")
+    if h is None or not (math.isfinite(h) and h > 0):
+        raise ValueError(f"discrete mode needs a spacing h > 0 and finite, got {h}")
     if sol.id is not SolutionId.HEAT_MODE and h >= clearance:
         raise ValueError("stencil spacing must stay below the clearance")
     return _residual_discrete(sol, r, t, h)
@@ -228,11 +228,9 @@ def _governing_defect(sol: ExactSolution, r, t, u, u_t, u1, u2) -> float:
 
 def _residual_analytic(sol: ExactSolution, r: float, t) -> float:
     if sol.id is SolutionId.HEAT_MODE:  # r is the signed coordinate
-        p = sol.p
         tt = 0.0 if t is None else t
-        u_t = (1.0 - p) * math.exp((1.0 - p) * tt) * math.sin(r)
-        u2 = -math.exp((1.0 - p) * tt) * math.sin(r)
-        return _governing_defect(sol, r, tt, None, u_t, None, u2)
+        u = sol.eval(r, tt)  # u_t = (1 - p) u and u_xx = -u
+        return _governing_defect(sol, r, tt, u, (1.0 - sol.p) * u, None, -u)
     if sol.id is SolutionId.BARENBLATT:
         u_t, u1, u2 = _barenblatt_derivatives(sol, r, t)
         return _governing_defect(sol, r, t, None, u_t, u1, u2)

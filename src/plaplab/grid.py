@@ -41,6 +41,7 @@ fields are ghost columns too.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -339,6 +340,9 @@ def restrict_to(fine: ScalarField, coarse_grid: GridSpec) -> ScalarField:
 
 
 # -- persistence --------------------------------------------------------------
+# The file formats live here: a field is written by ``save_field`` (read back
+# by ``load_field``) and every JSON record, of the CLI and of the harness, by
+# ``save_json``.
 
 FLOAT_FMT = "%.17g"  # the CSV files' float format: it round-trips every float
 
@@ -356,6 +360,13 @@ def save_field(field: ScalarField, path) -> None:
         fh.write(header + "\n")
         for v in field.values.ravel(order="C"):
             fh.write(FLOAT_FMT % v + "\n")
+
+
+def save_json(payload: dict, path) -> None:
+    """Dump a record as JSON: sorted keys, indented by 2, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_field(path) -> ScalarField:

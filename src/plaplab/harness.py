@@ -14,7 +14,6 @@ the base's last capture.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field as dc_field, replace
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import PlapError
 from .evolve import Problem, solve, solve_lockstep
 from .evolve import cfl_dt  # noqa: F401  bound here for perfbench/hooks.py
-from .grid import FLOAT_FMT, Boundary, ScalarField, restrict_to, sup_diff
+from .grid import FLOAT_FMT, Boundary, ScalarField, restrict_to, save_json, sup_diff
 from .operators import OperatorSpec, PerturbationAxis, perturb_spec
 from .rates import RatePrediction
 
@@ -98,9 +97,11 @@ class SweepPlan:
     every member keeps the base's data.
 
     Construction builds, and so checks, every problem the sweep solves:
-    ``problems`` is the base with the gap-time captures, then one member per
+    ``problems`` is the base capturing the gap times, then one member per
     value along ``axis``; ``refined`` is that base on ``grid.refine()`` with
-    ``eps_num`` back at its grid-tied default, the floor's solve.
+    ``eps_num`` back at its grid-tied default, the floor's solve. The plan
+    checks that the gap times lie in [0, T]; which times are captured (and
+    so become ``gap_times``) is the base's rule, ``Problem.captures``.
     """
 
     base: Problem
@@ -121,12 +122,12 @@ class SweepPlan:
             raise ValueError(f"perturbation values must be finite and > 0, got {vals}")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ValueError("perturbation values must be strictly decreasing")
-        times = tuple(float(t) for t in self.gap_times) or (self.base.T,)
+        times = tuple(float(t) for t in self.gap_times)
         if not all(0 <= t <= self.base.T for t in times):  # NaN included
             raise ValueError("gap times must lie in [0, T]")
-        object.__setattr__(self, "gap_times", tuple(sorted(set(times))))
         base = replace(self.base, controls=replace(self.base.controls,
-                                                   snapshot_times=self.gap_times))
+                                                   snapshot_times=tuple(sorted(times))))
+        object.__setattr__(self, "gap_times", base.captures)
         problems = [base]
         for v in vals:
             spec = perturb_spec(base.spec, self.axis, v)
@@ -283,6 +284,4 @@ def write_fit_summary(fit: RateFit, path, consistent: Optional[bool] = None) -> 
         "consistent": consistent,
         "error_floor": fit.error_floor,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(payload, path)

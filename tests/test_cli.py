@@ -1,12 +1,13 @@
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plaplab import cli, load_field
+from plaplab import GridSpec, OperatorSpec, SolverControls, cli, load_field
 from plaplab.cli import _build_problem, _build_sweep, main
 
 
@@ -236,6 +237,27 @@ class TestSolveCommand:
             assert main(["solve", "--config", cfg, "--out", str(out)]) == 2, key
             assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
             assert not out.exists(), key
+
+    def test_each_section_takes_the_fields_of_its_dataclass(self, tmp_path, capsys):
+        cfg_data = heat_config(T=0.02, snapshot_times=[0.01, 0.02])
+        problem = cfg_data["problem"]
+        problem["operator"].update(p_prime=2.0, eps=0.0, eps1=0.0, eps2=0.0, a=0.0)
+        problem["controls"].update(eps_num=0.05, max_steps=10_000)
+        sections = (("operator", OperatorSpec), ("grid", GridSpec), ("controls", SolverControls))
+        for section, cls in sections:
+            assert sorted(problem[section]) == sorted(f.name for f in fields(cls)), section
+        cfg = write_config(tmp_path / "all.json", cfg_data)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "all_out")]) == 0
+        for section, _ in sections:
+            bad = json.loads(json.dumps(cfg_data))
+            bad["problem"][section]["typo_key"] = 1
+            cfg = write_config(tmp_path / f"{section}.json", bad)
+            out = tmp_path / f"{section}_out"
+            capsys.readouterr()
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 2, section
+            assert (capsys.readouterr().err
+                    == f"error: unknown key(s) ['typo_key'] in problem.{section}\n"), section
+            assert not out.exists(), section
 
     @pytest.mark.parametrize("path, value, message", [
         (("schema_version",), 2, "schema_version must be 1"),
@@ -575,7 +597,8 @@ class TestVerifyExactCommand:
     def test_invalid_barenblatt_exit_2(self, capsys):
         assert main(["verify-exact", "--solution", "barenblatt",
                      "--p", "1.2", "--n", "2"]) == 2
-        assert "validity" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: requires p > 2n/(n+1)") and err.count("\n") == 1
 
     def test_fundamental_needs_p_above_n(self):
         assert main(["verify-exact", "--solution", "fundamental",
@@ -609,6 +632,25 @@ class TestVerifyExactCommand:
         monkeypatch.setattr(cli, "residual", nan_once)
         assert main(["verify-exact", "--solution", "radial-elliptic", "--p", "3"]) == 1
         assert len(calls) == 100
+
+    def test_radii_are_evenly_spaced(self, monkeypatch):
+        radii, residual = [], cli.residual
+
+        def record(sol, r, **kwargs):
+            radii.append(r)
+            return residual(sol, r, **kwargs)
+
+        monkeypatch.setattr(cli, "residual", record)
+        assert main(["verify-exact", "--solution", "torsion", "--p", "3", "--radii", "7",
+                     "--r-min", "0.2", "--r-max", "0.8"]) == 0
+        assert radii == list(np.linspace(0.2, 0.8, 7))
+
+    def test_seed_is_no_flag(self, capsys):
+        # the radii are evenly spaced, so there is no generator to seed
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify-exact", "--solution", "radial-elliptic", "--p", "3", "--seed", "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_out_writes_the_record(self, tmp_path, capsys):
         assert main(["verify-exact", "--solution", "torsion", "--p", "3", "--n", "2",
@@ -654,6 +696,12 @@ class TestRateTableCommand:
 
     def test_invalid_theta_exit_2(self):
         assert main(["rate-table", "--case", "normalized", "--theta", "1.5"]) == 2
+
+    def test_case_outside_its_window_prints_one_error_line(self, capsys):
+        assert main(["rate-table", "--case", "variational-degenerate", "--theta", "1",
+                     "--p", "1.5", "--q", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: requires p > 2\n"
 
     @pytest.mark.parametrize("flag, bad", [("--q", "inf"), ("--p", "nan"), ("--theta", "nan"),
                                            ("--m", "inf")])

@@ -233,6 +233,16 @@ class TestProblemValidation:
             SolverControls(snapshot_times=(0.2, 0.1))
         assert SolverControls(snapshot_times=(0.1, 0.1, 0.2)).snapshot_times == (0.1, 0.1, 0.2)
 
+    def test_captures_are_the_requested_times_sorted_without_repeats(self):
+        assert heat_mode_problem(T=0.3).captures == (0.3,)
+        prob = heat_mode_problem(n=32, T=0.05, snapshot_times=(0.0, 0.02, 0.02, 0.03))
+        assert prob.captures == (0.0, 0.02, 0.03)
+        # a lockstep solve captures exactly those times, T not among them here
+        members = [prob, replace(prob, spec=OperatorSpec.normalized(2.5))]
+        for res in solve_lockstep(members):
+            assert tuple(snap.time for snap in res.snapshots) == prob.captures
+            assert res.stats.final_time == 0.05
+
     def test_field_on_another_grid_rejected(self):
         prob = heat_mode_problem(n=64)
         other = heat_mode_problem(n=32).initial_field()

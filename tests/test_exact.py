@@ -219,11 +219,21 @@ TORSION = ExactSolution(SolutionId.TORSION_RADIAL, p=3.0)
      "discrete mode needs a spacing h > 0"),
     (lambda: residual(TORSION, 0.5, mode="discrete", h=0.0, clearance=0.05), ValueError,
      "discrete mode needs a spacing h > 0"),
+    # a NaN spacing or clearance passed the <= 0 tests: the residual read nan,
+    # or a point 1e-6 from the origin was evaluated with no guard
+    (lambda: residual(ExactSolution(SolutionId.RADIAL_ELLIPTIC, p=3.0), 0.5, mode="discrete",
+                      h=math.nan), ValueError, "discrete mode needs a spacing h > 0"),
+    (lambda: residual(HEAT, 0.5, mode="discrete", h=math.inf), ValueError,
+     "discrete mode needs a spacing h > 0"),
+    (lambda: residual(barenblatt(3.0), 1e-6, t=1.0, clearance=math.nan), ValueError,
+     "clearance must be > 0"),
+    (lambda: residual(HEAT, 0.5, clearance=math.inf), ValueError, "clearance must be > 0"),
     (lambda: residual(barenblatt(1.5), 0.5, t=1e-3, mode="discrete", h=2e-3, clearance=0.05),
      ValueError, "time stencil leaves t > 0"),
 ], ids=["heat_p", "lambda_torsion", "lambda_heat", "support_torsion", "heat_eval_t",
         "outside_support", "clearance_zero", "clearance_negative", "barenblatt_no_t",
-        "barenblatt_t0", "mode", "no_h", "zero_h", "time_stencil"])
+        "barenblatt_t0", "mode", "no_h", "zero_h", "nan_h", "inf_h_heat", "nan_clearance",
+        "inf_clearance_heat", "time_stencil"])
 def test_guards(call, error, message):
     with pytest.raises(error, match=message):
         call()

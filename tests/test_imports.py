@@ -14,6 +14,7 @@ is made public where it is defined.
 """
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -134,6 +135,17 @@ def test_every_export_is_used_or_named_with_its_reason():
     read |= readme_code_names((REPO / "README.md").read_text())
     unused = sorted(name for name in plaplab.__all__ if name not in read)
     assert unused == sorted(UNUSED_EXPORTS)
+
+
+def test_every_perfbench_hook_target_resolves():
+    # the benchmark records an unbound target as missing and goes on: an
+    # unbound harness.solve would read node_steps_per_s as 0 on a sweep
+    spec = importlib.util.spec_from_file_location("perfbench_hooks",
+                                                  REPO / "perfbench" / "hooks.py")
+    hooks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hooks)
+    targets = [(module, attr) for module, attr, *_ in hooks.OUTER_HOOKS + hooks.INNER_HOOKS]
+    assert targets and [t for t in targets if hooks._resolve(*t) is None] == []
 
 
 def test_holder_estimate_and_sweep_import_no_numpy_random_or_ma():
