@@ -4,7 +4,8 @@ Commands: ``solve``, ``rate-sweep``, ``verify-exact``, ``rate-table``,
 ``check-c1``. Experiment configuration is a versioned JSON document that is
 validated in full (unknown keys rejected) before any computation; a section
 that builds a dataclass takes that dataclass's fields as its keys. Exit codes:
-0 success, 1 numerical failure, 2 configuration or validation error. ``main``
+0 success, 1 numerical failure, 2 configuration or validation error, a
+verify-exact radius outside the closed form's domain among them. ``main``
 alone reports a raised error, as one ``error:`` line (exit 2) or one
 ``numerical failure:`` line (exit 1) on stderr; a failed check (verify-exact,
 check-c1) prints its result and exits 1. The ``PLAP_LOG`` environment
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import PlapError
 from .evolve import Problem, SolverControls, solve
-from .exact import ExactSolution, SolutionId, residual
+from .exact import ExactSolution, SingularPointError, SolutionId, residual
 from .grid import Boundary, GridSpec, save_field, save_json
 from .harness import (
     SweepPlan,
@@ -225,6 +226,8 @@ def _build_problem(node: dict):
 
 _AXES = {a.value: a for a in PerturbationAxis}
 _CASES = {c.value.replace("_", "-"): c for c in FamilyCase}
+# sweep.theory's keys: the case, theta and family_rate's optional keyword parameters
+_THEORY_KEYS = ("case", "theta", *family_rate.__kwdefaults__)
 
 
 def _build_sweep(cfg: dict, problem: Problem, data):
@@ -239,8 +242,7 @@ def _build_sweep(cfg: dict, problem: Problem, data):
     theory = None
     if "theory" in node:
         tnode = node["theory"]
-        _check_keys(tnode, {"case", "theta", "p", "q", "p_prime", "q_prime", "m"},
-                    "sweep.theory", required=("case", "theta"))
+        _check_keys(tnode, _THEORY_KEYS, "sweep.theory", required=("case", "theta"))
         case = _CASES.get(tnode.get("case"))
         if case is None:
             raise ConfigError(f"unknown theory case {tnode.get('case')!r}")
@@ -332,7 +334,7 @@ def cmd_verify_exact(args) -> int:
     if args.radii < 1:
         raise ValueError(f"--radii must be >= 1, got {args.radii}")
     sol = ExactSolution(_SOLUTIONS[args.solution], p=args.p, n=args.n, A=args.A, c=args.c)
-    clearance = min(args.clearance, args.r_min / 2)
+    clearance = min(args.clearance, args.r_min / 2) if args.r_min > 0 else args.clearance
     # np.max keeps a NaN residual, which then fails the check
     worst = float(np.max(np.abs([residual(sol, r, t=args.t, mode="analytic", clearance=clearance)
                                  for r in np.linspace(args.r_min, args.r_max, args.radii)])))
@@ -453,7 +455,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"PLAP_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level!r}")
         logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         return args.fn(args)
-    except ValueError as err:  # ConfigError included
+    # ConfigError included, and a radius outside a closed form's domain (verify-exact)
+    except (ValueError, SingularPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except PlapError as err:  # HarnessError included

@@ -13,8 +13,10 @@ requested times; runs are deterministic.
 A solve holds its field in one buffer (``grid.Stencil``), steps it in place
 and allocates its temporaries once, the coefficient table's among them
 (``out`` and ``work`` of ``operators.rank_one_coeff_arrays``), so a step
-allocates no array the size of the field; snapshots are copies. The kernel
-makes every choice that depends only on the member, the grid and the problem
+allocates no array the size of the field; snapshots are copies. The stencil
+places the buffer and every one of those temporaries (``Stencil.empty``), each
+at its own offset within a page, so that no two of them alias in the L1 cache.
+The kernel makes every choice that depends only on the member, the grid and the problem
 once per solve, as constants, and steps with two functions of ufunc calls
 over those buffers: ``cfl_bound`` and ``advance`` run the stages of the step
 in order, each stage guarded by its constant, so no step decides anew which
@@ -321,12 +323,12 @@ def _kernel(problems, values, members=None):
         dirichlets = [p.dirichlet for p in problems]
     meshes = tuple(m[stencil.updated] for m in meshes)  # the source's arguments
 
-    n = rows.shape
-    r2, diff, work = (np.empty(n) for _ in range(3))  # work: the first-order term
-    zero = np.empty(n, bool)
+    n, empty = rows.shape, stencil.empty  # every row-size temporary is placed by the stencil
+    r2, diff, work = (empty(n) for _ in range(3))  # work: the first-order term
+    zero = empty(n, bool)
     diff_nodes, work_nodes = stencil.nodes(diff), stencil.nodes(work)
     if not const:  # c, and s with the leaf's temporary (diff is free until the rate)
-        c_out, table = np.empty(n), (np.empty(n), diff)
+        c_out, table = empty(n), (empty(n), diff)
     if takes_r2:
         gradient = stencil.gradient
         grads = gradient()

@@ -155,7 +155,8 @@ def _barenblatt_derivatives(sol: ExactSolution, r: float, t: float):
     s = r * t ** (-1.0 / lam)
     H = sol.A + g * s ** m
     if H <= 0:
-        raise SingularPointError("point outside the support")
+        raise SingularPointError(f"point outside the support: |x| = {r:.6g}, "
+                                 f"support radius {sol.support_radius(t):.6g}")
     tn = t ** (-sol.n / lam)
     u_r = tn * t ** (-1.0 / lam) * kappa * g * m * s ** (m - 1.0) * H ** (kappa - 1.0)
     u_rr = tn * t ** (-2.0 / lam) * kappa * g * m * (
@@ -178,8 +179,9 @@ def _check_clearance(sol: ExactSolution, r: float, t: Optional[float], clearance
     if sol.id is SolutionId.BARENBLATT:
         if t is None or t <= 0:
             raise ValueError("self-similar solution needs t > 0")
-        if sol.p > 2.0 and abs(sol.support_radius(t) - r) < clearance:
-            raise SingularPointError("point inside clearance of the free boundary")
+        if sol.p > 2.0 and abs((edge := sol.support_radius(t)) - r) < clearance:
+            raise SingularPointError(f"point inside clearance {clearance:.3g} of the free "
+                                     f"boundary: |x| = {r:.6g}, support radius {edge:.6g}")
 
 
 def residual(

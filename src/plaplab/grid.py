@@ -37,6 +37,17 @@ its buffer, each field in its own frame. The batch is laid out like the rows
 of a grid with one more axis: the rows run from the first field's first
 updated node to the last field's last, and the frame entries between two
 fields are ghost columns too.
+
+A stencil places every full-row array of a solve, its own and the kernel's
+temporaries, with ``Stencil.empty``: each starts page-aligned plus a stagger
+of 320 bytes (five cache lines) times the number of arrays that stencil has
+already placed, modulo 12, so twelve arrays start at twelve offsets below
+4 KiB, at least 320 bytes apart. Left to ``np.empty``, arrays of one size take
+heap chunks of one size: the row arrays of a 129 x 129 Dirichlet grid (131,048
+bytes, just under glibc's 128 KiB mmap threshold) each take a chunk 8 bytes
+short of 32 pages, so they all start at nearly the same address modulo 4 KiB.
+The passes that read and write several of them at once then compete for the
+same L1 cache sets, and their loads and stores 4K-alias each other.
 """
 
 from __future__ import annotations
@@ -51,6 +62,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatchError
+
+# Stencil.empty's placement: page-aligned plus one of _STAGGERS staggers
+_PAGE, _STAGGER, _STAGGERS = 4096, 320, 12
 
 
 class Boundary(Enum):
@@ -192,7 +206,8 @@ class Stencil:
         # nodes sit in a ghost layer
         values = np.asarray(values, dtype=float)
         batch, frame = values.shape[:-grid.dim], _frame(grid)
-        self._buffer = buffer = np.empty(batch + tuple(n + 2 - 2 * frame for n in grid.shape))
+        self._placed = 0  # the arrays ``empty`` has placed
+        self._buffer = buffer = self.empty(batch + tuple(n + 2 - 2 * frame for n in grid.shape))
         self.values = buffer if frame else buffer[(...,) + (slice(1, -1),) * grid.dim]
         self.values[...] = values
         self.updated = tuple(slice(frame, n - frame) for n in grid.shape)
@@ -230,6 +245,17 @@ class Stencil:
         self._grad = self._hess = None
         self.fill_ghosts()
 
+    def empty(self, shape, dtype=float) -> np.ndarray:
+        """A new uninitialized array of ``shape`` (a tuple) that starts
+        page-aligned plus this stencil's next stagger (see module doc): a view
+        into a byte block one page and the stagger larger."""
+        dtype, stagger = np.dtype(dtype), _STAGGER * (self._placed % _STAGGERS)
+        self._placed += 1
+        nbytes = math.prod(shape) * dtype.itemsize
+        block = np.empty(nbytes + _PAGE + stagger, np.uint8)
+        start = -block.ctypes.data % _PAGE + stagger
+        return block[start:start + nbytes].view(dtype).reshape(shape)
+
     def fill_ghosts(self) -> None:
         """Overwrite every periodic ghost, including what a row-layout update
         spilled there (a Dirichlet grid has none)."""
@@ -262,7 +288,7 @@ class Stencil:
         """Central-difference gradient components (u[i+e] - u[i-e]) / (2 h), in
         the row layout (entries at ghost columns are not meaningful)."""
         if self._grad is None:
-            self._wide = [np.empty(fa.shape) for fa, *_ in self._axes]
+            self._wide = [self.empty(fa.shape) for fa, *_ in self._axes]
             n = self.rows.size
             self._grad = [w[(w.size - n) // 2:][:n] for w in self._wide]
         for (fa, fb, _, _, inv_2h, _), o in zip(self._axes, self._wide):
@@ -279,9 +305,9 @@ class Stencil:
         rows, dim = self.rows, len(self._axes)
         if self._hess is None:
             keys = [(ax, ax) for ax in range(dim)] + ([(0, 1)] if dim == 2 else [])
-            self._hess = {k: np.empty(rows.shape) for k in keys}
+            self._hess = {k: self.empty(rows.shape) for k in keys}
             # 2u, in the cross entry's array where there is one (it is written last)
-            self._twice = self._hess[(0, 1)] if dim == 2 else np.empty(rows.shape)
+            self._twice = self._hess[(0, 1)] if dim == 2 else self.empty(rows.shape)
         out = self._hess
         twice = np.multiply(rows, 2.0, out=self._twice)
         for ax, (_, _, fa, fb, _, inv_h2) in enumerate(self._axes):

@@ -43,6 +43,14 @@ _PAIRED = {
 }
 
 
+# the parameters of ``family_rate`` each case reads (a paired case its pair, in
+# order); another one given is an error
+_READS = {FamilyCase.NORMALIZED: ("p", "q"), FamilyCase.GENERAL_PQ_MATCHED: ("q_prime",),
+          FamilyCase.REGULARIZED: ("p", "p_prime", "m"), FamilyCase.BIASED_INFINITY: ("m",)}
+_READS |= {case: ("p_prime", "q_prime") if mark else ("p", "q")
+           for case, (mark, _) in _PAIRED.items()}
+
+
 @dataclass(frozen=True)
 class RatePrediction:
     nu_sup: float
@@ -87,10 +95,15 @@ def family_rate(
 
     ``m`` is the free Young-inequality parameter of the regularization cases;
     when omitted, the supremum over its admissible interval is returned (and
-    flagged as an open bound).
+    flagged as an open bound). A case reads only its parameters in ``_READS``;
+    another one given is an error.
     """
-    _check_finite(theta=theta, p=p, q=q, p_prime=p_prime, q_prime=q_prime, m=m)
+    given = {"p": p, "q": q, "p_prime": p_prime, "q_prime": q_prime, "m": m}
+    _check_finite(theta=theta, **given)
     _require(0.0 < theta <= 1.0, "theta must lie in (0, 1]")
+    _require(case in _READS, f"unknown case {case}")
+    unread = [k for k, v in given.items() if v is not None and k not in _READS[case]]
+    _require(not unread, f"{case.value} does not read {', '.join(unread)}")
 
     if case is FamilyCase.NORMALIZED:
         if p is not None:
@@ -101,7 +114,7 @@ def family_rate(
 
     if case in _PAIRED:
         mark, singular = _PAIRED[case]
-        a, b = (p_prime, q_prime) if mark else (p, q)
+        a, b = (given[k] for k in _READS[case])
         if singular is not None:
             _require(a is not None and 1 < a < 2, f"requires 1 < p{mark} < 2")
             _require(b is None or 1 < b <= 2, f"requires 1 < q{mark} <= 2")
@@ -122,14 +135,12 @@ def family_rate(
             _require(p >= 1, "requires p >= 1")
         return _regularized_rate(p_prime, theta, m)
 
-    if case is FamilyCase.BIASED_INFINITY:
-        # eps1-exponent alpha ranges over (0, 1/2); eps2 enters at rate 1.
-        if m is None:
-            return RatePrediction(theta / 2.0, False, case, "sup over alpha in (0, 1/2)")
-        _require(0 < m < 0.5, "alpha parameter must lie in (0, 1/2)")
-        return RatePrediction(m * theta, False, case, f"alpha = {m}")
-
-    raise CaseNotApplicableError(f"unknown case {case}")
+    # the biased infinity case: the eps1-exponent alpha ranges over (0, 1/2);
+    # eps2 enters at rate 1
+    if m is None:
+        return RatePrediction(theta / 2.0, False, case, "sup over alpha in (0, 1/2)")
+    _require(0 < m < 0.5, "alpha parameter must lie in (0, 1/2)")
+    return RatePrediction(m * theta, False, case, f"alpha = {m}")
 
 
 def _regularized_rate(p_prime: float, theta: float, m: Optional[float]) -> RatePrediction:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plaplab import GridSpec, OperatorSpec, SolverControls, cli, load_field
+from plaplab import GridSpec, OperatorSpec, SolverControls, cli, family_rate, load_field
 from plaplab.cli import _build_problem, _build_sweep, main
 
 
@@ -468,6 +469,23 @@ class TestRateSweepCommand:
         assert not out.exists()
         assert "finite" in capsys.readouterr().err
 
+    def test_unread_theory_parameter_exits_2_without_output(self, tmp_path, capsys):
+        # a stray p_prime was accepted and ignored
+        cfg_data = heat_config(T=0.1)
+        cfg_data["sweep"] = {"axis": "p", "values": [0.4, 0.2, 0.1, 0.05], "gap_times": [0.1],
+                             "theory": {"case": "normalized", "theta": 1.0, "q": 3.0,
+                                        "p_prime": 5.0}}
+        cfg = write_config(tmp_path / "theory.json", cfg_data)
+        out = tmp_path / "o"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: normalized does not read p_prime\n"
+
+    def test_theory_keys_are_the_case_and_family_rates_keywords(self):
+        keywords = [name for name, param in inspect.signature(family_rate).parameters.items()
+                    if param.kind is param.KEYWORD_ONLY]
+        assert cli._THEORY_KEYS == ("case", *keywords)
+
     def test_too_few_values_exit_2(self, tmp_path):
         cfg_data = heat_config(T=0.1)
         cfg_data["sweep"] = {"axis": "p", "values": [0.1, 0.05]}
@@ -621,6 +639,30 @@ class TestVerifyExactCommand:
         assert "max |residual|" not in captured.out and "error:" in captured.err
         assert not out.exists()
 
+    def test_heat_mode_from_the_origin_passes(self, capsys):
+        # --r-min 0 set the clearance to 0, and the run exited 2 naming --clearance
+        assert main(["verify-exact", "--solution", "heat-mode", "--p", "3",
+                     "--r-min", "0", "--r-max", "6"]) == 0
+        assert "max |residual| over 100 radii in [0, 6]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--solution", "barenblatt", "--p", "3", "--r-max", "5"],
+         "point outside the support: |x| = 3.33667, support radius 3.30193"),
+        (["--solution", "barenblatt", "--p", "3", "--r-max", "3.3019272488946263"],
+         "point inside clearance 0.001 of the free boundary: |x| = 3.30193, "
+         "support radius 3.30193"),
+        (["--solution", "torsion", "--p", "3", "--r-min", "0"],
+         "|x| = 0 inside clearance 0.001 of the origin"),
+    ], ids=["support", "free boundary", "origin"])
+    def test_radius_outside_the_domain_exits_2_without_output(self, tmp_path, capsys, argv,
+                                                             message):
+        # the Barenblatt calls exited 1 as a numerical failure
+        out = tmp_path / "out"
+        assert main(["verify-exact", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_nan_residual_fails(self, monkeypatch):
         # one NaN among finite residuals: max(worst, nan) kept the finite worst
         calls, residual = [], cli.residual
@@ -702,6 +744,14 @@ class TestRateTableCommand:
                      "--p", "1.5", "--q", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: requires p > 2\n"
+
+    def test_unread_parameter_exits_2(self, capsys):
+        # printed a row labelled p_prime 7 and exited 0
+        assert main(["rate-table", "--case", "normalized", "--theta", "1",
+                     "--p-prime", "7", "--m", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: normalized does not read p_prime, m\n"
 
     @pytest.mark.parametrize("flag, bad", [("--q", "inf"), ("--p", "nan"), ("--theta", "nan"),
                                            ("--m", "inf")])

@@ -1070,6 +1070,56 @@ def test_steps_allocate_no_row_array(name, dim):
     assert end - start < row_bytes
 
 
+def placed_row_arrays(cfl_bound, advance):
+    """The row-size arrays a kernel and its stencil hold, read from the
+    closures of the kernel's two step functions: the stencil's field buffer,
+    gradient, Hessian and 2u arrays, and the kernel's r2, diff, work, zero,
+    c_out and table[0] (the per-member parameters of ``Stencil.spread`` are
+    not among them)."""
+    cells = {}
+    for fn in (cfl_bound, advance):
+        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
+            try:
+                cells[name] = cell.cell_contents
+            except ValueError:  # a name this kernel never binds (the singular nodes')
+                pass
+    stencil = cells["gradient"].__self__
+    arrays = [stencil._buffer, *stencil._wide, *stencil._hess.values(), stencil._twice,
+              *(cells[k] for k in ("r2", "diff", "work", "zero", "c_out")), cells["table"][0]]
+    unique = list({id(a): a for a in arrays}.values())  # in 2D 2u is the cross entry's array
+    assert all(a.nbytes >= stencil.rows.size for a in unique)
+    return unique
+
+
+def barenblatt_2d_problem(n=129):
+    sol = ExactSolution(SolutionId.BARENBLATT, p=3.0, n=2, A=1.0)
+    grid = GridSpec.box(((-2.0, 2.0), (-2.0, 2.0)), (n, n), Boundary.DIRICHLET)
+    return Problem(spec=OperatorSpec.variational(3.0), grid=grid, T=0.5,
+                   initial=lambda x, y: sol.eval_radial(np.hypot(x, y), 1.0),
+                   dirichlet=lambda x, y, t: sol.eval_radial(np.hypot(x, y), 1.0 + t))
+
+
+@pytest.mark.parametrize("case", ["2d table member", "1d batch"])
+def test_row_arrays_start_at_distinct_page_offsets(case):
+    # the stencil places every row-size array page-aligned plus its own
+    # stagger, so no two start in the same cache line modulo 4 KiB (left to
+    # np.empty, some of them start at the same offset)
+    if case == "2d table member":
+        problems = [barenblatt_2d_problem()]
+    else:  # a regularized eps sweep on 1,024 periodic nodes, as one batch
+        base = crest_problem(OperatorSpec.regularized_pq(2.0, 3.0, 0.1), 1)
+        problems = [replace(base, spec=OperatorSpec.regularized_pq(2.0, 3.0, eps))
+                    for eps in (0.1, 0.05, 0.025)]
+    assert len({evolve._choices(p) for p in problems}) == 1
+    _, cfl_bound, advance, _ = evolve._kernel(
+        problems, [p.initial_field().values for p in problems])
+    arrays = placed_row_arrays(cfl_bound, advance)
+    assert len(arrays) == (12 if case == "2d table member" else 10)
+    offsets = sorted(a.ctypes.data % 4096 for a in arrays)
+    gaps = [b - a for a, b in zip(offsets, offsets[1:])] + [offsets[0] + 4096 - offsets[-1]]
+    assert min(gaps) >= 64, offsets
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("name", list(LEAVES))
 def test_buffered_leaves_are_bitwise_the_allocating_ones(monkeypatch, name, dim):

@@ -152,6 +152,26 @@ class TestHessian:
         assert hessian_arrays(f)[(0, 0)][10] == pytest.approx(6.0, abs=1e-10)
 
 
+class TestEmpty:
+    """``Stencil.empty`` places each array page-aligned plus 320 bytes times the
+    arrays the stencil placed before it, modulo 12; the field buffer is the first."""
+
+    def test_offsets_cycle_through_twelve_staggers(self):
+        stencil = Stencil(GridSpec.line(0.0, 1.0, 16, Boundary.PERIODIC), np.zeros(16))
+        arrays = [stencil._buffer] + [stencil.empty((16,)) for _ in range(13)]
+        assert [a.ctypes.data % 4096 for a in arrays] == [320 * (k % 12) for k in range(14)]
+
+    @pytest.mark.parametrize("shape, dtype",
+                             [((16,), float), ((3, 5), bool), ((2, 3, 4), int)])
+    def test_shape_and_dtype(self, shape, dtype):
+        stencil = Stencil(GridSpec.line(0.0, 1.0, 16, Boundary.PERIODIC), np.zeros(16))
+        a = stencil.empty(shape, dtype)
+        assert a.shape == shape and a.dtype == np.dtype(dtype)
+        assert a.flags.c_contiguous and a.flags.writeable and a.ctypes.data % 4096 == 320
+        a[...] = 1
+        assert np.all(a == 1)
+
+
 def neighbour_reference(field):
     """Gradient and Hessian by explicit neighbour indices, node by node.
 

@@ -42,6 +42,19 @@ class TestMasterFormula:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+# each case's parameters, at values inside its window
+READS = {
+    FamilyCase.NORMALIZED: {"p": 3.0, "q": 3.0},
+    FamilyCase.VARIATIONAL_SINGULAR: {"p": 1.5, "q": 1.8},
+    FamilyCase.VARIATIONAL_DEGENERATE: {"p": 3.0, "q": 3.0},
+    FamilyCase.GENERAL_PQ_SINGULAR: {"p_prime": 1.5, "q_prime": 1.8},
+    FamilyCase.GENERAL_PQ_DEGENERATE: {"p_prime": 3.0, "q_prime": 3.0},
+    FamilyCase.GENERAL_PQ_MATCHED: {"q_prime": 3.0},
+    FamilyCase.REGULARIZED: {"p": 1.0, "p_prime": 3.5, "m": 0.5},
+    FamilyCase.BIASED_INFINITY: {"m": 0.25},
+}
+
+
 class TestFamilyRate:
     def test_normalized(self):
         pred = family_rate(FamilyCase.NORMALIZED, theta=0.7)
@@ -119,6 +132,16 @@ class TestFamilyRate:
             family_rate(FamilyCase.NORMALIZED, theta=0.5, p=0.5)
         with pytest.raises(CaseNotApplicableError, match="normalized case needs q >= 1"):
             family_rate(FamilyCase.NORMALIZED, theta=0.5, q=0.5)
+
+    @pytest.mark.parametrize("case", list(READS), ids=lambda case: case.value)
+    def test_unread_parameter_rejected(self, case):
+        # each was accepted and ignored; every parameter the case reads is taken
+        reads = READS[case]
+        family_rate(case, theta=0.5, **reads)
+        for name in sorted({"p", "q", "p_prime", "q_prime", "m"} - set(reads)):
+            message = f"^{case.value} does not read {name}$"
+            with pytest.raises(CaseNotApplicableError, match=message):
+                family_rate(case, theta=0.5, **reads, **{name: 2.5})
 
     def test_unknown_case_rejected(self):
         with pytest.raises(CaseNotApplicableError, match="unknown case"):
