@@ -30,7 +30,7 @@ from . import __version__
 from .errors import PlapError
 from .evolve import Problem, SolverControls, solve
 from .exact import ExactSolution, SingularPointError, SolutionId, residual
-from .grid import Boundary, GridSpec, save_field, save_json
+from .grid import Boundary, GridSpec, save_field, save_json, whole_number
 from .harness import (
     SweepPlan,
     compare_theory,
@@ -202,11 +202,8 @@ def _build_controls(node: dict) -> SolverControls:
                                          for t in node["snapshot_times"])
     if node.get("eps_num") is not None:
         kwargs["eps_num"] = _number(node["eps_num"], "problem.controls.eps_num")
-    if "max_steps" in node:
-        steps = node["max_steps"]  # a whole number; SolverControls checks >= 1
-        if not (type(steps) is int or (type(steps) is float and steps.is_integer())):
-            raise ConfigError(f"problem.controls.max_steps must be a whole number, got {steps!r}")
-        kwargs["max_steps"] = int(steps)
+    if "max_steps" in node:  # SolverControls checks >= 1
+        kwargs["max_steps"] = whole_number(node["max_steps"], "problem.controls.max_steps")
     return SolverControls(**kwargs)
 
 
@@ -246,8 +243,7 @@ def _build_sweep(cfg: dict, problem: Problem, data):
         case = _CASES.get(tnode.get("case"))
         if case is None:
             raise ConfigError(f"unknown theory case {tnode.get('case')!r}")
-        given = {k: _number(v, f"sweep.theory.{k}") for k, v in tnode.items()
-                 if k != "case" and v is not None}
+        given = {k: _number(v, f"sweep.theory.{k}") for k, v in tnode.items() if k != "case"}
         theory = family_rate(case, **given)
     margin = _number(node.get("margin", 0.1), "sweep.margin")
     if not (math.isfinite(margin) and margin > 0):

@@ -121,14 +121,19 @@ class ExactSolution:
         if sid is SolutionId.BARENBLATT:
             if t <= 0:
                 raise ValueError("self-similar solution needs t > 0")
-            lam = self.lambda_p
-            m = self.p / (self.p - 1.0)
-            kappa = (self.p - 1.0) / (self.p - 2.0)
-            s = r * t ** (-1.0 / lam)
-            base = self.A + self.gamma_p * s ** m
+            lam, _, kappa, _, _, base = self._similarity(r, t)
             return t ** (-self.n / lam) * np.where(base > 0.0, base, 0.0) ** kappa
         coef, a = self._power_law()
         return coef * r ** a
+
+    def _similarity(self, r, t: float):
+        """(lam, m, kappa, gamma, s, H) of the self-similar solution at radius r
+        and time t: the similarity variable s = r t^(-1/lam) and the profile's
+        base H = A + gamma s^m, so that u = t^(-n/lam) max(H, 0)^kappa."""
+        lam, g = self.lambda_p, self.gamma_p
+        m, kappa = self.p / (self.p - 1.0), (self.p - 1.0) / (self.p - 2.0)
+        s = r * t ** (-1.0 / lam)
+        return lam, m, kappa, g, s, self.A + g * s ** m
 
     def _power_law(self) -> tuple[float, float]:
         """(coef, a) of the elliptic profiles u = coef * r**a: the radial
@@ -149,11 +154,7 @@ def _radial_plaplacian(p: float, n: int, r: float, u1: float, u2: float) -> floa
 
 def _barenblatt_derivatives(sol: ExactSolution, r: float, t: float):
     """(u_t, u_r, u_rr) inside the positivity set, r > 0."""
-    lam, g = sol.lambda_p, sol.gamma_p
-    m = sol.p / (sol.p - 1.0)
-    kappa = (sol.p - 1.0) / (sol.p - 2.0)
-    s = r * t ** (-1.0 / lam)
-    H = sol.A + g * s ** m
+    lam, m, kappa, g, s, H = sol._similarity(r, t)
     if H <= 0:
         raise SingularPointError(f"point outside the support: |x| = {r:.6g}, "
                                  f"support radius {sol.support_radius(t):.6g}")

@@ -56,7 +56,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -80,12 +79,12 @@ class GridSpec:
     boundary: Boundary
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _whole(self.dim, "dim"))
+        object.__setattr__(self, "dim", whole_number(self.dim, "dim"))
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         object.__setattr__(self, "extent", tuple((float(a), float(b)) for a, b in self.extent))
         object.__setattr__(self, "resolution",
-                           tuple(_whole(n, "resolution") for n in self.resolution))
+                           tuple(whole_number(n, "resolution") for n in self.resolution))
         if len(self.extent) != self.dim or len(self.resolution) != self.dim:
             raise ValueError("extent/resolution must have one entry per axis")
         for (a, b), n in zip(self.extent, self.resolution):
@@ -119,8 +118,10 @@ class GridSpec:
         return a + h * np.arange(n)
 
     def meshes(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays of full ``shape`` (indexing='ij'); cached, read-only."""
-        return _cached_meshes(self)
+        """Coordinate arrays of full ``shape`` (indexing='ij'), new ones on
+        each call."""
+        axes = [self.axis_coords(k) for k in range(self.dim)]
+        return (axes[0],) if self.dim == 1 else tuple(np.meshgrid(*axes, indexing="ij"))
 
     def refine(self) -> "GridSpec":
         """Halve the spacing keeping node positions nested."""
@@ -131,25 +132,13 @@ class GridSpec:
         return GridSpec(self.dim, self.extent, res, self.boundary)
 
 
-def _whole(value, what: str) -> int:
+def whole_number(value, what: str) -> int:
     """An int, numpy int or integral float as an int; a fractional count is an
     error, not a truncation."""
     if (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool) and float(value).is_integer()):
         return int(value)
     raise ValueError(f"{what} must be a whole number, got {value!r}")
-
-
-@lru_cache(maxsize=128)
-def _cached_meshes(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    axes = [grid.axis_coords(k) for k in range(grid.dim)]
-    if grid.dim == 1:
-        out = (axes[0],)
-    else:
-        out = tuple(np.meshgrid(*axes, indexing="ij"))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)

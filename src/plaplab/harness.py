@@ -101,7 +101,9 @@ class SweepPlan:
     value along ``axis``; ``refined`` is that base on ``grid.refine()`` with
     ``eps_num`` back at its grid-tied default, the floor's solve. The plan
     checks that the gap times lie in [0, T]; which times are captured (and
-    so become ``gap_times``) is the base's rule, ``Problem.captures``.
+    so become ``gap_times``) is the base's rule, ``Problem.captures``. The
+    times come from ``gap_times`` or, where it is empty, from the base's
+    ``controls.snapshot_times``; a plan given both is an error.
     """
 
     base: Problem
@@ -123,6 +125,9 @@ class SweepPlan:
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ValueError("perturbation values must be strictly decreasing")
         times = tuple(float(t) for t in self.gap_times)
+        if times and self.base.controls.snapshot_times:
+            raise ValueError("gap times given twice: both gap_times and the base's snapshot_times")
+        times = times or self.base.controls.snapshot_times
         if not all(0 <= t <= self.base.T for t in times):  # NaN included
             raise ValueError("gap times must lie in [0, T]")
         base = replace(self.base, controls=replace(self.base.controls,

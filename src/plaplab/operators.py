@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -358,8 +358,8 @@ class C1CertifyReport:
 def c1_certify(
     base_spec: OperatorSpec,
     axis: PerturbationAxis,
-    eps_list: Sequence[float],
-    xi_mags: Sequence[float],
+    eps_list: Iterable[float],
+    xi_mags: Iterable[float],
     candidate: C1Params,
     dim: int = 2,
 ) -> C1CertifyReport:
@@ -372,6 +372,7 @@ def c1_certify(
     mags = np.asarray(list(xi_mags), dtype=float)
     if mags.size == 0 or not np.all(np.isfinite(mags) & (mags > 0)):
         raise ValueError("xi magnitudes must be a nonempty list of finite positive values")
+    eps_list = [float(eps) for eps in eps_list]
     if not eps_list:
         raise ValueError("eps list must be nonempty")
     if dim not in (1, 2, 3):

@@ -5,10 +5,11 @@ The master exponent is
     nu = alpha * theta / (1 + (1 - theta) * max(beta, 0)),
 
 where theta is the equi-Hoelder exponent of the solution family and
-(alpha, beta) the closeness envelope parameters. Family-specific cases reduce
-to this formula with their admissible (alpha, beta) windows; cases whose
-window is open report the supremum with ``attained=False`` and the empirical
-comparison then only checks the one-sided bound.
+(alpha, beta) the closeness envelope parameters. Every case is a window
+(alpha, beta) of this formula, and ``family_rate`` evaluates each one through
+``theoretical_rate``, the formula's one statement; a case whose window is open
+reports the supremum, at the window's end point, with ``attained=False``, and
+the empirical comparison then only checks the one-sided bound.
 """
 
 from __future__ import annotations
@@ -105,12 +106,19 @@ def family_rate(
     unread = [k for k, v in given.items() if v is not None and k not in _READS[case]]
     _require(not unread, f"{case.value} does not read {', '.join(unread)}")
 
+    alpha, beta, attained, detail = _window(case, theta, given)
+    return RatePrediction(theoretical_rate(alpha, beta, theta), attained, case, detail)
+
+
+def _window(case: FamilyCase, theta: float, given: dict) -> tuple[float, float, bool, str]:
+    """The case's window (alpha, beta) of the master exponent, whether its rate
+    is attained, and the rate's detail; a parameter outside the case's
+    validity window is an error."""
+    p, q, p_prime, q_prime, m = given.values()
     if case is FamilyCase.NORMALIZED:
-        if p is not None:
-            _require(p >= 1, "normalized case needs p >= 1")
-        if q is not None:
-            _require(q >= 1, "normalized case needs q >= 1")
-        return RatePrediction(theta, True, case, "rate |p-q|^theta")
+        _require(p is None or p >= 1, "normalized case needs p >= 1")
+        _require(q is None or q >= 1, "normalized case needs q >= 1")
+        return 1.0, 0.0, True, "rate |p-q|^theta"
 
     if case in _PAIRED:
         mark, singular = _PAIRED[case]
@@ -118,43 +126,33 @@ def family_rate(
         if singular is not None:
             _require(a is not None and 1 < a < 2, f"requires 1 < p{mark} < 2")
             _require(b is None or 1 < b <= 2, f"requires 1 < q{mark} <= 2")
-            return RatePrediction(theta, True, case, singular)
+            return 1.0, 0.0, True, singular  # every beta <= 0 of the window gives theta
         _require(a is not None and a > 2, f"requires p{mark} > 2")
         _require(b is not None and b >= 2, f"requires q{mark} >= 2")
-        nu = 2.0 * theta / (2.0 * theta + (1.0 - theta) * b)
-        return RatePrediction(nu, theta == 1.0, case, f"sup over beta > q{mark}/2 - 1")
+        return 1.0, b / 2.0 - 1.0, theta == 1.0, f"sup over beta > q{mark}/2 - 1"
 
     if case is FamilyCase.GENERAL_PQ_MATCHED:
         _require(q_prime is not None and q_prime > 1, "requires q' > 1")
-        nu = theoretical_rate(1.0, q_prime / 2.0 - 1.0, theta)
-        return RatePrediction(nu, True, case, "matched p' = q', beta = q'/2 - 1")
+        return 1.0, q_prime / 2.0 - 1.0, True, "matched p' = q', beta = q'/2 - 1"
 
     if case is FamilyCase.REGULARIZED:
         _require(p_prime is not None and p_prime >= 2, "requires p' >= 2")
-        if p is not None:
-            _require(p >= 1, "requires p >= 1")
-        return _regularized_rate(p_prime, theta, m)
+        _require(p is None or p >= 1, "requires p >= 1")
+        if p_prime == 2.0:
+            if m is None:
+                return 0.5, 0.0, False, "p'=2: sup over m in (0, 1/2)"
+            _require(0 < m < 0.5, "p'=2 requires m in (0, 1/2)")
+            return m, 0.0, False, f"p'=2, m = {m}"
+        if 2.0 < p_prime < 3.0:
+            return p_prime - 2.0, 0.0, True, "2<p'<3: nu=(p'-2)theta"
+        if m is None:
+            return 1.0, p_prime - 4.0, False, "p'>=3: sup over m in (0, 1)"
+        _require(0 < m < 1, "requires m in (0, 1)")
+        return m, max(p_prime - 4.0, p_prime / 2.0 - 1.0 - m), False, f"m = {m}"
 
     # the biased infinity case: the eps1-exponent alpha ranges over (0, 1/2);
     # eps2 enters at rate 1
     if m is None:
-        return RatePrediction(theta / 2.0, False, case, "sup over alpha in (0, 1/2)")
+        return 0.5, 0.0, False, "sup over alpha in (0, 1/2)"
     _require(0 < m < 0.5, "alpha parameter must lie in (0, 1/2)")
-    return RatePrediction(m * theta, False, case, f"alpha = {m}")
-
-
-def _regularized_rate(p_prime: float, theta: float, m: Optional[float]) -> RatePrediction:
-    case = FamilyCase.REGULARIZED
-    if p_prime == 2.0:
-        if m is None:
-            return RatePrediction(theta / 2.0, False, case, "p'=2: sup over m in (0, 1/2)")
-        _require(0 < m < 0.5, "p'=2 requires m in (0, 1/2)")
-        return RatePrediction(m * theta, False, case, f"p'=2, m = {m}")
-    if 2.0 < p_prime < 3.0:
-        return RatePrediction((p_prime - 2.0) * theta, True, case, "2<p'<3: nu=(p'-2)theta")
-    if m is None:  # p' <= 4 divides by exactly 1.0
-        nu = theta / (1.0 + (1.0 - theta) * max(p_prime - 4.0, 0.0))
-        return RatePrediction(nu, False, case, "p'>=3: sup over m in (0, 1)")
-    _require(0 < m < 1, "requires m in (0, 1)")
-    beta = max(p_prime - 4.0, p_prime / 2.0 - 1.0 - m)
-    return RatePrediction(theoretical_rate(m, beta, theta), False, case, f"m = {m}")
+    return m, 0.0, False, f"alpha = {m}"

@@ -68,6 +68,7 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: cannot read config")
         # a missing required key or a value of the wrong type is a config error
         no_dim = heat_config()
         del no_dim["problem"]["grid"]["dim"]
@@ -88,6 +89,11 @@ class TestSolveCommand:
                  ("data_list", data_list, "solve"),
                  ("no_theta", no_theta, "rate-sweep"),
                  ("margin", negative_margin, "rate-sweep")]
+        # gap times given twice: sweep.gap_times silently replaced the
+        # problem's snapshot times
+        twice = heat_config(snapshot_times=[0.05], extra={"sweep": {
+            "axis": "p", "values": [0.4, 0.2, 0.1, 0.05], "gap_times": [0.1]}})
+        cases.append(("gap_times_twice", twice, "rate-sweep"))
         # max_steps must be a whole number >= 1: -5 exited 1 as a numerical
         # failure, and 2.7 ran with 2
         for i, steps in enumerate((-5, 0, 2.7, "5", True)):
@@ -142,6 +148,8 @@ class TestSolveCommand:
             (heat_config(extra=sweep), ("sweep", "margin"), "0.1"),
             (heat_config(extra=sweep), ("sweep", "theory", "theta"), "1"),
             (heat_config(extra=sweep), ("sweep", "theory", "q"), True),
+            # null read as "not given": no theta raised a TypeError, no q passed
+            (heat_config(extra=sweep), ("sweep", "theory", "theta"), None),
         ]
         for i, (number_cfg, path, value) in enumerate(numbers):
             number_cfg = json.loads(json.dumps(number_cfg))
@@ -175,6 +183,7 @@ class TestSolveCommand:
             assert main([command, "--config", cfg, "--out", str(out)]) == 2, name
             assert not out.exists(), name
             err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
             assert not name.startswith("number") or "must be a number" in err, (name, err)
             assert not name.startswith("object") or "must be an object" in err, (name, err)
 
@@ -345,6 +354,8 @@ class TestSolveCommand:
         problem, data = _build_problem(cfg_data["problem"])
         plan, margin = _build_sweep(cfg_data, problem, data)
         assert len(plan.values) == 4 and plan.theory is not None and margin > 0.0
+        # no sweep.gap_times: the sweep measures at the problem's snapshot times
+        assert plan.gap_times == (0.25, 0.5)
 
     def test_zero_horizon_single_snapshot(self, tmp_path):
         cfg = write_config(tmp_path / "t0.json", heat_config(T=0.0))

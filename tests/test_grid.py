@@ -58,6 +58,19 @@ class TestGridSpec:
             assert (grid.dim, grid.resolution) == (1, (64,))
             assert type(grid.dim) is int and type(grid.resolution[0]) is int
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_meshes_are_built_per_call(self, dim):
+        # the meshes were one cached, read-only tuple shared by every caller
+        grid = GridSpec(dim, ((0.0, 1.0),) * dim, (9,) * dim, Boundary.DIRICHLET)
+        first, second = grid.meshes(), grid.meshes()
+        for a, b in zip(first, second, strict=True):
+            assert a is not b and a.flags.writeable and b.flags.writeable
+            np.testing.assert_array_equal(a, b)
+            a[...] = -1.0
+        for b, axis in zip(second, range(dim), strict=True):
+            want = grid.axis_coords(axis).reshape((-1,) + (1,) * (dim - 1 - axis))
+            np.testing.assert_array_equal(b, np.broadcast_to(want, grid.shape))
+
     def test_refine_nests_nodes(self):
         g = GridSpec.line(0.0, 1.0, 9, Boundary.DIRICHLET)
         f = g.refine()

@@ -368,9 +368,22 @@ class TestCertify:
         assert C1Params(alpha=1.0, beta=0.5, c_A=0.0).c_A == 0.0
 
     def test_empty_eps_list_rejected(self):
-        with pytest.raises(ValueError, match="eps list must be nonempty"):
-            c1_certify(OperatorSpec.normalized(3.0), PerturbationAxis.P, [], [1.0],
-                       C1Params(alpha=1.0, beta=0.0, c_A=1.0))
+        # an empty iterator passed the check and then raised a TypeError
+        for empty in ([], iter([])):
+            with pytest.raises(ValueError, match="eps list must be nonempty"):
+                c1_certify(OperatorSpec.normalized(3.0), PerturbationAxis.P, empty, [1.0],
+                           C1Params(alpha=1.0, beta=0.0, c_A=1.0))
+
+    def test_eps_array_certified_as_a_list(self):
+        # an array raised numpy's "truth value of an array is ambiguous"
+        args = (OperatorSpec.normalized(3.0), PerturbationAxis.P)
+        rest = ([0.1, 1.0, 10.0], C1Params(alpha=1.0, beta=0.5, c_A=10.0))
+        want = c1_certify(*args, [0.1, 0.01], *rest)
+        for eps in (np.array([0.1, 0.01]), iter([0.1, 0.01])):
+            got = c1_certify(*args, eps, *rest)
+            assert (got.max_ratio, got.worst_eps, got.passed) == (
+                want.max_ratio, want.worst_eps, want.passed)
+            np.testing.assert_array_equal(got.worst_xi, want.worst_xi)
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "c_A", "k"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab import CaseNotApplicableError, FamilyCase, family_rate, theoretical_rate
+from plaplab import CaseNotApplicableError, FamilyCase, family_rate, rates, theoretical_rate
 
 
 class TestMasterFormula:
@@ -142,6 +142,24 @@ class TestFamilyRate:
             message = f"^{case.value} does not read {name}$"
             with pytest.raises(CaseNotApplicableError, match=message):
                 family_rate(case, theta=0.5, **reads, **{name: 2.5})
+
+    @pytest.mark.parametrize("case", list(READS), ids=lambda case: case.value)
+    def test_every_case_through_the_master_formula(self, case, monkeypatch):
+        # nine return statements wrote nu out and two called theoretical_rate;
+        # every case's exponent is the master formula at the case's window
+        calls = []
+
+        def spy(alpha, beta, theta):
+            calls.append(theoretical_rate(alpha, beta, theta))
+            return calls[-1]
+
+        monkeypatch.setattr(rates, "theoretical_rate", spy)
+        # m given, and m = None: the open supremum of the cases that read m
+        for reads in (READS[case], READS[case] | {"m": None}):
+            for theta in (0.3, 1.0):
+                calls.clear()
+                pred = family_rate(case, theta=theta, **reads)
+                assert len(calls) == 1 and pred.nu_sup == calls[0]
 
     def test_unknown_case_rejected(self):
         with pytest.raises(CaseNotApplicableError, match="unknown case"):
