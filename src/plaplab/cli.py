@@ -3,14 +3,16 @@
 Commands: ``solve``, ``rate-sweep``, ``verify-exact``, ``rate-table``,
 ``check-c1``. Experiment configuration is a versioned JSON document that is
 validated in full (unknown keys rejected) before any computation; a section
-that builds a dataclass takes that dataclass's fields as its keys. Exit codes:
-0 success, 1 numerical failure, 2 configuration or validation error, a
-verify-exact radius outside the closed form's domain among them. ``main``
-alone reports a raised error, as one ``error:`` line (exit 2) or one
-``numerical failure:`` line (exit 1) on stderr; a failed check (verify-exact,
-check-c1) prints its result and exits 1. The ``PLAP_LOG`` environment
-variable sets the log level: DEBUG, INFO, WARNING (the default), ERROR or
-CRITICAL, in any case; another value is a configuration error.
+that builds a dataclass takes that dataclass's fields as its keys. Each config
+value and each flag goes to its owner, the dataclass, enumeration or function
+that checks it. Exit codes: 0 success, 1 numerical failure, 2 configuration
+or validation error (any ``ValueError``), a verify-exact radius outside the
+closed form's domain among them. ``main`` alone reports a raised error, as
+one ``error:`` line (exit 2) or one ``numerical failure:`` line (exit 1) on
+stderr; a failed check (verify-exact, check-c1) prints its result and exits
+1. The ``PLAP_LOG`` environment variable sets the log level: DEBUG, INFO,
+WARNING (the default), ERROR or CRITICAL, in any case; another value is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import PlapError
 from .evolve import Problem, SolverControls, solve
-from .exact import ExactSolution, SingularPointError, SolutionId, residual
+from .exact import ExactSolution, SolutionId, residual
 from .grid import Boundary, GridSpec, save_field, save_json, whole_number
 from .harness import (
     SweepPlan,
@@ -76,21 +78,32 @@ def _field_names(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
 
 
-def _from_config(build, *args):
-    """``build(*args)``, with a config value of the wrong JSON type (a number
-    where a list belongs, say) reported as a ``ConfigError``."""
-    try:
-        return build(*args)
-    except TypeError as err:
-        raise ConfigError(f"config value of the wrong type: {err}") from err
-
-
 def _number(value, where: str) -> float:
     """A JSON int or float as a float; a string, a bool or anything else is a
-    ``ConfigError``, not a coercion."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"{where} must be a number, got {value!r}")
+    ``ConfigError``, not a coercion. An int beyond the largest float reads as
+    +-inf, as JSON's 1e400 does, for the owner's finite check to reject."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if abs(value) > sys.float_info.max:  # float() raises OverflowError on such an int
+        return math.inf if value > 0 else -math.inf
+    return float(value)
+
+
+def _list(value, where: str) -> list:
+    if isinstance(value, list):
+        return value
+    raise ConfigError(f"{where} must be a list, got {value!r}")
+
+
+def _numbers(value, where: str) -> tuple:
+    return tuple(_number(v, where) for v in _list(value, where))
+
+
+def _member(table: dict, value, what: str):
+    """The entry of ``table`` that the JSON string ``value`` names."""
+    if isinstance(value, str) and value in table:
+        return table[value]
+    raise ConfigError(f"unknown {what} {value!r}")
 
 
 def _load_config(path: Path) -> dict:
@@ -101,32 +114,28 @@ def _load_config(path: Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     _check_keys(cfg, {"schema_version", "problem", "sweep"}, "config root",
                 required=("problem",))
-    if cfg.get("schema_version") != SCHEMA_VERSION:
+    if isinstance(version := cfg.get("schema_version"), bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     return cfg
 
 
 _FAMILIES = {f.value: f for f in Family}
+_BOUNDARIES = {b.value: b for b in Boundary}
 
 
 def _build_operator(node: dict) -> OperatorSpec:
     _check_keys(node, _field_names(OperatorSpec), "problem.operator", required=("family",))
-    fam = node.get("family")
-    if fam not in _FAMILIES:
-        raise ConfigError(f"unknown operator family {fam!r}")
     kwargs = {k: _number(v, f"problem.operator.{k}") for k, v in node.items() if k != "family"}
-    return OperatorSpec(_FAMILIES[fam], **kwargs)
+    return OperatorSpec(_member(_FAMILIES, node["family"], "operator family"), **kwargs)
 
 
 def _build_grid(node: dict) -> GridSpec:
     keys = _field_names(GridSpec)
     _check_keys(node, keys, "problem.grid", required=keys)
-    try:
-        boundary = Boundary(node["boundary"])
-    except ValueError as err:
-        raise ConfigError(f"bad boundary: {err}") from err
-    extent = tuple(tuple(_number(x, "problem.grid.extent") for x in e) for e in node["extent"])
-    return GridSpec(node["dim"], extent, tuple(node["resolution"]), boundary)
+    where = "problem.grid.extent"
+    extent = tuple(_numbers(e, where) for e in _list(node["extent"], where))
+    return GridSpec(node["dim"], extent, _numbers(node["resolution"], "problem.grid.resolution"),
+                    _member(_BOUNDARIES, node["boundary"], "boundary"))
 
 
 def _build_data(node: dict, grid: GridSpec):
@@ -198,8 +207,8 @@ def _build_controls(node: dict) -> SolverControls:
     _check_keys(node, _field_names(SolverControls), "problem.controls")
     kwargs = {}
     if "snapshot_times" in node:
-        kwargs["snapshot_times"] = tuple(_number(t, "problem.controls.snapshot_times")
-                                         for t in node["snapshot_times"])
+        kwargs["snapshot_times"] = _numbers(node["snapshot_times"],
+                                            "problem.controls.snapshot_times")
     if node.get("eps_num") is not None:
         kwargs["eps_num"] = _number(node["eps_num"], "problem.controls.eps_num")
     if "max_steps" in node:  # SolverControls checks >= 1
@@ -223,8 +232,10 @@ def _build_problem(node: dict):
 
 _AXES = {a.value: a for a in PerturbationAxis}
 _CASES = {c.value.replace("_", "-"): c for c in FamilyCase}
-# sweep.theory's keys: the case, theta and family_rate's optional keyword parameters
-_THEORY_KEYS = ("case", "theta", *family_rate.__kwdefaults__)
+# family_rate's optional keyword parameters: rate-table's flags, and with the
+# case and theta sweep.theory's keys
+_RATE_PARAMS = tuple(family_rate.__kwdefaults__)
+_THEORY_KEYS = ("case", "theta", *_RATE_PARAMS)
 
 
 def _build_sweep(cfg: dict, problem: Problem, data):
@@ -232,27 +243,20 @@ def _build_sweep(cfg: dict, problem: Problem, data):
     if node is None:
         raise ConfigError("config needs a 'sweep' section for rate-sweep")
     _check_keys(node, {"axis", "values", "gap_times", "theory", "margin"}, "sweep")
-    axis = _AXES.get(node.get("axis"))
-    if axis is None:
-        raise ConfigError(f"unknown sweep axis {node.get('axis')!r}")
-    values = tuple(_number(v, "sweep.values") for v in node.get("values", ()))
     theory = None
     if "theory" in node:
         tnode = node["theory"]
         _check_keys(tnode, _THEORY_KEYS, "sweep.theory", required=("case", "theta"))
-        case = _CASES.get(tnode.get("case"))
-        if case is None:
-            raise ConfigError(f"unknown theory case {tnode.get('case')!r}")
         given = {k: _number(v, f"sweep.theory.{k}") for k, v in tnode.items() if k != "case"}
-        theory = family_rate(case, **given)
+        theory = family_rate(_member(_CASES, tnode["case"], "theory case"), **given)
     margin = _number(node.get("margin", 0.1), "sweep.margin")
     if not (math.isfinite(margin) and margin > 0):
         raise ConfigError(f"sweep.margin must be finite and > 0, got {margin}")
     plan = SweepPlan(
         base=problem,
-        axis=axis,
-        values=values,
-        gap_times=tuple(_number(t, "sweep.gap_times") for t in node.get("gap_times", ())),
+        axis=_member(_AXES, node.get("axis"), "sweep axis"),
+        values=_numbers(node.get("values", []), "sweep.values"),
+        gap_times=_numbers(node.get("gap_times", []), "sweep.gap_times"),
         theory=theory,
         data_for_spec=data,
     )
@@ -285,7 +289,7 @@ def _check_snapshot_names(problem: Problem) -> None:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(Path(args.config))
-    problem, _ = _from_config(_build_problem, cfg["problem"])
+    problem, _ = _build_problem(cfg["problem"])
     _check_snapshot_names(problem)
     result = solve(problem)
     out, run_id = _out_dir(args), Path(args.config).stem
@@ -299,8 +303,8 @@ def cmd_solve(args) -> int:
 
 def cmd_rate_sweep(args) -> int:
     cfg = _load_config(Path(args.config))
-    problem, data = _from_config(_build_problem, cfg["problem"])
-    plan, margin = _from_config(_build_sweep, cfg, problem, data)
+    problem, data = _build_problem(cfg["problem"])
+    plan, margin = _build_sweep(cfg, problem, data)
     fit = run_sweep(plan)
     consistent = None
     if fit.theory_nu is not None:
@@ -313,23 +317,18 @@ def cmd_rate_sweep(args) -> int:
     return 0
 
 
-_SOLUTIONS = {
-    "heat-mode": SolutionId.HEAT_MODE,
-    "barenblatt": SolutionId.BARENBLATT,
-    "radial-elliptic": SolutionId.RADIAL_ELLIPTIC,
-    "torsion": SolutionId.TORSION_RADIAL,
-    "fundamental": SolutionId.FUNDAMENTAL,
-}
+_SOLUTIONS = {s.value.replace("_", "-"): s for s in SolutionId}
 
 
 def cmd_verify_exact(args) -> int:
-    # ExactSolution checks p, A and c
+    # ExactSolution checks its fields: p, and n, A and c where their flags are given
     for flag in ("t", "r_min", "r_max", "clearance", "tol"):
         if not math.isfinite(value := getattr(args, flag)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     if args.radii < 1:
         raise ValueError(f"--radii must be >= 1, got {args.radii}")
-    sol = ExactSolution(_SOLUTIONS[args.solution], p=args.p, n=args.n, A=args.A, c=args.c)
+    given = {k: v for k, v in vars(args).items() if k in _field_names(ExactSolution)}
+    sol = ExactSolution(_SOLUTIONS[args.solution], **given)
     clearance = min(args.clearance, args.r_min / 2) if args.r_min > 0 else args.clearance
     # np.max keeps a NaN residual, which then fails the check
     worst = float(np.max(np.abs([residual(sol, r, t=args.t, mode="analytic", clearance=clearance)
@@ -337,7 +336,7 @@ def cmd_verify_exact(args) -> int:
     print(f"max |residual| over {args.radii} radii in [{args.r_min:g}, {args.r_max:g}]: "
           f"{worst:.3e}")
     if args.out:
-        save_json({"solution": args.solution, "p": args.p, "n": args.n,
+        save_json({"solution": args.solution, "p": args.p, "n": sol.n,
                    "max_residual": worst, "tol": args.tol},
                   _out_dir(args) / f"verify_{args.solution}.json")
     return 0 if worst <= args.tol else 1
@@ -345,11 +344,11 @@ def cmd_verify_exact(args) -> int:
 
 def cmd_rate_table(args) -> int:
     case = _CASES[args.case]
+    given = {k: getattr(args, k) for k in _RATE_PARAMS}
     rows = []
     for theta in args.theta:
         for pp in args.p_prime or [None]:
-            rows.append((theta, pp, family_rate(case, theta=theta, p=args.p, q=args.q,
-                                                p_prime=pp, q_prime=args.q_prime, m=args.m)))
+            rows.append((theta, pp, family_rate(case, theta=theta, **given | {"p_prime": pp})))
     print(f"{'theta':>8} {'p_prime':>8} {'nu':>12} {'kind':>9}")
     for theta, pp, pred in rows:
         kind = "attained" if pred.attained else "open sup"
@@ -358,18 +357,17 @@ def cmd_rate_table(args) -> int:
     return 0
 
 
-# check-c1 base member per --family, built from --q, --q-prime and --a
-_C1_FAMILIES = {
-    "normalized": lambda args: OperatorSpec.normalized(args.q),
-    "variational": lambda args: OperatorSpec.variational(args.q),
-    "general_pq": lambda args: OperatorSpec.general_pq(args.q, args.q_prime),
-    "regularized_pq": lambda args: OperatorSpec.regularized_pq(args.q, args.q_prime, 0.0),
-    "biased": lambda args: OperatorSpec.biased_infinity_regularized(args.a, 0.0, 0.0),
-}
+# check-c1's --family names, and the OperatorSpec field that each of --q,
+# --q-prime and --a sets; a field whose flag is not given keeps its default
+_C1_FAMILIES = {"normalized": Family.NORMALIZED, "variational": Family.VARIATIONAL,
+                "general_pq": Family.GENERAL_PQ, "regularized_pq": Family.REGULARIZED_PQ,
+                "biased": Family.BIASED_INFINITY_REGULARIZED}
+_C1_FIELDS = {"q": "p", "q_prime": "p_prime", "a": "a"}
 
 
 def cmd_check_c1(args) -> int:
-    base = _C1_FAMILIES[args.family](args)
+    given = {_C1_FIELDS[k]: v for k, v in vars(args).items() if k in _C1_FIELDS}
+    base = OperatorSpec(_C1_FAMILIES[args.family], **given)
     axis = _AXES[args.axis]
     mags = np.geomspace(args.xi_min, args.xi_max, args.xi_count)
     candidate = C1Params(alpha=args.alpha, beta=args.beta, c_A=args.c_A, k=args.k)
@@ -389,22 +387,20 @@ def _parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="integrate one problem, write snapshots")
-    ps.add_argument("--config", required=True)
-    ps.add_argument("--out", default="out")
-    ps.set_defaults(fn=cmd_solve)
-
-    pr = sub.add_parser("rate-sweep", help="run a perturbation sweep and fit the exponent")
-    pr.add_argument("--config", required=True)
-    pr.add_argument("--out", default="out")
-    pr.set_defaults(fn=cmd_rate_sweep)
+    for name, fn, text in (("solve", cmd_solve, "integrate one problem, write snapshots"),
+                           ("rate-sweep", cmd_rate_sweep,
+                            "run a perturbation sweep and fit the exponent")):
+        pf = sub.add_parser(name, help=text)
+        pf.add_argument("--config", required=True)
+        pf.add_argument("--out", default="out")
+        pf.set_defaults(fn=fn)
 
     pv = sub.add_parser("verify-exact", help="residual check of a closed-form solution")
     pv.add_argument("--solution", required=True, choices=sorted(_SOLUTIONS))
     pv.add_argument("--p", type=float, required=True)
-    pv.add_argument("--n", type=int, default=1)
-    pv.add_argument("--A", type=float, default=1.0)
-    pv.add_argument("--c", type=float, default=1.0)
+    pv.add_argument("--n", type=int, default=argparse.SUPPRESS)
+    pv.add_argument("--A", type=float, default=argparse.SUPPRESS)
+    pv.add_argument("--c", type=float, default=argparse.SUPPRESS)
     pv.add_argument("--t", type=float, default=1.0)
     pv.add_argument("--radii", type=int, default=100)
     pv.add_argument("--r-min", type=float, default=0.01)
@@ -417,18 +413,15 @@ def _parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("rate-table", help="print theoretical exponents for a case")
     pt.add_argument("--case", required=True, choices=sorted(_CASES))
     pt.add_argument("--theta", type=float, nargs="+", required=True)
-    pt.add_argument("--p", type=float, default=None)
-    pt.add_argument("--q", type=float, default=None)
-    pt.add_argument("--p-prime", dest="p_prime", type=float, nargs="*", default=None)
-    pt.add_argument("--q-prime", dest="q_prime", type=float, default=None)
-    pt.add_argument("--m", type=float, default=None)
+    for key in _RATE_PARAMS:  # --p-prime takes several values, one row each
+        pt.add_argument("--" + key.replace("_", "-"), type=float,
+                        nargs="*" if key == "p_prime" else None)
     pt.set_defaults(fn=cmd_rate_table)
 
     pc = sub.add_parser("check-c1", help="certify a closeness envelope over a xi grid")
     pc.add_argument("--family", required=True, choices=list(_C1_FAMILIES))
-    pc.add_argument("--q", type=float, default=2.0)
-    pc.add_argument("--q-prime", dest="q_prime", type=float, default=2.0)
-    pc.add_argument("--a", type=float, default=0.0)
+    for flag in _C1_FIELDS:
+        pc.add_argument("--" + flag.replace("_", "-"), type=float, default=argparse.SUPPRESS)
     pc.add_argument("--axis", required=True, choices=sorted(_AXES))
     pc.add_argument("--eps", type=float, nargs="+", required=True)
     pc.add_argument("--xi-min", type=float, default=1e-3)
@@ -452,7 +445,7 @@ def main(argv=None) -> int:
         logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         return args.fn(args)
     # ConfigError included, and a radius outside a closed form's domain (verify-exact)
-    except (ValueError, SingularPointError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except PlapError as err:  # HarnessError included

@@ -34,16 +34,19 @@ class SolutionId(Enum):
     HEAT_MODE = "heat_mode"
     BARENBLATT = "barenblatt"
     RADIAL_ELLIPTIC = "radial_elliptic"
-    TORSION_RADIAL = "torsion_radial"
+    TORSION_RADIAL = "torsion"
     FUNDAMENTAL = "fundamental"
 
 
-class SingularPointError(PlapError):
-    """Residual requested inside the solution's singular set."""
+class SingularPointError(PlapError, ValueError):
+    """Residual requested inside the solution's singular set: a usage error."""
 
 
 @dataclass(frozen=True)
 class ExactSolution:
+    """One closed-form solution. Only the self-similar solution reads ``A`` and
+    only the torsion profile ``c``; another solution must keep each at 1."""
+
     id: SolutionId
     p: float
     n: int = 1
@@ -54,6 +57,10 @@ class ExactSolution:
         for name in ("p", "A", "c"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name, reader in (("A", SolutionId.BARENBLATT), ("c", SolutionId.TORSION_RADIAL)):
+            if self.id is not reader and (value := getattr(self, name)) != 1.0:
+                raise ValueError(f"{self.id.value} does not read {name}; it must keep its "
+                                 f"default 1.0, got {value}")
         if self.n not in (1, 2, 3):
             raise ValueError(f"n must be 1, 2 or 3, got {self.n}")
         sid = self.id

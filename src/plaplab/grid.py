@@ -82,6 +82,8 @@ class GridSpec:
         object.__setattr__(self, "dim", whole_number(self.dim, "dim"))
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
+        if any(len(e) != 2 for e in self.extent):
+            raise ValueError(f"each extent entry must be a pair [a, b], got {self.extent}")
         object.__setattr__(self, "extent", tuple((float(a), float(b)) for a, b in self.extent))
         object.__setattr__(self, "resolution",
                            tuple(whole_number(n, "resolution") for n in self.resolution))
@@ -133,10 +135,10 @@ class GridSpec:
 
 
 def whole_number(value, what: str) -> int:
-    """An int, numpy int or integral float as an int; a fractional count is an
-    error, not a truncation."""
-    if (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and float(value).is_integer()):
+    """An int, numpy int or integral float below 2**63 in magnitude as an int; a
+    fractional count is an error, not a truncation."""
+    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and -2 ** 63 < value < 2 ** 63 and float(value).is_integer()):
         return int(value)
     raise ValueError(f"{what} must be a whole number, got {value!r}")
 

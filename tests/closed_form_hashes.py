@@ -17,12 +17,16 @@ roots, perturbed specs and c1 gaps.
 (every snapshot's values and time, the step count, the smallest step and the
 overshoot), the hash of the CLI outputs of the solve-barenblatt-2d and
 sweep-p-normalized-1d benchmark configs (written under OUT, which it empties
-first), and float.hex of the gaps, slope and floor of criteria 02 and 08.
+first), the hash of the stdout of README.md's checking commands (its
+``plaplab`` lines without ``--config``: verify-exact, rate-table and check-c1),
+and float.hex of the gaps, slope and floor of criteria 02 and 08.
 
 pytest does not collect this file; it is no test.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 import shutil
@@ -34,6 +38,14 @@ import numpy as np
 
 def fx(v) -> str:
     return float(v).hex()
+
+
+def readme_commands(readme: Path) -> list:
+    """The argv of each ``plaplab`` line of ``readme`` that takes no
+    ``--config``, a trailing backslash joining a line to the next."""
+    text = readme.read_text().replace("\\\n", " ")
+    return [line.split()[1:] for line in text.splitlines()
+            if line.startswith("plaplab ") and "--config" not in line]
 
 
 def theory_hashes() -> None:
@@ -71,11 +83,13 @@ def theory_hashes() -> None:
 
     # exact solutions
     sols = []
+    # A only where the solution reads it, and c likewise
+    read = {SolutionId.BARENBLATT: {"A": 1.3}, SolutionId.TORSION_RADIAL: {"c": 2.0}}
     for p in (1.0, 1.3, 1.5, 1.7, 2.5, 3.0, 4.0, 5.5):
         for n in (1, 2, 3):
             for sid in SolutionId:
                 try:
-                    sols.append(ExactSolution(sid, p=p, n=n, A=1.3, c=2.0))
+                    sols.append(ExactSolution(sid, p=p, n=n, **read.get(sid, {})))
                 except ValueError:
                     pass
     radii = np.linspace(0.0, 3.0, 61)
@@ -180,6 +194,13 @@ def solve_hashes(out: Path) -> None:
             hh.update(f.name.encode())
             hh.update(f.read_bytes())
         print(cmd, hh.hexdigest())
+
+    checks = hashlib.sha256()
+    for argv in readme_commands(Path("README.md")):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert cli_main(argv) == 0, argv
+        checks.update(stdout.getvalue().encode())
+    print("checks", checks.hexdigest())
 
     for name, plan in (("c02", normalized_plan()), ("c08", regularization_plan())):
         fit = run_sweep(plan)

@@ -10,6 +10,13 @@ import pytest
 
 from plaplab import GridSpec, OperatorSpec, SolverControls, cli, family_rate, load_field
 from plaplab.cli import _build_problem, _build_sweep, main
+from tests.closed_form_hashes import readme_commands
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config():
+    return json.loads(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
 
 
 def write_config(path, payload):
@@ -118,8 +125,7 @@ class TestSolveCommand:
             cfg_data["problem"]["grid"][key] = value
             cases.append((f"fractional_{key}", cfg_data, "solve"))
         # a number must be a JSON number: float() and int() coerced a string or
-        # a bool, so "horizon": "0.5", "A": true and "time_offset": "1" ran,
-        # and capture times "05" became (0.0, 5.0)
+        # a bool, so "horizon": "0.5", "A": true and "time_offset": "1" ran
         barenblatt = {"schema_version": 1, "problem": {
             "operator": {"family": "variational", "p": 3.0},
             "grid": {"dim": 1, "extent": [[0.5, 2.0]], "resolution": [33],
@@ -138,7 +144,6 @@ class TestSolveCommand:
             (heat_config(), ("problem", "data", "phase"), False),
             (heat_config(), ("problem", "data", "wavenumber"), "1"),
             (heat_config(), ("problem", "data"), {"kind": "constant", "value": "1"}),
-            (heat_config(), ("problem", "controls"), {"snapshot_times": "05"}),
             (heat_config(), ("problem", "controls"), {"snapshot_times": [True]}),
             (heat_config(), ("problem", "controls"), {"eps_num": "0.1"}),
             (barenblatt, ("problem", "data", "A"), True),
@@ -159,6 +164,10 @@ class TestSolveCommand:
             node[path[-1]] = value
             command = "rate-sweep" if "sweep" in number_cfg else "solve"
             cases.append((f"number{i}", number_cfg, command))
+        # a list must be a JSON list: capture times "05" became (0.0, 5.0)
+        capture_string = heat_config()
+        capture_string["problem"]["controls"] = {"snapshot_times": "05"}
+        cases.append(("list_snapshot_times", capture_string, "solve"))
         # a section must be a JSON object: a list raised an AttributeError (exit
         # 1), "x" read as the unknown key 'x' and ["case"] as a missing theta
         sections = [
@@ -186,6 +195,7 @@ class TestSolveCommand:
             assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
             assert not name.startswith("number") or "must be a number" in err, (name, err)
             assert not name.startswith("object") or "must be an object" in err, (name, err)
+            assert not name.startswith("list") or "must be a list" in err, (name, err)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_exit_2_without_output(self, tmp_path, bad):
@@ -271,13 +281,15 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("path, value, message", [
         (("schema_version",), 2, "schema_version must be 1"),
+        # true == 1 in Python: the config ran and exited 0
+        (("schema_version",), True, "schema_version must be 1"),
         (("problem", "operator", "family"), "laplace", "unknown operator family 'laplace'"),
-        (("problem", "grid", "boundary"), "neumann", "bad boundary"),
+        (("problem", "grid", "boundary"), "neumann", "unknown boundary 'neumann'"),
         (("problem", "data", "kind"), "gaussian", "unknown data kind 'gaussian'"),
         (("sweep", "axis"), "q", "unknown sweep axis 'q'"),
         (("sweep", "theory", "case"), "quadratic", "unknown theory case 'quadratic'"),
         (("sweep",), None, "config needs a 'sweep' section for rate-sweep"),
-    ], ids=["schema", "family", "boundary", "data", "axis", "case", "no_sweep"])
+    ], ids=["schema", "schema_bool", "family", "boundary", "data", "axis", "case", "no_sweep"])
     def test_unknown_name_exits_2_without_output(self, tmp_path, capsys, path, value, message):
         cfg_data = heat_config(extra={"sweep": {
             "axis": "p", "values": [0.4, 0.2, 0.1, 0.05],
@@ -442,6 +454,120 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+
+# one value of each JSON type, small enough that no case would build a large
+# grid or run a long horizon were it accepted
+JSON_VALUES = {"null": None, "boolean": True, "number": 1, "string": "1", "array": [1],
+               "object": {}}
+
+
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    return {type(None): "null", int: "number", float: "number", str: "string",
+            list: "array", dict: "object"}[type(value)]
+
+
+def leaves(node, path=()):
+    """(path, value) of every value below ``node``: sections, lists and their
+    entries included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, path + (key,))
+
+
+class TestConfigValueTypes:
+    # beside the README config's leaves: keys it leaves at their defaults
+    EXTRA = {("problem", "data"): {"wavenumber": 1.0, "amplitude": 1.0},
+             ("problem", "controls"): {"eps_num": 0.1, "max_steps": 100_000},
+             ("sweep",): {"gap_times": []}}
+    # types a key takes besides its own: a wavenumber list, eps_num's null default
+    ALSO = {"wavenumber": {"array"}, "eps_num": {"null"}}
+
+    def config(self):
+        cfg_data = readme_config()
+        for path, extra in self.EXTRA.items():
+            node = cfg_data
+            for key in path:
+                node = node[key]
+            node.update(extra)
+        return cfg_data
+
+    def test_every_wrong_type_exits_2_naming_its_key(self, tmp_path, capsys):
+        # "snapshot_times": null exited 2 with "'NoneType' object is not
+        # iterable", naming no key; "schema_version": true ran the sweep
+        valid = self.config()
+        problem, data = _build_problem(valid["problem"])
+        _build_sweep(valid, problem, data)
+        cases = 0
+        for path, value in leaves(self.config()):
+            key = next(k for k in reversed(path) if isinstance(k, str))
+            good = {json_type(value)} | self.ALSO.get(path[-1], set())
+            for kind, bad in JSON_VALUES.items():
+                if kind in good:
+                    continue
+                cfg_data = self.config()
+                node = cfg_data
+                for step in path[:-1]:
+                    node = node[step]
+                node[path[-1]] = bad
+                name = f"{'.'.join(map(str, path))}={kind}"
+                cfg = write_config(tmp_path / "typed.json", cfg_data)
+                out = tmp_path / "out"
+                assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == 2, name
+                assert not out.exists(), name
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+                assert key in err, (name, err)
+                cases += 1
+        assert cases > 100
+
+    def test_oversized_integers_exit_2(self, tmp_path, capsys):
+        # a 401-digit horizon or resolution entry raised an OverflowError
+        # traceback (exit 1)
+        huge = 10 ** 400
+        for name, path, value in (("horizon", ("problem", "horizon"), huge),
+                                  ("negative", ("problem", "horizon"), -huge),
+                                  ("resolution", ("problem", "grid", "resolution"), [huge]),
+                                  ("dim", ("problem", "grid", "dim"), huge),
+                                  ("max_steps", ("problem", "controls", "max_steps"), huge)):
+            cfg_data = heat_config()
+            cfg_data["problem"].setdefault("controls", {})
+            node = cfg_data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            cfg = write_config(tmp_path / f"{name}.json", cfg_data)
+            out = tmp_path / f"{name}_out"
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 2, name
+            assert not out.exists(), name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        # read as JSON's 1e400 is: infinite, and the owner's finite check rejects it
+        problem = heat_config(T=huge)["problem"]
+        with pytest.raises(ValueError, match="T must be finite and >= 0, got inf"):
+            _build_problem(problem)
+
+    @pytest.mark.parametrize("extent", [[[0.0, 1.0, 2.0]], [[0.0]]])
+    def test_extent_entry_that_is_no_pair_exits_2(self, tmp_path, capsys, extent):
+        # [[0, 1, 2]] exited with "too many values to unpack (expected 2)"
+        cfg_data = heat_config()
+        cfg_data["problem"]["grid"]["extent"] = extent
+        cfg = write_config(tmp_path / "extent.json", cfg_data)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: each extent entry must be a pair [a, b]"), err
+
+
+@pytest.mark.parametrize("argv", readme_commands(README), ids=lambda argv: argv[0])
+def test_readme_checking_command_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestRateSweepCommand:
@@ -705,6 +831,24 @@ class TestVerifyExactCommand:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    def test_flag_the_solution_does_not_read_exits_2(self, tmp_path, capsys):
+        # each was ignored: the run checked the solution at A = 1 or c = 1 and exited 0
+        for argv, message in (
+                (["--solution", "torsion", "--p", "3", "--A", "7"], "torsion does not read A"),
+                (["--solution", "radial-elliptic", "--p", "3", "--c", "2"],
+                 "radial_elliptic does not read c"),
+                (["--solution", "barenblatt", "--p", "3", "--c", "2"],
+                 "barenblatt does not read c")):
+            out = tmp_path / "out"
+            assert main(["verify-exact", *argv, "--out", str(out)]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: {message}"), argv
+            assert not out.exists(), argv
+        # the flag a solution reads reaches it
+        assert main(["verify-exact", "--solution", "torsion", "--p", "3", "--c", "2"]) == 0
+        assert main(["verify-exact", "--solution", "barenblatt", "--p", "3", "--n", "2",
+                     "--A", "2", "--r-max", "0.5"]) == 0
+
     def test_out_writes_the_record(self, tmp_path, capsys):
         assert main(["verify-exact", "--solution", "torsion", "--p", "3", "--n", "2",
                      "--radii", "20", "--out", str(tmp_path)]) == 0
@@ -782,6 +926,33 @@ class TestCheckC1Command:
                   "--alpha", "1", "--c-A", "10"]
         assert main(common + ["--beta", "0.5"]) == 0
         assert main(common + ["--beta", "0.0"]) == 1
+
+    def test_flag_the_family_does_not_read_exits_2(self, monkeypatch, capsys):
+        # each certified the family's member without the flag and exited 0
+        envelope = ["--eps", "0.1", "0.01", "--alpha", "1", "--beta", "0.5", "--c-A", "10"]
+        for argv, field in ((["--family", "normalized", "--q-prime", "7"], "p_prime"),
+                            (["--family", "normalized", "--q", "3", "--q-prime", "7",
+                              "--a", "5"], "p_prime"),
+                            (["--family", "variational", "--q", "3", "--a", "5"], "a"),
+                            (["--family", "biased", "--q", "3"], "p")):
+            assert main(["check-c1", *argv, "--axis", "p", *envelope]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"does not read {field};" in captured.err, argv
+        # a flag that is not given leaves its field at the spec's default
+        bases, certify = [], cli.c1_certify
+
+        def record(base, *args, **kwargs):
+            bases.append(base)
+            return certify(base, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "c1_certify", record)
+        for argv in (["--family", "general_pq", "--q", "3", "--axis", "p"],
+                     ["--family", "regularized_pq", "--q", "3", "--axis", "p"],
+                     ["--family", "biased", "--a", "0.5", "--axis", "eps1_eps2"]):
+            assert main(["check-c1", *argv, *envelope]) in (0, 1), argv
+        assert bases == [OperatorSpec.general_pq(3.0, 2.0),
+                         OperatorSpec.regularized_pq(3.0, 2.0, 0.0),
+                         OperatorSpec.biased_infinity_regularized(0.5, 0.0, 0.0)]
 
     @pytest.mark.parametrize("flag, bad", [("--beta", "nan"), ("--c-A", "inf"), ("--alpha", "nan"),
                                            ("--k", "inf"), ("--xi-min", "nan")])

@@ -42,6 +42,21 @@ class TestValidity:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ExactSolution(sid, **({"p": 3.0} | {name: bad}))
 
+    def test_field_the_solution_does_not_read_rejected(self):
+        # A = 7 on the torsion profile and c = 2 on the others were ignored
+        for sid in SolutionId:
+            for name, reader in (("A", SolutionId.BARENBLATT), ("c", SolutionId.TORSION_RADIAL)):
+                ExactSolution(sid, **{"p": 3.0, name: 1.0})  # the default is no reading
+                if sid is not reader:
+                    with pytest.raises(ValueError, match=f"{sid.value} does not read {name}"):
+                        ExactSolution(sid, **{"p": 3.0, name: 2.0})
+        ExactSolution(SolutionId.BARENBLATT, p=3.0, A=2.0)
+        ExactSolution(SolutionId.TORSION_RADIAL, p=3.0, c=2.0)
+
+    def test_singular_point_is_a_value_error(self):
+        # a radius outside the domain is a usage error, as a bad parameter is
+        assert issubclass(SingularPointError, ValueError)
+
     def test_dimension_is_a_whole_number(self):
         for n in (0, 1.5, 2.5, 4, math.nan):
             with pytest.raises(ValueError, match="n must be 1, 2 or 3"):
@@ -144,8 +159,9 @@ class TestAnalyticResiduals:
         radii = 0.01 + 0.99 * rng.random(100)
         for p in (2.5, 3.0, 4.0):
             for n in (1, 2):
-                for sid in (SolutionId.RADIAL_ELLIPTIC, SolutionId.TORSION_RADIAL):
-                    sol = ExactSolution(sid, p=p, n=n, c=2.0)
+                for sid, given in ((SolutionId.RADIAL_ELLIPTIC, {}),
+                                   (SolutionId.TORSION_RADIAL, {"c": 2.0})):
+                    sol = ExactSolution(sid, p=p, n=n, **given)
                     worst = max(abs(residual(sol, r, clearance=1e-3)) for r in radii)
                     assert worst <= 1e-10
                 if p > n:
@@ -203,7 +219,7 @@ TORSION = ExactSolution(SolutionId.TORSION_RADIAL, p=3.0)
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: ExactSolution(SolutionId.HEAT_MODE, p=0.5), ValueError, "heat mode requires p >= 1"),
-    (lambda: TORSION.lambda_p, ValueError, "lambda_p undefined for torsion_radial"),
+    (lambda: TORSION.lambda_p, ValueError, "lambda_p undefined for torsion"),
     (lambda: HEAT.lambda_p, ValueError, "lambda_p undefined for heat_mode"),
     (lambda: TORSION.support_radius(1.0), ValueError, "support radius applies"),
     (lambda: HEAT.eval(0.5, -0.1), ValueError, "t must be >= 0"),

@@ -58,6 +58,21 @@ class TestGridSpec:
             assert (grid.dim, grid.resolution) == (1, (64,))
             assert type(grid.dim) is int and type(grid.resolution[0]) is int
 
+    def test_counts_beyond_int64_rejected(self):
+        # a 401-digit count raised an OverflowError in float(), and 1e30 nodes
+        # passed as a whole number
+        for n in (10 ** 400, 2 ** 63, -2 ** 63, 1e30, -1e30):
+            with pytest.raises(ValueError, match="whole number"):
+                GridSpec(1, ((0, 1),), (n,), Boundary.PERIODIC)
+        with pytest.raises(ValueError, match="whole number"):
+            GridSpec(10 ** 400, ((0, 1),), (8,), Boundary.PERIODIC)
+
+    @pytest.mark.parametrize("extent", [((0, 1, 2),), ((0,),), ((),)])
+    def test_extent_entry_must_be_a_pair(self, extent):
+        # [[0, 1, 2]] raised "too many values to unpack (expected 2)"
+        with pytest.raises(ValueError, match=r"each extent entry must be a pair \[a, b\]"):
+            GridSpec(1, extent, (8,), Boundary.PERIODIC)
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_meshes_are_built_per_call(self, dim):
         # the meshes were one cached, read-only tuple shared by every caller
