@@ -2,17 +2,17 @@
 
 Commands: ``solve``, ``rate-sweep``, ``verify-exact``, ``rate-table``,
 ``check-c1``. Experiment configuration is a versioned JSON document that is
-validated in full (unknown keys rejected) before any computation; a section
-that builds a dataclass takes that dataclass's fields as its keys. Each config
-value and each flag goes to its owner, the dataclass, enumeration or function
-that checks it. Exit codes: 0 success, 1 numerical failure, 2 configuration
-or validation error (any ``ValueError``), a verify-exact radius outside the
-closed form's domain among them. ``main`` alone reports a raised error, as
-one ``error:`` line (exit 2) or one ``numerical failure:`` line (exit 1) on
-stderr; a failed check (verify-exact, check-c1) prints its result and exits
-1. The ``PLAP_LOG`` environment variable sets the log level: DEBUG, INFO,
-WARNING (the default), ERROR or CRITICAL, in any case; another value is a
-configuration error.
+validated in full (unknown keys and a key repeated in one object rejected)
+before any computation; a section that builds a dataclass takes that
+dataclass's fields as its keys. Each config value and each flag goes to its
+owner, the dataclass, enumeration or function that checks it. Exit codes: 0
+success, 1 numerical failure, 2 configuration or validation error (any
+``ValueError``), a verify-exact radius outside the closed form's domain among
+them. ``main`` alone reports a raised error, as one ``error:`` line (exit 2)
+or one ``numerical failure:`` line (exit 1) on stderr; a failed check
+(verify-exact, check-c1) prints its result and exits 1. The ``PLAP_LOG``
+environment variable sets the log level: DEBUG, INFO, WARNING (the default),
+ERROR or CRITICAL, in any case; another value is a configuration error.
 """
 
 from __future__ import annotations
@@ -106,10 +106,21 @@ def _member(table: dict, value, what: str):
     raise ConfigError(f"unknown {what} {value!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key that repeats in it is a ``ConfigError``
+    (``json.load`` alone would keep its last value)."""
+    node = {}
+    for key, value in pairs:
+        if key in node:
+            raise ConfigError(f"repeated key {key!r} in a config object")
+        node[key] = value
+    return node
+
+
 def _load_config(path: Path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     _check_keys(cfg, {"schema_version", "problem", "sweep"}, "config root",
@@ -321,17 +332,21 @@ _SOLUTIONS = {s.value.replace("_", "-"): s for s in SolutionId}
 
 
 def cmd_verify_exact(args) -> int:
-    # ExactSolution checks its fields: p, and n, A and c where their flags are given
+    # ExactSolution checks its fields: p, and n, A and c where their flags are
+    # given; --t reaches only a solution that reads time, which defaults to 1
     for flag in ("t", "r_min", "r_max", "clearance", "tol"):
-        if not math.isfinite(value := getattr(args, flag)):
+        if not math.isfinite(value := getattr(args, flag, 1.0)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     if args.radii < 1:
         raise ValueError(f"--radii must be >= 1, got {args.radii}")
     given = {k: v for k, v in vars(args).items() if k in _field_names(ExactSolution)}
     sol = ExactSolution(_SOLUTIONS[args.solution], **given)
+    if "t" in vars(args) and not sol.reads_time:
+        raise ValueError(f"{sol.id.value} does not read t; only heat-mode and barenblatt do")
+    t = getattr(args, "t", 1.0) if sol.reads_time else None
     clearance = min(args.clearance, args.r_min / 2) if args.r_min > 0 else args.clearance
     # np.max keeps a NaN residual, which then fails the check
-    worst = float(np.max(np.abs([residual(sol, r, t=args.t, mode="analytic", clearance=clearance)
+    worst = float(np.max(np.abs([residual(sol, r, t=t, mode="analytic", clearance=clearance)
                                  for r in np.linspace(args.r_min, args.r_max, args.radii)])))
     print(f"max |residual| over {args.radii} radii in [{args.r_min:g}, {args.r_max:g}]: "
           f"{worst:.3e}")
@@ -401,7 +416,7 @@ def _parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, default=argparse.SUPPRESS)
     pv.add_argument("--A", type=float, default=argparse.SUPPRESS)
     pv.add_argument("--c", type=float, default=argparse.SUPPRESS)
-    pv.add_argument("--t", type=float, default=1.0)
+    pv.add_argument("--t", type=float, default=argparse.SUPPRESS)
     pv.add_argument("--radii", type=int, default=100)
     pv.add_argument("--r-min", type=float, default=0.01)
     pv.add_argument("--r-max", type=float, default=1.0)

@@ -17,16 +17,19 @@ allocates no array the size of the field; snapshots are copies. The stencil
 places the buffer and every one of those temporaries (``Stencil.empty``), each
 at its own offset within a page, so that no two of them alias in the L1 cache.
 The kernel makes every choice that depends only on the member, the grid and the problem
-once per solve, as constants, and steps with two functions of ufunc calls
-over those buffers: ``cfl_bound`` and ``advance`` run the stages of the step
-in order, each stage guarded by its constant, so no step decides anew which
-terms it has. ``cfl_bound`` takes every term that depends on the gradient
-(r2 = |Du|^2, the first-order term, the coefficient table and Lambda),
-``advance`` the Hessian, the rate and the update. ``solve_lockstep`` (and
-``solve``, its call with one problem), ``step`` and ``cfl_dt`` all run them,
-the last two on a fresh copy of their field. The kernel also keeps the data
-range, the t = 0 range widened by each boundary value it writes, and
-``advance`` keeps the largest overshoot beyond that range.
+once per solve, as constants, and steps with two stages of ufunc calls over
+those buffers, each guarded by its constants, so no step decides anew which
+terms it has. ``rate`` computes the discrete operator F_h[u], the whole
+right-hand side, and returns the stable dt: the gradient and r2 = |Du|^2, the
+first-order term, the coefficient table with the singular-gradient policy,
+Lambda, then the Hessian, the diffusion and the source. ``update`` applies
+it: u += dt F_h, the boundary data or the ghosts, and each member's range
+check. F_h is the one array that crosses from one stage to the other; a
+member with no term (kappa = 0 and no source) has F_h = 0. ``solve_lockstep``
+(and ``solve``, its call with one problem) and ``step`` run both stages,
+``cfl_dt`` the first, the last two on a fresh copy of their field. The kernel
+also keeps the data range, the t = 0 range widened by each boundary value it
+writes, and ``update`` keeps the largest overshoot beyond that range.
 
 Lockstep
 --------
@@ -93,7 +96,7 @@ by flat index in one pass, take their family's form at eps = eps_num
 (``operators.rank_one_coeff_arrays``), whose eps = 0 form is the member itself.
 
 One rule reads r2's zeros. The floor is >= 0, so every zero of r2 is a
-singular node. ``cfl_bound`` takes the first-order term at the true r2, then
+singular node. ``rate`` takes the first-order term at the true r2, then
 gathers the singular nodes' r2 for the eps_num form and writes r2 = 1 there
 in place, so the table's leaf is finite at every node, and that write is also
 the 2D quadratic form's |Du|^2 = 0 read as 1. Where the floor is > 0 (growth
@@ -254,7 +257,7 @@ def _choices(problem: Problem) -> tuple:
 
 def _kernel(problems, values, members=None):
     """The step of a batch of problems with equal ``_choices`` on one grid,
-    bound once: ``(u, cfl_bound, advance, overshoot)``. The fields ``u``, of shape
+    bound once: ``(u, rate, update, fh, overshoot)``. The fields ``u``, of shape
     (B, *grid.shape), are the views of one buffer holding ``values`` (one
     field per problem), which the step works on in its row view over the
     updated nodes of every field (``grid.Stencil``): the ghost entries between
@@ -263,24 +266,28 @@ def _kernel(problems, values, members=None):
     ghost columns are garbage that no node reads.
 
     Every choice is made once, into a local constant, and the step is bound as
-    two functions over those buffers that run its stages in order, each stage
-    guarded by its constant; a parameter that differs between the members (the
-    swept one) is a row-layout array of each member's value
-    (``Stencil.spread``), one float where they all agree. ``cfl_bound()``
-    takes every term that depends on the gradient: the gradient and r2, the
-    first-order term (into a buffer that ``advance`` reads), the coefficient
-    table with the singular-gradient policy, then Lambda; it leaves r2 with no
-    zero in 2D (the module docstring's rule) and returns the dt that is stable
-    for every member. ``advance(t, dt, t_new)``, called after ``cfl_bound`` on
-    the same fields, adds dt times the diffusion, the first-order term and the
-    source to ``u``, writes the boundary data at t_new (Dirichlet) or refills
-    the ghosts (periodic) and takes each member's (min, max) over its part of
-    the buffer, which also serve as the finiteness check (a non-finite value
-    raises ``BlowUpError`` naming the node and, from ``members[b]``, the
-    member). ``overshoot`` is a list of each member's largest overshoot so
-    far (0 before the first step), which ``advance`` updates in place: how far
-    that (min, max) leaves the member's data range, the range of its
-    ``values`` widened by every boundary value written so far."""
+    two stages over those buffers, each guarded by its constants; a parameter
+    that differs between the members (the swept one) is a row-layout array of
+    each member's value (``Stencil.spread``), one float where they all agree.
+    ``rate(t)`` computes the discrete operator F_h[u] of every member at time
+    t into the row-layout buffer ``diff`` and returns the dt that is stable
+    for every member: the gradient and r2, the first-order term, the
+    coefficient table with the singular-gradient policy, then Lambda (it
+    leaves r2 with no zero in 2D, the module docstring's rule), then the
+    Hessian, the diffusion and the source. ``diff`` is zero-filled once, so a
+    member with no term (kappa = 0, no source) has F_h = 0, and its ``rate``
+    returns its fixed dt at once. ``fh`` is ``diff``'s view as the updated
+    nodes (``Stencil.nodes``), F_h from the last ``rate`` until the next
+    ``update``, which scales it by dt in place. ``update(dt, t_new)``, called
+    after ``rate`` on the same fields, adds dt F_h to ``u``, writes the
+    boundary data at t_new (Dirichlet) or refills the ghosts (periodic) and
+    takes each member's (min, max) over its part of the buffer, which also
+    serve as the finiteness check (a non-finite value raises ``BlowUpError``
+    naming the node and, from ``members[b]``, the member). ``overshoot`` is a
+    list of each member's largest overshoot so far (0 before the first step),
+    which ``update`` updates in place: how far that (min, max) leaves the
+    member's data range, the range of its ``values`` widened by every boundary
+    value written so far."""
     problem = problems[0]
     grid, spec, source = problem.grid, problem.spec, problem.source
     stencil = Stencil(grid, values)
@@ -294,12 +301,10 @@ def _kernel(problems, values, members=None):
     # -- the choices made once per solve (see the module docstring)
     *_, const, fixed, still, lam_c, first_order = _choices(problem)
     s0c0 = [rank_one_coeffs(p.spec, 1.0) for p in problems]
-    kappa = None  # the 1D coefficient of uxx
-    if const and grid.dim == 1:
-        kappa = spread(s0 + c0 for s0, c0 in s0c0)
-    dt_fixed = None  # where Lambda is fixed per solve
-    if fixed:
-        dt_fixed = min(cfl_scale / max(s0 + max(c0, 0.0), 1.0) for s0, c0 in s0c0)
+    # the 1D coefficient of uxx, and the dt where Lambda is fixed per solve
+    kappa = spread(s0 + c0 for s0, c0 in s0c0) if const and grid.dim == 1 else None
+    dt_fixed = (min(cfl_scale / max(s0 + max(c0, 0.0), 1.0) for s0, c0 in s0c0)
+                if fixed else None)
     # takes the singular-gradient policy, whose nodes hold every zero of r2
     singular = not (const or spec.everywhere_defined)
     diffuses = not still  # kappa = 0 has no diffusion term, so no Hessian
@@ -325,9 +330,10 @@ def _kernel(problems, values, members=None):
 
     n, empty = rows.shape, stencil.empty  # every row-size temporary is placed by the stencil
     r2, diff, work = (empty(n) for _ in range(3))  # work: the first-order term
+    diff[...] = 0.0  # F_h where no term writes it: kappa = 0 with no source
     zero = empty(n, bool)
     diff_nodes, work_nodes = stencil.nodes(diff), stencil.nodes(work)
-    if not const:  # c, and s with the leaf's temporary (diff is free until the rate)
+    if not const:  # c, and s with the leaf's temporary (diff is free until the diffusion)
         c_out, table = empty(n), (empty(n), diff)
     if takes_r2:
         gradient = stencil.gradient
@@ -339,8 +345,8 @@ def _kernel(problems, values, members=None):
         hessian = stencil.hessian
         hess = hessian()
         uxx, uxy2, uyy = hess[(0, 0)], hess.get((0, 1)), hess.get((1, 1))
-    # the coefficients, as the last cfl_bound took them
-    s, c = spread(s0 for s0, _ in s0c0), spread(c0 for _, c0 in s0c0)
+    # (s, c) of a constant-coefficient member; a table member's are the table's
+    coeffs = spread(s0 for s0, _ in s0c0), spread(c0 for _, c0 in s0c0)
     # each member's part of the buffer; its nodes' range, widened by the
     # boundary data, and its largest overshoot so far (Python floats: a
     # member's check is a few scalar operations)
@@ -349,8 +355,10 @@ def _kernel(problems, values, members=None):
     data_lo, data_hi = u.min(axis=axes).tolist(), u.max(axis=axes).tolist()
     overshoot = [0.0] * size
 
-    def cfl_bound():
-        nonlocal s, c
+    def rate(t):
+        if not adds:  # kappa = 0 and no source: F_h is the zeros of the build
+            return dt_fixed
+        s, c = coeffs
         if takes_r2:
             gradient()
             if grid.dim == 1:
@@ -379,17 +387,15 @@ def _kernel(problems, values, members=None):
                     r2[sing] = np.where(r2_sing == 0.0, 1.0, r2_sing)
         if grid.dim == 2 and not singular:  # the quadratic form reads r2 = 0 as 1
             r2[np.flatnonzero(np.equal(r2, 0.0, out=zero))] = 1.0
-        if dt_fixed is not None:
-            return dt_fixed
-        # c has the sign of c0 at every node, so s + max(c, 0) is s + c where
-        # c0 > 0, and else s, a table here (growth exponent != 2) whose
-        # ghost-column entries no node reads; the largest over every member
-        lam = np.add(c, s, out=diff) if lam_c else s
-        lam[ghosts] = 0.0
-        return cfl_scale / max(float(lam.max()), 1.0)
-
-    def advance(t, dt, t_new):
-        # the rate, the sum of the terms present, in the row layout: diffusion
+        dt = dt_fixed
+        if dt is None:
+            # c has the sign of c0 at every node, so s + max(c, 0) is s + c where
+            # c0 > 0, and else s, a table here (growth exponent != 2) whose
+            # ghost-column entries no node reads; the largest over every member
+            lam = np.add(c, s, out=diff) if lam_c else s
+            lam[ghosts] = 0.0
+            dt = cfl_scale / max(float(lam.max()), 1.0)
+        # F_h, the sum of the terms present, in the row layout: diffusion
         # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes), in diff
         if diffuses:
             hessian()
@@ -399,7 +405,7 @@ def _kernel(problems, values, members=None):
                 np.multiply(np.add(s, c, out=diff), uxx, out=diff)
             else:
                 # s tr D2u + c (ux^2 uxx + uy^2 uyy + ux uy 2uxy) / r2, with no
-                # zero left in r2 (cfl_bound)
+                # zero left in r2 (above)
                 np.multiply(np.add(uxx, uyy, out=diff), s, out=diff)
                 np.multiply(np.multiply(uxx, ux, out=uxx), ux, out=uxx)
                 np.multiply(np.multiply(uyy, uy, out=uyy), uy, out=uyy)
@@ -416,6 +422,9 @@ def _kernel(problems, values, members=None):
             np.add(diff_nodes, np.asarray(source(*meshes, t), float), out=diff_nodes)
         elif source is not None:
             diff_nodes[...] = np.asarray(source(*meshes, t), float)
+        return dt
+
+    def update(dt, t_new):
         if adds:  # the update spills into the ghost columns
             np.add(rows, np.multiply(diff, dt, out=diff), out=rows)
         if edge is None:
@@ -439,10 +448,10 @@ def _kernel(problems, values, members=None):
     if not adds and edge is None:
         # a step that adds nothing leaves the fields and their ghosts as they were
 
-        def advance(t, dt, t_new):
+        def update(dt, t_new):
             pass
 
-    return u, cfl_bound, advance, overshoot
+    return u, rate, update, diff_nodes, overshoot
 
 
 def _check_stable(dt: float, dt_max: float, t: float) -> None:
@@ -456,7 +465,7 @@ def cfl_dt(problem: Problem, fld: ScalarField) -> float:
     """Stable time step for the current field (same coefficients as ``step``)."""
     if fld.grid != problem.grid:
         raise ValueError("field is not on the problem's grid")
-    return _kernel([problem], fld.values[None])[1]()
+    return _kernel([problem], fld.values[None])[1](fld.time)
 
 
 def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
@@ -467,9 +476,9 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if fld.time + dt > problem.T + 1e-9 * max(dt, problem.T, 1.0):
         raise ValueError(f"step past the horizon: t = {fld.time:.6g}, T = {problem.T:.6g}")
-    u, cfl_bound, advance, _ = _kernel([problem], fld.values[None])
-    _check_stable(dt, cfl_bound(), fld.time)
-    advance(fld.time, dt, fld.time + dt)
+    u, rate, update, *_ = _kernel([problem], fld.values[None])
+    _check_stable(dt, rate(fld.time), fld.time)
+    update(dt, fld.time + dt)
     return ScalarField(problem.grid, u[0], fld.time + dt)
 
 
@@ -517,26 +526,25 @@ def solve_lockstep(problems: Sequence[Problem],
                        [problems[i].initial_field().values for i in idx],
                        idx if len(problems) > 1 else None)  # a blow-up names its member
                for idx in batches]
-    bounds = [bound for _, bound, _, _ in kernels]
-    advances = [advance for _, _, advance, _ in kernels]
+    fields, rates, updates, _, overshoots = zip(*kernels)
     max_steps = first.controls.max_steps
     snapshots = [[] for _ in problems]
-    steps = 0
-    min_dt = math.inf
-    t = 0.0
+    steps, min_dt, t = 0, math.inf, 0.0
     t_eps = 1e-12 * max(1.0, first.T)
     for t_target in targets:
         t_stop = t_target - t_eps
         while t < t_stop:
-            dt = min([bound() for bound in bounds])
+            dt = math.inf  # the smallest bound over every batch (a loop keeps t a local)
+            for rate in rates:
+                dt = min(dt, rate(t))
             if dt_override is not None:
                 _check_stable(dt_override, dt, t)
                 dt = dt_override
             t_new = t + dt
             if dt >= t_target - t - t_eps:
                 dt, t_new = t_target - t, t_target
-            for advance in advances:
-                advance(t, dt, t_new)
+            for update in updates:
+                update(dt, t_new)
             t = t_new
             steps += 1
             min_dt = min(min_dt, dt)
@@ -545,11 +553,11 @@ def solve_lockstep(problems: Sequence[Problem],
                     f"horizon T = {first.T} unreachable within {max_steps} steps"
                 )
         if t_target in requested:
-            for idx, (u, *_) in zip(batches, kernels):
+            for idx, u in zip(batches, fields):
                 for i, values in zip(idx, u):
                     snapshots[i].append(ScalarField(first.grid, values, t))
     results = [None] * len(problems)
-    for idx, (*_, overshoot) in zip(batches, kernels):
+    for idx, overshoot in zip(batches, overshoots):
         for i, member_over in zip(idx, overshoot):
             stats = SolveStats(steps=steps, min_dt=min_dt if steps else 0.0,
                                overshoot=float(member_over), final_time=t)

@@ -45,7 +45,10 @@ class SingularPointError(PlapError, ValueError):
 @dataclass(frozen=True)
 class ExactSolution:
     """One closed-form solution. Only the self-similar solution reads ``A`` and
-    only the torsion profile ``c``; another solution must keep each at 1."""
+    only the torsion profile ``c``; another solution must keep each at 1. Heat
+    mode, the one-dimensional mode sin x, reads no dimension ``n`` and must
+    keep it at 1. Only heat mode and the self-similar solution read a time t
+    (``reads_time``); the elliptic profiles ignore it."""
 
     id: SolutionId
     p: float
@@ -57,13 +60,15 @@ class ExactSolution:
         for name in ("p", "A", "c"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name, reader in (("A", SolutionId.BARENBLATT), ("c", SolutionId.TORSION_RADIAL)):
-            if self.id is not reader and (value := getattr(self, name)) != 1.0:
-                raise ValueError(f"{self.id.value} does not read {name}; it must keep its "
-                                 f"default 1.0, got {value}")
+        sid = self.id
+        for name, reads in (("A", sid is SolutionId.BARENBLATT),
+                            ("c", sid is SolutionId.TORSION_RADIAL),
+                            ("n", sid is not SolutionId.HEAT_MODE)):
+            if not reads and (value := getattr(self, name)) != 1:
+                raise ValueError(f"{sid.value} does not read {name}; it must keep its "
+                                 f"default 1, got {value}")
         if self.n not in (1, 2, 3):
             raise ValueError(f"n must be 1, 2 or 3, got {self.n}")
-        sid = self.id
         if sid is SolutionId.HEAT_MODE and self.p < 1:
             raise ValueError("heat mode requires p >= 1")
         if sid is SolutionId.BARENBLATT:
@@ -80,6 +85,10 @@ class ExactSolution:
             raise ValueError("torsion requires c > 0")
         if sid is SolutionId.FUNDAMENTAL and self.p <= self.n:
             raise ValueError(f"fundamental profile requires p > n, got p={self.p}, n={self.n}")
+
+    @property
+    def reads_time(self) -> bool:
+        return self.id in (SolutionId.HEAT_MODE, SolutionId.BARENBLATT)
 
     # -- derived constants --------------------------------------------------
 
@@ -178,9 +187,12 @@ def _barenblatt_derivatives(sol: ExactSolution, r: float, t: float):
 
 
 def _check_clearance(sol: ExactSolution, r: float, t: Optional[float], clearance: float):
+    """The checks of a residual's point and time, in both modes."""
     if not (math.isfinite(clearance) and clearance > 0):
         raise ValueError(f"clearance must be > 0 and finite, got {clearance}")
     if sol.id is SolutionId.HEAT_MODE:
+        if t is not None and t < 0:
+            raise ValueError("t must be >= 0")
         return
     if r < clearance:
         raise SingularPointError(f"|x| = {r:.3g} inside clearance {clearance:.3g} of the origin")
@@ -265,7 +277,7 @@ def _residual_discrete(sol: ExactSolution, r: float, t, h: float) -> float:
         if tt - h >= 0:
             u_t = (val(r, tt + h) - val(r, tt - h)) / (2.0 * h)
         else:
-            u_t = (val(r, tt + h) - val(r, tt)) / h  # first-order fallback at t = 0
+            u_t = (val(r, tt + h) - val(r, tt)) / h  # first order within h of t = 0
     return _governing_defect(sol, r, t, u0, u_t, u1, u2)
 
 

@@ -551,6 +551,22 @@ class TestConfigValueTypes:
         with pytest.raises(ValueError, match="T must be finite and >= 0, got inf"):
             _build_problem(problem)
 
+    @pytest.mark.parametrize("section", ["problem", "operator"])
+    def test_repeated_key_exits_2_naming_it(self, tmp_path, capsys, section):
+        # json.load kept the last value: "horizon": 0.01, "horizon": 0.02 solved
+        # to T = 0.02 and exited 0
+        text = json.dumps(heat_config(T=0.01), indent=2)
+        key, repeat = (('"horizon": 0.01', '"horizon": 0.01, "horizon": 0.02')
+                       if section == "problem" else ('"p": 3.0', '"p": 3.0, "p": 4.0'))
+        assert text.count(key) == 1
+        cfg = tmp_path / "repeated.json"
+        cfg.write_text(text.replace(key, repeat))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        name = key.split(":")[0].strip('"')
+        assert capsys.readouterr().err == f"error: repeated key {name!r} in a config object\n"
+
     @pytest.mark.parametrize("extent", [[[0.0, 1.0, 2.0]], [[0.0]]])
     def test_extent_entry_that_is_no_pair_exits_2(self, tmp_path, capsys, extent):
         # [[0, 1, 2]] exited with "too many values to unpack (expected 2)"
@@ -832,22 +848,47 @@ class TestVerifyExactCommand:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_flag_the_solution_does_not_read_exits_2(self, tmp_path, capsys):
-        # each was ignored: the run checked the solution at A = 1 or c = 1 and exited 0
+        # each was ignored: the run checked the solution at A = 1, c = 1, as if
+        # no --t were given, or heat mode as sin x (writing "n": 3), and exited 0
         for argv, message in (
                 (["--solution", "torsion", "--p", "3", "--A", "7"], "torsion does not read A"),
                 (["--solution", "radial-elliptic", "--p", "3", "--c", "2"],
                  "radial_elliptic does not read c"),
                 (["--solution", "barenblatt", "--p", "3", "--c", "2"],
-                 "barenblatt does not read c")):
+                 "barenblatt does not read c"),
+                (["--solution", "torsion", "--p", "3", "--t", "5"], "torsion does not read t"),
+                (["--solution", "fundamental", "--p", "3", "--t", "1"],
+                 "fundamental does not read t"),
+                (["--solution", "heat-mode", "--p", "3", "--n", "3"],
+                 "heat_mode does not read n")):
             out = tmp_path / "out"
             assert main(["verify-exact", *argv, "--out", str(out)]) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith(f"error: {message}"), argv
+            assert captured.err.count("\n") == 1, argv
             assert not out.exists(), argv
         # the flag a solution reads reaches it
         assert main(["verify-exact", "--solution", "torsion", "--p", "3", "--c", "2"]) == 0
         assert main(["verify-exact", "--solution", "barenblatt", "--p", "3", "--n", "2",
                      "--A", "2", "--r-max", "0.5"]) == 0
+
+    @pytest.mark.parametrize("argv, t", [
+        (["--solution", "heat-mode", "--p", "3"], 1.0),
+        (["--solution", "heat-mode", "--p", "3", "--t", "0.5"], 0.5),
+        (["--solution", "barenblatt", "--p", "3", "--r-max", "0.5"], 1.0),
+        (["--solution", "barenblatt", "--p", "3", "--r-max", "0.5", "--t", "2"], 2.0),
+        (["--solution", "torsion", "--p", "3"], None),
+    ], ids=["heat-mode", "heat-mode t", "barenblatt", "barenblatt t", "torsion"])
+    def test_time_reaches_the_solutions_that_read_it(self, monkeypatch, argv, t):
+        times, residual = set(), cli.residual
+
+        def record(sol, r, t=None, **kwargs):
+            times.add(t)
+            return residual(sol, r, t=t, **kwargs)
+
+        monkeypatch.setattr(cli, "residual", record)
+        assert main(["verify-exact", *argv]) == 0
+        assert times == {t}
 
     def test_out_writes_the_record(self, tmp_path, capsys):
         assert main(["verify-exact", "--solution", "torsion", "--p", "3", "--n", "2",

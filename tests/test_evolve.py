@@ -1047,15 +1047,15 @@ def test_steps_allocate_no_row_array(name, dim):
     # every temporary of a step lives in a buffer the solve allocates once: after
     # warm-up, 100 steps together allocate less than one row-size array at a time
     prob = crest_problem(LEAVES[name], dim)
-    _, cfl_bound, advance, _ = evolve._kernel([prob], prob.initial_field().values[None])
+    _, rate, update, *_ = evolve._kernel([prob], prob.initial_field().values[None])
     row_bytes = Stencil(prob.grid, prob.initial_field().values).rows.nbytes
     t = 0.0
 
     def steps(k):
         nonlocal t
         for _ in range(k):
-            dt = cfl_bound()
-            advance(t, dt, t + dt)
+            dt = rate(t)
+            update(dt, t + dt)
             t += dt
 
     steps(3)
@@ -1070,14 +1070,14 @@ def test_steps_allocate_no_row_array(name, dim):
     assert end - start < row_bytes
 
 
-def placed_row_arrays(cfl_bound, advance):
+def placed_row_arrays(rate, update):
     """The row-size arrays a kernel and its stencil hold, read from the
-    closures of the kernel's two step functions: the stencil's field buffer,
+    closures of the kernel's two stages: the stencil's field buffer,
     gradient, Hessian and 2u arrays, and the kernel's r2, diff, work, zero,
     c_out and table[0] (the per-member parameters of ``Stencil.spread`` are
     not among them)."""
     cells = {}
-    for fn in (cfl_bound, advance):
+    for fn in (rate, update):
         for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
             try:
                 cells[name] = cell.cell_contents
@@ -1111,9 +1111,9 @@ def test_row_arrays_start_at_distinct_page_offsets(case):
         problems = [replace(base, spec=OperatorSpec.regularized_pq(2.0, 3.0, eps))
                     for eps in (0.1, 0.05, 0.025)]
     assert len({evolve._choices(p) for p in problems}) == 1
-    _, cfl_bound, advance, _ = evolve._kernel(
+    _, rate, update, *_ = evolve._kernel(
         problems, [p.initial_field().values for p in problems])
-    arrays = placed_row_arrays(cfl_bound, advance)
+    arrays = placed_row_arrays(rate, update)
     assert len(arrays) == (12 if case == "2d table member" else 10)
     offsets = sorted(a.ctypes.data % 4096 for a in arrays)
     gaps = [b - a for a, b in zip(offsets, offsets[1:])] + [offsets[0] + 4096 - offsets[-1]]

@@ -53,6 +53,16 @@ class TestValidity:
         ExactSolution(SolutionId.BARENBLATT, p=3.0, A=2.0)
         ExactSolution(SolutionId.TORSION_RADIAL, p=3.0, c=2.0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_heat_mode_reads_no_dimension(self, n):
+        # heat mode at n = 2 or 3 was built, and evaluated as the 1D mode sin x
+        with pytest.raises(ValueError, match="heat_mode does not read n"):
+            ExactSolution(SolutionId.HEAT_MODE, p=3.0, n=n)
+
+    def test_time_readers(self):
+        readers = {sid for sid in SolutionId if ExactSolution(sid, p=3.5).reads_time}
+        assert readers == {SolutionId.HEAT_MODE, SolutionId.BARENBLATT}
+
     def test_singular_point_is_a_value_error(self):
         # a radius outside the domain is a usage error, as a bad parameter is
         assert issubclass(SingularPointError, ValueError)
@@ -99,8 +109,8 @@ class TestEval:
 
     def test_point_eval_reads_eval_radial(self):
         # heat mode had its own math.exp copy, one ulp off np.exp at some t
-        for sid in SolutionId:
-            sol = ExactSolution(sid, p=3.5, n=2)
+        for sid in SolutionId:  # heat mode reads no dimension
+            sol = ExactSolution(sid, p=3.5, n=1 if sid is SolutionId.HEAT_MODE else 2)
             for x, t in ((0.4, 0.3), (-1.3, 1.7), (2.8, 0.05)):
                 r = x if sid is SolutionId.HEAT_MODE else np.linalg.norm([x, 0.5])
                 assert sol.eval([x, 0.5], t) == sol.eval_radial(np.array([r]), t)[0]
@@ -198,6 +208,14 @@ class TestDiscreteResiduals:
             r1 = abs(residual(sol, r, t=t, mode="discrete", h=4e-3, clearance=0.05))
             r2 = abs(residual(sol, r, t=t, mode="discrete", h=2e-3, clearance=0.05))
             assert r2 <= r1 / 3.0 or r2 < 1e-11
+
+    @pytest.mark.parametrize("mode", ["analytic", "discrete"])
+    def test_heat_mode_rejects_negative_time_in_both_modes(self, mode):
+        # the discrete mode read 5.75e-3 at t = -1 through its first-order
+        # fallback, where the analytic mode raised
+        sol = ExactSolution(SolutionId.HEAT_MODE, p=3.0)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            residual(sol, 0.4, t=-1.0, mode=mode, h=1e-3)
 
     @pytest.mark.parametrize("t", [0.0, 1e-3])
     def test_heat_mode_first_order_below_h(self, t):
