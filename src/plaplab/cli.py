@@ -333,7 +333,8 @@ _SOLUTIONS = {s.value.replace("_", "-"): s for s in SolutionId}
 
 def cmd_verify_exact(args) -> int:
     # ExactSolution checks its fields: p, and n, A and c where their flags are
-    # given; --t reaches only a solution that reads time, which defaults to 1
+    # given; --t is passed where given, and a solution that reads time
+    # defaults to 1 (residual rejects a time for one that reads none)
     for flag in ("t", "r_min", "r_max", "clearance", "tol"):
         if not math.isfinite(value := getattr(args, flag, 1.0)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
@@ -341,9 +342,7 @@ def cmd_verify_exact(args) -> int:
         raise ValueError(f"--radii must be >= 1, got {args.radii}")
     given = {k: v for k, v in vars(args).items() if k in _field_names(ExactSolution)}
     sol = ExactSolution(_SOLUTIONS[args.solution], **given)
-    if "t" in vars(args) and not sol.reads_time:
-        raise ValueError(f"{sol.id.value} does not read t; only heat-mode and barenblatt do")
-    t = getattr(args, "t", 1.0) if sol.reads_time else None
+    t = getattr(args, "t", 1.0 if sol.reads_time else None)
     clearance = min(args.clearance, args.r_min / 2) if args.r_min > 0 else args.clearance
     # np.max keeps a NaN residual, which then fails the check
     worst = float(np.max(np.abs([residual(sol, r, t=t, mode="analytic", clearance=clearance)

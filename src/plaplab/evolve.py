@@ -20,16 +20,27 @@ The kernel makes every choice that depends only on the member, the grid and the 
 once per solve, as constants, and steps with two stages of ufunc calls over
 those buffers, each guarded by its constants, so no step decides anew which
 terms it has. ``rate`` computes the discrete operator F_h[u], the whole
-right-hand side, and returns the stable dt: the gradient and r2 = |Du|^2, the
-first-order term, the coefficient table with the singular-gradient policy,
-Lambda, then the Hessian, the diffusion and the source. ``update`` applies
-it: u += dt F_h, the boundary data or the ghosts, and each member's range
-check. F_h is the one array that crosses from one stage to the other; a
-member with no term (kappa = 0 and no source) has F_h = 0. ``solve_lockstep``
-(and ``solve``, its call with one problem) and ``step`` run both stages,
-``cfl_dt`` the first, the last two on a fresh copy of their field. The kernel
-also keeps the data range, the t = 0 range widened by each boundary value it
-writes, and ``update`` keeps the largest overshoot beyond that range.
+right-hand side, times h_min^2, and returns the stable dt: the gradient and
+r2 = |Du|^2, the first-order term, the coefficient table with the
+singular-gradient policy, Lambda, then the Hessian, the diffusion and the
+source. The stencil's Hessian is h_min^2 D2u (``Stencil.hessian``), so the
+diffusion is h_min^2 times its own, the first-order term takes a h_min^2 as
+its per-solve value and a source one multiply by h_min^2; no pass applies
+1 / h_min^2. ``update`` applies it: u += (dt / h_min^2) (h_min^2 F_h), in the
+one multiply it makes anyway, the boundary data or the ghosts, and the range
+check. h_min^2 F_h is the one array that crosses from one stage to the other;
+a member with no term (kappa = 0 and no source) has F_h = 0.
+``solve_lockstep`` (and ``solve``, its call with one problem) and ``step``
+run both stages, ``cfl_dt`` the first, the last two on a fresh copy of their
+field. The kernel also keeps the data range, the t = 0 range widened by each
+boundary value it writes, and ``update`` keeps the largest overshoot beyond
+that range. A batch whose members start from one data range (a batch of one
+among them) first takes one min and one max over the whole buffer: finite
+and inside every member's range (at least the largest lower end, at most the
+smallest upper one), no member overshoots and none blew up, and the check
+ends there; otherwise, and in a batch whose members start from different
+ranges, each member's own min and max decide, so every overshoot and every
+``BlowUpError`` is the member's own.
 
 Lockstep
 --------
@@ -43,10 +54,13 @@ differs between its members (eps, kappa = s0 + c0, p, a or eps2) is a
 row-layout array of each member's value, one float where they all agree.
 Each step takes the smallest bound over every batch, or a ``dt_override``,
 which must be within every step's bound (the check of ``step``, else
-``CflViolationError``), clipped at the captures. Everything else stays per
-member: a member's singular nodes are its own flat indices, and it has its
-own data range, overshoot and finiteness check. So a member's result is
-bitwise that of its own solve with the dts the loop took.
+``CflViolationError``), clipped at the captures. A batch whose step adds
+nothing (kappa = 0 with no source on a periodic grid, such as the base of an
+eps -> 0 sweep of the curvature mode) has no update: the loop takes its fixed
+dt once and calls neither of its stages, yet still takes every step.
+Everything else stays per member: a member's singular nodes are its own flat
+indices, and it has its own data range, overshoot and finiteness check. So a
+member's result is bitwise that of its own solve with the dts the loop took.
 A Dirichlet grid is its own frame: the step updates its interior, and its
 boundary nodes hold the prescribed data and act as the interior's ghosts, so
 no stage of the step (gradient, coefficients, singular-gradient decision,
@@ -122,7 +136,8 @@ form would put an O(h) defect at isolated critical points and destroy the
 scheme's second-order convergence there. At kappa = 0 (normalized(1),
 regularized_pq(1, 2, 0)) the step takes no Hessian and adds only the source,
 if any. With no source and no Dirichlet edge such a step adds nothing: it
-leaves the field and its ghosts as they were and returns an overshoot of 0.
+leaves the field and its ghosts as they were and returns an overshoot of 0,
+and its kernel has no update.
 """
 
 from __future__ import annotations
@@ -257,43 +272,49 @@ def _choices(problem: Problem) -> tuple:
 
 def _kernel(problems, values, members=None):
     """The step of a batch of problems with equal ``_choices`` on one grid,
-    bound once: ``(u, rate, update, fh, overshoot)``. The fields ``u``, of shape
-    (B, *grid.shape), are the views of one buffer holding ``values`` (one
-    field per problem), which the step works on in its row view over the
-    updated nodes of every field (``grid.Stencil``): the ghost entries between
-    two fields are ghost columns like those between two rows. Every full-mesh
-    temporary lives in the row layout and is allocated once; the entries at
-    ghost columns are garbage that no node reads.
+    bound once: ``(u, rate, update, fh, fh_scale, overshoot)``. The fields
+    ``u``, of shape (B, *grid.shape), are the views of one buffer holding
+    ``values`` (one field per problem), which the step works on in its row
+    view over the updated nodes of every field (``grid.Stencil``): the ghost
+    entries between two fields are ghost columns like those between two
+    rows. Every full-mesh temporary lives in the row layout and is allocated
+    once; the entries at ghost columns are garbage that no node reads.
 
     Every choice is made once, into a local constant, and the step is bound as
     two stages over those buffers, each guarded by its constants; a parameter
     that differs between the members (the swept one) is a row-layout array of
     each member's value (``Stencil.spread``), one float where they all agree.
-    ``rate(t)`` computes the discrete operator F_h[u] of every member at time
-    t into the row-layout buffer ``diff`` and returns the dt that is stable
-    for every member: the gradient and r2, the first-order term, the
-    coefficient table with the singular-gradient policy, then Lambda (it
-    leaves r2 with no zero in 2D, the module docstring's rule), then the
-    Hessian, the diffusion and the source. ``diff`` is zero-filled once, so a
-    member with no term (kappa = 0, no source) has F_h = 0, and its ``rate``
-    returns its fixed dt at once. ``fh`` is ``diff``'s view as the updated
-    nodes (``Stencil.nodes``), F_h from the last ``rate`` until the next
-    ``update``, which scales it by dt in place. ``update(dt, t_new)``, called
-    after ``rate`` on the same fields, adds dt F_h to ``u``, writes the
-    boundary data at t_new (Dirichlet) or refills the ghosts (periodic) and
-    takes each member's (min, max) over its part of the buffer, which also
-    serve as the finiteness check (a non-finite value raises ``BlowUpError``
-    naming the node and, from ``members[b]``, the member). ``overshoot`` is a
-    list of each member's largest overshoot so far (0 before the first step),
-    which ``update`` updates in place: how far that (min, max) leaves the
-    member's data range, the range of its ``values`` widened by every boundary
-    value written so far."""
+    ``rate(t)`` computes the discrete operator of every member at time t,
+    h_min^2 F_h[u] (the module docstring), into the row-layout buffer
+    ``diff`` and returns the dt that is stable for every member: the gradient
+    and r2, the first-order term, the coefficient table with the
+    singular-gradient policy, then Lambda (it leaves r2 with no zero in 2D,
+    the module docstring's rule), then the Hessian, the diffusion and the
+    source. ``diff`` is zero-filled once, so a member with no term (kappa = 0,
+    no source) has F_h = 0, and its ``rate`` returns its fixed dt at once.
+    ``fh`` is ``diff``'s view as the updated nodes (``Stencil.nodes``), and
+    ``fh * fh_scale`` (``fh_scale`` = 1 / h_min^2) is F_h, from the last
+    ``rate`` until the next ``update``, which scales ``fh`` by dt / h_min^2 in
+    place. ``update(dt, t_new)``, called after ``rate`` on the same fields,
+    adds dt F_h to ``u``, writes the boundary data at t_new (Dirichlet) or
+    refills the ghosts (periodic) and checks the range: the whole buffer's
+    (min, max) first where the members start from one range, and each
+    member's over its part of the buffer where that leaves some member's
+    range, which also serve as the finiteness check (a non-finite value
+    raises ``BlowUpError`` naming the node and, from ``members[b]``, the
+    member). ``update`` is None where a step adds nothing (kappa = 0, no
+    source, a periodic grid): it would leave the fields and their ghosts as
+    they were. ``overshoot`` is a list of each member's largest overshoot so
+    far (0 before the first step), which ``update`` updates in place: how far
+    that (min, max) leaves the member's data range, the range of its
+    ``values`` widened by every boundary value written so far."""
     problem = problems[0]
     grid, spec, source = problem.grid, problem.spec, problem.source
     stencil = Stencil(grid, values)
     u, rows, flat, ghosts = stencil.values, stencil.rows, stencil.flat, stencil.ghost_columns
     spread, size = stencil.spread, len(problems)
     h_min = min(grid.spacing)
+    h2 = h_min * h_min  # the stencil's Hessian, and so diff, holds h_min^2 F_h
     eps_num = h_min if problem.controls.eps_num is None else problem.controls.eps_num
     # r2 <= floor2 takes the singular-gradient policy
     floor2 = eps_num * eps_num if spec.growth_exponent < 2.0 else 0.0
@@ -308,8 +329,8 @@ def _kernel(problems, values, members=None):
     # takes the singular-gradient policy, whose nodes hold every zero of r2
     singular = not (const or spec.everywhere_defined)
     diffuses = not still  # kappa = 0 has no diffusion term, so no Hessian
-    # a sqrt(|Du|^2 + eps2^2): only the biased families have a != 0
-    a = spread(p.spec.a for p in problems)
+    # a sqrt(|Du|^2 + eps2^2), times h_min^2: only the biased families have a != 0
+    a = spread(p.spec.a * h2 for p in problems)
     eps2_sq = spread(p.spec.eps2 * p.spec.eps2 for p in problems)
     # the coefficient formula's values, one per member (rank_one_coeff_arrays)
     eps_v = spread(p.spec.regularization for p in problems)
@@ -327,6 +348,9 @@ def _kernel(problems, values, members=None):
         edge_data = np.empty(edge.shape)
         dirichlets = [p.dirichlet for p in problems]
     meshes = tuple(m[stencil.updated] for m in meshes)  # the source's arguments
+
+    def forcing(t):  # h_min^2 f at the updated nodes
+        return np.multiply(np.asarray(source(*meshes, t), float), h2)
 
     n, empty = rows.shape, stencil.empty  # every row-size temporary is placed by the stencil
     r2, diff, work = (empty(n) for _ in range(3))  # work: the first-order term
@@ -354,6 +378,9 @@ def _kernel(problems, values, members=None):
     axes = tuple(range(1, u.ndim))
     data_lo, data_hi = u.min(axis=axes).tolist(), u.max(axis=axes).tolist()
     overshoot = [0.0] * size
+    # members that start from one data range check the whole buffer against
+    # every member's range first, by one min and one max
+    shared = len(set(data_lo)) == 1 and len(set(data_hi)) == 1
 
     def rate(t):
         if not adds:  # kappa = 0 and no source: F_h is the zeros of the build
@@ -395,7 +422,7 @@ def _kernel(problems, values, members=None):
             lam = np.add(c, s, out=diff) if lam_c else s
             lam[ghosts] = 0.0
             dt = cfl_scale / max(float(lam.max()), 1.0)
-        # F_h, the sum of the terms present, in the row layout: diffusion
+        # h_min^2 F_h, the sum of the terms present, in the row layout: diffusion
         # + (a sqrt(|Du|^2 + eps2^2) over the rows + f on the nodes), in diff
         if diffuses:
             hessian()
@@ -416,17 +443,17 @@ def _kernel(problems, values, members=None):
                 np.add(diff, np.multiply(uxx, c, out=uxx), out=diff)
         if first_order:  # the biased families, whose diffusion never vanishes
             if source is not None:
-                np.add(work_nodes, np.asarray(source(*meshes, t), float), out=work_nodes)
+                np.add(work_nodes, forcing(t), out=work_nodes)
             np.add(diff, work, out=diff)
         elif source is not None and diffuses:
-            np.add(diff_nodes, np.asarray(source(*meshes, t), float), out=diff_nodes)
+            np.add(diff_nodes, forcing(t), out=diff_nodes)
         elif source is not None:
-            diff_nodes[...] = np.asarray(source(*meshes, t), float)
+            diff_nodes[...] = forcing(t)
         return dt
 
     def update(dt, t_new):
         if adds:  # the update spills into the ghost columns
-            np.add(rows, np.multiply(diff, dt, out=diff), out=rows)
+            np.add(rows, np.multiply(diff, dt / h2, out=diff), out=rows)
         if edge is None:
             fill_ghosts()  # every ghost now copies a node
         else:  # the boundary data, which also overwrites the ghost columns
@@ -437,7 +464,13 @@ def _kernel(problems, values, members=None):
             data_lo[:] = map(min, data_lo, edge_data.min(axis=1).tolist())
             data_hi[:] = map(max, data_hi, edge_data.max(axis=1).tolist())
         # every node, and ghosts that copy nodes
-        lo, hi = blocks.min(axis=1).tolist(), blocks.max(axis=1).tolist()
+        if shared:  # a batch of one, too, whose member's two values these are
+            lo, hi = [float(flat.min())], [float(flat.max())]
+            # finite and inside every member's range: none overshoots, none blew up
+            if max(data_lo) <= lo[0] and hi[0] <= min(data_hi) and math.isfinite(hi[0] - lo[0]):
+                return
+        if size > 1:
+            lo, hi = blocks.min(axis=1).tolist(), blocks.max(axis=1).tolist()
         for b, (l, h) in enumerate(zip(lo, hi)):
             if not (math.isfinite(l) and math.isfinite(h)):
                 node = np.argwhere(~np.isfinite(u[b]))[0]
@@ -447,11 +480,8 @@ def _kernel(problems, values, members=None):
 
     if not adds and edge is None:
         # a step that adds nothing leaves the fields and their ghosts as they were
-
-        def update(dt, t_new):
-            pass
-
-    return u, rate, update, diff_nodes, overshoot
+        update = None
+    return u, rate, update, diff_nodes, 1.0 / h2, overshoot
 
 
 def _check_stable(dt: float, dt_max: float, t: float) -> None:
@@ -478,7 +508,8 @@ def step(fld: ScalarField, problem: Problem, dt: float) -> ScalarField:
         raise ValueError(f"step past the horizon: t = {fld.time:.6g}, T = {problem.T:.6g}")
     u, rate, update, *_ = _kernel([problem], fld.values[None])
     _check_stable(dt, rate(fld.time), fld.time)
-    update(dt, fld.time + dt)
+    if update is not None:
+        update(dt, fld.time + dt)
     return ScalarField(problem.grid, u[0], fld.time + dt)
 
 
@@ -498,14 +529,15 @@ def solve_lockstep(problems: Sequence[Problem],
     source; their operators and data may differ. Problems with the same
     per-solve choices (``_choices``) step as one batch, one buffer and one
     ufunc call per stage for all of them; the others form further batches of
-    the same loop. Each step takes the smallest CFL bound of that step over
-    every member, clipped at capture times. A ``dt_override`` (finite and
-    > 0) fixes every step instead; one above some step's bound raises
-    ``CflViolationError`` naming dt, the bound and t, as ``step`` does. So
-    every member steps with every dt the loop takes, and its result is that
-    of ``solve(member, dt_override=dt)`` wherever that steps with the same
-    dts. The steps and min dt are shared; each member has its own overshoot
-    and finiteness check. Snapshots are copies of the loop's own buffers.
+    the same loop, and a batch whose step adds nothing is not called. Each
+    step takes the smallest CFL bound of that step over every member, clipped
+    at capture times. A ``dt_override`` (finite and > 0) fixes every step
+    instead; one above some step's bound raises ``CflViolationError`` naming
+    dt, the bound and t, as ``step`` does. So every member steps with every dt
+    the loop takes, and its result is that of ``solve(member,
+    dt_override=dt)`` wherever that steps with the same dts. The steps and min
+    dt are shared; each member has its own overshoot and finiteness check.
+    Snapshots are copies of the loop's own buffers.
     """
     problems = list(problems)
     if not problems:
@@ -526,7 +558,10 @@ def solve_lockstep(problems: Sequence[Problem],
                        [problems[i].initial_field().values for i in idx],
                        idx if len(problems) > 1 else None)  # a blow-up names its member
                for idx in batches]
-    fields, rates, updates, _, overshoots = zip(*kernels)
+    # a batch whose step adds nothing has no update: the fixed dt of its first
+    # rate bounds every step, and the loop calls neither of its stages
+    dt_idle = min([rate(0.0) for _, rate, update, *_ in kernels if update is None] + [math.inf])
+    stepped = [(rate, update) for _, rate, update, *_ in kernels if update is not None]
     max_steps = first.controls.max_steps
     snapshots = [[] for _ in problems]
     steps, min_dt, t = 0, math.inf, 0.0
@@ -534,8 +569,8 @@ def solve_lockstep(problems: Sequence[Problem],
     for t_target in targets:
         t_stop = t_target - t_eps
         while t < t_stop:
-            dt = math.inf  # the smallest bound over every batch (a loop keeps t a local)
-            for rate in rates:
+            dt = dt_idle  # the smallest bound over every batch (a loop keeps t a local)
+            for rate, _ in stepped:
                 dt = min(dt, rate(t))
             if dt_override is not None:
                 _check_stable(dt_override, dt, t)
@@ -543,7 +578,7 @@ def solve_lockstep(problems: Sequence[Problem],
             t_new = t + dt
             if dt >= t_target - t - t_eps:
                 dt, t_new = t_target - t, t_target
-            for update in updates:
+            for _, update in stepped:
                 update(dt, t_new)
             t = t_new
             steps += 1
@@ -553,11 +588,11 @@ def solve_lockstep(problems: Sequence[Problem],
                     f"horizon T = {first.T} unreachable within {max_steps} steps"
                 )
         if t_target in requested:
-            for idx, u in zip(batches, fields):
+            for idx, (u, *_) in zip(batches, kernels):
                 for i, values in zip(idx, u):
                     snapshots[i].append(ScalarField(first.grid, values, t))
     results = [None] * len(problems)
-    for idx, overshoot in zip(batches, overshoots):
+    for idx, (*_, overshoot) in zip(batches, kernels):
         for i, member_over in zip(idx, overshoot):
             stats = SolveStats(steps=steps, min_dt=min_dt if steps else 0.0,
                                overshoot=float(member_over), final_time=t)

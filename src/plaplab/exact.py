@@ -48,7 +48,8 @@ class ExactSolution:
     only the torsion profile ``c``; another solution must keep each at 1. Heat
     mode, the one-dimensional mode sin x, reads no dimension ``n`` and must
     keep it at 1. Only heat mode and the self-similar solution read a time t
-    (``reads_time``); the elliptic profiles ignore it."""
+    (``reads_time``); an elliptic profile rejects a time other than the
+    default of ``eval``, ``eval_radial`` and ``residual``."""
 
     id: SolutionId
     p: float
@@ -90,6 +91,15 @@ class ExactSolution:
     def reads_time(self) -> bool:
         return self.id in (SolutionId.HEAT_MODE, SolutionId.BARENBLATT)
 
+    def _check_time(self, t, default) -> None:
+        """The time rules of every evaluation: a solution that reads no time
+        takes only the default (an error, not ignored), and heat mode no
+        negative time."""
+        if t != default and not self.reads_time:
+            raise ValueError(f"{self.id.value} does not read t; only heat-mode and barenblatt do")
+        if self.id is SolutionId.HEAT_MODE and t is not None and t < 0:
+            raise ValueError("t must be >= 0")
+
     # -- derived constants --------------------------------------------------
 
     @property
@@ -118,8 +128,6 @@ class ExactSolution:
 
     def eval(self, x, t: float = 0.0) -> float:
         """Exact value at a point x (scalar in 1D or length-n vector)."""
-        if self.id is SolutionId.HEAT_MODE and t < 0:
-            raise ValueError("t must be >= 0")
         return float(self.eval_radial(np.array([self._radius(x)]), t)[0])
 
     def _radius(self, x) -> float:
@@ -129,7 +137,8 @@ class ExactSolution:
         return float(v[0] if self.id is SolutionId.HEAT_MODE else np.linalg.norm(v))
 
     def eval_radial(self, r: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Vectorized value from the radius (time ignored by elliptic profiles)."""
+        """Vectorized value from the radius (an elliptic profile takes no time)."""
+        self._check_time(t, 0.0)
         r = np.asarray(r, dtype=float)
         sid = self.id
         if sid is SolutionId.HEAT_MODE:
@@ -190,9 +199,8 @@ def _check_clearance(sol: ExactSolution, r: float, t: Optional[float], clearance
     """The checks of a residual's point and time, in both modes."""
     if not (math.isfinite(clearance) and clearance > 0):
         raise ValueError(f"clearance must be > 0 and finite, got {clearance}")
+    sol._check_time(t, None)
     if sol.id is SolutionId.HEAT_MODE:
-        if t is not None and t < 0:
-            raise ValueError("t must be >= 0")
         return
     if r < clearance:
         raise SingularPointError(f"|x| = {r:.3g} inside clearance {clearance:.3g} of the origin")

@@ -8,7 +8,11 @@ Difference stencils (``Stencil``) read the values from a buffer with a frame
 one node wide. There is one formula per derivative, in every dimension: the
 central difference (u[i+e] - u[i-e]) / (2 h), the second difference
 ((u[i+e] + u[i-e]) - 2 u[i]) / h^2, and in 2D the mixed one as the central
-y-difference of the x-gradient; each scale is one multiply by a reciprocal.
+y-difference of the x-gradient. The gradient's scale is one multiply by a
+reciprocal. The Hessian is taken times h_min^2, h_min the smallest spacing,
+so its 1 / h_min^2 can ride on the time step's multiply: an axis of spacing
+h_min takes no scale at all, another one multiply by (h_min / h)^2, and the
+mixed entry its one multiply by h_min^2 / h_y.
 Every sum is taken in an order that reflection of the grid maps onto itself,
 so data symmetric about a node has exactly symmetric second differences and
 exactly antisymmetric first ones (an exact 0 at the node).
@@ -227,12 +231,14 @@ class Stencil:
         # per axis: values[i + e] and values[i - e] over the gradient's entries
         # (in 2D the x-difference runs one entry past each end of the rows, so
         # that the cross difference can read it one column up and down) and
-        # over the rows, then 1 / (2 h) and 1 / h^2
+        # over the rows, then 1 / (2 h) and the Hessian's (h_min / h)^2, 1 at h_min
         margins = (1, 0) if grid.dim == 2 else (0,)
+        h_min = min(grid.spacing)
         self._axes = [(shifted(o, m), shifted(-o, m), shifted(o), shifted(-o),
-                       1.0 / (2.0 * h), 1.0 / (h * h))
+                       1.0 / (2.0 * h), (h_min / h) * (h_min / h))
                       for o, h, m in zip(unit, grid.spacing, margins)]
-        self._cross_scale = 1.0 / grid.spacing[-1]  # twice the y-difference's 1 / (2 h)
+        # h_min^2 times twice the y-difference's 1 / (2 h)
+        self._cross_scale = h_min * h_min / grid.spacing[-1]
         self._grad = self._hess = None
         self.fill_ghosts()
 
@@ -287,12 +293,13 @@ class Stencil:
         return self._grad
 
     def hessian(self) -> dict[tuple[int, int], np.ndarray]:
-        """Second differences keyed by (i, j) with i <= j, in the row layout:
-        ((u[i+e] + u[i-e]) - 2u) / h^2 on the diagonal and, in 2D, twice the
-        central y-difference of the x-gradient, 2 uxy, the factor the
-        diffusion's quadratic form takes. The cross difference reads the
-        x-gradient that the last ``gradient`` call wrote, so call that first on
-        the same values."""
+        """Second differences times h_min^2 (the smallest spacing), keyed by
+        (i, j) with i <= j, in the row layout: (u[i+e] + u[i-e]) - 2u on the
+        diagonal, times (h_min / h)^2 on an axis whose h is not h_min, and, in
+        2D, h_min^2 times twice the central y-difference of the x-gradient,
+        2 uxy, the factor the diffusion's quadratic form takes. The cross
+        difference reads the x-gradient that the last ``gradient`` call wrote,
+        so call that first on the same values."""
         rows, dim = self.rows, len(self._axes)
         if self._hess is None:
             keys = [(ax, ax) for ax in range(dim)] + ([(0, 1)] if dim == 2 else [])
@@ -301,9 +308,10 @@ class Stencil:
             self._twice = self._hess[(0, 1)] if dim == 2 else self.empty(rows.shape)
         out = self._hess
         twice = np.multiply(rows, 2.0, out=self._twice)
-        for ax, (_, _, fa, fb, _, inv_h2) in enumerate(self._axes):
-            o = np.add(fa, fb, out=out[(ax, ax)])
-            np.multiply(np.subtract(o, twice, out=o), inv_h2, out=o)
+        for ax, (_, _, fa, fb, _, ratio2) in enumerate(self._axes):
+            o = np.subtract(np.add(fa, fb, out=out[(ax, ax)]), twice, out=out[(ax, ax)])
+            if ratio2 != 1.0:
+                np.multiply(o, ratio2, out=o)
         if dim == 2:
             if self._grad is None:
                 raise ValueError("the cross difference needs a gradient first")
@@ -321,12 +329,13 @@ def gradient_arrays(field: ScalarField) -> list[np.ndarray]:
 
 
 def hessian_arrays(field: ScalarField) -> dict[tuple[int, int], np.ndarray]:
-    """``Stencil.hessian`` of one field, into new arrays of ``grid.shape``
-    (0 at Dirichlet boundary nodes), with the stencil's mixed entry 2 uxy
-    halved to uxy (exactly: a power of 2 scales without rounding)."""
+    """The Hessian of one field, into new arrays of ``grid.shape`` (0 at
+    Dirichlet boundary nodes): ``Stencil.hessian`` times 1 / h_min^2, the
+    mixed entry 2 uxy times 1 / (2 h_min^2), so uxy."""
     stencil, frame = Stencil(field.grid, field.values), _frame(field.grid)
     stencil.gradient()  # the cross difference reads the x-gradient
-    return {k: np.pad(stencil.nodes(v) * (0.5 if k == (0, 1) else 1.0), frame)
+    inv_h2 = 1.0 / min(field.grid.spacing) ** 2
+    return {k: np.pad(stencil.nodes(v) * (0.5 * inv_h2 if k == (0, 1) else inv_h2), frame)
             for k, v in stencil.hessian().items()}
 
 

@@ -94,7 +94,9 @@ def theory_hashes() -> None:
                     pass
     radii = np.linspace(0.0, 3.0, 61)
     for sol in sols:
-        for t in (0.0, 0.3, 1.0, 1.7):
+        # a time only to the solutions that read one; an elliptic profile takes
+        # the defaults, its value at every time
+        for t in (0.0, 0.3, 1.0, 1.7) if sol.reads_time else (0.0,) * 4:
             put_call("exact_radial", lambda: " ".join(fx(v) for v in sol.eval_radial(radii, t)))
             for x in (-1.3, 0.05, 0.4, 0.9, 1.6, 2.8):
                 pt = [x] + [0.3 * k for k in range(1, sol.n)]

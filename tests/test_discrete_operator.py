@@ -83,10 +83,11 @@ def smooth_problem(spec, dim, n):
 
 
 def discrete_operator(problem, fields):
-    """F_h at t = 0 of each of ``fields`` (one batch), at the updated nodes."""
-    _, rate, _, fh, _ = _kernel([problem] * len(fields), fields)
+    """F_h at t = 0 of each of ``fields`` (one batch), at the updated nodes: the
+    kernel's ``fh`` times its factor 1 / h_min^2."""
+    _, rate, _, fh, factor, _ = _kernel([problem] * len(fields), fields)
     rate(0.0)
-    return fh
+    return fh * factor
 
 
 def consistency_error(spec, dim, n):
@@ -122,7 +123,7 @@ def test_member_with_no_term_reads_zero():
     # steps alike
     for n in (33, 65):
         problem = smooth_problem(MEMBERS["normalized(1)"], 1, n)
-        _, rate, update, fh, _ = _kernel([problem], problem.initial_field().values[None])
+        _, rate, update, fh, _, _ = _kernel([problem], problem.initial_field().values[None])
         t = 0.0
         for _ in range(3):
             dt = rate(t)

@@ -531,6 +531,75 @@ class TestLockstep:
                 assert a.time == b.time
                 np.testing.assert_array_equal(a.values, b.values)
 
+    @staticmethod
+    def lifted_members(case):
+        """Two members of one batch (normalized(3) and (2.5)) that a source
+        lifts above their data ranges: from one range, from two (the second
+        lies outside the first's at every step), or from one range on a
+        Dirichlet grid whose second member's boundary data rise, so that its
+        range widens beyond the first's."""
+        if case == "widening":
+            grid = GridSpec.line(0.0, math.pi, 33, Boundary.DIRICHLET)
+            data = [lambda x, t: 0.0 * x, lambda x, t: 20.0 * t + 0.0 * x]
+            return [Problem(spec=OperatorSpec.normalized(p), grid=grid, T=0.1, initial=np.sin,
+                            source=_lift, dirichlet=g) for p, g in zip((3.0, 2.5), data)]
+        grid = GridSpec.line(0.0, 2.0 * math.pi, 64, Boundary.PERIODIC)
+        scales = (1.0, 3.0) if case == "two-ranges" else (1.0, 1.0)
+        return [Problem(spec=OperatorSpec.normalized(p), grid=grid, T=0.1, source=_lift,
+                        initial=lambda x, k=k: k * np.sin(x)) for p, k in zip((3.0, 2.5), scales)]
+
+    @pytest.mark.parametrize("case", ["one-range", "two-ranges", "widening"])
+    def test_each_member_keeps_its_own_range_check(self, case):
+        # a batch whose members start from one range checks the whole buffer
+        # against every member's range at once first, and each member alone
+        # where that fails; either way each member's overshoot is bitwise that
+        # of its own solve
+        problems = self.lifted_members(case)
+        assert len({evolve._choices(p) for p in problems}) == 1
+        dt = 0.5 * min(cfl_dt(p, p.initial_field()) for p in problems)
+        batch = solve_lockstep(problems, dt_override=dt)
+        overshoots = [res.stats.overshoot for res in batch]
+        assert min(overshoots) > 0.0 and overshoots[0] != overshoots[1]
+        for member, res in zip(problems, batch, strict=True):
+            alone = solve(member, dt_override=dt)
+            assert res.stats == alone.stats
+            np.testing.assert_array_equal(res.snapshots[-1].values, alone.snapshots[-1].values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_non_finite_value_blows_up_in_its_member(self, size, bad):
+        # a non-finite value in the last member of a batch whose members start
+        # from one range raises at its node, naming that member and the time
+        prob = heat_mode_problem(n=32)
+        data = prob.initial_field().values
+        u, rate, update, *_ = evolve._kernel([prob] * size, [data] * size, [4, 7][-size:])
+        dt = rate(0.0)
+        u[-1][9] = bad
+        with pytest.raises(BlowUpError) as err:
+            update(dt, dt)
+        assert (err.value.member, err.value.node, err.value.time) == (7, (9,), dt)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_infinite_dirichlet_datum_blows_up_in_its_member(self, size, bad):
+        # an infinite datum widens its member's data range to infinity, yet
+        # still fails the finiteness check, also where every member starts
+        # from one range
+        grid = GridSpec.box(((0.0, 1.0), (0.0, 1.0)), (9, 9), Boundary.DIRICHLET)
+
+        def g(x, y, t):
+            return np.where((x == 1.0) & (y == 0.5) & (t > 0), bad, 0.0)
+
+        problems = [Problem(spec=OperatorSpec.normalized(p), grid=grid,
+                            initial=lambda x, y: 0.0 * x, T=1.0,
+                            dirichlet=(lambda x, y, t: 0.0 * x) if p == 3.0 else g)
+                    for p in (3.0, 2.5)[-size:]]
+        dt = min(cfl_dt(p, p.initial_field()) for p in problems)
+        with pytest.raises(BlowUpError) as err:
+            solve_lockstep(problems) if size == 2 else solve(problems[0])
+        want = (size - 1 if size == 2 else None, (8, 4), dt)
+        assert (err.value.member, err.value.node, err.value.time) == want
+
     def test_dt_override_above_a_later_bound_raises(self):
         # the growing-gradient sweep's Lambda grows with its gradient: a
         # dt_override at the smallest t = 0 bound of its problems exceeds the
@@ -563,6 +632,10 @@ class TestLockstep:
         assert not calls
         with pytest.raises(ValueError, match="at least one"):
             solve_lockstep([])
+
+
+def _lift(x, t):  # above the diffusion's fall at the crests of sin x and 3 sin x
+    return 10.0 + np.cos(x)
 
 
 def _box_source(x, y, t):
@@ -721,20 +794,22 @@ class TestConstantCoefficient1D:
         f0 = prob.initial_field()
         dt = cfl_dt(prob, f0)
         got = step(f0, prob, dt).values
-        # u + dt (kappa D2u + a sqrt(Du^2 + eps2^2) + f), in the kernel's order
+        # u + dt / h^2 (kappa h^2 D2u + a h^2 sqrt(Du^2 + eps2^2) + h^2 f), in
+        # the kernel's order
         u, h = f0.values, prob.grid.spacing[0]
+        h2 = h * h
         mode = "wrap" if boundary is Boundary.PERIODIC else "edge"
         padded = np.pad(u, 1, mode=mode)
         up, um = padded[2:], padded[:-2]
-        rhs = np.subtract(np.add(up, um), np.multiply(u, 2.0)) * (1.0 / (h * h)) * kappa
+        rhs = np.subtract(np.add(up, um), np.multiply(u, 2.0)) * kappa
         first = np.zeros_like(u)
         if spec.a != 0.0:
             du = np.subtract(up, um) * (1.0 / (2.0 * h))
-            first = np.sqrt(du * du + spec.eps2 * spec.eps2) * spec.a
+            first = np.sqrt(du * du + spec.eps2 * spec.eps2) * (spec.a * h2)
         x = prob.grid.axis_coords(0)
         if prob.source is not None:
-            first = first + prob.source(x, 0.0)
-        want = u + (rhs + first) * dt
+            first = first + prob.source(x, 0.0) * h2
+        want = u + (rhs + first) * (dt / h2)
         if boundary is Boundary.DIRICHLET:
             want[[0, -1]] = prob.dirichlet(x[[0, -1]], dt)
         np.testing.assert_array_equal(got, want)
@@ -798,23 +873,29 @@ class TestConstantCoefficient2D:
         assert np.count_nonzero(sum(g * g for g in gradient_arrays(f0)) == 0.0) > 0
         dt = cfl_dt(prob, f0)
         got = step(f0, prob, dt).values
-        # u + dt (s0 tr D2u + c0 (ux^2 uxx + uy^2 uyy + ux uy 2uxy) / r2 + f), with
-        # r2 = 0 read as 1, in the kernel's order
+        # u + dt / h^2 (s0 tr H + c0 (ux^2 Hxx + uy^2 Hyy + ux uy 2Hxy) / r2 + h^2 f),
+        # with H = h^2 D2u, h the smaller spacing, and r2 = 0 read as 1, in the
+        # kernel's order
         hx, hy = prob.grid.spacing
+        h = min(hx, hy)
         mode = "wrap" if boundary is Boundary.PERIODIC else "edge"
         padded = np.pad(u, 1, mode=mode)
         gx = (padded[2:] - padded[:-2]) * (1.0 / (2.0 * hx))  # on every padded column
         ux, uy = gx[:, 1:-1], (padded[1:-1, 2:] - padded[1:-1, :-2]) * (1.0 / (2.0 * hy))
         twice = u * 2.0
-        uxx = ((padded[2:, 1:-1] + padded[:-2, 1:-1]) - twice) * (1.0 / (hx * hx))
-        uyy = ((padded[1:-1, 2:] + padded[1:-1, :-2]) - twice) * (1.0 / (hy * hy))
-        uxy2 = (gx[:, 2:] - gx[:, :-2]) * ((1.0 / (2.0 * hy)) * 2.0)
+        uxx = (padded[2:, 1:-1] + padded[:-2, 1:-1]) - twice
+        uyy = (padded[1:-1, 2:] + padded[1:-1, :-2]) - twice
+        if hx != h:
+            uxx = uxx * ((h / hx) * (h / hx))
+        if hy != h:
+            uyy = uyy * ((h / hy) * (h / hy))
+        uxy2 = (gx[:, 2:] - gx[:, :-2]) * (h * h / hy)
         r2 = ux * ux + uy * uy
         form = (uxx * ux * ux + uyy * uy * uy) + uxy2 * ux * uy
         rate = (uxx + uyy) * s0 + form / np.where(r2 == 0.0, 1.0, r2) * c0
         if prob.source is not None:
-            rate = rate + prob.source(*prob.grid.meshes(), 0.0)
-        want = u + rate * dt
+            rate = rate + prob.source(*prob.grid.meshes(), 0.0) * (h * h)
+        want = u + rate * (dt / (h * h))
         if boundary is Boundary.DIRICHLET:
             inner = interior_mask(prob.grid)
             want[~inner] = prob.dirichlet(*(m[~inner] for m in prob.grid.meshes()), dt)
@@ -990,6 +1071,20 @@ class TestZeroKappa1D:
         assert res.snapshots[-1].values[[0, -1]].tobytes() == prob.dirichlet(edge, 0.1).tobytes()
         assert res.stats.overshoot == 0.0
 
+    def test_periodic_step_and_cfl_dt_without_an_update(self, spec):
+        # with no source on a periodic grid the kernel has no update, and
+        # solve_lockstep calls neither of its stages; step and cfl_dt still
+        # take it: the step keeps the field and moves the time, F_h reads 0
+        prob = constant_problem(spec, Boundary.PERIODIC)
+        f0 = prob.initial_field()
+        h = prob.grid.spacing[0]
+        dt = cfl_dt(prob, f0)
+        assert dt == h * h / 4.0
+        f1 = step(f0, prob, dt)
+        assert f1.time == dt and f1.values.tobytes() == f0.values.tobytes()
+        _, rate, update, fh, *_ = evolve._kernel([prob], f0.values[None])
+        assert update is None and rate(0.0) == dt and not fh.any()
+
     def test_dirichlet_source_is_the_only_term(self, spec):
         self.assert_source_is_the_only_term(constant_problem(spec, Boundary.DIRICHLET))
 
@@ -1001,14 +1096,15 @@ class TestZeroKappa1D:
     @staticmethod
     def assert_source_is_the_only_term(prob):
         res = solve(prob)
-        # u += f dt on every node, then the boundary data at t + dt, in the kernel's order
+        # u += (h^2 f) (dt / h^2) on every node, then the boundary data at t + dt,
+        # in the kernel's order
         x, h = prob.grid.axis_coords(0), prob.grid.spacing[0]
         u, t, steps, dt_max = _flat_top(x), 0.0, 0, h * h / 4.0
         while t < prob.T - 1e-12:
             dt, t_new = dt_max, t + dt_max
             if dt >= prob.T - t - 1e-12:
                 dt, t_new = prob.T - t, prob.T
-            u = u + prob.source(x, t) * dt
+            u = u + prob.source(x, t) * (h * h) * (dt / (h * h))
             if prob.dirichlet is not None:
                 u[[0, -1]] = prob.dirichlet(x[[0, -1]], t_new)
             t, steps = t_new, steps + 1

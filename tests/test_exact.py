@@ -63,6 +63,26 @@ class TestValidity:
         readers = {sid for sid in SolutionId if ExactSolution(sid, p=3.5).reads_time}
         assert readers == {SolutionId.HEAT_MODE, SolutionId.BARENBLATT}
 
+    @pytest.mark.parametrize("sid", [SolutionId.RADIAL_ELLIPTIC, SolutionId.TORSION_RADIAL,
+                                     SolutionId.FUNDAMENTAL])
+    def test_elliptic_profile_rejects_a_time(self, sid):
+        # a time was accepted and ignored: residual(torsion, 0.5, t=5.0) read
+        # 2.2e-16 and eval(0.5, 5.0) == eval(0.5)
+        sol = ExactSolution(sid, p=3.0)
+        message = f"{sid.value} does not read t; only heat-mode and barenblatt do"
+        for t in (5.0, 1e-9, -1.0, math.nan):
+            with pytest.raises(ValueError, match=message):
+                sol.eval(0.5, t)
+            with pytest.raises(ValueError, match=message):
+                sol.eval_radial(np.array([0.5]), t)
+        for t in (5.0, 0.0):
+            for mode, h in (("analytic", None), ("discrete", 1e-4)):
+                with pytest.raises(ValueError, match=message):
+                    residual(sol, 0.5, t=t, mode=mode, h=h)
+        # the defaults are no time
+        assert sol.eval(0.5) == sol.eval(0.5, 0.0) == sol.eval_radial(np.array([0.5]))[0]
+        assert abs(residual(sol, 0.5)) < 1e-12
+
     def test_singular_point_is_a_value_error(self):
         # a radius outside the domain is a usage error, as a bad parameter is
         assert issubclass(SingularPointError, ValueError)
@@ -111,7 +131,9 @@ class TestEval:
         # heat mode had its own math.exp copy, one ulp off np.exp at some t
         for sid in SolutionId:  # heat mode reads no dimension
             sol = ExactSolution(sid, p=3.5, n=1 if sid is SolutionId.HEAT_MODE else 2)
-            for x, t in ((0.4, 0.3), (-1.3, 1.7), (2.8, 0.05)):
+            # an elliptic profile takes no time
+            times = (0.3, 1.7, 0.05) if sol.reads_time else (0.0,) * 3
+            for x, t in zip((0.4, -1.3, 2.8), times):
                 r = x if sid is SolutionId.HEAT_MODE else np.linalg.norm([x, 0.5])
                 assert sol.eval([x, 0.5], t) == sol.eval_radial(np.array([r]), t)[0]
 
@@ -216,6 +238,13 @@ class TestDiscreteResiduals:
         sol = ExactSolution(SolutionId.HEAT_MODE, p=3.0)
         with pytest.raises(ValueError, match="t must be >= 0"):
             residual(sol, 0.4, t=-1.0, mode=mode, h=1e-3)
+
+    def test_heat_mode_rejects_negative_time_in_every_evaluation(self):
+        # eval rejected t < 0 and eval_radial returned exp(2) sin x there
+        sol = ExactSolution(SolutionId.HEAT_MODE, p=3.0)
+        for call in (lambda: sol.eval(0.4, -1.0), lambda: sol.eval_radial(np.array([0.4]), -1.0)):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                call()
 
     @pytest.mark.parametrize("t", [0.0, 1e-3])
     def test_heat_mode_first_order_below_h(self, t):

@@ -18,6 +18,8 @@ A change to the scheme that moves entries re-records them, and only them, with
 
 (a key as the test ids print it, ``"variational(3) @ 1d-periodic-64"`` or
 ``calls``), and names the moved entries, and why they moved, in CHANGES.md.
+The command prints, for each entry it rewrites, its largest relative move
+and the path of that value, such as ``snapshots[1].nodes[1]``.
 Every run also records the entries the file lacks, so with no key it records
 a new grid's or member's entries alone; every other entry is written back as
 it was read, byte for byte.
@@ -214,6 +216,29 @@ def test_record_rewrites_only_named_and_missing_entries(recorded):
         record(["no such key"], recorded)
 
 
+def largest_move(old, new, path=""):
+    """(the largest relative move of a value from ``old`` to ``new``, the path of
+    that value, e.g. ``snapshots[1].nodes[1]``); two entries of one shape."""
+    if isinstance(old, dict):
+        moves = [largest_move(old[k], new[k], f"{path}.{k}" if path else k) for k in old]
+    elif isinstance(old, list):
+        moves = [largest_move(o, n, f"{path}[{i}]") for i, (o, n) in enumerate(zip(old, new))]
+    elif old == new:
+        return 0.0, path
+    else:
+        return (abs(new - old) / abs(old) if old else math.inf), path
+    return max(moves, key=lambda move: move[0], default=(0.0, path))
+
+
+def test_largest_move_names_its_value():
+    # what the re-record prints for each entry it rewrites
+    old = {"steps": 3, "min_dt": 0.0, "snapshots": [{"nodes": [1.0, 2.0]}, {"nodes": [4.0, 8.0]}]}
+    new = {"steps": 3, "min_dt": 0.0, "snapshots": [{"nodes": [1.0, 2.0]}, {"nodes": [4.0, 8.5]}]}
+    assert largest_move(old, new) == (0.0625, "snapshots[1].nodes[1]")
+    assert largest_move(old, old) == (0.0, "steps")
+    assert largest_move(old, dict(new, min_dt=1e-300)) == (math.inf, "min_dt")
+
+
 if __name__ == "__main__":
     import sys
 
@@ -224,4 +249,10 @@ if __name__ == "__main__":
         json.dump(entries, fh, indent=1)
         fh.write("\n")
     moved = [key for key in entries if entries[key] != old.get(key)]
-    print(f"recorded {len(moved)} changed or new entries in {RECORD}: {moved}")
+    print(f"recorded {len(moved)} changed or new entries in {RECORD}")
+    for key in moved:
+        if key in old:
+            move, path = largest_move(old[key], entries[key])
+            print(f"  {key}: largest relative move {move:.2g} at {path}")
+        else:
+            print(f"  {key}: new")

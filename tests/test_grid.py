@@ -339,8 +339,10 @@ class TestStencilReference:
                 assert (owner[b] == b).all()
 
     def test_cross_difference_reads_the_gradient(self):
-        # the stencil's mixed entry is twice the y-difference of the last
-        # x-gradient, 2 uxy, and hessian_arrays halves it exactly
+        # the stencil's mixed entry is h_min^2 times twice the y-difference of
+        # the last x-gradient, h_min^2 2 uxy, and hessian_arrays scales it by
+        # 1 / (2 h_min^2) to uxy (test_random_field_matches_neighbour_indices
+        # checks that value)
         for boundary in Boundary:
             grid = self.GRIDS[2](boundary)
             X, Y = grid.meshes()
@@ -350,8 +352,9 @@ class TestStencilReference:
                 stencil.hessian()
             stencil.gradient()
             twice = stencil.nodes(stencil.hessian()[(0, 1)])
+            h = min(grid.spacing)
             np.testing.assert_array_equal(hessian_arrays(field)[(0, 1)][stencil.updated],
-                                          0.5 * twice)
+                                          twice * (0.5 * (1.0 / (h * h))))
 
 
 class TestNorms:

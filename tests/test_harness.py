@@ -27,6 +27,7 @@ from plaplab import (
     write_fit_summary,
     write_rate_table,
 )
+from plaplab import evolve
 from plaplab.harness import HarnessError
 from tests.test_acceptance import normalized_plan, regularization_plan
 
@@ -219,6 +220,56 @@ class TestLockstepSweeps:
             for a, b in zip(res.snapshots, alone.snapshots, strict=True):
                 assert a.time == b.time
                 np.testing.assert_array_equal(a.values, b.values)
+
+
+    @staticmethod
+    def stage_spy(monkeypatch):
+        """Wrap ``evolve._kernel`` so that each kernel's stage calls are
+        counted: one record per kernel, its problems, its rate and update calls
+        and whether it had an update at all."""
+        kernels, original = [], evolve._kernel
+
+        def spy(problems, values, members=None):
+            u, rate, update, *rest = original(problems, values, members)
+            record = {"problems": problems, "rate": 0, "update": 0, "updates": update is not None}
+            kernels.append(record)
+
+            def counted_rate(t):
+                record["rate"] += 1
+                return rate(t)
+
+            def counted_update(dt, t_new):
+                record["update"] += 1
+                update(dt, t_new)
+
+            return (u, counted_rate, counted_update if update else None, *rest)
+
+        monkeypatch.setattr(evolve, "_kernel", spy)
+        return kernels
+
+    def test_a_batch_that_adds_nothing_is_not_called(self, monkeypatch):
+        # criterion 08's base is kappa = 0 on a periodic grid with no source: its
+        # batch takes its fixed dt from one rate call and no stage after that,
+        # while the loop still takes every step; its steps, min dt and
+        # snapshots are those of the stepped loop (the dt of every step comes
+        # from the members), and its refinement-floor solve also takes every
+        # step with one rate call
+        kernels = self.stage_spy(monkeypatch)
+        plan = regularization_plan()
+        base, *members = solve_lockstep(plan.problems)
+        idle, batch = kernels
+        assert idle["problems"] == [plan.problems[0]] and not idle["updates"]
+        assert (idle["rate"], idle["update"]) == (1, 0)
+        assert batch["rate"] == batch["update"] == base.stats.steps == 26_565
+        assert base.stats.min_dt == float.fromhex("0x1.761fb6cab0000p-20")
+        assert all(res.stats == base.stats for res in members)
+        data = plan.problems[0].initial_field().values
+        assert [s.time for s in base.snapshots] == list(plan.gap_times)
+        for snap in base.snapshots:
+            assert snap.values.tobytes() == data.tobytes()
+        floor = solve(plan.refined).stats
+        assert (floor.steps, floor.min_dt) == (106_245, float.fromhex("0x1.761fb502d0000p-20"))
+        assert (kernels[2]["rate"], kernels[2]["update"]) == (1, 0)
 
 
 class TestTrackingBoundaryData:
