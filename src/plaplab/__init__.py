@@ -33,7 +33,6 @@ from .exact import (
     SingularPointError,
     SolutionId,
     residual,
-    sup_diff_closed_form,
 )
 from .grid import (
     Boundary,
@@ -66,9 +65,7 @@ from .operators import (
     PerturbationAxis,
     c1_certify,
     c1_gap,
-    diffusion_matrix,
     perturb_spec,
-    sqrt_matrix,
 )
 from .rates import FamilyCase, RatePrediction, family_rate, theoretical_rate
 

@@ -71,12 +71,12 @@ read contiguous memory. The step adds to the whole rows, then writes the
 boundary data straight into the field (Dirichlet) or refills the ghosts
 (periodic), which overwrites what spilled into the ghost columns. Ghost
 columns never count, by one skip list (``Stencil.ghost_columns``): the CFL
-maximum is taken over the rows with 0 written there, and their squared
-gradient is read as 1, so no coefficient is evaluated at a spurious zero
-there (and no node reads a ghost's coefficients). The min/max that checks
-finiteness is taken after the write over the whole buffer (``Stencil.flat``):
-every node, those on both boundaries included, and on a periodic grid the
-ghosts, which then copy nodes. The everywhere-defined members with growth
+maximum is taken over the rows with 0 written there, and the
+singular-gradient policy reads their squared gradient as 1, so no ghost
+column is a singular node (no node reads a ghost's coefficients). The
+min/max that checks finiteness is taken after the write over the whole
+buffer (``Stencil.flat``): every node, those on both boundaries included, and
+on a periodic grid the ghosts, which then copy nodes. The everywhere-defined members with growth
 exponent 2 have one s at every node (1, or eps1 for the biased family): their
 table is c alone. Most passes write into one of their own operands, which
 costs less than a pass into a third array.
@@ -109,14 +109,17 @@ unbounded near zero), and 0 otherwise (only exact zeros). Those nodes, found
 by flat index in one pass, take their family's form at eps = eps_num
 (``operators.rank_one_coeff_arrays``), whose eps = 0 form is the member itself.
 
-One rule reads r2's zeros. The floor is >= 0, so every zero of r2 is a
-singular node. ``rate`` takes the first-order term at the true r2, then
+One rule reads r2's zeros. The floor is >= 0, so every zero of r2 at a node
+is a singular node. ``rate`` takes the first-order term at the true r2. The
+policy alone writes r2 = 1 at the ghost columns, whose r2 may be 0, then
 gathers the singular nodes' r2 for the eps_num form and writes r2 = 1 there
-in place, so the table's leaf is finite at every node, and that write is also
-the 2D quadratic form's |Du|^2 = 0 read as 1. Where the floor is > 0 (growth
-exponent < 2) the 2D rate reads their true r2, so it is written back with a
-zero read as 1. Only a 2D member without the policy reads its zeros as 1 by
-one pass over r2. In 1D nothing reads r2 after the table.
+in place, so the table's leaf is finite at every entry, and that write is
+also the 2D quadratic form's |Du|^2 = 0 read as 1. Where the floor is > 0
+(growth exponent < 2) the 2D rate reads their true r2, so it is written back
+with a zero read as 1. Only a 2D member without the policy reads its zeros,
+its ghost columns' among them, as 1 by one pass over r2. A member without
+the policy needs no other write: its table (everywhere defined) is finite at
+r2 = 0, and in 1D nothing reads r2 after the table.
 
 Constant coefficients
 ---------------------
@@ -291,7 +294,8 @@ def _kernel(problems, values, members=None):
     singular-gradient policy, then Lambda (it leaves r2 with no zero in 2D,
     the module docstring's rule), then the Hessian, the diffusion and the
     source. ``diff`` is zero-filled once, so a member with no term (kappa = 0,
-    no source) has F_h = 0, and its ``rate`` returns its fixed dt at once.
+    no source) has F_h = 0: its ``rate`` takes none of those branches and
+    returns its fixed dt.
     ``fh`` is ``diff``'s view as the updated nodes (``Stencil.nodes``), and
     ``fh * fh_scale`` (``fh_scale`` = 1 / h_min^2) is F_h, from the last
     ``rate`` until the next ``update``, which scales ``fh`` by dt / h_min^2 in
@@ -383,8 +387,6 @@ def _kernel(problems, values, members=None):
     shared = len(set(data_lo)) == 1 and len(set(data_hi)) == 1
 
     def rate(t):
-        if not adds:  # kappa = 0 and no source: F_h is the zeros of the build
-            return dt_fixed
         s, c = coeffs
         if takes_r2:
             gradient()
@@ -392,12 +394,12 @@ def _kernel(problems, values, members=None):
                 np.square(ux, out=r2)
             else:
                 np.add(np.square(ux, out=r2), np.square(uy, out=diff), out=r2)
-            if ghosts.size:  # a ghost column's r2 may be 0; keep r2 ** -x finite
-                r2[ghosts] = 1.0
             if first_order:  # a sqrt(|Du|^2 + eps2^2), at the singular nodes' true r2
                 np.multiply(np.sqrt(np.add(r2, eps2_sq, out=work), out=work), a, out=work)
         if not const:
             if singular:  # the policy of the module docstring, at its nodes only
+                if ghosts.size:  # a ghost column's r2 may be 0: it is no singular node
+                    r2[ghosts] = 1.0
                 sing = np.flatnonzero(np.less_equal(r2, floor2, out=zero))
                 if sing.size:
                     if eps_num <= 0.0:

@@ -19,6 +19,23 @@ singular member, and the solver's singular-gradient nodes take eps = eps_num:
     biased infinity     s = 0                        c = 1
     biased inf. (reg.)  s = eps1                     c = |xi|^2 / (|xi|^2 + eps1^2)
 
+Each member carries three structural facts of its row, which ``OperatorSpec``
+computes once, when it is built (``dataclasses.replace`` and ``perturb_spec``
+build a new member, so they compute them anew), as read-only attributes that
+are no dataclass fields:
+
+    family              regularization   growth_exponent   everywhere_defined
+    normalized          0                2                 False
+    variational         0                p                 False
+    general (p, p')     0                p'                False
+    regularized (p, p') eps              p'                eps > 0
+    biased infinity     0                2                 False
+    biased inf. (reg.)  eps1             2                 eps1 > 0
+
+The regularization is the table's eps, growth_exponent the p'_eff with
+|A(xi)| ~ |xi|^{p'_eff - 2} at large and small |xi|, and everywhere_defined
+whether A extends continuously to xi = 0 (regularization > 0).
+
 Spectral norms of square-root differences (the closeness gap between two
 members evaluated at the same gradient) follow from the same structure and
 never need an eigensolver.
@@ -95,6 +112,11 @@ class OperatorSpec:
     ``a`` and ``eps2`` are the coefficients of the first-order term
     a sqrt(|xi|^2 + eps2^2). A family reads only its fields in ``_READS``;
     every other field must keep its default.
+
+    ``regularization``, ``growth_exponent`` and ``everywhere_defined`` (the
+    module docstring's table) are computed once, at construction, and are
+    read-only attributes, not fields: ``fields``, equality, the hash and the
+    repr see only the seven fields.
     """
 
     family: Family
@@ -129,6 +151,13 @@ class OperatorSpec:
                 raise ValueError("eps must be >= 0")
         if f is Family.BIASED_INFINITY_REGULARIZED and (self.eps1 < 0 or self.eps2 < 0):
             raise ValueError("eps1, eps2 must be >= 0")
+        # the structural facts of the module table, once (a field a family does
+        # not read holds its default: p' = 2, eps = eps1 = 0)
+        reg = self.eps if f is Family.REGULARIZED_PQ else self.eps1
+        object.__setattr__(self, "regularization", reg)
+        object.__setattr__(self, "everywhere_defined", reg > 0)
+        object.__setattr__(self, "growth_exponent",
+                           self.p if f is Family.VARIATIONAL else self.p_prime)
 
     # -- constructors ------------------------------------------------------
 
@@ -157,28 +186,6 @@ class OperatorSpec:
         return OperatorSpec(
             Family.BIASED_INFINITY_REGULARIZED, a=a, eps1=eps1, eps2=eps2, **kw
         )
-
-    # -- structural properties --------------------------------------------
-
-    @property
-    def regularization(self) -> float:
-        """The eps of the module table's regularized row: eps, or eps1 (0 for
-        the families without one)."""
-        return self.eps if self.family is Family.REGULARIZED_PQ else self.eps1
-
-    @property
-    def everywhere_defined(self) -> bool:
-        """True when A extends continuously to xi = 0."""
-        return self.regularization > 0
-
-    @property
-    def growth_exponent(self) -> float:
-        """Exponent p'_eff with |A(xi)| ~ |xi|^{p'_eff - 2} at large and small |xi|."""
-        if self.family is Family.VARIATIONAL:
-            return self.p
-        if self.family in (Family.GENERAL_PQ, Family.REGULARIZED_PQ):
-            return self.p_prime
-        return 2.0
 
 
 # the ufunc ``x ** e`` takes for these scalar exponents e (numpy's fast path);
@@ -302,6 +309,8 @@ def c1_gap(spec_a: OperatorSpec, spec_b: OperatorSpec, xi) -> float:
 
 def perturb_spec(spec: OperatorSpec, axis: PerturbationAxis, value: float) -> OperatorSpec:
     """The family member at perturbation ``value`` along ``axis`` (see enum doc)."""
+    if not math.isfinite(value):
+        raise ValueError(f"perturbation value must be finite, got {value}")
     if value <= 0:
         raise ValueError("perturbation value must be > 0")
     names, from_zero = _AXIS_FIELDS[axis]

@@ -3,9 +3,15 @@ refactor that means to keep every output is checked against.
 
     python3 tests/closed_form_hashes.py theory
     python3 tests/closed_form_hashes.py solve OUT
+    python3 tests/closed_form_hashes.py compare PARENT
 
-Run from a checkout's root with PYTHONPATH=src; the script may come from
-another checkout, so two commits are compared with one script.
+Run ``theory`` and ``solve`` from a checkout's root with PYTHONPATH=src; the
+script may come from another checkout, so two commits are compared with one
+script. ``compare`` does that: it runs ``theory`` and ``solve`` with this
+script in this checkout and in PARENT (a checkout of another commit, its
+parent as a rule), each in its own interpreter on that checkout's ``src``,
+with temporary output directories, prints each key as ``same`` or
+``moved``, and exits 1 if any key moved.
 
 ``theory`` prints one line per closed form, its key, the number of values
 hashed and the hash, over float.hex of each value (an error by its type and
@@ -29,11 +35,19 @@ import hashlib
 import io
 import itertools
 import math
+import os
 import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+
+
+THEORY_KEYS = ("rates", "rates_detail", "exact_radial", "exact_residual", "exact_point", "sqrt",
+               "perturb", "perturb_msg", "c1")
+SOLVE_KEYS = ("solves2d", "solve", "rate-sweep", "checks", "c02", "c08")
 
 
 def fx(v) -> str:
@@ -54,9 +68,7 @@ def theory_hashes() -> None:
                                    sqrt_matrix)
     from plaplab.rates import FamilyCase, family_rate
 
-    keys = ("rates", "rates_detail", "exact_radial", "exact_residual", "exact_point", "sqrt",
-            "perturb", "perturb_msg", "c1")
-    hashes, counts = {k: hashlib.sha256() for k in keys}, dict.fromkeys(keys, 0)
+    hashes, counts = {k: hashlib.sha256() for k in THEORY_KEYS}, dict.fromkeys(THEORY_KEYS, 0)
 
     def put(key, text):
         hashes[key].update((text + "\n").encode())
@@ -134,7 +146,7 @@ def theory_hashes() -> None:
         for xi in xis:
             put_call("c1", lambda: fx(c1_gap(a, b, xi)))
 
-    for k in keys:
+    for k in THEORY_KEYS:
         print(f"{k:15s} {counts[k]:6d} {hashes[k].hexdigest()}")
 
 
@@ -209,11 +221,50 @@ def solve_hashes(out: Path) -> None:
         print(name, [g.hex() for g in fit.gap_list], fit.slope.hex(), fx(fit.error_floor))
 
 
+def keyed(output: str) -> dict:
+    """key -> the rest of its line, for each line of a ``theory`` or ``solve``
+    output that opens with a key (the CLI's own lines, such as the path it
+    wrote to, are no record)."""
+    return {key: rest for key, _, rest in (line.partition(" ") for line in output.splitlines())
+            if key in THEORY_KEYS + SOLVE_KEYS}
+
+
+def compare_outputs(ours: str, parents: str) -> tuple:
+    """The line ``KEY same`` or ``KEY moved`` for each key of either output,
+    in the order the parent prints them, and whether any key moved (a key
+    that one output lacks moved)."""
+    a, b = keyed(ours), keyed(parents)
+    keys = list(dict.fromkeys([*b, *a]))
+    moved = [key for key in keys if a.get(key) != b.get(key)]
+    return [f"{key} {'moved' if key in moved else 'same'}" for key in keys], bool(moved)
+
+
+def hashes_of(checkout: Path, out: Path) -> str:
+    """The ``theory`` and ``solve`` outputs of this script, run in ``checkout``
+    on its own ``src``, each in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    return "".join(subprocess.run([sys.executable, str(Path(__file__).resolve()), *args],
+                                  cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
+                                  check=True).stdout
+                   for args in (["theory"], ["solve", str(out)]))
+
+
+def compare(parent: Path) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        ours = hashes_of(Path(__file__).resolve().parents[1], Path(tmp) / "ours")
+        parents = hashes_of(parent.resolve(), Path(tmp) / "parent")
+    lines, moved = compare_outputs(ours, parents)
+    print("\n".join(lines))
+    return 1 if moved else 0
+
+
 def main(argv: list) -> int:
     if argv == ["theory"]:
         theory_hashes()
     elif len(argv) == 2 and argv[0] == "solve":
         solve_hashes(Path(argv[1]))
+    elif len(argv) == 2 and argv[0] == "compare":
+        return compare(Path(argv[1]))
     else:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2

@@ -25,16 +25,15 @@ from plaplab import (
     SweepPlan,
     c1_certify,
     compare_theory,
-    diffusion_matrix,
     estimate_holder,
     family_rate,
     residual,
     run_sweep,
     solve,
-    sqrt_matrix,
-    sup_diff_closed_form,
     theoretical_rate,
 )
+from plaplab.exact import sup_diff_closed_form
+from plaplab.operators import diffusion_matrix, sqrt_matrix
 from tests.test_operators import random_spec
 
 

@@ -995,6 +995,17 @@ class TestCheckC1Command:
                          OperatorSpec.regularized_pq(3.0, 2.0, 0.0),
                          OperatorSpec.biased_infinity_regularized(0.5, 0.0, 0.0)]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_perturbation_names_the_perturbation(self, capsys, bad):
+        # --eps nan was reported against p ("p must be finite, got nan"),
+        # a field no flag set
+        argv = ["check-c1", "--family", "variational", "--q", "3", "--axis", "p",
+                "--eps", "0.1", bad, "--alpha", "1", "--beta", "0.5", "--c-A", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: perturbation value must be finite, got {bad}\n"
+
     @pytest.mark.parametrize("flag, bad", [("--beta", "nan"), ("--c-A", "inf"), ("--alpha", "nan"),
                                            ("--k", "inf"), ("--xi-min", "nan")])
     def test_non_finite_flag_exits_2(self, capsys, flag, bad):

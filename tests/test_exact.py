@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from plaplab import ExactSolution, SolutionId, residual, sup_diff_closed_form
-from plaplab.exact import SingularPointError
+from plaplab import ExactSolution, SolutionId, residual
+from plaplab.exact import SingularPointError, sup_diff_closed_form
 
 
 def barenblatt(p, n=1, A=1.0):

@@ -29,13 +29,9 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "plaplab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
-# exported names nothing in the laboratory reads, each kept for a test that
-# checks the paper's claims against it
-UNUSED_EXPORTS = {
-    "diffusion_matrix": "criterion 05 checks sqrt_matrix(xi)^2 = diffusion_matrix(xi)",
-    "sqrt_matrix": "criterion 05 checks sqrt_matrix(xi)^2 = diffusion_matrix(xi)",
-    "sup_diff_closed_form": "criterion 03's oracle for the normalized sweep's gaps",
-}
+# exported names nothing in the laboratory reads, each with the reason it is
+# kept (a name only tests read is imported from its module, not exported)
+UNUSED_EXPORTS = {}
 
 
 def unused_imports(source: str) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,10 @@ from plaplab import (
     SingularGradientError,
     c1_certify,
     c1_gap,
-    diffusion_matrix,
     perturb_spec,
-    sqrt_matrix,
 )
-from plaplab.operators import rank_one_coeff_arrays, rank_one_coeffs
+from plaplab.operators import (diffusion_matrix, rank_one_coeff_arrays, rank_one_coeffs,
+                               sqrt_matrix)
 
 
 def largest_eigenvalue(spec, r2):
@@ -443,6 +443,16 @@ class TestPerturb:
         with pytest.raises(ValueError, match="perturbation value must be > 0"):
             perturb_spec(base, axis, value)
 
+    @pytest.mark.parametrize("axis", list(PerturbationAxis), ids=lambda a: a.value)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, axis, value):
+        # NaN passed the > 0 check and was reported against the perturbed
+        # field ("p must be finite, got nan"), which nobody set
+        base = (OperatorSpec.biased_infinity_regularized(1.0, 0.0, 0.0)
+                if axis is PerturbationAxis.EPS1_EPS2 else OperatorSpec.regularized_pq(3.0, 2.5, 0.0))
+        with pytest.raises(ValueError, match=f"^perturbation value must be finite, got {value}$"):
+            perturb_spec(base, axis, value)
+
     def test_eps1_eps2_axis_needs_its_family_at_zero(self):
         for base in (OperatorSpec.regularized_pq(1.0, 2.0, 0.0), OperatorSpec.biased_infinity(1.0),
                      OperatorSpec.normalized(3.0)):
@@ -452,6 +462,67 @@ class TestPerturb:
             base = OperatorSpec.biased_infinity_regularized(1.0, eps1, eps2)
             with pytest.raises(ValueError, match="base member at eps1 = eps2 = 0"):
                 perturb_spec(base, PerturbationAxis.EPS1_EPS2, 0.1)
+
+
+def table_facts(spec):
+    """(regularization, growth_exponent, everywhere_defined), written from the
+    table of the ``operators`` module docstring, not from its code."""
+    family = spec.family
+    reg = {Family.REGULARIZED_PQ: spec.eps,
+           Family.BIASED_INFINITY_REGULARIZED: spec.eps1}.get(family, 0.0)
+    growth = {Family.VARIATIONAL: spec.p, Family.GENERAL_PQ: spec.p_prime,
+              Family.REGULARIZED_PQ: spec.p_prime}.get(family, 2.0)
+    return reg, growth, reg > 0
+
+
+def spec_facts(spec):
+    return spec.regularization, spec.growth_exponent, spec.everywhere_defined
+
+
+class TestDerivedFacts:
+    # one member per family, and each regularized family at zero and above
+    BUILT = [OperatorSpec.normalized(3.0), OperatorSpec.variational(1.5),
+             OperatorSpec.general_pq(3.0, 1.5), OperatorSpec.regularized_pq(3.0, 4.0, 0.1),
+             OperatorSpec.regularized_pq(2.0, 2.5, 0.0), OperatorSpec.biased_infinity(0.5),
+             OperatorSpec.biased_infinity_regularized(0.5, 0.1, 0.1),
+             OperatorSpec.biased_infinity_regularized(0.5, 0.0, 0.0)]
+    # every (base, axis) a family admits
+    PERTURBED = [(OperatorSpec.normalized(3.0), PerturbationAxis.P),
+                 (OperatorSpec.variational(1.5), PerturbationAxis.P),
+                 (OperatorSpec.general_pq(3.0, 1.5), PerturbationAxis.P),
+                 (OperatorSpec.general_pq(3.0, 1.5), PerturbationAxis.P_PRIME),
+                 (OperatorSpec.regularized_pq(2.0, 2.5, 0.0), PerturbationAxis.P),
+                 (OperatorSpec.regularized_pq(2.0, 2.5, 0.0), PerturbationAxis.P_PRIME),
+                 (OperatorSpec.regularized_pq(2.0, 2.5, 0.0), PerturbationAxis.EPS),
+                 (OperatorSpec.biased_infinity_regularized(0.5, 0.0, 0.0),
+                  PerturbationAxis.EPS1_EPS2)]
+
+    def members(self):
+        """Every built member, each after ``dataclasses.replace`` of one field it
+        reads, and each perturbed member."""
+        yield from self.BUILT
+        for spec in self.BUILT:
+            for name in TestConstruction.READS[spec.family]:
+                yield dataclasses.replace(spec, **{name: getattr(spec, name) + 0.25})
+        for base, axis in self.PERTURBED:
+            yield perturb_spec(base, axis, 0.125)
+
+    def test_facts_are_the_docstring_table(self):
+        members = list(self.members())
+        assert len(members) == 8 + 17 + 8
+        for spec in members:
+            assert spec_facts(spec) == table_facts(spec), spec
+
+    def test_facts_are_no_fields(self):
+        names = [f.name for f in dataclasses.fields(OperatorSpec)]
+        assert names == ["family", "p", "p_prime", "eps", "eps1", "eps2", "a"]
+
+    @pytest.mark.parametrize("name", ["regularization", "growth_exponent",
+                                      "everywhere_defined"])
+    def test_facts_are_read_only(self, name):
+        for spec in self.BUILT:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
